@@ -20,13 +20,12 @@ partially overlap parent edges, the 1D measure computed by
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
 from .errors import CapacityError, ParameterError
-from .geometry import Point2, Segment, rational, segment_components
+from .geometry import Point2, Segment, geometric_sum, rational, ring_segments, segment_components
 
 DEPTH_CAP = 10
 
@@ -87,8 +86,7 @@ class Cell:
         )
 
     def boundary_segments(self) -> tuple[Segment, ...]:
-        v = self.vertices()
-        return tuple(Segment(v[i], v[(i + 1) % 4]) for i in range(4))
+        return ring_segments(self.vertices())
 
     def children(self, a: Fraction) -> tuple["Cell", ...]:
         child_side = self.side * a
@@ -136,43 +134,23 @@ def level0(a: Union[Fraction, str, int]) -> Stage2:
     )
 
 
-def _expand(cells: list[Cell], a: Fraction):
-    children: list[Cell] = []
-    segments: set[Segment] = set()
-    for cell in cells:
-        for child in cell.children(a):
-            children.append(child)
-            segments.update(child.boundary_segments())
-    return children, segments
-
-
-def _chunks(items: list, n: int) -> list[list]:
-    size = max(1, -(-len(items) // n))
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 def refine(stage: Stage2, depth_cap: int = DEPTH_CAP, workers: int = 1) -> Stage2:
     """One subdivision step: each cell is replaced by its 4 corner children.
 
     The children's boundaries are appended to the retained segment set
     (deduplicated in canonical form) and the input stage is left unchanged.
-    With workers > 1 the expansion runs chunked across a thread pool; the
-    output is re-sorted by address, so results are identical either way.
+    Children are emitted parent by parent in letter order, so the cells
+    stay in address order. `workers` is accepted and ignored.
     """
     if stage.level >= depth_cap:
         raise CapacityError(f"depth cap {depth_cap} reached at level {stage.level}")
     a = stage.params.a
-    if workers > 1 and len(stage.cells) > 64:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda chunk: _expand(chunk, a), _chunks(stage.cells, workers * 4)))
-    else:
-        parts = [_expand(stage.cells, a)]
     cells: list[Cell] = []
     segments = set(stage.segments)
-    for chunk_cells, chunk_segments in parts:
-        cells.extend(chunk_cells)
-        segments |= chunk_segments
-    cells.sort(key=lambda c: c.address)
+    for cell in stage.cells:
+        for child in cell.children(a):
+            cells.append(child)
+            segments.update(child.boundary_segments())
     return Stage2(
         params=Params2(a, stage.level + 1),
         level=stage.level + 1,
@@ -182,7 +160,7 @@ def refine(stage: Stage2, depth_cap: int = DEPTH_CAP, workers: int = 1) -> Stage
 
 
 def build(params: Params2, depth_cap: int = DEPTH_CAP, workers: int = 1) -> Stage2:
-    """Iterate `refine` from the unit square down to params.depth."""
+    """Iterate `refine` from the unit square down to params.depth; `workers` is ignored."""
     if params.depth > depth_cap:
         raise CapacityError(
             f"depth {params.depth} exceeds cap {depth_cap} (4^n cells grow fast)"
@@ -227,7 +205,7 @@ def perimeter_series(a: Union[Fraction, str, int], n: int) -> PerimeterSeries:
     if not isinstance(n, int) or n < 0:
         raise ParameterError(f"stage count must be a nonnegative integer, got {n}")
     ratio = 4 * a
-    partial = 4 * sum(ratio**k for k in range(n + 1))
+    partial = 4 * geometric_sum(ratio, n)
     finite = a < Fraction(1, 4)
     limit = 4 / (1 - ratio) if finite else None
     return PerimeterSeries(partial_sum=partial, limit=limit, finite=finite)

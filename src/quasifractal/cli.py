@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 capacity, 4 numerical.
 
 Option values can also come from a flat key=value config file given with
 --config; command-line flags win over the file, which wins over defaults.
-All generation output is byte-deterministic and independent of --threads.
+All generation output is byte-deterministic. Construction is sequential:
+--threads is still accepted and validated (>= 1) but has no effect.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 EXIT_NUMERICAL = 4
+
+MEASURE_DEPTH_CAP = 1000
 
 _INT_KEYS = {"depth", "threads", "seed", "truncate", "random_check", "samples"}
 
@@ -83,7 +86,7 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
+        p.add_argument("--threads", type=int, help="accepted (must be >= 1) but has no effect")
         p.add_argument("--seed", type=int, help="seed for randomized batches")
 
     p = sub.add_parser("gen2d", help="corner-squares Cantor stage -> JSON")
@@ -108,7 +111,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("measure", help="dimension and perimeter series -> JSON")
     common(p)
     p.add_argument("--a", help="scale factor as p/q, 0 < a < 1/2")
-    p.add_argument("--depth", type=int, help="last stage of the partial sum")
+    p.add_argument("--depth", type=int, help=f"last partial-sum stage (cap {MEASURE_DEPTH_CAP})")
 
     p = sub.add_parser("index", help="loop index vector against a piece document")
     common(p)
@@ -160,11 +163,10 @@ def _require(options: dict, key: str):
     return value
 
 
-def _threads(options: dict) -> int:
-    threads = options.get("threads") or 1
-    if threads < 1:
+def _check_threads(options: dict) -> None:
+    threads = options.get("threads")
+    if threads is not None and threads < 1:
         raise ParameterError(f"--threads must be >= 1, got {threads}")
-    return threads
 
 
 def _write(text: str, out: str | None) -> None:
@@ -259,7 +261,7 @@ def _stage3_measures(stage: spatial.Stage3) -> dict:
 
 def _cmd_gen2d(options: dict) -> int:
     params = cantor.Params2(rational(_require(options, "a")), _require(options, "depth"))
-    stage = cantor.build(params, workers=_threads(options))
+    stage = cantor.build(params)
     doc = document.stage2_to_document(stage, measures=_stage2_measures(stage))
     _write(document.dumps_document(doc), options.get("out"))
     if options.get("svg"):
@@ -268,7 +270,7 @@ def _cmd_gen2d(options: dict) -> int:
 
 
 def _cmd_planar(kind: str, options: dict) -> int:
-    ps = planar.build_planar(kind, _require(options, "depth"), workers=_threads(options))
+    ps = planar.build_planar(kind, _require(options, "depth"))
     doc = document.pieces_to_document(ps, measures=_pieces_measures(ps))
     _write(document.dumps_document(doc), options.get("out"))
     if options.get("svg"):
@@ -291,7 +293,7 @@ def _cmd_gen3d(options: dict) -> int:
         raise ParameterError(f"unknown variant {name!r} (expected cube or tetra)")
     a = options.get("a")
     variant = spatial.SpatialVariant(kind, rational(a) if a is not None else None)
-    stage = spatial.build_spatial(variant, _require(options, "depth"), workers=_threads(options))
+    stage = spatial.build_spatial(variant, _require(options, "depth"))
     doc = document.stage3_to_document(stage, measures=_stage3_measures(stage))
     _write(document.dumps_document(doc), options.get("out"))
     if options.get("obj"):
@@ -303,6 +305,8 @@ def _cmd_measure(options: dict) -> int:
     a = rational(_require(options, "a"))
     depth = options.get("depth")
     depth = 10 if depth is None else depth
+    if depth > MEASURE_DEPTH_CAP:
+        raise CapacityError(f"depth {depth} exceeds cap {MEASURE_DEPTH_CAP} for measure")
     series = cantor.perimeter_series(a, depth)
     report = {
         "a": document.format_rational(a),
@@ -331,12 +335,10 @@ def _cmd_index(options: dict) -> int:
 
 def _cmd_toeplitz(options: dict) -> int:
     symbol = toeplitz.Symbol.from_string(_require(options, "symbol"))
-    samples = options.get("samples")
-    winding_arg = toeplitz.winding_by_argument(symbol, samples)
-    fred = toeplitz.fredholm_index(symbol)
+    fred = toeplitz.fredholm_index(symbol, options.get("samples"))
     report = {
         "symbol": repr(symbol),
-        "winding_by_argument": winding_arg,
+        "winding_by_argument": fred.winding_arg,
         "winding_by_roots": fred.winding_roots,
         "fredholm_index": fred.fredholm_index,
         "min_modulus_on_circle": fred.min_modulus_on_circle,
@@ -401,6 +403,7 @@ def run(config: RunConfig) -> int:
     handler = handlers.get(config.command)
     if handler is None:
         raise UsageError(f"unknown command {config.command!r}")
+    _check_threads(config.options)
     return handler(config.options)
 
 

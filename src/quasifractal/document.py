@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .cantor import Cell, Params2, Stage2
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .geometry import Loop, Point2, Point3, Segment, rational
 from .planar import CARPET, GASKET, Piece, PieceSet, SquareCell, TriangleCell
 from .spatial import (
@@ -32,7 +32,11 @@ _KINDS = ("cantor2d", CARPET, GASKET, CUBE_WIREFRAME, TETRA_GASKET)
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError as exc:  # beyond the interpreter's int-to-str digit limit
+        raise CapacityError(f"rational too large to write: {exc}") from exc
 
 
 def parse_rational(text: str) -> Fraction:

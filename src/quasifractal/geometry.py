@@ -3,8 +3,7 @@
 All coordinates are `fractions.Fraction`, so every predicate here is decided
 by integer arithmetic: no epsilons, no floating point. The only floating
 point surface in the whole package is logarithms (dimensions) and the
-Toeplitz numerics. Points, segments and loops are immutable values and safe
-to share between threads.
+Toeplitz numerics. Points, segments and loops are immutable values.
 """
 
 from __future__ import annotations
@@ -36,6 +35,13 @@ def rational(value: Union[int, str, Fraction]) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParameterError(f"not a rational number: {value!r}") from exc
+
+
+def geometric_sum(r: Fraction, n: int) -> Fraction:
+    """Exact sum of r^k for k = 0..n by the closed form (1 - r^(n+1)) / (1 - r)."""
+    if r == 1:
+        return Fraction(n + 1)
+    return (1 - r ** (n + 1)) / (1 - r)
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,12 @@ class Segment:
         return (self.a.coords, self.b.coords)
 
 
+def ring_segments(vertices: Sequence[Point]) -> tuple[Segment, ...]:
+    """The segments of a closed vertex ring, the last vertex joined to the first."""
+    n = len(vertices)
+    return tuple(Segment(vertices[i], vertices[(i + 1) % n]) for i in range(n))
+
+
 @dataclass(frozen=True)
 class Loop:
     """A closed, oriented polygonal curve (last vertex connects to first)."""
@@ -152,6 +164,21 @@ def signed_area(loop: Loop) -> Fraction:
         p, q = verts[i], verts[(i + 1) % n]
         total += p.x * q.y - q.x * p.y
     return total / 2
+
+
+def area_vector(points: Sequence[Point3]) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact area vector of a planar polygon in 3-space.
+
+    Half the sum of the edge cross products: normal to the polygon, as long as its area.
+    """
+    ax = ay = az = Fraction(0)
+    n = len(points)
+    for i in range(n):
+        p, q = points[i].coords, points[(i + 1) % n].coords
+        ax += p[1] * q[2] - p[2] * q[1]
+        ay += p[2] * q[0] - p[0] * q[2]
+        az += p[0] * q[1] - p[1] * q[0]
+    return (ax / 2, ay / 2, az / 2)
 
 
 def cross2(o: Point2, a: Point2, b: Point2) -> Fraction:

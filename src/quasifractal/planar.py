@@ -16,13 +16,12 @@ computation exact (an equilateral base would force irrational heights).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import CapacityError, ParameterError
-from .geometry import Loop, Point2, Segment, midpoint, signed_area
+from .geometry import Loop, Point2, Segment, midpoint, ring_segments, signed_area
 
 CARPET = "carpet"
 GASKET = "gasket"
@@ -47,8 +46,7 @@ class SquareCell:
         return Loop((Point2(x, y), Point2(x + s, y), Point2(x + s, y + s), Point2(x, y + s)))
 
     def boundary_segments(self) -> tuple[Segment, ...]:
-        v = self.boundary_loop().vertices
-        return tuple(Segment(v[i], v[(i + 1) % 4]) for i in range(4))
+        return ring_segments(self.boundary_loop().vertices)
 
 
 @dataclass(frozen=True)
@@ -67,11 +65,7 @@ class TriangleCell:
         return Loop((self.v0, self.v1, self.v2))
 
     def boundary_segments(self) -> tuple[Segment, ...]:
-        return (
-            Segment(self.v0, self.v1),
-            Segment(self.v1, self.v2),
-            Segment(self.v2, self.v0),
-        )
+        return ring_segments((self.v0, self.v1, self.v2))
 
 
 PlanarCell = Union[SquareCell, TriangleCell]
@@ -135,22 +129,6 @@ def _gasket_children(cell: TriangleCell):
     return kept, removed
 
 
-def _expand(cells: list[PlanarCell], kind: str):
-    subdivide = _carpet_children if kind == CARPET else _gasket_children
-    kept: list[PlanarCell] = []
-    removed: list[Loop] = []
-    for cell in cells:
-        k, r = subdivide(cell)
-        kept.extend(k)
-        removed.extend(r)
-    return kept, removed
-
-
-def _chunks(items: list, n: int) -> list[list]:
-    size = max(1, -(-len(items) // n))
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 def base_cell(kind: str) -> PlanarCell:
     if kind == CARPET:
         return SquareCell(Point2(Fraction(0), Fraction(0)), Fraction(1))
@@ -174,6 +152,7 @@ def build_planar(
     Carpet: each square splits 3x3 and the center square is removed.
     Gasket: each triangle splits at edge midpoints and the middle triangle
     is removed. Removed pieces keep their birth level and CCW boundary.
+    `workers` is accepted and ignored: the construction is sequential.
     """
     base = base_cell(kind)
     if depth_cap is None:
@@ -182,24 +161,17 @@ def build_planar(
         raise ParameterError(f"depth must be a nonnegative integer, got {depth}")
     if depth > depth_cap:
         raise CapacityError(f"depth {depth} exceeds cap {depth_cap} for {kind}")
+    subdivide = _carpet_children if kind == CARPET else _gasket_children
     kept: list[PlanarCell] = [base]
     removed: list[Piece] = []
     for level in range(1, depth + 1):
-        if workers > 1 and len(kept) > 64:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(lambda chunk: _expand(chunk, kind), _chunks(kept, workers * 4))
-                )
-        else:
-            parts = [_expand(kept, kind)]
-        kept = []
+        parents, kept = kept, []
         new_loops: list[Loop] = []
-        for part_kept, part_removed in parts:
-            kept.extend(part_kept)
-            new_loops.extend(part_removed)
-        removed.extend(
-            Piece(loop, level, f"{level}:{i}") for i, loop in enumerate(new_loops)
-        )
+        for cell in parents:
+            children, loops = subdivide(cell)
+            kept.extend(children)
+            new_loops.extend(loops)
+        removed.extend(Piece(loop, level, f"{level}:{i}") for i, loop in enumerate(new_loops))
     return PieceSet(kind=kind, level=depth, kept=kept, removed=removed)
 
 
@@ -228,9 +200,7 @@ def boundary_of_rest(ps: PieceSet) -> set[Segment]:
     """
     segments: set[Segment] = set(base_cell(ps.kind).boundary_segments())
     for piece in ps.removed:
-        verts = piece.boundary.vertices
-        n = len(verts)
-        segments.update(Segment(verts[i], verts[(i + 1) % n]) for i in range(n))
+        segments.update(ring_segments(piece.boundary.vertices))
     return segments
 
 

@@ -23,7 +23,6 @@ only at reporting time.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -31,7 +30,8 @@ from math import sqrt
 from typing import Union
 
 from .errors import CapacityError, ParameterError
-from .geometry import Point3, Segment, SegmentIndex, midpoint, rational, segment_components
+from .geometry import Point3, Segment, SegmentIndex, area_vector, geometric_sum, midpoint
+from .geometry import rational, segment_components
 
 CUBE_WIREFRAME = "cube_wireframe"
 TETRA_GASKET = "tetra_gasket"
@@ -74,18 +74,6 @@ class SpatialVariant:
             )
 
 
-def _area_vector_sq(points: tuple[Point3, ...]) -> Fraction:
-    """Squared area of a planar polygon via its exact area vector."""
-    ax = ay = az = Fraction(0)
-    n = len(points)
-    for i in range(n):
-        p, q = points[i].coords, points[(i + 1) % n].coords
-        ax += p[1] * q[2] - p[2] * q[1]
-        ay += p[2] * q[0] - p[0] * q[2]
-        az += p[0] * q[1] - p[1] * q[0]
-    return (ax * ax + ay * ay + az * az) / 4
-
-
 @dataclass(frozen=True)
 class Face3:
     """A planar square or triangle piece, outward-oriented at birth."""
@@ -96,7 +84,8 @@ class Face3:
 
     @classmethod
     def of(cls, boundary: tuple[Point3, ...], birth_level: int) -> "Face3":
-        return cls(tuple(boundary), birth_level, _area_vector_sq(tuple(boundary)))
+        ax, ay, az = area_vector(boundary)
+        return cls(tuple(boundary), birth_level, ax * ax + ay * ay + az * az)
 
     @property
     def area(self) -> float:
@@ -220,31 +209,17 @@ class Stage3:
     pieces: list[Face3] = field(repr=False)
 
 
-def _expand(cells: list[Cell3], a: Union[Fraction, None]):
-    children: list[Cell3] = []
-    segments: set[Segment] = set()
-    faces: list[Face3] = []
-    for cell in cells:
-        kids = cell.children(a) if isinstance(cell, CubeCell) else cell.children()
-        for child in kids:
-            children.append(child)
-            segments.update(child.edge_segments())
-            faces.extend(child.faces())
-    return children, segments, faces
-
-
-def _chunks(items: list, n: int) -> list[list]:
-    size = max(1, -(-len(items) // n))
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 def build_spatial(
     variant: SpatialVariant,
     depth: int,
     depth_cap: Union[int, None] = None,
     workers: int = 1,
 ) -> Stage3:
-    """Subdivide to the given depth with canonical (address-sorted) ordering."""
+    """Subdivide to the given depth with canonical (address-sorted) ordering.
+
+    Children are emitted parent by parent in letter order, so the cells
+    stay in address order. `workers` is accepted and ignored.
+    """
     if depth_cap is None:
         depth_cap = CUBE_DEPTH_CAP if variant.kind == CUBE_WIREFRAME else TETRA_DEPTH_CAP
     if not isinstance(depth, int) or depth < 0:
@@ -259,19 +234,13 @@ def build_spatial(
     skeleton: set[Segment] = set(root.edge_segments())
     pieces: list[Face3] = list(root.faces())
     for _ in range(depth):
-        if workers > 1 and len(cells) > 64:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(lambda chunk: _expand(chunk, variant.a), _chunks(cells, workers * 4))
-                )
-        else:
-            parts = [_expand(cells, variant.a)]
-        cells = []
-        for part_cells, part_segments, part_faces in parts:
-            cells.extend(part_cells)
-            skeleton |= part_segments
-            pieces.extend(part_faces)
-        cells.sort(key=lambda c: c.address)
+        parents, cells = cells, []
+        for cell in parents:
+            kids = cell.children(variant.a) if isinstance(cell, CubeCell) else cell.children()
+            for child in kids:
+                cells.append(child)
+                skeleton.update(child.edge_segments())
+                pieces.extend(child.faces())
     return Stage3(
         variant=variant,
         level=depth,
@@ -313,8 +282,8 @@ def series_measures(variant: SpatialVariant, n: int) -> SeriesMeasures:
         a = variant.a
         edge_ratio = 8 * a
         area_ratio = 8 * a * a
-        edge_sum = 12 * sum(edge_ratio**k for k in range(n + 1))
-        area_sum = 6 * sum(area_ratio**k for k in range(n + 1))
+        edge_sum = 12 * geometric_sum(edge_ratio, n)
+        area_sum = 6 * geometric_sum(area_ratio, n)
         edge_finite = edge_ratio < 1
         area_finite = area_ratio < 1
         return SeriesMeasures(

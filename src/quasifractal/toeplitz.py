@@ -21,6 +21,7 @@ rank deficiency of monomial sections rather than computing it.
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -58,6 +59,8 @@ class Symbol:
             if not isinstance(k, int):
                 raise ParameterError(f"exponent {k!r} is not an integer")
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ParameterError(f"coefficient of z^{k} is not finite: {c}")
             if c != 0:
                 trimmed[int(k)] = c
         if not trimmed:
@@ -211,13 +214,14 @@ class IndexReport:
     cokernel_dim: Union[int, None] = None
 
 
-def fredholm_index(s: Symbol) -> IndexReport:
+def fredholm_index(s: Symbol, samples: Union[int, None] = None) -> IndexReport:
     """Index report for the Toeplitz operator with symbol s.
 
     The index is -winding (Gohberg-Krein); the report carries both
-    winding computations and whether they agree.
+    winding computations and whether they agree. `samples` is the initial
+    circle sample count of the argument method, as in `winding_by_argument`.
     """
-    winding_arg, min_modulus = _sample_argument(s, None)
+    winding_arg, min_modulus = _sample_argument(s, samples)
     winding_roots_ = winding_by_roots(s)
     kernel = cokernel = None
     if len(s.coefficients) == 1:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import IndeterminateWindingError, ParameterError
-from .geometry import INSIDE, Loop, Point2, cross2, on_segment, point_in_polygon
+from .geometry import INSIDE, Loop, Point2, area_vector, cross2, on_segment, point_in_polygon
 
 IndexVector = tuple[int, ...]
 
@@ -124,14 +124,7 @@ def _centroid3(points: Sequence) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _normal_axis(points: Sequence) -> int:
-    ax = ay = az = Fraction(0)
-    n = len(points)
-    for i in range(n):
-        p, q = points[i].coords, points[(i + 1) % n].coords
-        ax += p[1] * q[2] - p[2] * q[1]
-        ay += p[2] * q[0] - p[0] * q[2]
-        az += p[0] * q[1] - p[1] * q[0]
-    comps = (abs(ax), abs(ay), abs(az))
+    comps = [abs(c) for c in area_vector(points)]
     return max(range(3), key=lambda i: comps[i])
 
 

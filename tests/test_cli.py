@@ -4,11 +4,14 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
 from quasifractal.cli import (
     EXIT_CAPACITY,
+    MEASURE_DEPTH_CAP,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -110,6 +113,50 @@ def test_exit_codes():
     assert main(["render", "--input", "/nonexistent/x.json"]) == EXIT_VALIDATION
     assert main(["gen3d", "--variant", "cube", "--depth", "1"]) == EXIT_VALIDATION
     assert main(["gen3d", "--variant", "tetra", "--a", "1/3", "--depth", "1"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_a_validation_error(threads, tmp_path):
+    tail = ["--threads", threads, "--out", str(tmp_path / "x.json")]
+    assert main(["gen2d", "--a", "1/3", "--depth", "0"] + tail) == EXIT_VALIDATION
+    assert main(["carpet", "--depth", "1"] + tail) == EXIT_VALIDATION
+    assert main(["measure", "--a", "1/3"] + tail) == EXIT_VALIDATION
+
+
+def test_rationals_too_large_to_write_exit_capacity(tmp_path):
+    out = ["--out", str(tmp_path / "x.json")]
+    cap = str(MEASURE_DEPTH_CAP)
+    assert main(["gen2d", "--a", "1/1" + "0" * 3000, "--depth", "2"] + out) == EXIT_CAPACITY
+    assert main(["measure", "--a", "1/1" + "0" * 300, "--depth", "20"] + out) == EXIT_CAPACITY
+    assert main(["measure", "--a", "1/3", "--depth", cap] + out) == EXIT_OK
+    assert main(["measure", "--a", "1/8", "--depth", cap] + out) == EXIT_OK
+
+
+def test_measure_depth_cap_exits_capacity_fast(tmp_path):
+    out = ["--out", str(tmp_path / "x.json")]
+    above = str(MEASURE_DEPTH_CAP + 1)
+    assert main(["measure", "--a", "1/3", "--depth", above] + out) == EXIT_CAPACITY
+    start = time.perf_counter()
+    assert main(["measure", "--a", "1/3", "--depth", "200000"] + out) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 1.0
+
+
+def test_toeplitz_non_finite_coefficient_is_a_validation_error():
+    assert main(["toeplitz", "--symbol", "0:1, 1:nan"]) == EXIT_VALIDATION
+    assert main(["toeplitz", "--symbol", "0:1, 1:inf"]) == EXIT_VALIDATION
+    assert main(["toeplitz", "--symbol", "0:1, 1:1+infj"]) == EXIT_VALIDATION
+
+
+def test_toeplitz_reports_one_sampling_run(capsys):
+    # |2 + c z| with |c| = 1 reaches 1 at theta = pi - arg(c), which no grid
+    # hits: the sampled minimum at 100 points differs from the default 64's
+    assert main(["toeplitz", "--symbol", "0:2, 1:0.6+0.8j", "--samples", "100"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    theta = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
+    expected = float(np.abs(2 + (0.6 + 0.8j) * np.exp(1j * theta)).min())
+    assert report["min_modulus_on_circle"] == pytest.approx(expected, rel=1e-12)
+    assert report["winding_by_argument"] == report["winding_by_roots"] == 0
+    assert report["methods_agree"] is True
 
 
 def test_help_exits_zero(capsys):

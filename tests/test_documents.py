@@ -18,7 +18,7 @@ from quasifractal.document import (
     stage2_to_document,
     stage3_to_document,
 )
-from quasifractal.errors import ParameterError, UnsupportedGeometryError
+from quasifractal.errors import CapacityError, ParameterError, UnsupportedGeometryError
 from quasifractal.planar import CARPET, GASKET, build_planar
 from quasifractal.render import export_obj, render_svg
 from quasifractal.spatial import (
@@ -35,6 +35,12 @@ def test_rational_codec():
     assert format_rational(F(6, 3)) == "2"
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational(format_rational(F(-7, 12))) == F(-7, 12)
+
+
+def test_format_rational_beyond_digit_limit_is_a_capacity_error():
+    with pytest.raises(CapacityError):
+        format_rational(F(1, 10**5000))
+    assert format_rational(F(1, 10**4000)) == "1/1" + "0" * 4000
 
 
 def test_stage2_round_trip():

@@ -16,9 +16,13 @@ from quasifractal.geometry import (
     OUTSIDE,
     Loop,
     Point2,
+    Point3,
     Segment,
+    area_vector,
+    geometric_sum,
     point_in_polygon,
     rational,
+    ring_segments,
     segment_components,
     signed_area,
     union_length,
@@ -105,6 +109,32 @@ def test_point_in_polygon_matches_winding_on_convex_loops():
             continue
         inside = point_in_polygon(loop, p) == INSIDE
         assert inside == (winding_number(loop, p) != 0)
+
+
+def test_geometric_sum_matches_term_by_term_sum():
+    for r in (F(0), F(1), F(-1), F(1, 3), F(4, 5), F(3, 2), F(-7, 4)):
+        for n in range(8):
+            assert geometric_sum(r, n) == sum(r**k for k in range(n + 1))
+
+
+def test_area_vector_of_oriented_faces():
+    def p3(x, y, z):
+        return Point3(F(x), F(y), F(z))
+
+    square = (p3(0, 0, 0), p3(2, 0, 0), p3(2, 2, 0), p3(0, 2, 0))
+    assert area_vector(square) == (0, 0, 4)
+    assert area_vector(tuple(reversed(square))) == (0, 0, -4)
+    triangle = (p3(1, 0, 0), p3(0, 1, 0), p3(0, 0, 1))
+    assert area_vector(triangle) == (F(1, 2), F(1, 2), F(1, 2))
+
+
+def test_ring_segments_close_the_ring():
+    verts = (pt(0, 0), pt(1, 0), pt(0, 1))
+    assert ring_segments(verts) == (
+        Segment(verts[0], verts[1]),
+        Segment(verts[1], verts[2]),
+        Segment(verts[2], verts[0]),
+    )
 
 
 def test_segment_canonical_form():

@@ -191,6 +191,13 @@ def test_depth_caps():
         build_spatial(TETRA, -2)
 
 
+@pytest.mark.parametrize("variant, depth", [(CUBE_THIRD, 2), (TETRA, 3)])
+def test_addresses_are_lexicographic(variant, depth):
+    addresses = [cell.address for cell in build_spatial(variant, depth).cells]
+    assert addresses == sorted(addresses)
+    assert len(set(addresses)) == len(addresses) == (8 if variant is CUBE_THIRD else 4) ** depth
+
+
 def test_parallel_build_is_identical():
     assert build_spatial(CUBE_THIRD, 2, workers=4) == build_spatial(CUBE_THIRD, 2)
     assert build_spatial(TETRA, 3, workers=4) == build_spatial(TETRA, 3)

@@ -31,6 +31,23 @@ def test_symbol_requires_nonzero():
         Symbol({0: 0.0, 2: 0})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0, float("-inf"))])
+def test_symbol_rejects_non_finite_coefficients(value):
+    with pytest.raises(ParameterError):
+        Symbol({0: 1, 1: value})
+
+
+def test_fredholm_index_uses_the_given_samples():
+    s = Symbol({0: 2, 1: 0.6 + 0.8j})  # |s| = 1 at theta = pi - arg(0.6 + 0.8j), off every grid
+    for samples in (64, 100):
+        theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        expected = float(np.abs(2 + (0.6 + 0.8j) * np.exp(1j * theta)).min())
+        report = fredholm_index(s, samples)
+        assert report.min_modulus_on_circle == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ParameterError):
+        fredholm_index(s, 8)
+
+
 def test_symbol_from_string():
     s = Symbol.from_string("-1:1, 0:4, 1:1")
     assert s.coefficients == {-1: (1 + 0j), 0: (4 + 0j), 1: (1 + 0j)}
