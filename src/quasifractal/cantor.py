@@ -178,7 +178,10 @@ def hausdorff_dimension(a: Union[Fraction, str, int]) -> float:
     construction; everything else stays rational.
     """
     a = _validate_scale(a, allow_half=True)
-    return math.log(4.0) / (-math.log(float(a)))
+    x = float(a)
+    if x == 0.0:
+        raise CapacityError("scale factor too small for a floating-point dimension (underflows to 0)")
+    return math.log(4.0) / (-math.log(x))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -301,18 +302,33 @@ def _cmd_gen3d(options: dict) -> int:
     return EXIT_OK
 
 
+def _check_writable_sum(a: Fraction, depth: int) -> None:
+    """Refuse a perimeter partial sum too long to write, before computing it.
+
+    With Q the reduced denominator of 4a, the sum 4 * (1 + 4a + ... + (4a)^depth)
+    has a reduced denominator that is a multiple of Q^depth / 4, so more
+    than depth * log10(Q) - 1 digits.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before 3.11
+    if limit and depth * math.log10((4 * a).denominator) - 1 > limit:
+        raise CapacityError(
+            f"the depth-{depth} partial sum for this a needs more than {limit} digits"
+        )
+
+
 def _cmd_measure(options: dict) -> int:
     a = rational(_require(options, "a"))
     depth = options.get("depth")
     depth = 10 if depth is None else depth
     if depth > MEASURE_DEPTH_CAP:
         raise CapacityError(f"depth {depth} exceeds cap {MEASURE_DEPTH_CAP} for measure")
-    series = cantor.perimeter_series(a, depth)
+    dimension = cantor.hausdorff_dimension(a)  # validates a first
+    _check_writable_sum(a, depth)
     report = {
         "a": document.format_rational(a),
         "depth": depth,
-        "hausdorff_dimension": cantor.hausdorff_dimension(a),
-        "perimeter": _series_json(series),
+        "hausdorff_dimension": dimension,
+        "perimeter": _series_json(cantor.perimeter_series(a, depth)),
     }
     _write(json.dumps(report, indent=2) + "\n", options.get("out"))
     return EXIT_OK

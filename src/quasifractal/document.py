@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import wraps
 
 from .cantor import Cell, Params2, Stage2
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, QuasifractalError
 from .geometry import Loop, Point2, Point3, Segment, rational
 from .planar import CARPET, GASKET, Piece, PieceSet, SquareCell, TriangleCell
 from .spatial import (
@@ -68,6 +69,28 @@ def _loop_json(loop: Loop) -> list:
     return [_point_json(v) for v in loop.vertices]
 
 
+def _reads_shape(read):
+    """Report a document whose shape does not fit its kind as ParameterError.
+
+    A missing key, a wrong type or a wrong length surfaces while the
+    reader indexes and unpacks the document; the CLI maps ParameterError
+    to exit 2.
+    """
+
+    @wraps(read)
+    def reader(doc: dict):
+        try:
+            return read(doc)
+        except QuasifractalError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise ParameterError(
+                f"malformed {doc.get('kind')} document: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    return reader
+
+
 def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -89,6 +112,7 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
     return doc
 
 
+@_reads_shape
 def document_to_stage2(doc: dict) -> Stage2:
     _check(doc, "cantor2d")
     params = Params2(parse_rational(doc["params"]["a"]), int(doc["params"]["depth"]))
@@ -127,6 +151,7 @@ def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
     return doc
 
 
+@_reads_shape
 def document_to_pieces(doc: dict) -> PieceSet:
     kind = doc.get("kind")
     if kind not in (CARPET, GASKET):
@@ -189,6 +214,7 @@ def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
     return doc
 
 
+@_reads_shape
 def document_to_stage3(doc: dict) -> Stage3:
     kind = doc.get("kind")
     if kind not in (CUBE_WIREFRAME, TETRA_GASKET):

@@ -8,9 +8,10 @@ Toeplitz numerics. Points, segments and loops are immutable values.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     MalformedLoopError,
@@ -230,27 +231,73 @@ def _line_key(p: Point, q: Point):
     segments are collinear iff their keys are equal; the pivot coordinate
     of a point then serves as its 1D parameter along the line.
     """
-    pc, qc = p.coords, q.coords
-    d = tuple(qi - pi for pi, qi in zip(pc, qc))
-    pivot = next(i for i, di in enumerate(d) if di != 0)
-    u = tuple(di / d[pivot] for di in d)
-    t0 = pc[pivot]
-    base = tuple(pi - t0 * ui for pi, ui in zip(pc, u))
-    return (u, base), pivot
+    # Components known to be 0 or 1 are plain ints: they skip Fraction
+    # arithmetic and hash faster, and equal values hash equal either way.
+    pc = p.coords
+    d = tuple(qi - pi if qi != pi else 0 for pi, qi in zip(pc, q.coords))
+    pivot = next(i for i, di in enumerate(d) if di)
+    dp = d[pivot]
+    u = tuple(0 if not di else 1 if i == pivot else di / dp for i, di in enumerate(d))
+    return _line_through(pc, u, pivot), pivot
 
 
-def merge_intervals(
-    intervals: Iterable[tuple[Fraction, Fraction]],
-) -> list[tuple[Fraction, Fraction]]:
-    """Merge closed 1D intervals into maximal disjoint ones (touching merges)."""
-    out: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
+def _line_through(pc: tuple, u: tuple, pivot: int):
+    """Key of the line in direction u through the point with coordinates pc."""
+    t = pc[pivot]
+    base = tuple(
+        0 if i == pivot else pi - t * ui if ui else pi for i, (pi, ui) in enumerate(zip(pc, u))
+    )
+    return (u, base)
+
+
+def _carrier_lines(segments: Sequence[Segment]) -> dict:
+    """Group segments by carrier line: line key -> sorted [(lo, hi, index)].
+
+    lo and hi are the endpoints' parameters along the line; lo < hi
+    because a Segment stores its endpoints in lexicographic order.
+    """
+    lines: dict = {}
+    for idx, seg in enumerate(segments):
+        key, pivot = _line_key(seg.a, seg.b)
+        lines.setdefault(key, []).append((seg.a.coords[pivot], seg.b.coords[pivot], idx))
+    for entries in lines.values():
+        entries.sort()
+    return lines
+
+
+class _Line(NamedTuple):
+    """The segments on one carrier line and their merged runs.
+
+    A run is a maximal chain of overlapping or touching intervals, so it
+    covers [starts[i], ends[i]] without a gap. Its segments are
+    entries[firsts[i]:firsts[i + 1]], and the first of them is the run's
+    representative.
+    """
+
+    entries: list
+    starts: list
+    ends: list
+    firsts: list
+
+    @classmethod
+    def of(cls, entries: list) -> "_Line":
+        starts: list = []
+        ends: list = []
+        firsts: list = []
+        for k, (lo, hi, _) in enumerate(entries):
+            if ends and lo <= ends[-1]:
+                if hi > ends[-1]:
+                    ends[-1] = hi
+            else:
+                starts.append(lo)
+                ends.append(hi)
+                firsts.append(k)
+        return cls(entries, starts, ends, firsts)
+
+    def run_at(self, t: Fraction) -> int:
+        """Number of the run containing parameter t, or -1."""
+        i = bisect_right(self.starts, t) - 1
+        return i if i >= 0 and self.ends[i] >= t else -1
 
 
 def union_length(segments: Iterable[Segment]) -> Fraction:
@@ -260,19 +307,15 @@ def union_length(segments: Iterable[Segment]) -> Fraction:
     and the merged lengths are summed; overlaps are therefore counted once.
     Raises UnsupportedGeometryError for any non-axis-parallel segment.
     """
-    lines: dict = {}
-    for seg in segments:
-        d = tuple(bi - ai for ai, bi in zip(seg.a.coords, seg.b.coords))
-        if sum(1 for di in d if di != 0) != 1:
-            raise UnsupportedGeometryError(
-                f"union_length requires axis-parallel segments, got {seg}"
-            )
-        key, pivot = _line_key(seg.a, seg.b)
-        ta, tb = seg.a.coords[pivot], seg.b.coords[pivot]
-        lines.setdefault(key, []).append((min(ta, tb), max(ta, tb)))
+    segments = list(segments)
     total = Fraction(0)
-    for intervals in lines.values():
-        for lo, hi in merge_intervals(intervals):
+    for (u, _), entries in _carrier_lines(segments).items():
+        if sum(1 for ui in u if ui) != 1:
+            raise UnsupportedGeometryError(
+                f"union_length requires axis-parallel segments, got {segments[entries[0][2]]}"
+            )
+        line = _Line.of(entries)
+        for lo, hi in zip(line.starts, line.ends):
             total += hi - lo
     return total
 
@@ -280,61 +323,59 @@ def union_length(segments: Iterable[Segment]) -> Fraction:
 class SegmentIndex:
     """Carrier-line index over a fixed set of segments.
 
-    Supports two exact queries used throughout the constructions: which
-    segments pass through a point, and whether a query segment is covered
-    by the union of collinear indexed segments.
+    The segments are grouped by carrier line, sorted along it and merged
+    into runs of overlapping or touching intervals (O(n log n)). Two exact
+    queries share one bisect over a line's runs: `covers`, whether a query
+    segment lies in the union of collinear indexed segments, and
+    `ids_through`, which segments pass through a point.
     """
 
     def __init__(self, segments: Iterable[Segment]):
         self.segments: list[Segment] = list(segments)
-        self._lines: dict = {}
-        self.directions: set = set()
-        for idx, seg in enumerate(self.segments):
-            key, pivot = _line_key(seg.a, seg.b)
-            ta, tb = seg.a.coords[pivot], seg.b.coords[pivot]
-            self._lines.setdefault(key, []).append((min(ta, tb), max(ta, tb), idx))
-            self.directions.add(key[0])
-        self._merged: dict = {}
-        for key, entries in self._lines.items():
-            entries.sort()
-            self._merged[key] = merge_intervals([(lo, hi) for lo, hi, _ in entries])
+        self._lines = {
+            key: _Line.of(entries) for key, entries in _carrier_lines(self.segments).items()
+        }
+        # direction -> its pivot, the index of its first nonzero component (1)
+        self.directions: dict = {}
+        for u, _ in self._lines:
+            self.directions.setdefault(u, next(i for i, ui in enumerate(u) if ui))
 
     def ids_through(self, p: Point) -> list[int]:
-        """Indices of all segments whose closed support contains p."""
+        """Indices of all segments whose closed support contains p.
+
+        For each direction, the line through p is looked up and bisected
+        for the run containing p; only that run's segments that start at
+        or before p are scanned, so a query costs a bisect per direction
+        plus that scan.
+        """
         pc = p.coords
         found: list[int] = []
-        for u in self.directions:
-            pivot = next(i for i, ui in enumerate(u) if ui != 0)
+        for u, pivot in self.directions.items():
+            line = self._lines.get(_line_through(pc, u, pivot))
+            if line is None:
+                continue
             t = pc[pivot]
-            base = tuple(pi - t * ui for pi, ui in zip(pc, u))
-            for lo, hi, idx in self._lines.get((u, base), ()):
-                if lo <= t <= hi:
+            i = line.run_at(t)
+            if i < 0:
+                continue
+            entries = line.entries
+            for k in range(line.firsts[i], len(entries)):
+                lo, hi, idx = entries[k]
+                if lo > t:
+                    break
+                if hi >= t:
                     found.append(idx)
         return found
 
     def covers(self, p: Point, q: Point) -> bool:
         """True iff segment pq lies inside the union of collinear indexed segments."""
         key, pivot = _line_key(p, q)
-        merged = self._merged.get(key)
-        if not merged:
+        line = self._lines.get(key)
+        if line is None:
             return False
         ta, tb = p.coords[pivot], q.coords[pivot]
-        lo, hi = min(ta, tb), max(ta, tb)
-        i = self._locate(merged, lo)
-        return i is not None and merged[i][1] >= hi
-
-    @staticmethod
-    def _locate(merged: Sequence[tuple[Fraction, Fraction]], t: Fraction):
-        lo, hi = 0, len(merged) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if merged[mid][0] <= t:
-                if merged[mid][1] >= t:
-                    return mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
+        i = line.run_at(min(ta, tb))
+        return i >= 0 and line.ends[i] >= max(ta, tb)
 
 
 def segment_components(segments: Iterable[Segment]) -> int:
@@ -344,15 +385,39 @@ def segment_components(segments: Iterable[Segment]) -> int:
     (exact test). For the subdivision skeletons built here, every contact
     between segments includes such an endpoint incidence, so this equals
     topological connectivity of the union.
+
+    The kernel sorts and sweeps instead of testing pairs. The segments of
+    each merged run of a carrier line are joined to the run's
+    representative: collinear segments meet at an endpoint exactly when
+    their closed intervals intersect. Then each distinct endpoint p is
+    resolved. Where segments of every indexed direction end at p, each
+    segment through p lies on the line of one of them and so already sits
+    in its run: joining one ending segment per direction suffices. Any
+    other endpoint (a T-junction, or a vertex in a single direction) joins
+    everything `ids_through` finds through it. Grouping, sorting and the
+    sweep cost O(n log n); the constructions' vertices mostly take the
+    first branch, and an `ids_through` lookup is a bisect per direction
+    plus a scan of the run it lands in.
     """
     index = SegmentIndex(segments)
     n = len(index.segments)
     if n == 0:
         return 0
     uf = UnionFind(n)
-    for idx, seg in enumerate(index.segments):
-        for endpoint in (seg.a, seg.b):
-            for other in index.ids_through(endpoint):
-                if other != idx:
-                    uf.union(idx, other)
+    ending: dict = {}  # endpoint -> {direction: a segment ending there}
+    for (u, _), line in index._lines.items():
+        bounds = line.firsts + [len(line.entries)]
+        for first, stop in zip(bounds, bounds[1:]):
+            rep = line.entries[first][2]
+            for _, _, idx in line.entries[first + 1 : stop]:
+                uf.union(rep, idx)
+        for _, _, idx in line.entries:
+            seg = index.segments[idx]
+            ending.setdefault(seg.a, {})[u] = idx
+            ending.setdefault(seg.b, {})[u] = idx
+    every = len(index.directions)
+    for p, by_direction in ending.items():
+        ids = list(by_direction.values()) if len(by_direction) == every else index.ids_through(p)
+        for idx in ids[1:]:
+            uf.union(ids[0], idx)
     return uf.components

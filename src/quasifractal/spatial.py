@@ -315,6 +315,8 @@ def boundary_incidence(stage: Stage3) -> int:
 
     Each edge must lie inside the union of collinear skeleton segments;
     the test is exact, so a face displaced off the edge lattice is caught.
+    The skeleton's SegmentIndex costs O(n log n) to build and each
+    `covers` query one bisect.
     """
     index = SegmentIndex(stage.skeleton)
     violations = 0

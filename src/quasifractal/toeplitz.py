@@ -39,6 +39,7 @@ MIN_CIRCLE_MODULUS = 1e-8
 ROOT_CIRCLE_TOL = 1e-6
 RANK_TOL = 1e-10
 _MAX_SAMPLES = 1 << 22
+_SAMPLE_BLOCK = 8192  # rows per block: bounds the samples-by-terms temporaries
 _RESIDUAL_TOL = 0.01
 
 
@@ -131,6 +132,18 @@ def orientation_flip(s: Symbol) -> Symbol:
     return Symbol({-k: c for k, c in s.coefficients.items()})
 
 
+def _symbol_values(coeffs: np.ndarray, exponents: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """s(e^{i theta}) at every angle, evaluated _SAMPLE_BLOCK angles at a time.
+
+    Each row's exp and sum involve that row only, so the blocks give the
+    same bits as one samples-by-terms array at a bounded memory cost.
+    """
+    return np.concatenate([
+        (coeffs[None, :] * np.exp(1j * np.outer(theta[i : i + _SAMPLE_BLOCK], exponents))).sum(axis=1)
+        for i in range(0, len(theta), _SAMPLE_BLOCK)
+    ])
+
+
 def _sample_argument(s: Symbol, samples: Union[int, None]):
     """Winding by argument accumulation; returns (winding, min modulus)."""
     min_required = 8 * (s.m + s.p + 1)
@@ -144,7 +157,7 @@ def _sample_argument(s: Symbol, samples: Union[int, None]):
     coeffs = np.array([s.coefficients[int(k)] for k in exponents], dtype=np.complex128)
     while samples <= _MAX_SAMPLES:
         theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        values = (coeffs[None, :] * np.exp(1j * np.outer(theta, exponents))).sum(axis=1)
+        values = _symbol_values(coeffs, exponents, theta)
         min_modulus = float(np.abs(values).min())
         if min_modulus <= MIN_CIRCLE_MODULUS:
             raise NotFredholmError(

@@ -57,6 +57,41 @@ def union_length_oracle(segments) -> Fraction:
     return total
 
 
+def pairwise_components(segments) -> int:
+    """Brute-force segment_components: test every pair for endpoint-on-segment.
+
+    Independent of the carrier-line index: O(n^2) exact `on_segment` tests,
+    then a graph search over the adjacency they define.
+    """
+    from quasifractal.geometry import on_segment
+
+    segments = list(segments)
+    n = len(segments)
+    adjacency = {i: set() for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            s, t = segments[i], segments[j]
+            if (
+                on_segment(s.a, t.a, t.b)
+                or on_segment(s.b, t.a, t.b)
+                or on_segment(t.a, s.a, s.b)
+                or on_segment(t.b, s.a, s.b)
+            ):
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+    components = 0
+    todo = set(range(n))
+    while todo:
+        components += 1
+        stack = [todo.pop()]
+        while stack:
+            for neighbor in adjacency[stack.pop()]:
+                if neighbor in todo:
+                    todo.remove(neighbor)
+                    stack.append(neighbor)
+    return components
+
+
 def convex_loop(rng, span: int = 12, points: int = 8) -> Loop:
     """Random CCW convex polygon with integer vertices (monotone chain)."""
     while True:

@@ -220,3 +220,51 @@ def test_module_invocation_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["level"] == 1
+
+
+def test_dimension_underflow_exits_capacity(capsys):
+    # 10^-400 is a valid scale factor but underflows a float to 0
+    assert main(["measure", "--a", "1/1" + "0" * 400, "--depth", "2"]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error:") and err.count("\n") == 1
+
+
+def test_measure_refuses_oversize_sum_before_computing_it(tmp_path):
+    out = ["--out", str(tmp_path / "x.json")]
+    big = 10**4000
+    a = f"{big}/{3 * big + 1}"  # about 1/3: no float underflow, 4001-digit denominator
+    start = time.perf_counter()
+    assert main(["measure", "--a", a, "--depth", "1000"] + out) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("a", ["1/7", "1/5", "2/9", "1/4", "3/10", "1/3", "2/5", "3/7"])
+def test_measure_small_denominators_reach_the_depth_cap(a, tmp_path):
+    out = tmp_path / "x.json"
+    assert main(["measure", "--a", a, "--depth", str(MEASURE_DEPTH_CAP), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["depth"] == MEASURE_DEPTH_CAP
+
+
+def _malformed_documents(tmp_path):
+    carpet = tmp_path / "carpet.json"
+    carpet.write_text(json.dumps({"kind": "carpet", "schema_version": 1, "level": 1}))
+    cube = tmp_path / "cube.json"
+    assert main(["gen3d", "--variant", "cube", "--a", "1/3", "--depth", "0", "--out", str(cube)]) == EXIT_OK
+    doc = json.loads(cube.read_text())
+    doc["skeleton"][0] = [["0", "0", "0"]]
+    cube.write_text(json.dumps(doc))
+    return carpet, cube
+
+
+def test_malformed_documents_are_validation_errors(tmp_path, capsys):
+    carpet, cube = _malformed_documents(tmp_path)
+    loop = "1/7,1/7 5/7,1/7 5/7,5/7"
+    for argv in (
+        ["render", "--input", str(carpet)],
+        ["index", "--pieces", str(carpet), "--loop", loop],
+        ["render", "--input", str(cube)],
+        ["index", "--pieces", str(cube), "--loop", loop],
+    ):
+        assert main(argv) == EXIT_VALIDATION, argv
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1, err

@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from helpers import F, convex_loop, pt, random_point_off_loop, square_loop, union_length_oracle
+from helpers import (
+    F,
+    convex_loop,
+    pairwise_components,
+    pt,
+    random_point_off_loop,
+    square_loop,
+    union_length_oracle,
+)
 from quasifractal.errors import (
     MalformedLoopError,
     ParameterError,
@@ -18,8 +26,10 @@ from quasifractal.geometry import (
     Point2,
     Point3,
     Segment,
+    SegmentIndex,
     area_vector,
     geometric_sum,
+    on_segment,
     point_in_polygon,
     rational,
     ring_segments,
@@ -256,8 +266,6 @@ def test_segment_components_empty():
 
 def test_segment_components_matches_pairwise_oracle():
     # same endpoint-on-segment adjacency, but computed by brute force
-    from quasifractal.geometry import on_segment
-
     rng = random.Random(101)
     for _ in range(40):
         segments = []
@@ -272,28 +280,100 @@ def test_segment_components_matches_pairwise_oracle():
             if seg not in seen:
                 seen.add(seg)
                 segments.append(seg)
-        n = len(segments)
-        adjacency = {i: set() for i in range(n)}
-        for i in range(n):
-            for j in range(i + 1, n):
-                s, t = segments[i], segments[j]
-                touching = (
-                    on_segment(s.a, t.a, t.b)
-                    or on_segment(s.b, t.a, t.b)
-                    or on_segment(t.a, s.a, s.b)
-                    or on_segment(t.b, s.a, s.b)
-                )
-                if touching:
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
-        expected = 0
-        todo = set(range(n))
-        while todo:
-            expected += 1
-            stack = [todo.pop()]
-            while stack:
-                for neighbor in adjacency[stack.pop()]:
-                    if neighbor in todo:
-                        todo.remove(neighbor)
-                        stack.append(neighbor)
+        assert segment_components(segments) == pairwise_components(segments)
+
+
+# the six edge directions of the tetra gasket
+TETRA_DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1))
+
+
+def _along(p, direction, t):
+    return Point3(*(c + t * d for c, d in zip(p.coords, direction)))
+
+
+def _tetra_direction_segments(rng):
+    """Segments on the tetra's edge directions, with nested and touching
+    collinear companions and T-junctions onto diagonal interiors."""
+    segments = []
+    for _ in range(rng.randint(2, 10)):
+        start = Point3(*(F(rng.randint(0, 4), 2) for _ in range(3)))
+        direction = rng.choice(TETRA_DIRECTIONS)
+        length = F(rng.randint(1, 4), 2)
+        end = _along(start, direction, length)
+        segments.append(Segment(start, end))
+        roll = rng.random()
+        if roll < 0.3:  # nested inside it (possibly sharing an end)
+            lo, hi = sorted(rng.sample(range(5), 2))
+            segments.append(
+                Segment(_along(start, direction, length * lo / 4), _along(start, direction, length * hi / 4))
+            )
+        elif roll < 0.5:  # touching it end to end
+            segments.append(Segment(end, _along(end, direction, F(rng.randint(1, 3), 2))))
+        elif roll < 0.8:  # a T-junction onto its midpoint from another direction
+            mid = _along(start, direction, length / 2)
+            other = rng.choice([d for d in TETRA_DIRECTIONS if d != direction])
+            segments.append(Segment(mid, _along(mid, other, F(rng.choice((-1, 1)) * rng.randint(1, 3), 2))))
+    return segments
+
+
+def test_segment_components_matches_pairwise_oracle_on_tetra_directions():
+    rng = random.Random(303)
+    seen = set()
+    for _ in range(150):
+        segments = _tetra_direction_segments(rng)
+        expected = pairwise_components(segments)
         assert segment_components(segments) == expected
+        seen.add(expected)
+    assert {1, 2, 3} <= seen  # connected and disconnected sets both occur
+
+
+def test_segment_components_diagonal_t_junction():
+    # a vertical endpoint in the interior of a diagonal, and a near miss
+    diagonal = Segment(Point3(F(0), F(1), F(0)), Point3(F(1), F(0), F(0)))
+    stem = Segment(Point3(F(1, 2), F(1, 2), F(0)), Point3(F(1, 2), F(1, 2), F(1)))
+    near = Segment(Point3(F(1, 2), F(1, 2) + F(1, 1000), F(0)), Point3(F(1, 2), F(1), F(0)))
+    assert segment_components([diagonal, stem]) == 1
+    assert segment_components([diagonal, near]) == 2
+    assert segment_components([diagonal, stem, near]) == pairwise_components([diagonal, stem, near]) == 2
+
+
+def _brute_ids_through(segments, p):
+    return sorted(i for i, s in enumerate(segments) if on_segment(p, s.a, s.b))
+
+
+def _brute_covers(segments, p, q):
+    # cut pq at every indexed endpoint on it; each closed piece must lie in one segment
+    d = tuple(qi - pi for pi, qi in zip(p.coords, q.coords))
+
+    def param(x):
+        return sum((xi - pi) * di for xi, pi, di in zip(x.coords, p.coords, d))
+
+    cuts = {p, q} | {e for s in segments for e in (s.a, s.b) if on_segment(e, p, q)}
+    cuts = sorted(cuts, key=param)
+    return all(
+        any(on_segment(c1, s.a, s.b) and on_segment(c2, s.a, s.b) for s in segments)
+        for c1, c2 in zip(cuts, cuts[1:])
+    )
+
+
+def test_segment_index_queries_match_brute_force():
+    rng = random.Random(404)
+    for _ in range(60):
+        segments = _tetra_direction_segments(rng)
+        index = SegmentIndex(segments)
+        points = {e for s in segments for e in (s.a, s.b)}
+        points |= {Point3(*(F(rng.randint(0, 8), 4) for _ in range(3))) for _ in range(10)}
+        for p in points:
+            assert sorted(index.ids_through(p)) == _brute_ids_through(segments, p)
+        for _ in range(20):
+            p = rng.choice(sorted(points, key=lambda x: x.coords))
+            q = _along(p, rng.choice(TETRA_DIRECTIONS), F(rng.randint(1, 6), 4))
+            assert index.covers(p, q) == index.covers(q, p) == _brute_covers(segments, p, q)
+
+
+@pytest.mark.parametrize("a, depth", [(F(1, 3), 2), (F(2, 5), 2), (F(1, 2), 2), (F(1, 5), 1)])
+def test_segment_components_matches_pairwise_oracle_on_cantor_stages(a, depth):
+    from quasifractal.cantor import Params2, build
+
+    segments = build(Params2(a, depth)).segments
+    assert segment_components(segments) == pairwise_components(segments) == 1

@@ -134,14 +134,14 @@ def test_removed_boundaries_lie_in_kept_boundaries_at_birth(kind):
     # the planar version of "piece boundaries are loops in the fractal"
     for depth in (1, 2, 3):
         ps = build_planar(kind, depth)
-        stage_at = {
-            level: build_planar(kind, level) for level in {p.birth_level for p in ps.removed}
+        index_at = {
+            level: SegmentIndex(
+                seg for cell in build_planar(kind, level).kept for seg in cell.boundary_segments()
+            )
+            for level in {p.birth_level for p in ps.removed}
         }
         for piece in ps.removed:
-            kept = stage_at[piece.birth_level].kept
-            index = SegmentIndex(
-                seg for cell in kept for seg in cell.boundary_segments()
-            )
+            index = index_at[piece.birth_level]
             verts = piece.boundary.vertices
             n = len(verts)
             for i in range(n):

@@ -3,7 +3,7 @@
 
 import pytest
 
-from helpers import F
+from helpers import F, pairwise_components
 from quasifractal.errors import CapacityError, ParameterError
 from quasifractal.geometry import Point3, Segment, segment_components
 from quasifractal.spatial import (
@@ -180,6 +180,43 @@ def test_connectivity_negative_control():
     far = CubeCell("", Point3(F(3), F(0), F(0)), F(1))
     segs = list(cube.edge_segments()) + list(far.edge_segments())
     assert segment_components(segs) == 2
+
+
+def test_connectivity_negative_controls_match_pairwise_oracle():
+    # two tetra skeletons interleaved at an offset off the dyadic lattice
+    skeleton = build_spatial(TETRA, 1).skeleton
+    offset = Point3(F(1, 7), F(1, 11), F(1, 13))
+    moved = {Segment(s.a + offset, s.b + offset) for s in skeleton}
+    segs = list(skeleton | moved)
+    assert segment_components(segs) == pairwise_components(segs) == 2
+    # a cube skeleton whose three edges at the origin stop halfway
+    cube = CubeCell("", Point3(F(0), F(0), F(0)), F(1))
+    origin = cube.corner
+    segs = [s for s in cube.edge_segments() if s.a != origin]
+    segs += [Segment(origin, Point3(*(c / 2 for c in s.b.coords))) for s in cube.edge_segments() if s.a == origin]
+    assert len(segs) == 12
+    assert segment_components(segs) == pairwise_components(segs) == 2
+
+
+@pytest.mark.parametrize("variant, depth", [(CUBE_THIRD, 1), (TETRA, 2)])
+def test_connectivity_matches_pairwise_oracle_on_stages(variant, depth):
+    skeleton = build_spatial(variant, depth).skeleton
+    assert segment_components(skeleton) == pairwise_components(skeleton) == 1
+
+
+def test_boundary_incidence_accepts_an_edge_covered_by_two_collinear_pieces():
+    stage = build_spatial(CUBE_THIRD, 0)
+    whole = Segment(Point3(F(0), F(0), F(0)), Point3(F(1), F(0), F(0)))
+    half = Point3(F(1, 2), F(0), F(0))
+    split = (stage.skeleton - {whole}) | {Segment(whole.a, half), Segment(half, whole.b)}
+
+    def with_skeleton(skeleton):
+        return Stage3(stage.variant, stage.level, stage.cells, skeleton, stage.pieces)
+
+    assert whole not in split
+    assert boundary_incidence(with_skeleton(split)) == 0
+    # with one half gone, both faces through that edge are flagged
+    assert boundary_incidence(with_skeleton(split - {Segment(half, whole.b)})) == 2
 
 
 def test_depth_caps():

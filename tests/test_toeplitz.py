@@ -192,3 +192,15 @@ def test_index_report_shape():
     assert isinstance(report, IndexReport)
     assert report.winding_arg == report.winding_roots == 2
     assert report.fredholm_index == -2
+
+
+def test_blocked_circle_values_match_one_shot_array():
+    from quasifractal.toeplitz import _SAMPLE_BLOCK, _symbol_values
+
+    rng = np.random.default_rng(7)
+    exponents = np.arange(-4, 6, dtype=np.int64)
+    coeffs = rng.normal(size=exponents.size) + 1j * rng.normal(size=exponents.size)
+    for samples in (64, _SAMPLE_BLOCK, 3 * _SAMPLE_BLOCK + 5):
+        theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        one_shot = (coeffs[None, :] * np.exp(1j * np.outer(theta, exponents))).sum(axis=1)
+        assert np.array_equal(_symbol_values(coeffs, exponents, theta), one_shot)
