@@ -7,7 +7,6 @@ Toeplitz index-winding correspondence on the unit circle.
 """
 
 from .cantor import (
-    Cell,
     Params2,
     PerimeterSeries,
     Stage2,
@@ -33,6 +32,7 @@ from .geometry import (
     BOUNDARY,
     INSIDE,
     OUTSIDE,
+    Cell,
     Loop,
     Point2,
     Point3,

@@ -24,22 +24,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import CapacityError, ParameterError
-from .geometry import Point2, Segment, geometric_sum, rational, ring_segments, segment_components
+from .errors import CapacityError
+from .geometry import Cell, Point2, Segment, check_depth, geometric_sum, scale_factor
+from .geometry import segment_components
 
 DEPTH_CAP = 10
-
-# child letters 0..3 = SW, SE, NE, NW; unit offsets of the corner squares
-_CORNER_OFFSETS = ((0, 0), (1, 0), (1, 1), (0, 1))
-
-
-def _validate_scale(a: Fraction, allow_half: bool) -> Fraction:
-    a = rational(a)
-    top = Fraction(1, 2)
-    if a <= 0 or a > top or (a == top and not allow_half):
-        bound = "1/2]" if allow_half else "1/2)"
-        raise ParameterError(f"scale factor must lie in (0, {bound}, got {a}")
-    return a
 
 
 @dataclass(frozen=True)
@@ -54,58 +43,8 @@ class Params2:
     depth: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _validate_scale(self.a, allow_half=True))
-        if not isinstance(self.depth, int) or self.depth < 0:
-            raise ParameterError(f"depth must be a nonnegative integer, got {self.depth}")
-
-
-@dataclass(frozen=True)
-class Cell:
-    """A subdivision square, addressed by its word over {0,1,2,3}.
-
-    Letter k of the address selects the corner (SW, SE, NE, NW) taken at
-    subdivision step k, so the SW corner coordinates are sums of terms
-    (1-a) * a^k and the side is a^len(address).
-    """
-
-    address: str
-    corner: Point2
-    side: Fraction
-
-    @property
-    def level(self) -> int:
-        return len(self.address)
-
-    def vertices(self) -> tuple[Point2, Point2, Point2, Point2]:
-        x, y, s = self.corner.x, self.corner.y, self.side
-        return (
-            Point2(x, y),
-            Point2(x + s, y),
-            Point2(x + s, y + s),
-            Point2(x, y + s),
-        )
-
-    def boundary_segments(self) -> tuple[Segment, ...]:
-        return ring_segments(self.vertices())
-
-    def children(self, a: Fraction) -> tuple["Cell", ...]:
-        child_side = self.side * a
-        shift = self.side - child_side
-        xs = (self.corner.x, self.corner.x + shift)
-        ys = (self.corner.y, self.corner.y + shift)
-        return tuple(
-            Cell(self.address + str(letter), Point2(xs[ex], ys[ey]), child_side)
-            for letter, (ex, ey) in enumerate(_CORNER_OFFSETS)
-        )
-
-    def contains(self, other: "Cell") -> bool:
-        """Exact containment of another cell's closed square in this one."""
-        return (
-            self.corner.x <= other.corner.x
-            and self.corner.y <= other.corner.y
-            and other.corner.x + other.side <= self.corner.x + self.side
-            and other.corner.y + other.side <= self.corner.y + self.side
-        )
+        object.__setattr__(self, "a", scale_factor(self.a, allow_half=True))
+        check_depth(self.depth)
 
 
 @dataclass
@@ -124,13 +63,13 @@ class Stage2:
 
 
 def level0(a: Union[Fraction, str, int]) -> Stage2:
-    a = _validate_scale(a, allow_half=True)
+    a = scale_factor(a, allow_half=True)
     root = Cell("", Point2(Fraction(0), Fraction(0)), Fraction(1))
     return Stage2(
         params=Params2(a, 0),
         level=0,
         cells=[root],
-        segments=set(root.boundary_segments()),
+        segments=set(root.edge_segments()),
     )
 
 
@@ -150,7 +89,7 @@ def refine(stage: Stage2, depth_cap: int = DEPTH_CAP, workers: int = 1) -> Stage
     for cell in stage.cells:
         for child in cell.children(a):
             cells.append(child)
-            segments.update(child.boundary_segments())
+            segments.update(child.edge_segments())
     return Stage2(
         params=Params2(a, stage.level + 1),
         level=stage.level + 1,
@@ -161,10 +100,7 @@ def refine(stage: Stage2, depth_cap: int = DEPTH_CAP, workers: int = 1) -> Stage
 
 def build(params: Params2, depth_cap: int = DEPTH_CAP, workers: int = 1) -> Stage2:
     """Iterate `refine` from the unit square down to params.depth; `workers` is ignored."""
-    if params.depth > depth_cap:
-        raise CapacityError(
-            f"depth {params.depth} exceeds cap {depth_cap} (4^n cells grow fast)"
-        )
+    check_depth(params.depth, depth_cap)
     stage = level0(params.a)
     for _ in range(params.depth):
         stage = refine(stage, depth_cap=depth_cap, workers=workers)
@@ -177,8 +113,7 @@ def hausdorff_dimension(a: Union[Fraction, str, int]) -> float:
     This is the one deliberately floating-point output of the planar
     construction; everything else stays rational.
     """
-    a = _validate_scale(a, allow_half=True)
-    x = float(a)
+    x = float(scale_factor(a, allow_half=True))
     if x == 0.0:
         raise CapacityError("scale factor too small for a floating-point dimension (underflows to 0)")
     return math.log(4.0) / (-math.log(x))
@@ -204,9 +139,8 @@ def perimeter_series(a: Union[Fraction, str, int], n: int) -> PerimeterSeries:
     a = 1/2 is rejected here: the tiling case reproduces the square and is
     not treated as a boundary-length series.
     """
-    a = _validate_scale(a, allow_half=False)
-    if not isinstance(n, int) or n < 0:
-        raise ParameterError(f"stage count must be a nonnegative integer, got {n}")
+    a = scale_factor(a, allow_half=False)
+    check_depth(n, what="stage count")
     ratio = 4 * a
     partial = 4 * geometric_sum(ratio, n)
     finite = a < Fraction(1, 4)

@@ -6,6 +6,9 @@ piece document (index), verify Toeplitz indices (toeplitz), and render
 documents to SVG or OBJ (render).
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 capacity, 4 numerical.
+Capacity covers the depth caps, --truncate above TRUNCATE_CAP, --random-check
+above RANDOM_CHECK_CAP, a symbol band wider than SYMBOL_BAND_CAP and more
+circle samples than the sampler's ceiling.
 
 Option values can also come from a flat key=value config file given with
 --config; command-line flags win over the file, which wins over defaults.
@@ -32,7 +35,7 @@ from .errors import (
     ParameterError,
     QuasifractalError,
 )
-from .geometry import Loop, Point2, rational, union_length
+from .geometry import Loop, Point2, check_depth, rational, union_length
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,6 +44,9 @@ EXIT_CAPACITY = 3
 EXIT_NUMERICAL = 4
 
 MEASURE_DEPTH_CAP = 1000
+TRUNCATE_CAP = 1024  # an n x n section costs O(n^2) memory and O(n^3) SVD time
+RANDOM_CHECK_CAP = 10_000
+SYMBOL_BAND_CAP = 256  # root finding on the band polynomial costs O(band^3) time
 
 _INT_KEYS = {"depth", "threads", "seed", "truncate", "random_check", "samples"}
 
@@ -122,12 +128,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("toeplitz", help="symbol winding and Fredholm index -> JSON")
     common(p)
     p.add_argument("--symbol", help='comma-separated k:c terms, e.g. "-1:1, 0:4, 1:1"')
-    p.add_argument("--truncate", type=int, help="also report an NxN truncation")
+    p.add_argument("--truncate", type=int, help=f"also report an NxN truncation (cap {TRUNCATE_CAP})")
     p.add_argument(
         "--random-check",
         dest="random_check",
         type=int,
-        help="cross-validate both winding methods on N random symbols",
+        help=f"cross-validate both winding methods on N random symbols (cap {RANDOM_CHECK_CAP})",
     )
     p.add_argument("--samples", type=int, help="initial circle sample count")
 
@@ -319,9 +325,7 @@ def _check_writable_sum(a: Fraction, depth: int) -> None:
 def _cmd_measure(options: dict) -> int:
     a = rational(_require(options, "a"))
     depth = options.get("depth")
-    depth = 10 if depth is None else depth
-    if depth > MEASURE_DEPTH_CAP:
-        raise CapacityError(f"depth {depth} exceeds cap {MEASURE_DEPTH_CAP} for measure")
+    depth = check_depth(10 if depth is None else depth, MEASURE_DEPTH_CAP, what="measure depth")
     dimension = cantor.hausdorff_dimension(a)  # validates a first
     _check_writable_sum(a, depth)
     report = {
@@ -351,6 +355,10 @@ def _cmd_index(options: dict) -> int:
 
 def _cmd_toeplitz(options: dict) -> int:
     symbol = toeplitz.Symbol.from_string(_require(options, "symbol"))
+    check_depth(symbol.m + symbol.p, SYMBOL_BAND_CAP, what="symbol band width")
+    for key, cap in (("truncate", TRUNCATE_CAP), ("random_check", RANDOM_CHECK_CAP)):
+        if options.get(key) is not None:
+            check_depth(options[key], cap, what=f"--{key.replace('_', '-')}")
     fred = toeplitz.fredholm_index(symbol, options.get("samples"))
     report = {
         "symbol": repr(symbol),

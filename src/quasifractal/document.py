@@ -13,19 +13,11 @@ import json
 from fractions import Fraction
 from functools import wraps
 
-from .cantor import Cell, Params2, Stage2
+from .cantor import Params2, Stage2
 from .errors import CapacityError, ParameterError, QuasifractalError
-from .geometry import Loop, Point2, Point3, Segment, rational
+from .geometry import Cell, Loop, Point2, Point3, Segment, rational
 from .planar import CARPET, GASKET, Piece, PieceSet, SquareCell, TriangleCell
-from .spatial import (
-    CUBE_WIREFRAME,
-    TETRA_GASKET,
-    CubeCell,
-    Face3,
-    SpatialVariant,
-    Stage3,
-    TetraCell,
-)
+from .spatial import CUBE_WIREFRAME, TETRA_GASKET, Face3, SpatialVariant, Stage3, TetraCell
 
 SCHEMA_VERSION = 1
 
@@ -48,16 +40,22 @@ def _point_json(p) -> list[str]:
     return [format_rational(c) for c in p.coords]
 
 
-def _point2(data) -> Point2:
-    if len(data) != 2:
-        raise ParameterError(f"expected 2 coordinates, got {data!r}")
-    return Point2(parse_rational(data[0]), parse_rational(data[1]))
+def _point(data, dim: int = 2):
+    """Read a Point2 or Point3 from its list of dim "p/q" coordinates."""
+    if len(data) != dim:
+        raise ParameterError(f"expected {dim} coordinates, got {data!r}")
+    return (Point2, Point3)[dim - 2](*[parse_rational(c) for c in data])
 
 
-def _point3(data) -> Point3:
-    if len(data) != 3:
-        raise ParameterError(f"expected 3 coordinates, got {data!r}")
-    return Point3(*(parse_rational(c) for c in data))
+def _cells_json(cells) -> list:
+    return [
+        {"address": c.address, "corner": _point_json(c.corner), "side": format_rational(c.side)}
+        for c in cells
+    ]
+
+
+def _cells(data, dim: int) -> list[Cell]:
+    return [Cell(c["address"], _point(c["corner"], dim), parse_rational(c["side"])) for c in data]
 
 
 def _segments_json(segments) -> list:
@@ -97,14 +95,7 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
         "kind": "cantor2d",
         "params": {"a": format_rational(stage.params.a), "depth": stage.params.depth},
         "level": stage.level,
-        "cells": [
-            {
-                "address": cell.address,
-                "corner": _point_json(cell.corner),
-                "side": format_rational(cell.side),
-            }
-            for cell in stage.cells
-        ],
+        "cells": _cells_json(stage.cells),
         "segments": _segments_json(stage.segments),
     }
     if measures is not None:
@@ -116,11 +107,8 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
 def document_to_stage2(doc: dict) -> Stage2:
     _check(doc, "cantor2d")
     params = Params2(parse_rational(doc["params"]["a"]), int(doc["params"]["depth"]))
-    cells = [
-        Cell(c["address"], _point2(c["corner"]), parse_rational(c["side"]))
-        for c in doc["cells"]
-    ]
-    segments = {Segment(_point2(a), _point2(b)) for a, b in doc["segments"]}
+    cells = _cells(doc["cells"], 2)
+    segments = {Segment(_point(a), _point(b)) for a, b in doc["segments"]}
     return Stage2(params=params, level=int(doc["level"]), cells=cells, segments=segments)
 
 
@@ -159,13 +147,13 @@ def document_to_pieces(doc: dict) -> PieceSet:
     _check(doc, kind)
     if kind == CARPET:
         kept = [
-            SquareCell(_point2(c["corner"]), parse_rational(c["side"])) for c in doc["kept"]
+            SquareCell(_point(c["corner"]), parse_rational(c["side"])) for c in doc["kept"]
         ]
     else:
-        kept = [TriangleCell(*(_point2(v) for v in c["vertices"])) for c in doc["kept"]]
+        kept = [TriangleCell(*(_point(v) for v in c["vertices"])) for c in doc["kept"]]
     removed = [
         Piece(
-            Loop(tuple(_point2(v) for v in r["boundary"])),
+            Loop(tuple(_point(v) for v in r["boundary"])),
             int(r["birth_level"]),
             r["label"],
         )
@@ -180,14 +168,7 @@ def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
     if variant.a is not None:
         params["a"] = format_rational(variant.a)
     if variant.kind == CUBE_WIREFRAME:
-        cells = [
-            {
-                "address": c.address,
-                "corner": _point_json(c.corner),
-                "side": format_rational(c.side),
-            }
-            for c in stage.cells
-        ]
+        cells = _cells_json(stage.cells)
     else:
         cells = [
             {"address": c.address, "vertices": [_point_json(v) for v in c.vertices]}
@@ -225,19 +206,16 @@ def document_to_stage3(doc: dict) -> Stage3:
         kind, parse_rational(params["a"]) if kind == CUBE_WIREFRAME else None
     )
     if kind == CUBE_WIREFRAME:
-        cells = [
-            CubeCell(c["address"], _point3(c["corner"]), parse_rational(c["side"]))
-            for c in doc["cells"]
-        ]
+        cells = _cells(doc["cells"], 3)
     else:
         cells = [
-            TetraCell(c["address"], tuple(_point3(v) for v in c["vertices"]))
+            TetraCell(c["address"], tuple(_point(v, 3) for v in c["vertices"]))
             for c in doc["cells"]
         ]
-    skeleton = {Segment(_point3(a), _point3(b)) for a, b in doc["skeleton"]}
+    skeleton = {Segment(_point(a, 3), _point(b, 3)) for a, b in doc["skeleton"]}
     pieces = [
         Face3(
-            tuple(_point3(v) for v in f["boundary"]),
+            tuple(_point(v, 3) for v in f["boundary"]),
             int(f["birth_level"]),
             parse_rational(f["area_sq"]),
         )

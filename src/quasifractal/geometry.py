@@ -11,16 +11,17 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
+    CapacityError,
     MalformedLoopError,
     ParameterError,
     UnsupportedGeometryError,
 )
 from .unionfind import UnionFind
-
-Rational = Fraction
 
 # point_in_polygon classifications
 INSIDE = "inside"
@@ -36,6 +37,29 @@ def rational(value: Union[int, str, Fraction]) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParameterError(f"not a rational number: {value!r}") from exc
+
+
+def scale_factor(a: Union[int, str, Fraction], allow_half: bool) -> Fraction:
+    """A corner scale factor: 0 < a < 1/2, or 0 < a <= 1/2 with allow_half."""
+    a = rational(a)
+    half = Fraction(1, 2)
+    if a <= 0 or a > half or (a == half and not allow_half):
+        bound = "1/2]" if allow_half else "1/2)"
+        raise ParameterError(f"scale factor must lie in (0, {bound}, got {a}")
+    return a
+
+
+def check_depth(depth: int, cap: Union[int, None] = None, what: str = "depth") -> int:
+    """A nonnegative integer count, at most `cap` when one is given.
+
+    A negative or non-integer value is a ParameterError, a value above the
+    cap a CapacityError.
+    """
+    if not isinstance(depth, int) or depth < 0:
+        raise ParameterError(f"{what} must be a nonnegative integer, got {depth}")
+    if cap is not None and depth > cap:
+        raise CapacityError(f"{what} {depth} exceeds cap {cap}")
+    return depth
 
 
 def geometric_sum(r: Fraction, n: int) -> Fraction:
@@ -60,9 +84,6 @@ class Point2:
     def __sub__(self, other: "Point2") -> "Point2":
         return Point2(self.x - other.x, self.y - other.y)
 
-    def scaled(self, k: Fraction) -> "Point2":
-        return Point2(self.x * k, self.y * k)
-
 
 @dataclass(frozen=True)
 class Point3:
@@ -80,16 +101,12 @@ class Point3:
     def __sub__(self, other: "Point3") -> "Point3":
         return Point3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def scaled(self, k: Fraction) -> "Point3":
-        return Point3(self.x * k, self.y * k, self.z * k)
-
 
 Point = Union[Point2, Point3]
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    half = Fraction(1, 2)
-    return (p + q).scaled(half)
+    return type(p)(*[(a + b) / 2 for a, b in zip(p.coords, q.coords)])
 
 
 @dataclass(frozen=True)
@@ -121,6 +138,97 @@ def ring_segments(vertices: Sequence[Point]) -> tuple[Segment, ...]:
     """The segments of a closed vertex ring, the last vertex joined to the first."""
     n = len(vertices)
     return tuple(Segment(vertices[i], vertices[(i + 1) % n]) for i in range(n))
+
+
+def _picks(offset_rows) -> tuple:
+    """For each row of per-axis offsets (0 near side, 1 far side), a getter
+    of those coordinates from the flat list (x, x + s, y, y + s, ...)."""
+    return tuple(itemgetter(*[2 * i + o for i, o in enumerate(row)]) for row in offset_rows)
+
+
+# Vertex b of a cell is far in coordinate i iff bit i of b is set, and edges
+# join the vertices whose indices differ in one bit. Child letter k takes the
+# corner at the same offsets as vertex k in space, and runs SW, SE, NE, NW in
+# the plane.
+_VERTEX_PICKS = {d: _picks([[b >> i & 1 for i in range(d)] for b in range(1 << d)]) for d in (2, 3)}
+_CHILD_PICKS = {2: _picks(((0, 0), (1, 0), (1, 1), (0, 1))), 3: _VERTEX_PICKS[3]}
+_EDGES = {
+    d: tuple((b, b | 1 << i) for b in range(1 << d) for i in range(d) if not b >> i & 1)
+    for d in (2, 3)
+}
+
+
+@dataclass(frozen=True)
+class Cell:
+    """An addressed corner square (Point2 corner) or cube (Point3 corner).
+
+    Letter k of the address selects the corner child taken at subdivision
+    step k (see `_CHILD_PICKS`), so with scale factor a the corner
+    coordinates are sums of terms (1-a) * a^k and the side is a^len(address).
+    """
+
+    address: str
+    corner: Point
+    side: Fraction
+
+    @property
+    def level(self) -> int:
+        return len(self.address)
+
+    def _ends(self, length: Fraction) -> list[Fraction]:
+        return [v for c in self.corner.coords for v in (c, c + length)]
+
+    def vertices(self) -> tuple[Point, ...]:
+        """The 2^d corners in bit order: bit i of the index selects the far side in coordinate i."""
+        ends = self._ends(self.side)
+        point = type(self.corner)
+        return tuple(point(*pick(ends)) for pick in _VERTEX_PICKS[len(ends) // 2])
+
+    def edge_segments(self) -> tuple[Segment, ...]:
+        verts = self.vertices()
+        return tuple(Segment(verts[i], verts[j]) for i, j in _EDGES[len(self.corner.coords)])
+
+    def children(self, a: Fraction) -> tuple["Cell", ...]:
+        child_side = self.side * a
+        ends = self._ends(self.side - child_side)
+        point = type(self.corner)
+        address = self.address
+        return tuple(
+            Cell(address + str(k), point(*pick(ends)), child_side)
+            for k, pick in enumerate(_CHILD_PICKS[len(ends) // 2])
+        )
+
+    def contains(self, other: "Cell") -> bool:
+        """Exact containment of another cell's closed square or cube in this one."""
+        return all(
+            c <= o and o + other.side <= c + self.side
+            for c, o in zip(self.corner.coords, other.corner.coords)
+        )
+
+
+def _simplex_pattern(n: int):
+    """The edges of an n-vertex simplex, and for each corner child a getter
+    of its vertices from (*vertices, *edge midpoints)."""
+    edges = tuple(combinations(range(n), 2))
+    slot = {edge: n + k for k, edge in enumerate(edges)}
+    picks = tuple(
+        itemgetter(*[i if j == i else slot[min(i, j), max(i, j)] for j in range(n)]) for i in range(n)
+    )
+    return edges, picks
+
+
+_SIMPLEX_PATTERNS = {n: _simplex_pattern(n) for n in (3, 4)}
+
+
+def simplex_children(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
+    """The half-scale corner copies of a triangle or tetrahedron.
+
+    Child i keeps vertex i in place i and puts the midpoint of the edge to
+    vertex j in place j; each edge midpoint is computed once.
+    """
+    edges, picks = _SIMPLEX_PATTERNS[len(vertices)]
+    points = (*vertices, *[midpoint(vertices[i], vertices[j]) for i, j in edges])
+    return [pick(points) for pick in picks]
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CapacityError, ParameterError
-from .geometry import Loop, Point2, Segment, midpoint, ring_segments, signed_area
+from .errors import ParameterError
+from .geometry import Loop, Point2, Segment, check_depth, ring_segments, signed_area, simplex_children
 
 CARPET = "carpet"
 GASKET = "gasket"
@@ -117,16 +117,10 @@ def _carpet_children(cell: SquareCell):
 
 
 def _gasket_children(cell: TriangleCell):
-    m01 = midpoint(cell.v0, cell.v1)
-    m12 = midpoint(cell.v1, cell.v2)
-    m20 = midpoint(cell.v2, cell.v0)
-    kept = [
-        TriangleCell(cell.v0, m01, m20),
-        TriangleCell(m01, cell.v1, m12),
-        TriangleCell(m20, m12, cell.v2),
-    ]
-    removed = [Loop((m01, m12, m20))]
-    return kept, removed
+    corners = simplex_children((cell.v0, cell.v1, cell.v2))
+    # the middle triangle's vertices are the midpoints m01, m12, m02
+    removed = [Loop((corners[0][1], corners[1][2], corners[0][2]))]
+    return [TriangleCell(*verts) for verts in corners], removed
 
 
 def base_cell(kind: str) -> PlanarCell:
@@ -157,10 +151,7 @@ def build_planar(
     base = base_cell(kind)
     if depth_cap is None:
         depth_cap = CARPET_DEPTH_CAP if kind == CARPET else GASKET_DEPTH_CAP
-    if not isinstance(depth, int) or depth < 0:
-        raise ParameterError(f"depth must be a nonnegative integer, got {depth}")
-    if depth > depth_cap:
-        raise CapacityError(f"depth {depth} exceeds cap {depth_cap} for {kind}")
+    check_depth(depth, depth_cap, what=f"{kind} depth")
     subdivide = _carpet_children if kind == CARPET else _gasket_children
     kept: list[PlanarCell] = [base]
     removed: list[Piece] = []

@@ -29,9 +29,9 @@ from itertools import combinations
 from math import sqrt
 from typing import Union
 
-from .errors import CapacityError, ParameterError
-from .geometry import Point3, Segment, SegmentIndex, area_vector, geometric_sum, midpoint
-from .geometry import rational, segment_components
+from .errors import ParameterError
+from .geometry import Cell, Point3, Segment, SegmentIndex, area_vector, check_depth, geometric_sum
+from .geometry import scale_factor, segment_components, simplex_children
 
 CUBE_WIREFRAME = "cube_wireframe"
 TETRA_GASKET = "tetra_gasket"
@@ -60,10 +60,7 @@ class SpatialVariant:
         if self.kind == CUBE_WIREFRAME:
             if self.a is None:
                 raise ParameterError("cube_wireframe requires a scale factor a")
-            a = rational(self.a)
-            if not 0 < a < Fraction(1, 2):
-                raise ParameterError(f"cube scale factor must lie in (0, 1/2), got {a}")
-            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "a", scale_factor(self.a, allow_half=False))
         elif self.kind == TETRA_GASKET:
             if self.a is not None:
                 raise ParameterError("tetra_gasket has fixed contraction 1/2; do not pass a")
@@ -97,71 +94,17 @@ class Face3:
         return tuple((b[i], b[(i + 1) % n]) for i in range(n))
 
 
-@dataclass(frozen=True)
-class CubeCell:
-    address: str
-    corner: Point3
-    side: Fraction
-
-    @property
-    def level(self) -> int:
-        return len(self.address)
-
-    def vertices(self) -> tuple[Point3, ...]:
-        """The 8 corners, indexed by bit pattern (bit 0 -> x, 1 -> y, 2 -> z)."""
-        xs = (self.corner.x, self.corner.x + self.side)
-        ys = (self.corner.y, self.corner.y + self.side)
-        zs = (self.corner.z, self.corner.z + self.side)
-        return tuple(
-            Point3(xs[b & 1], ys[(b >> 1) & 1], zs[(b >> 2) & 1]) for b in range(8)
-        )
-
-    def edge_segments(self) -> tuple[Segment, ...]:
-        verts = self.vertices()
-        out = []
-        for b in range(8):
-            for bit in (1, 2, 4):
-                if not b & bit:
-                    out.append(Segment(verts[b], verts[b | bit]))
-        return tuple(out)
-
-    def faces(self) -> tuple[Face3, ...]:
-        verts = self.vertices()
-        out = []
-        for axis in range(3):
-            bit_axis, bit_u, bit_v = 1 << axis, 1 << ((axis + 1) % 3), 1 << ((axis + 2) % 3)
-            for high in (0, 1):
-                # counterclockwise seen from outside (outward normal)
-                locals_uv = ((0, 0), (1, 0), (1, 1), (0, 1)) if high else ((0, 0), (0, 1), (1, 1), (1, 0))
-                pts = tuple(
-                    verts[high * bit_axis + lu * bit_u + lv * bit_v] for lu, lv in locals_uv
-                )
-                out.append(Face3.of(pts, self.level))
-        return tuple(out)
-
-    def children(self, a: Fraction) -> tuple["CubeCell", ...]:
-        child_side = self.side * a
-        shift = self.side - child_side
-        xs = (self.corner.x, self.corner.x + shift)
-        ys = (self.corner.y, self.corner.y + shift)
-        zs = (self.corner.z, self.corner.z + shift)
-        return tuple(
-            CubeCell(
-                self.address + str(letter),
-                Point3(xs[letter & 1], ys[(letter >> 1) & 1], zs[(letter >> 2) & 1]),
-                child_side,
-            )
-            for letter in range(8)
-        )
-
-    def contains(self, other: "CubeCell") -> bool:
-        for i in range(3):
-            if not (
-                self.corner.coords[i] <= other.corner.coords[i]
-                and other.corner.coords[i] + other.side <= self.corner.coords[i] + self.side
-            ):
-                return False
-        return True
+def cube_faces(cell: Cell) -> tuple[Face3, ...]:
+    """The 6 square faces of a cube cell, each counterclockwise seen from outside."""
+    verts = cell.vertices()
+    out = []
+    for axis in range(3):
+        bit_axis, bit_u, bit_v = 1 << axis, 1 << ((axis + 1) % 3), 1 << ((axis + 2) % 3)
+        for high in (0, 1):
+            locals_uv = ((0, 0), (1, 0), (1, 1), (0, 1)) if high else ((0, 0), (0, 1), (1, 1), (1, 0))
+            pts = tuple(verts[high * bit_axis + lu * bit_u + lv * bit_v] for lu, lv in locals_uv)
+            out.append(Face3.of(pts, cell.level))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -185,17 +128,13 @@ class TetraCell:
         )
 
     def children(self) -> tuple["TetraCell", ...]:
-        out = []
-        for i in range(4):
-            vi = self.vertices[i]
-            verts = tuple(
-                vi if j == i else midpoint(vi, self.vertices[j]) for j in range(4)
-            )
-            out.append(TetraCell(self.address + str(i), verts))
-        return tuple(out)
+        return tuple(
+            TetraCell(self.address + str(i), verts)
+            for i, verts in enumerate(simplex_children(self.vertices))
+        )
 
 
-Cell3 = Union[CubeCell, TetraCell]
+Cell3 = Union[Cell, TetraCell]
 
 
 @dataclass
@@ -220,27 +159,26 @@ def build_spatial(
     Children are emitted parent by parent in letter order, so the cells
     stay in address order. `workers` is accepted and ignored.
     """
+    cube = variant.kind == CUBE_WIREFRAME
     if depth_cap is None:
-        depth_cap = CUBE_DEPTH_CAP if variant.kind == CUBE_WIREFRAME else TETRA_DEPTH_CAP
-    if not isinstance(depth, int) or depth < 0:
-        raise ParameterError(f"depth must be a nonnegative integer, got {depth}")
-    if depth > depth_cap:
-        raise CapacityError(f"depth {depth} exceeds cap {depth_cap} for {variant.kind}")
-    if variant.kind == CUBE_WIREFRAME:
-        root: Cell3 = CubeCell("", Point3(Fraction(0), Fraction(0), Fraction(0)), Fraction(1))
+        depth_cap = CUBE_DEPTH_CAP if cube else TETRA_DEPTH_CAP
+    check_depth(depth, depth_cap, what=f"{variant.kind} depth")
+    if cube:
+        root: Cell3 = Cell("", Point3(Fraction(0), Fraction(0), Fraction(0)), Fraction(1))
+        faces = cube_faces
     else:
         root = TetraCell("", _TETRA_BASE)
+        faces = TetraCell.faces
     cells: list[Cell3] = [root]
     skeleton: set[Segment] = set(root.edge_segments())
-    pieces: list[Face3] = list(root.faces())
+    pieces: list[Face3] = list(faces(root))
     for _ in range(depth):
         parents, cells = cells, []
         for cell in parents:
-            kids = cell.children(variant.a) if isinstance(cell, CubeCell) else cell.children()
-            for child in kids:
+            for child in cell.children(variant.a) if cube else cell.children():
                 cells.append(child)
                 skeleton.update(child.edge_segments())
-                pieces.extend(child.faces())
+                pieces.extend(faces(child))
     return Stage3(
         variant=variant,
         level=depth,
@@ -276,8 +214,7 @@ class SeriesMeasures:
 
 
 def series_measures(variant: SpatialVariant, n: int) -> SeriesMeasures:
-    if not isinstance(n, int) or n < 0:
-        raise ParameterError(f"stage count must be a nonnegative integer, got {n}")
+    check_depth(n, what="stage count")
     if variant.kind == CUBE_WIREFRAME:
         a = variant.a
         edge_ratio = 8 * a

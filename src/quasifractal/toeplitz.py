@@ -29,6 +29,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import (
+    CapacityError,
     NotFredholmError,
     NumericalError,
     ParameterError,
@@ -153,6 +154,8 @@ def _sample_argument(s: Symbol, samples: Union[int, None]):
         raise ParameterError(
             f"need at least {min_required} samples for band [{-s.m}, {s.p}]"
         )
+    if samples > _MAX_SAMPLES:
+        raise CapacityError(f"{samples} circle samples exceed the ceiling of {_MAX_SAMPLES}")
     exponents = np.array(list(s.coefficients), dtype=np.int64)
     coeffs = np.array([s.coefficients[int(k)] for k in exponents], dtype=np.complex128)
     while samples <= _MAX_SAMPLES:

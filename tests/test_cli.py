@@ -16,6 +16,9 @@ from quasifractal.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    RANDOM_CHECK_CAP,
+    SYMBOL_BAND_CAP,
+    TRUNCATE_CAP,
     RunConfig,
     main,
     parse_loop,
@@ -268,3 +271,36 @@ def test_malformed_documents_are_validation_errors(tmp_path, capsys):
         assert main(argv) == EXIT_VALIDATION, argv
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and err.count("\n") == 1, err
+
+
+def test_toeplitz_negative_random_check_is_a_validation_error(capsys):
+    assert main(["toeplitz", "--symbol", "0:4, 1:1", "--random-check", "-3"]) == EXIT_VALIDATION
+    assert "--random-check" in capsys.readouterr().err
+
+
+def test_toeplitz_samples_above_the_ceiling_exit_capacity(capsys):
+    assert main(["toeplitz", "--symbol", "0:4, 1:1", "--samples", "5000000"]) == EXIT_CAPACITY
+    assert str(1 << 22) in capsys.readouterr().err
+
+
+def test_toeplitz_truncation_cap_exits_capacity_fast(capsys):
+    start = time.perf_counter()
+    argv = ["toeplitz", "--symbol", "0:4, 1:1", "--truncate", str(TRUNCATE_CAP + 1)]
+    assert main(argv) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 0.5
+    assert "--truncate" in capsys.readouterr().err
+
+
+def test_toeplitz_random_check_cap_exits_capacity_fast(capsys):
+    start = time.perf_counter()
+    argv = ["toeplitz", "--symbol", "0:4, 1:1", "--random-check", str(RANDOM_CHECK_CAP + 1)]
+    assert main(argv) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 0.5
+    assert "--random-check" in capsys.readouterr().err
+
+
+def test_toeplitz_symbol_band_cap_exits_capacity_fast(capsys):
+    start = time.perf_counter()
+    assert main(["toeplitz", "--symbol", f"0:1, {SYMBOL_BAND_CAP + 1}:0.5"]) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 0.5
+    assert main(["toeplitz", "--symbol", f"0:1, {SYMBOL_BAND_CAP}:0.5", "--out", "/dev/null"]) == EXIT_OK

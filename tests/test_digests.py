@@ -1,0 +1,66 @@
+"""Byte identity of small CLI outputs across all five constructions.
+
+Each case runs one generating command and pins the SHA-256 of the JSON
+document and of its SVG or OBJ companion. The digests were recorded from
+the code before the cell model was shared between the constructions, so
+any change to coordinates, order or formatting shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from quasifractal.cli import EXIT_OK, main
+
+CASES = {
+    "gen2d-1_2-d3": (["gen2d", "--a", "1/2", "--depth", "3"], "svg"),
+    "gen2d-2_7-d2": (["gen2d", "--a", "2/7", "--depth", "2"], "svg"),
+    "carpet-d2": (["carpet", "--depth", "2"], "svg"),
+    "gasket-d4": (["gasket", "--depth", "4"], "svg"),
+    "cube-1_3-d2": (["gen3d", "--variant", "cube", "--a", "1/3", "--depth", "2"], "obj"),
+    "cube-2_5-d1": (["gen3d", "--variant", "cube", "--a", "2/5", "--depth", "1"], "obj"),
+    "tetra-d2": (["gen3d", "--variant", "tetra", "--depth", "2"], "obj"),
+}
+
+DIGESTS = {
+    "carpet-d2": {
+        "json": "6520398b7625e961e2f972851ec04d0b9f542224d943b079d032869546ef6c65",
+        "svg": "051c5b2981963336f9bd45b6420e8cfc15add1da431e6cc4fb8c88501b0c153b",
+    },
+    "cube-1_3-d2": {
+        "json": "2d780bc77233353b435a6c6503cabe828d7c86458b0ac80975e2a409fe833331",
+        "obj": "be315880a6c25a3abc35e40448021457b9584e908123e677eb43516b6c5abc62",
+    },
+    "cube-2_5-d1": {
+        "json": "b5a96408fb3650db8b34a09da4be0182e8a6ba9752e6b86492719c77dab689b1",
+        "obj": "1ee53312881b684b6c38fb2690f824bc7b1d9b4ae52245842de006e8be37f4d3",
+    },
+    "gasket-d4": {
+        "json": "44dcb19cff12c393d1014f27d0c3344a7c35a76abf1eacbbf6d1e8fedc000ace",
+        "svg": "131fc1fadd2b00816505b83225e288e7526ffa1b63acde22b2080c82bb216d30",
+    },
+    "gen2d-1_2-d3": {
+        "json": "3fa95b7b07517e1b4ac78350e0fa918828dab55e8d33fa7440bad6b2d42c0afe",
+        "svg": "4b2b62e0ceb5eab26626973402b3d972ac854d287782a205029f32ed09a83934",
+    },
+    "gen2d-2_7-d2": {
+        "json": "a6f2df18fbdb5626ff92b678c53b680f4035bd3b3afa49dc810f7280c316e166",
+        "svg": "2f0457db4ccb5ed410057118d3abf47039e0c1881d226703a247b14377474a97",
+    },
+    "tetra-d2": {
+        "json": "1892f3eb32c7f943a350190467f8e0fe082b5fe354149332dfecbcefe0890b05",
+        "obj": "690d03bf27d9761a68b7eff45f4c4cd02043308c034e055c3c19807cd777e3c2",
+    },
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_are_byte_identical(name, tmp_path):
+    argv, companion = CASES[name]
+    doc, side = tmp_path / "out.json", tmp_path / f"out.{companion}"
+    assert main(argv + ["--out", str(doc), f"--{companion}", str(side)]) == EXIT_OK
+    assert {"json": _sha256(doc), companion: _sha256(side)} == DIGESTS[name]

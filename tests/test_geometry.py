@@ -14,6 +14,7 @@ from helpers import (
     union_length_oracle,
 )
 from quasifractal.errors import (
+    CapacityError,
     MalformedLoopError,
     ParameterError,
     UnsupportedGeometryError,
@@ -22,19 +23,23 @@ from quasifractal.geometry import (
     BOUNDARY,
     INSIDE,
     OUTSIDE,
+    Cell,
     Loop,
     Point2,
     Point3,
     Segment,
     SegmentIndex,
     area_vector,
+    check_depth,
     geometric_sum,
     on_segment,
     point_in_polygon,
     rational,
     ring_segments,
+    scale_factor,
     segment_components,
     signed_area,
+    simplex_children,
     union_length,
 )
 from quasifractal.topology import winding_number
@@ -377,3 +382,71 @@ def test_segment_components_matches_pairwise_oracle_on_cantor_stages(a, depth):
 
     segments = build(Params2(a, depth)).segments
     assert segment_components(segments) == pairwise_components(segments) == 1
+
+
+def test_check_depth():
+    assert check_depth(0) == 0
+    assert check_depth(7, cap=7) == 7
+    for bad in (-1, 1.5, "3", None):
+        with pytest.raises(ParameterError, match="stage count"):
+            check_depth(bad, cap=7, what="stage count")
+    with pytest.raises(CapacityError, match="depth 8 exceeds cap 7"):
+        check_depth(8, cap=7)
+
+
+def test_scale_factor():
+    assert scale_factor("1/3", allow_half=False) == F(1, 3)
+    assert scale_factor(F(1, 2), allow_half=True) == F(1, 2)
+    for bad in ("0", "-1/3", "3/5", "1/2", "x"):
+        with pytest.raises(ParameterError):
+            scale_factor(bad, allow_half=False)
+    with pytest.raises(ParameterError, match=r"\(0, 1/2\]"):
+        scale_factor("3/5", allow_half=True)
+
+
+def test_square_cell_edges_are_its_four_sides():
+    cell = Cell("", pt(F(1, 3), F(1, 5)), F(2, 7))
+    x, y, s = cell.corner.x, cell.corner.y, cell.side
+    ring = (pt(x, y), pt(x + s, y), pt(x + s, y + s), pt(x, y + s))
+    assert set(cell.edge_segments()) == set(ring_segments(ring))
+    assert len(cell.edge_segments()) == 4
+    assert cell.vertices() == (ring[0], ring[1], ring[3], ring[2])  # bit order
+
+
+def test_cube_cell_vertices_and_edges():
+    cell = Cell("", Point3(F(0), F(0), F(0)), F(1))
+    verts = cell.vertices()
+    assert [v.coords for v in verts] == [(b & 1, b >> 1 & 1, b >> 2 & 1) for b in range(8)]
+    edges = cell.edge_segments()
+    assert len(set(edges)) == 12
+    for e in edges:
+        assert sum(ai != bi for ai, bi in zip(e.a.coords, e.b.coords)) == 1
+
+
+@pytest.mark.parametrize("corner", [pt(F(1, 7), F(2, 7)), Point3(F(1, 7), F(2, 7), F(3, 7))])
+def test_cell_children_take_the_corners_in_letter_order(corner):
+    cell = Cell("3", corner, F(3, 7))
+    a = F(2, 5)
+    kids = cell.children(a)
+    assert [k.address for k in kids] == ["3" + str(i) for i in range(len(kids))]
+    assert all(k.side == cell.side * a and cell.contains(k) for k in kids)
+    shift = cell.side - cell.side * a
+    offsets = [tuple((k.corner.coords[i] - corner.coords[i]) / shift for i in range(len(corner.coords))) for k in kids]
+    if len(kids) == 4:
+        assert offsets == [(0, 0), (1, 0), (1, 1), (0, 1)]  # SW, SE, NE, NW
+    else:
+        assert offsets == [(b & 1, b >> 1 & 1, b >> 2 & 1) for b in range(8)]
+    assert not kids[0].contains(kids[1])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_simplex_children_keep_a_vertex_and_take_edge_midpoints(n):
+    rng = random.Random(n)
+    point = Point2 if n == 3 else Point3
+    verts = tuple(point(*(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - 1))) for _ in range(n))
+    kids = simplex_children(verts)
+    assert len(kids) == n
+    for i, kid in enumerate(kids):
+        for j, v in enumerate(kid):
+            expected = verts[i] if i == j else point(*((p + q) / 2 for p, q in zip(verts[i].coords, verts[j].coords)))
+            assert v == expected

@@ -9,7 +9,7 @@ from quasifractal.geometry import Point3, Segment, segment_components
 from quasifractal.spatial import (
     CUBE_WIREFRAME,
     TETRA_GASKET,
-    CubeCell,
+    Cell,
     Face3,
     SpatialVariant,
     Stage3,
@@ -70,7 +70,7 @@ def test_tetra_depth2_faces_are_triangles():
 
 
 def test_cube_children_contained():
-    cell = CubeCell("", Point3(F(0), F(0), F(0)), F(1))
+    cell = Cell("", Point3(F(0), F(0), F(0)), F(1))
     for child in cell.children(F(2, 5)):
         assert cell.contains(child)
 
@@ -176,8 +176,8 @@ def test_connectivity_one_component():
 
 
 def test_connectivity_negative_control():
-    cube = CubeCell("", Point3(F(0), F(0), F(0)), F(1))
-    far = CubeCell("", Point3(F(3), F(0), F(0)), F(1))
+    cube = Cell("", Point3(F(0), F(0), F(0)), F(1))
+    far = Cell("", Point3(F(3), F(0), F(0)), F(1))
     segs = list(cube.edge_segments()) + list(far.edge_segments())
     assert segment_components(segs) == 2
 
@@ -190,7 +190,7 @@ def test_connectivity_negative_controls_match_pairwise_oracle():
     segs = list(skeleton | moved)
     assert segment_components(segs) == pairwise_components(segs) == 2
     # a cube skeleton whose three edges at the origin stop halfway
-    cube = CubeCell("", Point3(F(0), F(0), F(0)), F(1))
+    cube = Cell("", Point3(F(0), F(0), F(0)), F(1))
     origin = cube.corner
     segs = [s for s in cube.edge_segments() if s.a != origin]
     segs += [Segment(origin, Point3(*(c / 2 for c in s.b.coords))) for s in cube.edge_segments() if s.a == origin]
