@@ -42,6 +42,7 @@ from .geometry import (
     segment_components,
     signed_area,
     union_length,
+    winding_number,
 )
 from .planar import (
     CARPET,
@@ -83,7 +84,6 @@ from .topology import (
     index_vector,
     reverse_orientation,
     same_index_class,
-    winding_number,
 )
 
 __version__ = "0.1.0"

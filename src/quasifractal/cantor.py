@@ -73,7 +73,7 @@ def level0(a: Union[Fraction, str, int]) -> Stage2:
     )
 
 
-def refine(stage: Stage2, depth_cap: int = DEPTH_CAP, workers: int = 1) -> Stage2:
+def refine(stage: Stage2, workers: int = 1) -> Stage2:
     """One subdivision step: each cell is replaced by its 4 corner children.
 
     The children's boundaries are appended to the retained segment set
@@ -81,8 +81,8 @@ def refine(stage: Stage2, depth_cap: int = DEPTH_CAP, workers: int = 1) -> Stage
     Children are emitted parent by parent in letter order, so the cells
     stay in address order. `workers` is accepted and ignored.
     """
-    if stage.level >= depth_cap:
-        raise CapacityError(f"depth cap {depth_cap} reached at level {stage.level}")
+    if stage.level >= DEPTH_CAP:
+        raise CapacityError(f"depth cap {DEPTH_CAP} reached at level {stage.level}")
     a = stage.params.a
     cells: list[Cell] = []
     segments = set(stage.segments)
@@ -98,12 +98,12 @@ def refine(stage: Stage2, depth_cap: int = DEPTH_CAP, workers: int = 1) -> Stage
     )
 
 
-def build(params: Params2, depth_cap: int = DEPTH_CAP, workers: int = 1) -> Stage2:
+def build(params: Params2, workers: int = 1) -> Stage2:
     """Iterate `refine` from the unit square down to params.depth; `workers` is ignored."""
-    check_depth(params.depth, depth_cap)
+    check_depth(params.depth, DEPTH_CAP)
     stage = level0(params.a)
     for _ in range(params.depth):
-        stage = refine(stage, depth_cap=depth_cap, workers=workers)
+        stage = refine(stage, workers=workers)
     return stage
 
 

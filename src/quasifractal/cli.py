@@ -72,8 +72,8 @@ def load_config_file(path: str) -> dict:
     """Parse a flat `key = value` file; '#' starts a comment."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -181,6 +181,14 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _read_document(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"cannot read document {path}: {exc}") from exc
+    return document.loads_document(text)
 
 
 def parse_loop(text: str) -> Loop:
@@ -339,7 +347,7 @@ def _cmd_measure(options: dict) -> int:
 
 
 def _cmd_index(options: dict) -> int:
-    doc = document.loads_document(Path(_require(options, "pieces")).read_text())
+    doc = _read_document(_require(options, "pieces"))
     ps = document.document_to_pieces(doc)
     loop = parse_loop(_require(options, "loop"))
     holes = topology.HoleSet.from_pieces(ps.removed)
@@ -395,7 +403,7 @@ def _cmd_toeplitz(options: dict) -> int:
 
 
 def _cmd_render(options: dict) -> int:
-    doc = document.loads_document(Path(_require(options, "input")).read_text())
+    doc = _read_document(_require(options, "input"))
     kind = doc["kind"]
     if kind in (spatial.CUBE_WIREFRAME, spatial.TETRA_GASKET):
         text = render.export_obj(document.document_to_stage3(doc))

@@ -32,10 +32,6 @@ def format_rational(x: Fraction) -> str:
         raise CapacityError(f"rational too large to write: {exc}") from exc
 
 
-def parse_rational(text: str) -> Fraction:
-    return rational(text)
-
-
 def _point_json(p) -> list[str]:
     return [format_rational(c) for c in p.coords]
 
@@ -44,7 +40,7 @@ def _point(data, dim: int = 2):
     """Read a Point2 or Point3 from its list of dim "p/q" coordinates."""
     if len(data) != dim:
         raise ParameterError(f"expected {dim} coordinates, got {data!r}")
-    return (Point2, Point3)[dim - 2](*[parse_rational(c) for c in data])
+    return (Point2, Point3)[dim - 2](*[rational(c) for c in data])
 
 
 def _cells_json(cells) -> list:
@@ -55,7 +51,7 @@ def _cells_json(cells) -> list:
 
 
 def _cells(data, dim: int) -> list[Cell]:
-    return [Cell(c["address"], _point(c["corner"], dim), parse_rational(c["side"])) for c in data]
+    return [Cell(c["address"], _point(c["corner"], dim), rational(c["side"])) for c in data]
 
 
 def _segments_json(segments) -> list:
@@ -106,7 +102,7 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
 @_reads_shape
 def document_to_stage2(doc: dict) -> Stage2:
     _check(doc, "cantor2d")
-    params = Params2(parse_rational(doc["params"]["a"]), int(doc["params"]["depth"]))
+    params = Params2(rational(doc["params"]["a"]), int(doc["params"]["depth"]))
     cells = _cells(doc["cells"], 2)
     segments = {Segment(_point(a), _point(b)) for a, b in doc["segments"]}
     return Stage2(params=params, level=int(doc["level"]), cells=cells, segments=segments)
@@ -147,7 +143,7 @@ def document_to_pieces(doc: dict) -> PieceSet:
     _check(doc, kind)
     if kind == CARPET:
         kept = [
-            SquareCell(_point(c["corner"]), parse_rational(c["side"])) for c in doc["kept"]
+            SquareCell(_point(c["corner"]), rational(c["side"])) for c in doc["kept"]
         ]
     else:
         kept = [TriangleCell(*(_point(v) for v in c["vertices"])) for c in doc["kept"]]
@@ -203,7 +199,7 @@ def document_to_stage3(doc: dict) -> Stage3:
     _check(doc, kind)
     params = doc["params"]
     variant = SpatialVariant(
-        kind, parse_rational(params["a"]) if kind == CUBE_WIREFRAME else None
+        kind, rational(params["a"]) if kind == CUBE_WIREFRAME else None
     )
     if kind == CUBE_WIREFRAME:
         cells = _cells(doc["cells"], 3)
@@ -217,7 +213,7 @@ def document_to_stage3(doc: dict) -> Stage3:
         Face3(
             tuple(_point(v, 3) for v in f["boundary"]),
             int(f["birth_level"]),
-            parse_rational(f["area_sq"]),
+            rational(f["area_sq"]),
         )
         for f in doc["pieces"]
     ]
@@ -239,12 +235,14 @@ def dumps_document(doc: dict) -> str:
 
 
 def loads_document(text: str) -> dict:
+    # Besides JSONDecodeError (a ValueError), the decoder raises ValueError for
+    # an integer literal beyond the int-to-str digit limit and RecursionError
+    # for nesting beyond its depth.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParameterError(f"invalid JSON document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("kind") not in _KINDS:
         raise ParameterError("not a quasifractal stage document")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ParameterError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    _check(doc, doc["kind"])
     return doc

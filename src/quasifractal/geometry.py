@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     CapacityError,
+    IndeterminateWindingError,
     MalformedLoopError,
     ParameterError,
     UnsupportedGeometryError,
@@ -134,10 +135,14 @@ class Segment:
         return (self.a.coords, self.b.coords)
 
 
+def ring_edges(vertices: Sequence[Point]) -> Iterator[tuple[Point, Point]]:
+    """The consecutive vertex pairs of a closed ring, the last vertex joined to the first."""
+    return zip(vertices, (*vertices[1:], *vertices[:1]))
+
+
 def ring_segments(vertices: Sequence[Point]) -> tuple[Segment, ...]:
-    """The segments of a closed vertex ring, the last vertex joined to the first."""
-    n = len(vertices)
-    return tuple(Segment(vertices[i], vertices[(i + 1) % n]) for i in range(n))
+    """The segments of a closed vertex ring."""
+    return tuple(Segment(p, q) for p, q in ring_edges(vertices))
 
 
 def _picks(offset_rows) -> tuple:
@@ -242,12 +247,9 @@ class Loop:
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise MalformedLoopError("a loop needs at least 3 vertices")
-        n = len(verts)
-        for i in range(n):
-            if verts[i].coords == verts[(i + 1) % n].coords:
-                raise MalformedLoopError(
-                    f"consecutive duplicate vertex at position {i}"
-                )
+        for i, (p, q) in enumerate(ring_edges(verts)):
+            if p.coords == q.coords:
+                raise MalformedLoopError(f"consecutive duplicate vertex at position {i}")
 
     @property
     def orientation(self) -> int:
@@ -255,22 +257,14 @@ class Loop:
         area = signed_area(self)
         return (area > 0) - (area < 0)
 
-    def edges(self) -> Iterable[tuple[Point2, Point2]]:
-        verts = self.vertices
-        n = len(verts)
-        for i in range(n):
-            yield verts[i], verts[(i + 1) % n]
+    def edges(self) -> Iterator[tuple[Point2, Point2]]:
+        return ring_edges(self.vertices)
 
 
 def signed_area(loop: Loop) -> Fraction:
     """Exact shoelace area; positive for counterclockwise loops."""
-    verts = loop.vertices
-    if len(verts) < 3:
-        raise MalformedLoopError("a loop needs at least 3 vertices")
     total = Fraction(0)
-    n = len(verts)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
+    for p, q in loop.edges():
         total += p.x * q.y - q.x * p.y
     return total / 2
 
@@ -281,9 +275,7 @@ def area_vector(points: Sequence[Point3]) -> tuple[Fraction, Fraction, Fraction]
     Half the sum of the edge cross products: normal to the polygon, as long as its area.
     """
     ax = ay = az = Fraction(0)
-    n = len(points)
-    for i in range(n):
-        p, q = points[i].coords, points[(i + 1) % n].coords
+    for p, q in ring_edges([point.coords for point in points]):
         ax += p[1] * q[2] - p[2] * q[1]
         ay += p[2] * q[0] - p[0] * q[2]
         az += p[0] * q[1] - p[1] * q[0]
@@ -309,26 +301,41 @@ def on_segment(p: Point, a: Point, b: Point) -> bool:
     return 0 <= dot <= sum(di * di for di in d)
 
 
+def winding_number(loop: Loop, p: Point2) -> int:
+    """Exact winding number of the loop about p.
+
+    Signed crossings of the horizontal ray from p toward +x, with the
+    half-open vertex rule (an edge is counted only while it strictly
+    straddles the ray line), so vertices on the ray need no perturbation.
+    Raises IndeterminateWindingError if p lies on the loop.
+    """
+    for a, b in loop.edges():
+        if on_segment(p, a, b):
+            raise IndeterminateWindingError(f"point {p} lies on the loop")
+    winding = 0
+    for a, b in loop.edges():
+        if a.y <= p.y:
+            if b.y > p.y and cross2(a, b, p) > 0:
+                winding += 1
+        elif b.y <= p.y and cross2(a, b, p) < 0:
+            winding -= 1
+    return winding
+
+
 def point_in_polygon(loop: Loop, p: Point2) -> str:
     """Classify p against a simple loop: INSIDE, OUTSIDE, or BOUNDARY.
 
-    Exact crossing parity with rational arithmetic. Behavior on
-    self-intersecting loops is unspecified; degenerate (zero-area) loops
-    raise MalformedLoopError.
+    BOUNDARY when p lies on the loop, else INSIDE iff the winding number
+    about p is nonzero (on a simple loop, the same as odd crossing
+    parity). Behavior on self-intersecting loops is unspecified;
+    degenerate (zero-area) loops raise MalformedLoopError.
     """
     if signed_area(loop) == 0:
         raise MalformedLoopError("degenerate loop has no interior")
-    for a, b in loop.edges():
-        if on_segment(p, a, b):
-            return BOUNDARY
-    inside = False
-    for a, b in loop.edges():
-        if (a.y > p.y) != (b.y > p.y):
-            # x-coordinate where the edge crosses the horizontal line y = p.y
-            x = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if x > p.x:
-                inside = not inside
-    return INSIDE if inside else OUTSIDE
+    try:
+        return INSIDE if winding_number(loop, p) else OUTSIDE
+    except IndeterminateWindingError:
+        return BOUNDARY
 
 
 def _line_key(p: Point, q: Point):

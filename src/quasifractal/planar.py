@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ParameterError
-from .geometry import Loop, Point2, Segment, check_depth, ring_segments, signed_area, simplex_children
+from .geometry import Loop, Point2, Segment, check_depth, cross2, ring_segments, signed_area
+from .geometry import simplex_children
 
 CARPET = "carpet"
 GASKET = "gasket"
@@ -43,7 +44,8 @@ class SquareCell:
 
     def boundary_loop(self) -> Loop:
         x, y, s = self.corner.x, self.corner.y, self.side
-        return Loop((Point2(x, y), Point2(x + s, y), Point2(x + s, y + s), Point2(x, y + s)))
+        x1, y1 = x + s, y + s
+        return Loop((self.corner, Point2(x1, y), Point2(x1, y1), Point2(x, y1)))
 
     def boundary_segments(self) -> tuple[Segment, ...]:
         return ring_segments(self.boundary_loop().vertices)
@@ -59,7 +61,7 @@ class TriangleCell:
 
     @property
     def area(self) -> Fraction:
-        return signed_area(self.boundary_loop())
+        return cross2(self.v0, self.v1, self.v2) / 2
 
     def boundary_loop(self) -> Loop:
         return Loop((self.v0, self.v1, self.v2))
@@ -99,21 +101,9 @@ def _carpet_children(cell: SquareCell):
     x0, y0 = cell.corner.x, cell.corner.y
     xs = (x0, x0 + third, x0 + third + third)
     ys = (y0, y0 + third, y0 + third + third)
-    kept: list[SquareCell] = []
-    for iy in range(3):
-        for ix in range(3):
-            if ix == 1 and iy == 1:
-                continue
-            kept.append(SquareCell(Point2(xs[ix], ys[iy]), third))
-    center = Loop(
-        (
-            Point2(xs[1], ys[1]),
-            Point2(xs[2], ys[1]),
-            Point2(xs[2], ys[2]),
-            Point2(xs[1], ys[2]),
-        )
-    )
-    return kept, [center]
+    kept = [SquareCell(Point2(x, y), third) for y in ys for x in xs]
+    center = kept.pop(4)
+    return kept, [center.boundary_loop()]
 
 
 def _gasket_children(cell: TriangleCell):
@@ -135,12 +125,7 @@ def base_cell(kind: str) -> PlanarCell:
     raise ParameterError(f"unknown planar variant {kind!r} (expected carpet or gasket)")
 
 
-def build_planar(
-    kind: str,
-    depth: int,
-    depth_cap: Union[int, None] = None,
-    workers: int = 1,
-) -> PieceSet:
+def build_planar(kind: str, depth: int, workers: int = 1) -> PieceSet:
     """Deterministic subdivision to the given depth.
 
     Carpet: each square splits 3x3 and the center square is removed.
@@ -149,9 +134,8 @@ def build_planar(
     `workers` is accepted and ignored: the construction is sequential.
     """
     base = base_cell(kind)
-    if depth_cap is None:
-        depth_cap = CARPET_DEPTH_CAP if kind == CARPET else GASKET_DEPTH_CAP
-    check_depth(depth, depth_cap, what=f"{kind} depth")
+    cap = CARPET_DEPTH_CAP if kind == CARPET else GASKET_DEPTH_CAP
+    check_depth(depth, cap, what=f"{kind} depth")
     subdivide = _carpet_children if kind == CARPET else _gasket_children
     kept: list[PlanarCell] = [base]
     removed: list[Piece] = []

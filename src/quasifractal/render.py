@@ -150,7 +150,7 @@ def _draw_pieces(canvas: _Canvas, ps: PieceSet) -> None:
         if ps.kind == CARPET:
             canvas.rect(cell.corner, cell.side, fill=_KEPT_FILL)
         else:
-            canvas.polygon(cell.boundary_loop().vertices, fill=_KEPT_FILL)
+            canvas.polygon((cell.v0, cell.v1, cell.v2), fill=_KEPT_FILL)
     for piece in ps.removed:
         canvas.polygon(piece.boundary.vertices, fill=_level_color(piece.birth_level))
     outer = base.boundary_loop().vertices

@@ -31,7 +31,7 @@ from typing import Union
 
 from .errors import ParameterError
 from .geometry import Cell, Point3, Segment, SegmentIndex, area_vector, check_depth, geometric_sum
-from .geometry import scale_factor, segment_components, simplex_children
+from .geometry import ring_edges, scale_factor, segment_components, simplex_children
 
 CUBE_WIREFRAME = "cube_wireframe"
 TETRA_GASKET = "tetra_gasket"
@@ -89,9 +89,7 @@ class Face3:
         return sqrt(self.area_sq)
 
     def edges(self) -> tuple[tuple[Point3, Point3], ...]:
-        b = self.boundary
-        n = len(b)
-        return tuple((b[i], b[(i + 1) % n]) for i in range(n))
+        return tuple(ring_edges(self.boundary))
 
 
 def cube_faces(cell: Cell) -> tuple[Face3, ...]:
@@ -148,21 +146,14 @@ class Stage3:
     pieces: list[Face3] = field(repr=False)
 
 
-def build_spatial(
-    variant: SpatialVariant,
-    depth: int,
-    depth_cap: Union[int, None] = None,
-    workers: int = 1,
-) -> Stage3:
+def build_spatial(variant: SpatialVariant, depth: int, workers: int = 1) -> Stage3:
     """Subdivide to the given depth with canonical (address-sorted) ordering.
 
     Children are emitted parent by parent in letter order, so the cells
     stay in address order. `workers` is accepted and ignored.
     """
     cube = variant.kind == CUBE_WIREFRAME
-    if depth_cap is None:
-        depth_cap = CUBE_DEPTH_CAP if cube else TETRA_DEPTH_CAP
-    check_depth(depth, depth_cap, what=f"{variant.kind} depth")
+    check_depth(depth, CUBE_DEPTH_CAP if cube else TETRA_DEPTH_CAP, what=f"{variant.kind} depth")
     if cube:
         root: Cell3 = Cell("", Point3(Fraction(0), Fraction(0), Fraction(0)), Fraction(1))
         faces = cube_faces

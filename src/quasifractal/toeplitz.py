@@ -39,6 +39,8 @@ from .errors import (
 MIN_CIRCLE_MODULUS = 1e-8
 ROOT_CIRCLE_TOL = 1e-6
 RANK_TOL = 1e-10
+RANDOM_MAX_DEGREE = 4  # band limits of random_symbol
+RANDOM_MIN_MODULUS = 0.05  # smallest circle modulus random_symbol accepts
 _MAX_SAMPLES = 1 << 22
 _SAMPLE_BLOCK = 8192  # rows per block: bounds the samples-by-terms temporaries
 _RESIDUAL_TOL = 0.01
@@ -254,21 +256,17 @@ def fredholm_index(s: Symbol, samples: Union[int, None] = None) -> IndexReport:
     )
 
 
-def random_symbol(
-    rng: random.Random,
-    max_degree: int = 4,
-    min_modulus: float = 0.05,
-) -> Symbol:
+def random_symbol(rng: random.Random) -> Symbol:
     """Draw a random banded symbol that is safely Fredholm.
 
-    Band limits are uniform in [0, max_degree], coefficients uniform in
-    the square [-1, 1]^2; candidates whose sampled circle modulus dips
-    below `min_modulus` are rejected and redrawn, so both winding methods
-    are well-conditioned on the result.
+    Band limits are uniform in [0, RANDOM_MAX_DEGREE], coefficients
+    uniform in the square [-1, 1]^2; candidates whose sampled circle
+    modulus dips below RANDOM_MIN_MODULUS are rejected and redrawn, so
+    both winding methods are well-conditioned on the result.
     """
     while True:
-        m = rng.randint(0, max_degree)
-        p = rng.randint(0, max_degree)
+        m = rng.randint(0, RANDOM_MAX_DEGREE)
+        p = rng.randint(0, RANDOM_MAX_DEGREE)
         coefficients = {
             k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(-m, p + 1)
         }
@@ -278,7 +276,7 @@ def random_symbol(
             continue
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         values = candidate(np.exp(1j * theta))
-        if float(np.abs(values).min()) >= min_modulus:
+        if float(np.abs(values).min()) >= RANDOM_MIN_MODULUS:
             return candidate
 
 

@@ -1,8 +1,8 @@
 """Winding numbers and per-hole index vectors for closed rational loops.
 
 A loop in the plane minus a set of marked points induces a circle-valued
-map around each point; its degree is the exact winding number computed
-here by signed crossing counting. The index vector of a loop against a
+map around each point; its degree is the exact winding number that
+`geometry.winding_number` counts by signed crossings. The index vector of a loop against a
 hole set (one interior representative per bounded complement piece)
 collects those winding numbers in a fixed order. At a fixed construction
 stage, equality of index vectors is equality of all the circle-map
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import IndeterminateWindingError, ParameterError
-from .geometry import INSIDE, Loop, Point2, area_vector, cross2, on_segment, point_in_polygon
+from .errors import ParameterError
+from .geometry import INSIDE, Loop, Point2, area_vector, point_in_polygon, winding_number
 
 IndexVector = tuple[int, ...]
 
@@ -68,27 +68,6 @@ class HoleSet:
         return cls(tuple(reps), tuple(labels))
 
 
-def winding_number(loop: Loop, p: Point2) -> int:
-    """Exact winding number of the loop about p.
-
-    Signed crossings of the horizontal ray from p toward +x, with the
-    half-open vertex rule (an edge is counted only while it strictly
-    straddles the ray line), so vertices on the ray need no perturbation.
-    Raises IndeterminateWindingError if p lies on the loop.
-    """
-    for a, b in loop.edges():
-        if on_segment(p, a, b):
-            raise IndeterminateWindingError(f"point {p} lies on the loop")
-    winding = 0
-    for a, b in loop.edges():
-        if a.y <= p.y:
-            if b.y > p.y and cross2(a, b, p) > 0:
-                winding += 1
-        elif b.y <= p.y and cross2(a, b, p) < 0:
-            winding -= 1
-    return winding
-
-
 def index_vector(loop: Loop, holes: HoleSet) -> IndexVector:
     """Winding number of the loop about every hole representative, in order."""
     return tuple(winding_number(loop, rep) for rep in holes.representatives)
@@ -111,16 +90,12 @@ def face_index(face) -> int:
     """Loop index of a planar 3D face about its own interior point.
 
     The face is projected to 2D along the axis most aligned with its
-    normal and wound about its projected centroid; outward-oriented
+    normal and wound about the centroid of the projection (dropping a
+    coordinate commutes with the vertex average); outward-oriented
     convex faces give +1 or -1 depending on viewing side.
     """
-    loop2, drop = _project(face.boundary)
-    return winding_number(loop2, _project_point(_centroid3(face.boundary), drop))
-
-
-def _centroid3(points: Sequence) -> tuple[Fraction, Fraction, Fraction]:
-    n = len(points)
-    return tuple(sum((p.coords[i] for p in points), Fraction(0)) / n for i in range(3))
+    loop2 = _project(face.boundary)
+    return winding_number(loop2, centroid(loop2))
 
 
 def _normal_axis(points: Sequence) -> int:
@@ -128,11 +103,6 @@ def _normal_axis(points: Sequence) -> int:
     return max(range(3), key=lambda i: comps[i])
 
 
-def _project_point(coords: tuple, drop: int) -> Point2:
-    kept = [coords[i] for i in range(3) if i != drop]
-    return Point2(kept[0], kept[1])
-
-
-def _project(points: Sequence) -> tuple[Loop, int]:
+def _project(points: Sequence) -> Loop:
     drop = _normal_axis(points)
-    return Loop(tuple(_project_point(p.coords, drop) for p in points)), drop
+    return Loop(tuple(Point2(*[c for i, c in enumerate(p.coords) if i != drop]) for p in points))

@@ -101,6 +101,22 @@ def convex_loop(rng, span: int = 12, points: int = 8) -> Loop:
             return Loop(tuple(pt(x, y) for x, y in hull))
 
 
+def star_loop(rng, span: int = 12, points: int = 9) -> Loop:
+    """Random simple CCW polygon with integer vertices, usually concave.
+
+    The vertices are sorted by angle about the origin; a draw in which two
+    of them share a direction, or two angular neighbours are pi or more
+    apart, is redrawn. What is left is star-shaped about the origin and
+    therefore simple.
+    """
+    while True:
+        raw = {(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(points)}
+        ring = sorted(raw - {(0, 0)}, key=lambda v: math.atan2(v[1], v[0]))
+        turns = zip(ring, ring[1:] + ring[:1])
+        if len(ring) >= 3 and all(ax * by - ay * bx > 0 for (ax, ay), (bx, by) in turns):
+            return Loop(tuple(pt(x, y) for x, y in ring))
+
+
 def _hull(pts):
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

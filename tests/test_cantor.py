@@ -6,8 +6,10 @@ import pytest
 
 from helpers import F, pt, segments_of_loop, square_loop
 from quasifractal.cantor import (
+    DEPTH_CAP,
     Cell,
     Params2,
+    Stage2,
     build,
     connectivity,
     hausdorff_dimension,
@@ -127,10 +129,12 @@ def test_segments_accumulate_with_levels():
 
 def test_depth_cap():
     with pytest.raises(CapacityError):
-        build(Params2(F(1, 3), 5), depth_cap=4)
-    stage = build(Params2(F(1, 3), 2), depth_cap=2)
+        build(Params2(F(1, 3), DEPTH_CAP + 1))
+    # a hand-built cell-less stage, so the check is reached without building
+    stage = Stage2(Params2(F(1, 3), DEPTH_CAP - 1), DEPTH_CAP - 1, [], set())
+    assert refine(stage).level == DEPTH_CAP
     with pytest.raises(CapacityError):
-        refine(stage, depth_cap=2)
+        refine(refine(stage))
 
 
 def test_parallel_build_is_identical():

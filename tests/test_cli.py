@@ -184,6 +184,14 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert main(["gen2d", "--config", str(config), "--a", "1/5", "--depth", "1"]) == EXIT_VALIDATION
 
 
+def test_config_file_not_utf8_is_a_validation_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"depth = 1 # \xff\xfe\n")
+    assert main(["gen2d", "--config", str(config), "--a", "1/5"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1, err
+
+
 def test_parse_loop_errors():
     with pytest.raises(ParameterError):
         parse_loop("0,0 1")
@@ -304,3 +312,31 @@ def test_toeplitz_symbol_band_cap_exits_capacity_fast(capsys):
     assert main(["toeplitz", "--symbol", f"0:1, {SYMBOL_BAND_CAP + 1}:0.5"]) == EXIT_CAPACITY
     assert time.perf_counter() - start < 0.5
     assert main(["toeplitz", "--symbol", f"0:1, {SYMBOL_BAND_CAP}:0.5", "--out", "/dev/null"]) == EXIT_OK
+
+
+def _assert_one_validation_line(argv, capsys):
+    assert main(argv) == EXIT_VALIDATION, argv
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["render", "index"])
+def test_documents_not_utf8_are_validation_errors(command, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"kind": "carpet", "label": "\xff"}')
+    if command == "render":
+        argv = ["render", "--input", str(path)]
+    else:
+        argv = ["index", "--pieces", str(path), "--loop", "0,0 1,0 1,1"]
+    _assert_one_validation_line(argv, capsys)
+
+
+@pytest.mark.parametrize("case", ["nesting", "integer"])
+def test_documents_beyond_the_json_decoder_limits_are_validation_errors(case, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    if case == "nesting":
+        path.write_text("[" * 200_000)
+    else:
+        digits = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) + 1
+        path.write_text('{"kind": "carpet", "schema_version": 1, "level": ' + "7" * digits + "}")
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)

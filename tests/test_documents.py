@@ -13,12 +13,12 @@ from quasifractal.document import (
     dumps_document,
     format_rational,
     loads_document,
-    parse_rational,
     pieces_to_document,
     stage2_to_document,
     stage3_to_document,
 )
 from quasifractal.errors import CapacityError, ParameterError, UnsupportedGeometryError
+from quasifractal.geometry import rational
 from quasifractal.planar import CARPET, GASKET, build_planar
 from quasifractal.render import export_obj, render_svg
 from quasifractal.spatial import (
@@ -33,8 +33,8 @@ from quasifractal.topology import HoleSet
 def test_rational_codec():
     assert format_rational(F(3, 4)) == "3/4"
     assert format_rational(F(6, 3)) == "2"
-    assert parse_rational("3/4") == F(3, 4)
-    assert parse_rational(format_rational(F(-7, 12))) == F(-7, 12)
+    assert rational("3/4") == F(3, 4)
+    assert rational(format_rational(F(-7, 12))) == F(-7, 12)
 
 
 def test_format_rational_beyond_digit_limit_is_a_capacity_error():

@@ -11,7 +11,9 @@ from helpers import (
     pt,
     random_point_off_loop,
     square_loop,
+    star_loop,
     union_length_oracle,
+    winding_oracle,
 )
 from quasifractal.errors import (
     CapacityError,
@@ -31,10 +33,13 @@ from quasifractal.geometry import (
     SegmentIndex,
     area_vector,
     check_depth,
+    cross2,
     geometric_sum,
+    midpoint,
     on_segment,
     point_in_polygon,
     rational,
+    ring_edges,
     ring_segments,
     scale_factor,
     segment_components,
@@ -450,3 +455,24 @@ def test_simplex_children_keep_a_vertex_and_take_edge_midpoints(n):
         for j, v in enumerate(kid):
             expected = verts[i] if i == j else point(*((p + q) / 2 for p, q in zip(verts[i].coords, verts[j].coords)))
             assert v == expected
+
+
+def test_point_in_polygon_matches_angle_sum_on_concave_loops():
+    rng = random.Random(29)
+    concave = 0
+    for _ in range(60):
+        ccw = star_loop(rng)
+        v = ccw.vertices
+        concave += any(cross2(a, b, c) < 0 for a, b, c in zip(v, v[1:] + v[:1], v[2:] + v[:2]))
+        for loop in (ccw, Loop(ccw.vertices[::-1])):
+            for _ in range(10):
+                p = random_point_off_loop(rng, loop, span=12)
+                assert point_in_polygon(loop, p) == (INSIDE if winding_oracle(loop, p) else OUTSIDE)
+            a, b = loop.vertices[:2]
+            assert point_in_polygon(loop, a) == point_in_polygon(loop, midpoint(a, b)) == BOUNDARY
+    assert concave >= 30
+
+
+def test_ring_edges_close_the_ring():
+    verts = (pt(0, 0), pt(1, 0), pt(0, 1))
+    assert list(ring_edges(verts)) == [(verts[0], verts[1]), (verts[1], verts[2]), (verts[2], verts[0])]

@@ -1,14 +1,17 @@
 """Carpet and gasket subdivision: piece counts, exact areas, boundaries."""
 
 
+import random
+
 import pytest
 
-from helpers import F
+from helpers import F, pt
 from quasifractal.errors import CapacityError, ParameterError
-from quasifractal.geometry import SegmentIndex, signed_area
+from quasifractal.geometry import Loop, SegmentIndex, signed_area
 from quasifractal.planar import (
     CARPET,
     GASKET,
+    TriangleCell,
     area_accounting,
     boundary_of_rest,
     build_planar,
@@ -177,3 +180,17 @@ def test_similarity_dimensions():
     assert abs(similarity_dimension(GASKET) - math.log(3) / math.log(2)) < 1e-15
     with pytest.raises(ParameterError):
         similarity_dimension("menger")
+
+
+def test_triangle_area_is_the_shoelace_area():
+    rng = random.Random(31)
+    signs = set()
+    for _ in range(100):
+        verts = tuple(pt(F(rng.randint(-40, 40), rng.randint(1, 6)), rng.randint(-9, 9)) for _ in range(3))
+        if len({v.coords for v in verts}) < 3:
+            continue
+        for ring in (verts, verts[::-1]):
+            area = TriangleCell(*ring).area
+            assert area == signed_area(Loop(ring))
+            signs.add((area > 0) - (area < 0))
+    assert signs >= {1, -1}
