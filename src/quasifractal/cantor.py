@@ -73,13 +73,13 @@ def level0(a: Union[Fraction, str, int]) -> Stage2:
     )
 
 
-def refine(stage: Stage2, workers: int = 1) -> Stage2:
+def refine(stage: Stage2) -> Stage2:
     """One subdivision step: each cell is replaced by its 4 corner children.
 
     The children's boundaries are appended to the retained segment set
     (deduplicated in canonical form) and the input stage is left unchanged.
     Children are emitted parent by parent in letter order, so the cells
-    stay in address order. `workers` is accepted and ignored.
+    stay in address order.
     """
     if stage.level >= DEPTH_CAP:
         raise CapacityError(f"depth cap {DEPTH_CAP} reached at level {stage.level}")
@@ -103,7 +103,7 @@ def build(params: Params2, workers: int = 1) -> Stage2:
     check_depth(params.depth, DEPTH_CAP)
     stage = level0(params.a)
     for _ in range(params.depth):
-        stage = refine(stage, workers=workers)
+        stage = refine(stage)
     return stage
 
 

@@ -23,6 +23,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -94,7 +95,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--threads", type=int, help="accepted (must be >= 1) but has no effect")
-        p.add_argument("--seed", type=int, help="seed for randomized batches")
 
     p = sub.add_parser("gen2d", help="corner-squares Cantor stage -> JSON")
     common(p)
@@ -136,6 +136,7 @@ def build_parser() -> _Parser:
         help=f"cross-validate both winding methods on N random symbols (cap {RANDOM_CHECK_CAP})",
     )
     p.add_argument("--samples", type=int, help="initial circle sample count")
+    p.add_argument("--seed", type=int, help="seed for the --random-check draws (default 0)")
 
     p = sub.add_parser("render", help="render a stage document to SVG or OBJ")
     common(p)
@@ -202,10 +203,14 @@ def parse_loop(text: str) -> Loop:
     return Loop(tuple(points))
 
 
+def _rational_or_none(x: Fraction | None) -> str | None:
+    return None if x is None else document.format_rational(x)
+
+
 def _series_json(series: cantor.PerimeterSeries) -> dict:
     return {
         "partial_sum": document.format_rational(series.partial_sum),
-        "limit": None if series.limit is None else document.format_rational(series.limit),
+        "limit": _rational_or_none(series.limit),
         "finite": series.finite,
     }
 
@@ -229,15 +234,11 @@ def _stage2_measures(stage: cantor.Stage2) -> dict:
 
 def _pieces_measures(ps: planar.PieceSet) -> dict:
     account = planar.area_accounting(ps)
-    by_level: dict[str, int] = {}
-    for piece in ps.removed:
-        key = str(piece.birth_level)
-        by_level[key] = by_level.get(key, 0) + 1
     return {
         "kept_count": len(ps.kept),
         "kept_area": document.format_rational(account.kept_area),
         "removed_area": document.format_rational(account.removed_area),
-        "removed_by_level": by_level,
+        "removed_by_level": dict(Counter(str(piece.birth_level) for piece in ps.removed)),
         "similarity_dimension": planar.similarity_dimension(ps.kind),
     }
 
@@ -255,12 +256,8 @@ def _stage3_measures(stage: spatial.Stage3) -> dict:
         measures["series"] = {
             "edge_length_sum": document.format_rational(series.edge_length_sum),
             "face_area_sum": document.format_rational(series.face_area_sum),
-            "edge_limit": None
-            if series.edge_limit is None
-            else document.format_rational(series.edge_limit),
-            "area_limit": None
-            if series.area_limit is None
-            else document.format_rational(series.area_limit),
+            "edge_limit": _rational_or_none(series.edge_limit),
+            "area_limit": _rational_or_none(series.area_limit),
             "edge_finite": series.edge_finite,
             "area_finite": series.area_finite,
         }

@@ -15,7 +15,7 @@ from functools import wraps
 
 from .cantor import Params2, Stage2
 from .errors import CapacityError, ParameterError, QuasifractalError
-from .geometry import Cell, Loop, Point2, Point3, Segment, rational
+from .geometry import Cell, Loop, Point2, Point3, Segment, rational, sorted_segments
 from .planar import CARPET, GASKET, Piece, PieceSet, SquareCell, TriangleCell
 from .spatial import CUBE_WIREFRAME, TETRA_GASKET, Face3, SpatialVariant, Stage3, TetraCell
 
@@ -24,8 +24,7 @@ SCHEMA_VERSION = 1
 _KINDS = ("cantor2d", CARPET, GASKET, CUBE_WIREFRAME, TETRA_GASKET)
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+def format_rational(x: Fraction | int) -> str:
     try:
         return str(x)
     except ValueError as exc:  # beyond the interpreter's int-to-str digit limit
@@ -55,8 +54,7 @@ def _cells(data, dim: int) -> list[Cell]:
 
 
 def _segments_json(segments) -> list:
-    ordered = sorted(segments, key=lambda s: s.sort_key)
-    return [[_point_json(s.a), _point_json(s.b)] for s in ordered]
+    return [[_point_json(s.a), _point_json(s.b)] for s in sorted_segments(segments)]
 
 
 def _loop_json(loop: Loop) -> list:
@@ -138,9 +136,9 @@ def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
 @_reads_shape
 def document_to_pieces(doc: dict) -> PieceSet:
     kind = doc.get("kind")
+    _check(doc, kind)
     if kind not in (CARPET, GASKET):
         raise ParameterError(f"not a planar piece document: kind={kind!r}")
-    _check(doc, kind)
     if kind == CARPET:
         kept = [
             SquareCell(_point(c["corner"]), rational(c["side"])) for c in doc["kept"]
@@ -194,9 +192,9 @@ def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
 @_reads_shape
 def document_to_stage3(doc: dict) -> Stage3:
     kind = doc.get("kind")
+    _check(doc, kind)
     if kind not in (CUBE_WIREFRAME, TETRA_GASKET):
         raise ParameterError(f"not a spatial stage document: kind={kind!r}")
-    _check(doc, kind)
     params = doc["params"]
     variant = SpatialVariant(
         kind, rational(params["a"]) if kind == CUBE_WIREFRAME else None
@@ -235,6 +233,7 @@ def dumps_document(doc: dict) -> str:
 
 
 def loads_document(text: str) -> dict:
+    """Parse a document of a known kind; its reader checks the schema_version."""
     # Besides JSONDecodeError (a ValueError), the decoder raises ValueError for
     # an integer literal beyond the int-to-str digit limit and RecursionError
     # for nesting beyond its depth.
@@ -244,5 +243,4 @@ def loads_document(text: str) -> dict:
         raise ParameterError(f"invalid JSON document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("kind") not in _KINDS:
         raise ParameterError("not a quasifractal stage document")
-    _check(doc, doc["kind"])
     return doc

@@ -130,9 +130,10 @@ class Segment:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
 
-    @property
-    def sort_key(self):
-        return (self.a.coords, self.b.coords)
+
+def sorted_segments(segments: Iterable[Segment]) -> list[Segment]:
+    """Segments in their canonical output order: by first, then second endpoint."""
+    return sorted(segments, key=lambda s: (s.a.coords, s.b.coords))
 
 
 def ring_edges(vertices: Sequence[Point]) -> Iterator[tuple[Point, Point]]:

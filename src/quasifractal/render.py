@@ -14,7 +14,7 @@ from typing import Union
 
 from .cantor import Stage2
 from .errors import UnsupportedGeometryError
-from .geometry import Loop, Point2
+from .geometry import Loop, Point2, sorted_segments
 from .planar import CARPET, PieceSet, base_cell
 from .spatial import Stage3
 from .topology import HoleSet, index_vector
@@ -46,41 +46,61 @@ def _level_color(level: int) -> str:
 
 
 class _Canvas:
-    """Collects drawing elements, then emits SVG with a flipped y axis."""
+    """Collects drawing elements, then emits SVG with a flipped y axis.
+
+    Each drawing method records the element's points, which set the
+    bounds, and a formatter `(fy, scale) -> str` that writes the element
+    once `emit` knows the y flip `fy` and the stroke scale. Callers pass
+    point tuples: a generator would be consumed twice.
+    """
 
     def __init__(self):
-        self.elements: list[str] = []
-        self._xs: list[Fraction] = []
-        self._ys: list[Fraction] = []
-        self._pending: list = []
+        self._points: list[Point2] = []
+        self._elements: list = []
 
-    def _see(self, p: Point2):
-        self._xs.append(p.x)
-        self._ys.append(p.y)
-
-    def rect(self, corner: Point2, side: Fraction, fill: str, stroke: str | None = None):
-        self._see(corner)
-        self._see(Point2(corner.x + side, corner.y + side))
-        self._pending.append(("rect", corner, side, fill, stroke))
+    def rect(self, corner: Point2, side: Fraction, fill: str):
+        far = Point2(corner.x + side, corner.y + side)
+        self._points += (corner, far)
+        self._elements.append(
+            lambda fy, scale: f'<rect x="{fmt(corner.x)}" y="{fmt(fy(far.y))}" '
+            f'width="{fmt(side)}" height="{fmt(side)}" fill="{fill}"/>'
+        )
 
     def polygon(self, vertices, fill: str):
-        for v in vertices:
-            self._see(v)
-        self._pending.append(("polygon", tuple(vertices), fill))
+        self._points += vertices
+
+        def element(fy, scale):
+            d = " L ".join(f"{fmt(v.x)} {fmt(fy(v.y))}" for v in vertices)
+            return f'<path d="M {d} Z" fill="{fill}"/>'
+
+        self._elements.append(element)
 
     def polyline(self, points, stroke: str, width_frac: float = 0.004):
-        for p in points:
-            self._see(p)
-        self._pending.append(("polyline", tuple(points), stroke, width_frac))
+        self._points += points
+
+        def element(fy, scale):
+            pts = " ".join(f"{fmt(p.x)},{fmt(fy(p.y))}" for p in points)
+            return (
+                f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
+                f'stroke-width="{fmt(width_frac * scale)}" stroke-linecap="square"/>'
+            )
+
+        self._elements.append(element)
 
     def text(self, at: Point2, content: str, size_frac: float = 0.05):
-        self._see(at)
-        self._pending.append(("text", at, content, size_frac))
+        self._points.append(at)
+        self._elements.append(
+            lambda fy, scale: f'<text x="{fmt(at.x)}" y="{fmt(fy(at.y))}" '
+            f'font-size="{fmt(size_frac * scale)}" font-family="sans-serif" '
+            f'text-anchor="middle">{content}</text>'
+        )
 
     def emit(self) -> str:
-        if self._xs:
-            xmin, xmax = min(self._xs), max(self._xs)
-            ymin, ymax = min(self._ys), max(self._ys)
+        if self._points:
+            xs = [p.x for p in self._points]
+            ys = [p.y for p in self._points]
+            xmin, xmax = min(xs), max(xs)
+            ymin, ymax = min(ys), max(ys)
         else:
             xmin = ymin = Fraction(0)
             xmax = ymax = Fraction(1)
@@ -94,53 +114,21 @@ class _Canvas:
         width = xmax - xmin + 2 * margin
         height = ymax - ymin + 2 * margin
         view = f"{fmt(xmin - margin)} {fmt(ymin - margin)} {fmt(width)} {fmt(height)}"
+        scale = float(span)
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}" '
             f'width="640" height="640">',
+            *(element(fy, scale) for element in self._elements),
+            "</svg>",
         ]
-        scale = float(span)
-        for item in self._pending:
-            kind = item[0]
-            if kind == "rect":
-                _, corner, side, fill, stroke = item
-                y_top = fy(corner.y + side)
-                attrs = f'fill="{fill}"'
-                if stroke:
-                    attrs += f' stroke="{stroke}" stroke-width="{fmt(0.002 * scale)}"'
-                out.append(
-                    f'<rect x="{fmt(corner.x)}" y="{fmt(y_top)}" '
-                    f'width="{fmt(side)}" height="{fmt(side)}" {attrs}/>'
-                )
-            elif kind == "polygon":
-                _, vertices, fill = item
-                d = " ".join(
-                    f"{'M' if i == 0 else 'L'} {fmt(v.x)} {fmt(fy(v.y))}"
-                    for i, v in enumerate(vertices)
-                )
-                out.append(f'<path d="{d} Z" fill="{fill}"/>')
-            elif kind == "polyline":
-                _, points, stroke, width_frac = item
-                pts = " ".join(f"{fmt(p.x)},{fmt(fy(p.y))}" for p in points)
-                out.append(
-                    f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-                    f'stroke-width="{fmt(width_frac * scale)}" stroke-linecap="square"/>'
-                )
-            elif kind == "text":
-                _, at, content, size_frac = item
-                out.append(
-                    f'<text x="{fmt(at.x)}" y="{fmt(fy(at.y))}" '
-                    f'font-size="{fmt(size_frac * scale)}" font-family="sans-serif" '
-                    f'text-anchor="middle">{content}</text>'
-                )
-        out.append("</svg>")
         return "\n".join(out) + "\n"
 
 
 def _draw_stage2(canvas: _Canvas, stage: Stage2) -> None:
     for cell in stage.cells:
         canvas.rect(cell.corner, cell.side, fill=_KEPT_FILL)
-    for segment in sorted(stage.segments, key=lambda s: s.sort_key):
+    for segment in sorted_segments(stage.segments):
         canvas.polyline((segment.a, segment.b), stroke=_STROKE, width_frac=0.002)
 
 
@@ -207,8 +195,7 @@ def export_obj(stage: Stage3) -> str:
             vertices.append(point)
         return got
 
-    skeleton = sorted(stage.skeleton, key=lambda s: s.sort_key)
-    lines = [(vid(s.a), vid(s.b)) for s in skeleton]
+    lines = [(vid(s.a), vid(s.b)) for s in sorted_segments(stage.skeleton)]
     faces = [tuple(vid(v) for v in face.boundary) for face in stage.pieces]
     out = [
         f"# quasifractal {stage.variant.kind} stage, level {stage.level}",

@@ -184,6 +184,18 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert main(["gen2d", "--config", str(config), "--a", "1/5", "--depth", "1"]) == EXIT_VALIDATION
 
 
+def test_seed_belongs_to_toeplitz_only(tmp_path, capsys):
+    base = ["gen2d", "--a", "1/3", "--depth", "1", "--out", str(tmp_path / "s.json")]
+    assert main(base + ["--seed", "3"]) == EXIT_USAGE
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 3\n")
+    assert main(base + ["--config", str(config)]) == EXIT_VALIDATION
+    assert not (tmp_path / "s.json").exists()
+    capsys.readouterr()
+    assert main(["toeplitz", "--symbol", "1:1", "--random-check", "2", "--seed", "3"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["random_check"]["seed"] == 3
+
+
 def test_config_file_not_utf8_is_a_validation_error(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_bytes(b"depth = 1 # \xff\xfe\n")

@@ -4,6 +4,13 @@ Each case runs one generating command and pins the SHA-256 of the JSON
 document and of its SVG or OBJ companion. The digests were recorded from
 the code before the cell model was shared between the constructions, so
 any change to coordinates, order or formatting shows up here.
+
+The overlay cases render a piece document with a loop, which draws the
+red overlay polyline and one `<text>` index label per hole. The carpet
+loop runs clockwise inside the unit square (entries -1 and 0); the
+gasket loop reaches outside it, so the loop sets the picture's bounds.
+Their digests were recorded before the SVG canvas formatted each element
+as it is drawn.
 """
 
 import hashlib
@@ -64,3 +71,23 @@ def test_outputs_are_byte_identical(name, tmp_path):
     doc, side = tmp_path / "out.json", tmp_path / f"out.{companion}"
     assert main(argv + ["--out", str(doc), f"--{companion}", str(side)]) == EXIT_OK
     assert {"json": _sha256(doc), companion: _sha256(side)} == DIGESTS[name]
+
+
+OVERLAYS = {
+    "carpet-d2": (["carpet", "--depth", "2"], "1/7,6/7 6/7,7/8 7/9,1/8 1/8,1/9"),
+    "gasket-d3": (["gasket", "--depth", "3"], "-1/5,-1/7 6/5,1/9 1/2,13/10"),
+}
+
+OVERLAY_DIGESTS = {
+    "carpet-d2": "defa7f69852bb2f94291d70efd49930df6daba5c16c4173b8632de7bad308c31",
+    "gasket-d3": "ca1e83a5765c08d96d41239785a5647d7cc612352f5e71c73a069f8ea17481d0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAYS))
+def test_loop_overlays_are_byte_identical(name, tmp_path):
+    argv, loop = OVERLAYS[name]
+    doc, svg = tmp_path / "out.json", tmp_path / "out.svg"
+    assert main(argv + ["--out", str(doc)]) == EXIT_OK
+    assert main(["render", "--input", str(doc), "--loop", loop, "--out", str(svg)]) == EXIT_OK
+    assert _sha256(svg) == OVERLAY_DIGESTS[name]

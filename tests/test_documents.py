@@ -95,7 +95,7 @@ def test_loads_document_rejects_junk():
     doc = stage2_to_document(stage)
     doc["schema_version"] = 99
     with pytest.raises(ParameterError):
-        loads_document(dumps_document(doc))
+        document_to_stage2(loads_document(dumps_document(doc)))
     with pytest.raises(ParameterError):
         document_to_pieces(stage2_to_document(stage))
 
