@@ -37,6 +37,7 @@ from .geometry import (
     Point2,
     Point3,
     Segment,
+    Simplex,
     point_in_polygon,
     rational,
     segment_components,

@@ -13,11 +13,12 @@ import json
 from fractions import Fraction
 from functools import wraps
 
-from .cantor import Params2, Stage2
+from .cantor import DEPTH_CAP, Params2, Stage2
 from .errors import CapacityError, ParameterError, QuasifractalError
-from .geometry import Cell, Loop, Point2, Point3, Segment, rational, sorted_segments
-from .planar import CARPET, GASKET, Piece, PieceSet, SquareCell, TriangleCell
-from .spatial import CUBE_WIREFRAME, TETRA_GASKET, Face3, SpatialVariant, Stage3, TetraCell
+from .geometry import Cell, Loop, Point2, Point3, Segment, Simplex, check_depth, rational
+from .geometry import sorted_segments
+from .planar import CARPET, GASKET, Piece, PieceSet
+from .spatial import CUBE_WIREFRAME, TETRA_GASKET, Face3, SpatialVariant, Stage3
 
 SCHEMA_VERSION = 1
 
@@ -42,6 +43,13 @@ def _point(data, dim: int = 2):
     return (Point2, Point3)[dim - 2](*[rational(c) for c in data])
 
 
+def _vertices(data, dim: int) -> tuple:
+    """Read the dim + 1 vertices of a triangle (dim 2) or tetrahedron (dim 3)."""
+    if len(data) != dim + 1:
+        raise ParameterError(f"expected {dim + 1} vertices, got {len(data)}")
+    return tuple(_point(v, dim) for v in data)
+
+
 def _cells_json(cells) -> list:
     return [
         {"address": c.address, "corner": _point_json(c.corner), "side": format_rational(c.side)}
@@ -64,9 +72,9 @@ def _loop_json(loop: Loop) -> list:
 def _reads_shape(read):
     """Report a document whose shape does not fit its kind as ParameterError.
 
-    A missing key, a wrong type or a wrong length surfaces while the
-    reader indexes and unpacks the document; the CLI maps ParameterError
-    to exit 2.
+    A missing key, a wrong type, a wrong length or a JSON `Infinity`
+    surfaces while the reader indexes, unpacks and converts the document;
+    the CLI maps ParameterError to exit 2.
     """
 
     @wraps(read)
@@ -75,7 +83,7 @@ def _reads_shape(read):
             return read(doc)
         except QuasifractalError:
             raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ParameterError(
                 f"malformed {doc.get('kind')} document: {type(exc).__name__}: {exc}"
             ) from exc
@@ -101,9 +109,17 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
 def document_to_stage2(doc: dict) -> Stage2:
     _check(doc, "cantor2d")
     params = Params2(rational(doc["params"]["a"]), int(doc["params"]["depth"]))
+    level = check_depth(int(doc["level"]), DEPTH_CAP, what="level")
     cells = _cells(doc["cells"], 2)
+    side = params.a**level
+    if (
+        level != params.depth
+        or len(cells) != 4**level
+        or any(c.side != side or c.level != level for c in cells)
+    ):
+        raise ParameterError(f"cantor2d cells do not match level {level} and depth {params.depth}")
     segments = {Segment(_point(a), _point(b)) for a, b in doc["segments"]}
-    return Stage2(params=params, level=int(doc["level"]), cells=cells, segments=segments)
+    return Stage2(params=params, level=level, cells=cells, segments=segments)
 
 
 def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
@@ -113,7 +129,7 @@ def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
             for cell in ps.kept
         ]
     else:
-        kept = [{"vertices": [_point_json(v) for v in (c.v0, c.v1, c.v2)]} for c in ps.kept]
+        kept = [{"vertices": [_point_json(v) for v in c.vertices]} for c in ps.kept]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": ps.kind,
@@ -140,11 +156,9 @@ def document_to_pieces(doc: dict) -> PieceSet:
     if kind not in (CARPET, GASKET):
         raise ParameterError(f"not a planar piece document: kind={kind!r}")
     if kind == CARPET:
-        kept = [
-            SquareCell(_point(c["corner"]), rational(c["side"])) for c in doc["kept"]
-        ]
+        kept = [Cell("", _point(c["corner"]), rational(c["side"])) for c in doc["kept"]]
     else:
-        kept = [TriangleCell(*(_point(v) for v in c["vertices"])) for c in doc["kept"]]
+        kept = [Simplex("", _vertices(c["vertices"], 2)) for c in doc["kept"]]
     removed = [
         Piece(
             Loop(tuple(_point(v) for v in r["boundary"])),
@@ -202,10 +216,7 @@ def document_to_stage3(doc: dict) -> Stage3:
     if kind == CUBE_WIREFRAME:
         cells = _cells(doc["cells"], 3)
     else:
-        cells = [
-            TetraCell(c["address"], tuple(_point(v, 3) for v in c["vertices"]))
-            for c in doc["cells"]
-        ]
+        cells = [Simplex(c["address"], _vertices(c["vertices"], 3)) for c in doc["cells"]]
     skeleton = {Segment(_point(a, 3), _point(b, 3)) for a, b in doc["skeleton"]}
     pieces = [
         Face3(

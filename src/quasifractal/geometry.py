@@ -36,7 +36,7 @@ def rational(value: Union[int, str, Fraction]) -> Fraction:
         return value
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ParameterError(f"not a rational number: {value!r}") from exc
 
 
@@ -162,6 +162,15 @@ _EDGES = {
     d: tuple((b, b | 1 << i) for b in range(1 << d) for i in range(d) if not b >> i & 1)
     for d in (2, 3)
 }
+# Face rings, counterclockwise seen from outside: the square's one face,
+# and the cube's low and high face across x, then y, then z.
+_FACES = {
+    d: tuple(itemgetter(*ring) for ring in rings)
+    for d, rings in (
+        (2, ((0, 1, 3, 2),)),
+        (3, ((0, 4, 6, 2), (1, 3, 7, 5), (0, 1, 5, 4), (2, 6, 7, 3), (0, 2, 3, 1), (4, 5, 7, 6))),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,8 @@ class Cell:
     Letter k of the address selects the corner child taken at subdivision
     step k (see `_CHILD_PICKS`), so with scale factor a the corner
     coordinates are sums of terms (1-a) * a^k and the side is a^len(address).
+    The carpet's 3 x 3 split is not a corner split, so its cells carry the
+    empty address.
     """
 
     address: str
@@ -193,6 +204,11 @@ class Cell:
     def edge_segments(self) -> tuple[Segment, ...]:
         verts = self.vertices()
         return tuple(Segment(verts[i], verts[j]) for i, j in _EDGES[len(self.corner.coords)])
+
+    def faces(self) -> tuple[tuple[Point, ...], ...]:
+        """The vertex rings of the faces, each counterclockwise seen from outside."""
+        verts = self.vertices()
+        return tuple(pick(verts) for pick in _FACES[len(self.corner.coords)])
 
     def children(self, a: Fraction) -> tuple["Cell", ...]:
         child_side = self.side * a
@@ -224,6 +240,12 @@ def _simplex_pattern(n: int):
 
 
 _SIMPLEX_PATTERNS = {n: _simplex_pattern(n) for n in (3, 4)}
+# Face rings of a positively oriented simplex, counterclockwise seen from
+# outside: the triangle's one face and the tetrahedron's four.
+_SIMPLEX_FACES = {
+    n: tuple(itemgetter(*ring) for ring in rings)
+    for n, rings in ((3, ((0, 1, 2),)), (4, ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))))
+}
 
 
 def simplex_children(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
@@ -235,6 +257,40 @@ def simplex_children(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
     edges, picks = _SIMPLEX_PATTERNS[len(vertices)]
     points = (*vertices, *[midpoint(vertices[i], vertices[j]) for i, j in edges])
     return [pick(points) for pick in picks]
+
+
+@dataclass(frozen=True)
+class Simplex:
+    """An addressed triangle (Point2 vertices) or tetrahedron (Point3 vertices).
+
+    Letter i of the address selects the corner child that keeps vertex i
+    (see `simplex_children`), so every descendant keeps the vertex order
+    and the orientation of its root.
+    """
+
+    address: str
+    vertices: tuple[Point, ...]
+
+    @property
+    def level(self) -> int:
+        return len(self.address)
+
+    def edge_segments(self) -> tuple[Segment, ...]:
+        verts = self.vertices
+        edges, _ = _SIMPLEX_PATTERNS[len(verts)]
+        return tuple(Segment(verts[i], verts[j]) for i, j in edges)
+
+    def faces(self) -> tuple[tuple[Point, ...], ...]:
+        """The vertex rings of the faces, each counterclockwise seen from outside."""
+        verts = self.vertices
+        return tuple(pick(verts) for pick in _SIMPLEX_FACES[len(verts)])
+
+    def children(self) -> tuple["Simplex", ...]:
+        address = self.address
+        return tuple(
+            Simplex(address + str(i), verts)
+            for i, verts in enumerate(simplex_children(self.vertices))
+        )
 
 
 @dataclass(frozen=True)
@@ -310,15 +366,17 @@ def winding_number(loop: Loop, p: Point2) -> int:
     straddles the ray line), so vertices on the ray need no perturbation.
     Raises IndeterminateWindingError if p lies on the loop.
     """
-    for a, b in loop.edges():
-        if on_segment(p, a, b):
-            raise IndeterminateWindingError(f"point {p} lies on the loop")
+    px, py = p.x, p.y
     winding = 0
     for a, b in loop.edges():
-        if a.y <= p.y:
-            if b.y > p.y and cross2(a, b, p) > 0:
+        c = cross2(a, b, p)
+        # p is on the edge iff it is collinear with it and inside its box
+        if c == 0 and min(a.x, b.x) <= px <= max(a.x, b.x) and min(a.y, b.y) <= py <= max(a.y, b.y):
+            raise IndeterminateWindingError(f"point {p} lies on the loop")
+        if a.y <= py:
+            if b.y > py and c > 0:
                 winding += 1
-        elif b.y <= p.y and cross2(a, b, p) < 0:
+        elif b.y <= py and c < 0:
             winding -= 1
     return winding
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ParameterError
-from .geometry import Loop, Point2, Segment, check_depth, cross2, ring_segments, signed_area
-from .geometry import simplex_children
+from .geometry import Cell, Loop, Point2, Segment, Simplex, check_depth, cross2, ring_segments
+from .geometry import signed_area, simplex_children
 
 CARPET = "carpet"
 GASKET = "gasket"
@@ -30,47 +30,7 @@ GASKET = "gasket"
 CARPET_DEPTH_CAP = 7
 GASKET_DEPTH_CAP = 12
 
-
-@dataclass(frozen=True)
-class SquareCell:
-    """An axis-aligned kept square of the carpet."""
-
-    corner: Point2
-    side: Fraction
-
-    @property
-    def area(self) -> Fraction:
-        return self.side * self.side
-
-    def boundary_loop(self) -> Loop:
-        x, y, s = self.corner.x, self.corner.y, self.side
-        x1, y1 = x + s, y + s
-        return Loop((self.corner, Point2(x1, y), Point2(x1, y1), Point2(x, y1)))
-
-    def boundary_segments(self) -> tuple[Segment, ...]:
-        return ring_segments(self.boundary_loop().vertices)
-
-
-@dataclass(frozen=True)
-class TriangleCell:
-    """A kept triangle of the gasket, vertices in counterclockwise order."""
-
-    v0: Point2
-    v1: Point2
-    v2: Point2
-
-    @property
-    def area(self) -> Fraction:
-        return cross2(self.v0, self.v1, self.v2) / 2
-
-    def boundary_loop(self) -> Loop:
-        return Loop((self.v0, self.v1, self.v2))
-
-    def boundary_segments(self) -> tuple[Segment, ...]:
-        return ring_segments((self.v0, self.v1, self.v2))
-
-
-PlanarCell = Union[SquareCell, TriangleCell]
+PlanarCell = Union[Cell, Simplex]
 
 
 @dataclass(frozen=True)
@@ -96,31 +56,35 @@ class PieceSet:
     removed: list[Piece]
 
 
-def _carpet_children(cell: SquareCell):
+def _carpet_children(cell: Cell):
     third = cell.side / 3
     x0, y0 = cell.corner.x, cell.corner.y
     xs = (x0, x0 + third, x0 + third + third)
     ys = (y0, y0 + third, y0 + third + third)
-    kept = [SquareCell(Point2(x, y), third) for y in ys for x in xs]
-    center = kept.pop(4)
-    return kept, [center.boundary_loop()]
+    kept = [Cell("", Point2(x, y), third) for y in ys for x in xs]
+    centre = kept.pop(4)
+    return kept, [Loop(*centre.faces())]
 
 
-def _gasket_children(cell: TriangleCell):
-    corners = simplex_children((cell.v0, cell.v1, cell.v2))
+def _gasket_children(cell: Simplex):
+    corners = simplex_children(cell.vertices)
     # the middle triangle's vertices are the midpoints m01, m12, m02
     removed = [Loop((corners[0][1], corners[1][2], corners[0][2]))]
-    return [TriangleCell(*verts) for verts in corners], removed
+    return [Simplex("", verts) for verts in corners], removed
 
 
 def base_cell(kind: str) -> PlanarCell:
+    """The level-0 cell. Documents store no cell address, so cells keep the empty one."""
     if kind == CARPET:
-        return SquareCell(Point2(Fraction(0), Fraction(0)), Fraction(1))
+        return Cell("", Point2(Fraction(0), Fraction(0)), Fraction(1))
     if kind == GASKET:
-        return TriangleCell(
-            Point2(Fraction(0), Fraction(0)),
-            Point2(Fraction(1), Fraction(0)),
-            Point2(Fraction(1, 2), Fraction(1)),
+        return Simplex(
+            "",
+            (
+                Point2(Fraction(0), Fraction(0)),
+                Point2(Fraction(1), Fraction(0)),
+                Point2(Fraction(1, 2), Fraction(1)),
+            ),
         )
     raise ParameterError(f"unknown planar variant {kind!r} (expected carpet or gasket)")
 
@@ -160,8 +124,13 @@ def area_accounting(ps: PieceSet) -> AreaAccount:
     """Exact area split: kept + removed equals the level-0 cell area.
 
     Carpet kept area is (8/9)^level; gasket kept area is (3/4)^level * 1/2.
+    Both sums run cell by cell, so criterion 5 checks those laws rather
+    than assumes them.
     """
-    kept_area = sum((cell.area for cell in ps.kept), Fraction(0))
+    if ps.kind == CARPET:
+        kept_area = sum((cell.side * cell.side for cell in ps.kept), Fraction(0))
+    else:
+        kept_area = sum((cross2(*cell.vertices) / 2 for cell in ps.kept), Fraction(0))
     removed_area = sum((piece.area for piece in ps.removed), Fraction(0))
     return AreaAccount(kept_area=kept_area, removed_area=removed_area)
 
@@ -173,7 +142,7 @@ def boundary_of_rest(ps: PieceSet) -> set[Segment]:
     topological boundary of the open complement (removed interiors plus
     the unbounded outside).
     """
-    segments: set[Segment] = set(base_cell(ps.kind).boundary_segments())
+    segments: set[Segment] = set(ring_segments(*base_cell(ps.kind).faces()))
     for piece in ps.removed:
         segments.update(ring_segments(piece.boundary.vertices))
     return segments

@@ -133,15 +133,14 @@ def _draw_stage2(canvas: _Canvas, stage: Stage2) -> None:
 
 
 def _draw_pieces(canvas: _Canvas, ps: PieceSet) -> None:
-    base = base_cell(ps.kind)
     for cell in ps.kept:
         if ps.kind == CARPET:
             canvas.rect(cell.corner, cell.side, fill=_KEPT_FILL)
         else:
-            canvas.polygon((cell.v0, cell.v1, cell.v2), fill=_KEPT_FILL)
+            canvas.polygon(cell.vertices, fill=_KEPT_FILL)
     for piece in ps.removed:
         canvas.polygon(piece.boundary.vertices, fill=_level_color(piece.birth_level))
-    outer = base.boundary_loop().vertices
+    (outer,) = base_cell(ps.kind).faces()
     canvas.polyline(outer + (outer[0],), stroke=_STROKE, width_frac=0.002)
 
 

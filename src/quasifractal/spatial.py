@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import sqrt
 from typing import Union
 
 from .errors import ParameterError
-from .geometry import Cell, Point3, Segment, SegmentIndex, area_vector, check_depth, geometric_sum
-from .geometry import ring_edges, scale_factor, segment_components, simplex_children
+from .geometry import Cell, Point3, Segment, SegmentIndex, Simplex, area_vector, check_depth
+from .geometry import geometric_sum, ring_edges, scale_factor, segment_components
 
 CUBE_WIREFRAME = "cube_wireframe"
 TETRA_GASKET = "tetra_gasket"
@@ -45,8 +44,6 @@ _TETRA_BASE = (
     Point3(Fraction(0), Fraction(1), Fraction(0)),
     Point3(Fraction(0), Fraction(0), Fraction(1)),
 )
-# outward-oriented faces of a positively oriented tetrahedron
-_TETRA_FACES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -92,47 +89,7 @@ class Face3:
         return tuple(ring_edges(self.boundary))
 
 
-def cube_faces(cell: Cell) -> tuple[Face3, ...]:
-    """The 6 square faces of a cube cell, each counterclockwise seen from outside."""
-    verts = cell.vertices()
-    out = []
-    for axis in range(3):
-        bit_axis, bit_u, bit_v = 1 << axis, 1 << ((axis + 1) % 3), 1 << ((axis + 2) % 3)
-        for high in (0, 1):
-            locals_uv = ((0, 0), (1, 0), (1, 1), (0, 1)) if high else ((0, 0), (0, 1), (1, 1), (1, 0))
-            pts = tuple(verts[high * bit_axis + lu * bit_u + lv * bit_v] for lu, lv in locals_uv)
-            out.append(Face3.of(pts, cell.level))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class TetraCell:
-    address: str
-    vertices: tuple[Point3, Point3, Point3, Point3]
-
-    @property
-    def level(self) -> int:
-        return len(self.address)
-
-    def edge_segments(self) -> tuple[Segment, ...]:
-        return tuple(
-            Segment(self.vertices[i], self.vertices[j]) for i, j in combinations(range(4), 2)
-        )
-
-    def faces(self) -> tuple[Face3, ...]:
-        return tuple(
-            Face3.of(tuple(self.vertices[i] for i in face), self.level)
-            for face in _TETRA_FACES
-        )
-
-    def children(self) -> tuple["TetraCell", ...]:
-        return tuple(
-            TetraCell(self.address + str(i), verts)
-            for i, verts in enumerate(simplex_children(self.vertices))
-        )
-
-
-Cell3 = Union[Cell, TetraCell]
+Cell3 = Union[Cell, Simplex]
 
 
 @dataclass
@@ -156,20 +113,18 @@ def build_spatial(variant: SpatialVariant, depth: int, workers: int = 1) -> Stag
     check_depth(depth, CUBE_DEPTH_CAP if cube else TETRA_DEPTH_CAP, what=f"{variant.kind} depth")
     if cube:
         root: Cell3 = Cell("", Point3(Fraction(0), Fraction(0), Fraction(0)), Fraction(1))
-        faces = cube_faces
     else:
-        root = TetraCell("", _TETRA_BASE)
-        faces = TetraCell.faces
+        root = Simplex("", _TETRA_BASE)
     cells: list[Cell3] = [root]
     skeleton: set[Segment] = set(root.edge_segments())
-    pieces: list[Face3] = list(faces(root))
-    for _ in range(depth):
+    pieces: list[Face3] = [Face3.of(ring, 0) for ring in root.faces()]
+    for level in range(1, depth + 1):
         parents, cells = cells, []
         for cell in parents:
             for child in cell.children(variant.a) if cube else cell.children():
                 cells.append(child)
                 skeleton.update(child.edge_segments())
-                pieces.extend(faces(child))
+                pieces.extend(Face3.of(ring, level) for ring in child.faces())
     return Stage3(
         variant=variant,
         level=depth,

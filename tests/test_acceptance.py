@@ -100,7 +100,7 @@ def test_criterion_4_connectivity():
 
 
 def test_criterion_5_quasifractal_completeness():
-    with criterion(5, "exact area partition (quasi-fractal completeness)"):
+    with criterion(5, "exact area partition (quasi-fractal completeness)", budget=30.0):
         for depth in range(7):
             account = area_accounting(build_planar(CARPET, depth))
             assert account.kept_area + account.removed_area == 1

@@ -352,3 +352,47 @@ def test_documents_beyond_the_json_decoder_limits_are_validation_errors(case, tm
         digits = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) + 1
         path.write_text('{"kind": "carpet", "schema_version": 1, "level": ' + "7" * digits + "}")
     _assert_one_validation_line(["render", "--input", str(path)], capsys)
+
+
+# Each breaks a depth-1 cantor2d document; "empty" leaves a depth-0 document without cells.
+CANTOR2D_MISMATCHES = {
+    "empty": lambda doc: doc.update(params={"a": "1/3", "depth": 0}, level=0, cells=[], segments=[]),
+    "level": lambda doc: doc.update(level=0),
+    "depth": lambda doc: doc["params"].update(depth=2),
+    "count": lambda doc: doc["cells"].pop(),
+    "side": lambda doc: doc["cells"][-1].update(side="1/9"),
+    "address": lambda doc: doc["cells"][-1].update(address="01"),
+}
+
+
+@pytest.mark.parametrize("mismatch", CANTOR2D_MISMATCHES)
+def test_cantor2d_cells_must_match_the_level(mismatch, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    assert main(["gen2d", "--a", "1/3", "--depth", "1", "--out", str(path)]) == EXIT_OK
+    assert main(["render", "--input", str(path), "--out", str(tmp_path / "s.svg")]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    CANTOR2D_MISMATCHES[mismatch](doc)
+    path.write_text(json.dumps(doc))
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)
+
+def test_cantor2d_level_above_the_cap_exits_capacity(tmp_path):
+    path = tmp_path / "s.json"
+    assert main(["gen2d", "--a", "1/3", "--depth", "0", "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["params"]["depth"] = doc["level"] = 10**6
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["render", "--input", str(path)]) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("kind", ["gen2d", "carpet"])
+def test_infinite_numbers_in_documents_are_validation_errors(kind, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    scale = ["--a", "1/3"] if kind == "gen2d" else []
+    assert main([kind, "--depth", "1", "--out", str(path)] + scale) == EXIT_OK
+    text = path.read_text()
+    for field in ('"level": 1', '"side": "1/3"'):
+        assert field in text
+        path.write_text(text.replace(field, field.split(":")[0] + ": Infinity", 1))
+        _assert_one_validation_line(["render", "--input", str(path)], capsys)

@@ -17,6 +17,7 @@ from helpers import (
 )
 from quasifractal.errors import (
     CapacityError,
+    IndeterminateWindingError,
     MalformedLoopError,
     ParameterError,
     UnsupportedGeometryError,
@@ -31,6 +32,7 @@ from quasifractal.geometry import (
     Point3,
     Segment,
     SegmentIndex,
+    Simplex,
     area_vector,
     check_depth,
     cross2,
@@ -457,6 +459,23 @@ def test_simplex_children_keep_a_vertex_and_take_edge_midpoints(n):
             assert v == expected
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_simplex_cell_edges_faces_and_children(n):
+    point = Point2 if n == 3 else Point3
+    verts = tuple(point(*(F(int(i == k + 1)) for k in range(n - 1))) for i in range(n))
+    cell = Simplex("2", verts)
+    assert cell.level == 1
+    assert set(cell.edge_segments()) == {Segment(p, q) for i, p in enumerate(verts) for q in verts[i + 1 :]}
+    rings = cell.faces()
+    if n == 3:
+        assert rings == (verts,)
+    else:  # face i is the one opposite vertex i
+        assert [set(ring) for ring in rings] == [set(verts) - {v} for v in verts]
+    kids = cell.children()
+    assert [k.address for k in kids] == ["2" + str(i) for i in range(n)]
+    assert [k.vertices for k in kids] == simplex_children(verts)
+
+
 def test_point_in_polygon_matches_angle_sum_on_concave_loops():
     rng = random.Random(29)
     concave = 0
@@ -471,6 +490,24 @@ def test_point_in_polygon_matches_angle_sum_on_concave_loops():
             a, b = loop.vertices[:2]
             assert point_in_polygon(loop, a) == point_in_polygon(loop, midpoint(a, b)) == BOUNDARY
     assert concave >= 30
+
+
+def test_winding_number_raises_exactly_on_the_loop():
+    # half-integer lattice points over integer loops: many land on vertices and edges
+    rng = random.Random(37)
+    on_loop = 0
+    for _ in range(60):
+        ccw = star_loop(rng, span=5)
+        for loop in (ccw, Loop(ccw.vertices[::-1])):
+            for _ in range(30):
+                p = pt(F(rng.randint(-10, 10), 2), F(rng.randint(-10, 10), 2))
+                if any(on_segment(p, a, b) for a, b in loop.edges()):
+                    on_loop += 1
+                    with pytest.raises(IndeterminateWindingError):
+                        winding_number(loop, p)
+                else:
+                    assert winding_number(loop, p) == winding_oracle(loop, p)
+    assert on_loop >= 200
 
 
 def test_ring_edges_close_the_ring():

@@ -1,17 +1,15 @@
 """Carpet and gasket subdivision: piece counts, exact areas, boundaries."""
 
 
-import random
-
 import pytest
 
-from helpers import F, pt
+from helpers import F
 from quasifractal.errors import CapacityError, ParameterError
-from quasifractal.geometry import Loop, SegmentIndex, signed_area
+from quasifractal.geometry import Loop, SegmentIndex, Simplex, signed_area
 from quasifractal.planar import (
     CARPET,
     GASKET,
-    TriangleCell,
+    PieceSet,
     area_accounting,
     boundary_of_rest,
     build_planar,
@@ -139,7 +137,7 @@ def test_removed_boundaries_lie_in_kept_boundaries_at_birth(kind):
         ps = build_planar(kind, depth)
         index_at = {
             level: SegmentIndex(
-                seg for cell in build_planar(kind, level).kept for seg in cell.boundary_segments()
+                seg for cell in build_planar(kind, level).kept for seg in cell.edge_segments()
             )
             for level in {p.birth_level for p in ps.removed}
         }
@@ -154,7 +152,7 @@ def test_removed_boundaries_lie_in_kept_boundaries_at_birth(kind):
 def test_kept_cells_are_ccw():
     for kind in (CARPET, GASKET):
         for cell in build_planar(kind, 2).kept:
-            assert signed_area(cell.boundary_loop()) > 0
+            assert signed_area(Loop(*cell.faces())) > 0
 
 
 def test_depth_cap_and_validation():
@@ -182,15 +180,10 @@ def test_similarity_dimensions():
         similarity_dimension("menger")
 
 
-def test_triangle_area_is_the_shoelace_area():
-    rng = random.Random(31)
-    signs = set()
-    for _ in range(100):
-        verts = tuple(pt(F(rng.randint(-40, 40), rng.randint(1, 6)), rng.randint(-9, 9)) for _ in range(3))
-        if len({v.coords for v in verts}) < 3:
-            continue
-        for ring in (verts, verts[::-1]):
-            area = TriangleCell(*ring).area
-            assert area == signed_area(Loop(ring))
-            signs.add((area > 0) - (area < 0))
-    assert signs >= {1, -1}
+def test_kept_area_is_the_shoelace_area_of_the_kept_cells():
+    gasket = build_planar(GASKET, 5)
+    clockwise = [Simplex("", cell.vertices[::-1]) for cell in gasket.kept]
+    for ps in (build_planar(CARPET, 3), gasket, PieceSet(GASKET, 5, clockwise, [])):
+        shoelace = sum(signed_area(Loop(*cell.faces())) for cell in ps.kept)
+        assert area_accounting(ps).kept_area == shoelace
+    assert shoelace < 0

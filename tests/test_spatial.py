@@ -5,7 +5,7 @@ import pytest
 
 from helpers import F, pairwise_components
 from quasifractal.errors import CapacityError, ParameterError
-from quasifractal.geometry import Point3, Segment, segment_components
+from quasifractal.geometry import Point3, Segment, area_vector, segment_components
 from quasifractal.spatial import (
     CUBE_WIREFRAME,
     TETRA_GASKET,
@@ -247,3 +247,19 @@ def test_face_edges_subset_of_own_cell_edges():
         for face in stage.pieces:
             for p, q in face.edges():
                 assert Segment(p, q) in skeleton
+
+
+def _centroid(points):
+    points = list(points)
+    return [sum(c) / len(points) for c in zip(*(p.coords for p in points))]
+
+
+@pytest.mark.parametrize("variant", [CUBE_THIRD, TETRA])
+def test_cell_faces_point_outward(variant):
+    for cell in build_spatial(variant, 1).cells:
+        rings = cell.faces()
+        assert len(rings) == (6 if variant is CUBE_THIRD else 4)
+        centre = _centroid({v for ring in rings for v in ring})
+        for ring in rings:
+            outward = [f - c for f, c in zip(_centroid(ring), centre)]
+            assert sum(n * d for n, d in zip(area_vector(ring), outward)) > 0
