@@ -10,6 +10,7 @@ emitted in canonical order so documents are byte-deterministic.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import wraps
 
@@ -17,10 +18,12 @@ from .cantor import DEPTH_CAP, Params2, Stage2
 from .errors import CapacityError, ParameterError, QuasifractalError
 from .geometry import Cell, Loop, Point2, Point3, Segment, Simplex, check_depth, rational
 from .geometry import sorted_segments
-from .planar import CARPET, GASKET, Piece, PieceSet
+from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, Piece, PieceSet
 from .spatial import CUBE_WIREFRAME, TETRA_GASKET, Face3, SpatialVariant, Stage3
 
 SCHEMA_VERSION = 1
+
+_string = json.encoder.encode_basestring_ascii
 
 _KINDS = ("cantor2d", CARPET, GASKET, CUBE_WIREFRAME, TETRA_GASKET)
 
@@ -155,6 +158,8 @@ def document_to_pieces(doc: dict) -> PieceSet:
     _check(doc, kind)
     if kind not in (CARPET, GASKET):
         raise ParameterError(f"not a planar piece document: kind={kind!r}")
+    cap, split = (CARPET_DEPTH_CAP, 8) if kind == CARPET else (GASKET_DEPTH_CAP, 3)
+    level = check_depth(int(doc["level"]), cap, what="level")
     if kind == CARPET:
         kept = [Cell("", _point(c["corner"]), rational(c["side"])) for c in doc["kept"]]
     else:
@@ -167,7 +172,18 @@ def document_to_pieces(doc: dict) -> PieceSet:
         )
         for r in doc["removed"]
     ]
-    return PieceSet(kind=kind, level=int(doc["level"]), kept=kept, removed=removed)
+    births = Counter(piece.birth_level for piece in removed)
+    thirds = 3**level  # a carpet cell's side is 1 / thirds
+    if (
+        len(kept) != split**level
+        or births != Counter({b: split ** (b - 1) for b in range(1, level + 1)})
+        or (
+            kind == CARPET
+            and any(c.side.numerator != 1 or c.side.denominator != thirds for c in kept)
+        )
+    ):
+        raise ParameterError(f"{kind} pieces do not match level {level}")
+    return PieceSet(kind=kind, level=level, kept=kept, removed=removed)
 
 
 def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
@@ -240,7 +256,35 @@ def _check(doc: dict, kind: str) -> None:
 
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The bytes of `json.dumps(doc, indent=2)` plus a newline, written directly.
+
+    On this layout the json module falls back to its pure-Python encoder,
+    which is most of a document's write time.
+    """
+    return _emit(doc, "\n") + "\n"
+
+
+def _emit(value, newline: str) -> str:
+    """One JSON value; `newline` is a line break plus the indent of the line it starts on."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # _string raises TypeError for a key that is not a str
+        items = [_string(key) + ": " + _emit(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if all(isinstance(item, str) for item in value):
+            items = map(_string, value)
+        else:
+            items = [_emit(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)
 
 
 def loads_document(text: str) -> dict:

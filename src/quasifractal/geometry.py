@@ -31,9 +31,15 @@ BOUNDARY = "boundary"
 
 
 def rational(value: Union[int, str, Fraction]) -> Fraction:
-    """Coerce an int, a Fraction, or a "p/q" string to an exact Fraction."""
+    """Coerce an int, a Fraction, or a "p/q" string to an exact Fraction.
+
+    A float or a bool is refused: a JSON number such as 0.1 would read as
+    its binary value, not as the decimal that was meant.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, (float, bool)):
+        raise ParameterError(f"not a rational number: {value!r} (write it as a \"p/q\" string)")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ParameterError
-from .geometry import Cell, Loop, Point2, Segment, Simplex, check_depth, cross2, ring_segments
+from .geometry import Cell, Loop, Point2, Segment, Simplex, check_depth, ring_segments
 from .geometry import signed_area, simplex_children
 
 CARPET = "carpet"
@@ -120,18 +120,47 @@ class AreaAccount:
     removed_area: Fraction
 
 
+def _lattice(denominators: set[int]) -> tuple[int, dict[int, int]]:
+    """D, the lcm of the denominators, and D // q for each denominator q."""
+    lcm = math.lcm(*denominators)
+    return lcm, {q: lcm // q for q in denominators}
+
+
+def _shoelace_sum(rings: list) -> Fraction:
+    """The summed signed areas of the vertex rings: twice each, as integers on the lattice."""
+    denominators = {p.x.denominator for ring in rings for p in ring}
+    denominators.update(p.y.denominator for ring in rings for p in ring)
+    lcm, scale = _lattice(denominators)
+    twice = 0
+    for ring in rings:
+        scaled = [
+            (p.x.numerator * scale[p.x.denominator], p.y.numerator * scale[p.y.denominator])
+            for p in ring
+        ]
+        x0, y0 = scaled[-1]
+        for x1, y1 in scaled:
+            twice += x0 * y1 - x1 * y0
+            x0, y0 = x1, y1
+    return Fraction(twice, 2 * lcm * lcm)
+
+
 def area_accounting(ps: PieceSet) -> AreaAccount:
     """Exact area split: kept + removed equals the level-0 cell area.
 
     Carpet kept area is (8/9)^level; gasket kept area is (3/4)^level * 1/2.
     Both sums run cell by cell, so criterion 5 checks those laws rather
-    than assumes them.
+    than assumes them. Each sum scales its sides or vertices by D, the
+    lcm of their denominators, adds integers and divides once: carpet
+    cells give the sum of (side * D)^2 over D^2, triangles and removed
+    rings the sum of their shoelace sums on the scaled vertices over 2 * D^2.
     """
     if ps.kind == CARPET:
-        kept_area = sum((cell.side * cell.side for cell in ps.kept), Fraction(0))
+        sides = [cell.side for cell in ps.kept]
+        lcm, scale = _lattice({s.denominator for s in sides})
+        kept_area = Fraction(sum((s.numerator * scale[s.denominator]) ** 2 for s in sides), lcm * lcm)
     else:
-        kept_area = sum((cross2(*cell.vertices) / 2 for cell in ps.kept), Fraction(0))
-    removed_area = sum((piece.area for piece in ps.removed), Fraction(0))
+        kept_area = _shoelace_sum([cell.vertices for cell in ps.kept])
+    removed_area = _shoelace_sum([piece.boundary.vertices for piece in ps.removed])
     return AreaAccount(kept_area=kept_area, removed_area=removed_area)
 
 

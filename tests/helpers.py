@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from quasifractal.geometry import Loop, Point2, Segment
+from quasifractal.geometry import Loop, Point2, Segment, cross2
+from quasifractal.planar import CARPET, AreaAccount, PieceSet
 
 F = Fraction
 
@@ -55,6 +56,21 @@ def union_length_oracle(segments) -> Fraction:
             if any(lo <= left and right <= hi for lo, hi in intervals):
                 total += right - left
     return total
+
+
+def area_accounting_oracle(ps: PieceSet) -> AreaAccount:
+    """`planar.area_accounting` as one Fraction per cell and per piece.
+
+    Independent of the integer lattice: each kept carpet cell adds side²,
+    each kept gasket cell half its `cross2`, each removed piece its
+    `signed_area`, and every addition normalises by a gcd.
+    """
+    if ps.kind == CARPET:
+        kept_area = sum((cell.side * cell.side for cell in ps.kept), F(0))
+    else:
+        kept_area = sum((cross2(*cell.vertices) / 2 for cell in ps.kept), F(0))
+    removed_area = sum((piece.area for piece in ps.removed), F(0))
+    return AreaAccount(kept_area=kept_area, removed_area=removed_area)
 
 
 def pairwise_components(segments) -> int:

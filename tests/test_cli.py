@@ -396,3 +396,57 @@ def test_infinite_numbers_in_documents_are_validation_errors(kind, tmp_path, cap
         assert field in text
         path.write_text(text.replace(field, field.split(":")[0] + ": Infinity", 1))
         _assert_one_validation_line(["render", "--input", str(path)], capsys)
+
+
+# Each breaks a depth-1 (carpet) or depth-2 (gasket) piece document; "found" drops
+# a kept carpet cell and gives another side 5, which drew a 5 x 5 square.
+PIECE_MISMATCHES = {
+    "found": ("carpet", lambda doc: (doc["kept"].pop(), doc["kept"][0].update(side="5"))),
+    "carpet-side": ("carpet", lambda doc: doc["kept"][0].update(side="1/9")),
+    "carpet-count": ("carpet", lambda doc: doc["kept"].append(doc["kept"][0])),
+    "carpet-level": ("carpet", lambda doc: doc.update(level=2)),
+    "carpet-birth": ("carpet", lambda doc: doc["removed"][0].update(birth_level=2)),
+    "gasket-count": ("gasket", lambda doc: doc["kept"].pop()),
+    "gasket-removed": ("gasket", lambda doc: doc["removed"].pop()),
+    "gasket-birth": ("gasket", lambda doc: doc["removed"][-1].update(birth_level=1)),
+    "gasket-level": ("gasket", lambda doc: doc.update(level=1)),
+}
+
+
+@pytest.mark.parametrize("mismatch", PIECE_MISMATCHES)
+def test_piece_documents_must_match_the_level(mismatch, tmp_path, capsys):
+    kind, mutate = PIECE_MISMATCHES[mismatch]
+    path = tmp_path / "p.json"
+    depth = "1" if kind == "carpet" else "2"
+    assert main([kind, "--depth", depth, "--out", str(path)]) == EXIT_OK
+    assert main(["render", "--input", str(path), "--out", str(tmp_path / "p.svg")]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)
+    _assert_one_validation_line(["index", "--pieces", str(path), "--loop", "0,0 1,0 1,1"], capsys)
+
+
+@pytest.mark.parametrize("kind", ["carpet", "gasket"])
+def test_piece_level_above_the_cap_exits_capacity(kind, tmp_path):
+    path = tmp_path / "p.json"
+    assert main([kind, "--depth", "0", "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["level"] = 10**6
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["render", "--input", str(path)]) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True])
+def test_json_numbers_are_not_read_as_rationals(value, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    assert main(["carpet", "--depth", "1", "--out", str(path)]) == EXIT_OK
+    loop = ["index", "--pieces", str(path), "--loop", "1/3,1/3 2/3,1/3 2/3,2/3 1/3,2/3"]
+    assert main(loop) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    doc["kept"][0]["side"] = value
+    path.write_text(json.dumps(doc))
+    _assert_one_validation_line(loop, capsys)

@@ -11,6 +11,12 @@ loop runs clockwise inside the unit square (entries -1 and 0); the
 gasket loop reaches outside it, so the loop sets the picture's bounds.
 Their digests were recorded before the SVG canvas formatted each element
 as it is drawn.
+
+The carpet depth-4 and gasket depth-7 cases are the largest piece
+documents the benchmark writes; their measures block carries the exact
+area sums. They were recorded before the area sums moved onto the
+integer lattice and before documents were written without the json
+module's indenting encoder.
 """
 
 import hashlib
@@ -23,7 +29,9 @@ CASES = {
     "gen2d-1_2-d3": (["gen2d", "--a", "1/2", "--depth", "3"], "svg"),
     "gen2d-2_7-d2": (["gen2d", "--a", "2/7", "--depth", "2"], "svg"),
     "carpet-d2": (["carpet", "--depth", "2"], "svg"),
+    "carpet-d4": (["carpet", "--depth", "4"], "svg"),
     "gasket-d4": (["gasket", "--depth", "4"], "svg"),
+    "gasket-d7": (["gasket", "--depth", "7"], "svg"),
     "cube-1_3-d2": (["gen3d", "--variant", "cube", "--a", "1/3", "--depth", "2"], "obj"),
     "cube-2_5-d1": (["gen3d", "--variant", "cube", "--a", "2/5", "--depth", "1"], "obj"),
     "tetra-d2": (["gen3d", "--variant", "tetra", "--depth", "2"], "obj"),
@@ -33,6 +41,10 @@ DIGESTS = {
     "carpet-d2": {
         "json": "6520398b7625e961e2f972851ec04d0b9f542224d943b079d032869546ef6c65",
         "svg": "051c5b2981963336f9bd45b6420e8cfc15add1da431e6cc4fb8c88501b0c153b",
+    },
+    "carpet-d4": {
+        "json": "16ba7982a85344a99e128db05859aafc6f4785fab055874467a35d1e485fbc4e",
+        "svg": "5b3d7885c695006036dfac72c04252d08665fc8943d0d00cea15f026547826bb",
     },
     "cube-1_3-d2": {
         "json": "2d780bc77233353b435a6c6503cabe828d7c86458b0ac80975e2a409fe833331",
@@ -45,6 +57,10 @@ DIGESTS = {
     "gasket-d4": {
         "json": "44dcb19cff12c393d1014f27d0c3344a7c35a76abf1eacbbf6d1e8fedc000ace",
         "svg": "131fc1fadd2b00816505b83225e288e7526ffa1b63acde22b2080c82bb216d30",
+    },
+    "gasket-d7": {
+        "json": "2c686527fd591e98974fe06e41f59a07ec55fc7289f53cc42a8f48b2e7d5d73c",
+        "svg": "13733079db813f233a356b3d3b59ed602de167f38e1050b9a43f20ca9457c11e",
     },
     "gen2d-1_2-d3": {
         "json": "3fa95b7b07517e1b4ac78350e0fa918828dab55e8d33fa7440bad6b2d42c0afe",

@@ -1,8 +1,11 @@
 """JSON round-trips plus SVG/OBJ well-formedness checks."""
 
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import F, pt, square_loop
 from quasifractal.cantor import Params2, build
@@ -67,6 +70,37 @@ def test_stage3_round_trip():
         stage = build_spatial(variant, 1)
         doc = loads_document(dumps_document(stage3_to_document(stage)))
         assert document_to_stage3(doc) == stage
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0])
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.text(), max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_document_matches_the_indenting_json_encoder(value):
+    assert dumps_document(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_dumps_document_refuses_keys_that_are_not_strings():
+    with pytest.raises(TypeError):
+        dumps_document({"measures": {1: "one"}})
 
 
 def test_documents_never_carry_float_coordinates():

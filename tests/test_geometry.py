@@ -77,6 +77,12 @@ def test_rational_parsing():
         rational("pi")
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, float("inf"), True, False])
+def test_rational_refuses_floats_and_bools(value):
+    with pytest.raises(ParameterError):
+        rational(value)
+
+
 def test_signed_area_unit_square():
     assert signed_area(square_loop(0, 0, 1)) == 1
 

@@ -1,14 +1,16 @@
 """Carpet and gasket subdivision: piece counts, exact areas, boundaries."""
 
+import random
 
 import pytest
 
-from helpers import F
+from helpers import F, area_accounting_oracle, pt
 from quasifractal.errors import CapacityError, ParameterError
-from quasifractal.geometry import Loop, SegmentIndex, Simplex, signed_area
+from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, signed_area
 from quasifractal.planar import (
     CARPET,
     GASKET,
+    Piece,
     PieceSet,
     area_accounting,
     boundary_of_rest,
@@ -187,3 +189,49 @@ def test_kept_area_is_the_shoelace_area_of_the_kept_cells():
         shoelace = sum(signed_area(Loop(*cell.faces())) for cell in ps.kept)
         assert area_accounting(ps).kept_area == shoelace
     assert shoelace < 0
+
+
+@pytest.mark.parametrize("kind", [CARPET, GASKET])
+@pytest.mark.parametrize("depth", range(6))
+def test_area_accounting_matches_the_fraction_oracle(kind, depth):
+    ps = build_planar(kind, depth)
+    assert area_accounting(ps) == area_accounting_oracle(ps)
+
+
+def _coprime_point(rng):
+    """A point whose coordinates have small, mostly coprime denominators."""
+    q = rng.choice([1, 2, 3, 5, 7, 11, 13, 9, 25, 49])
+    return pt(F(rng.randint(-40, 40), q), F(rng.randint(-40, 40), rng.choice([1, 4, 7, 17, 27])))
+
+
+def _random_ring(rng, size, orientation):
+    """A ring of `size` random points running counterclockwise (+1) or clockwise (-1)."""
+    while True:
+        ring = [_coprime_point(rng) for _ in range(size)]
+        if all(p != q for p, q in zip(ring, ring[1:] + ring[:1])):
+            area = signed_area(Loop(tuple(ring)))
+            if area:
+                return ring if (area > 0) == (orientation > 0) else ring[::-1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_area_accounting_matches_the_oracle_on_mixed_denominators(seed):
+    """Hand-made piece sets: denominators differ from cell to cell, rings run either way."""
+    rng = random.Random(seed)
+    orientations = [1, -1] + [rng.choice([1, -1]) for _ in range(rng.randint(0, 10))]
+    removed = [
+        Piece(Loop(tuple(_random_ring(rng, rng.randint(3, 7), turn))), rng.randint(1, 4), f"r{i}")
+        for i, turn in enumerate(orientations)
+    ]
+    squares = [
+        Cell("", _coprime_point(rng), F(rng.randint(1, 30), rng.choice([1, 3, 5, 7, 11, 13, 81])))
+        for _ in range(rng.randint(1, 12))
+    ]
+    triangles = [Simplex("", tuple(_random_ring(rng, 3, turn))) for turn in orientations]
+    for ps in (
+        PieceSet(CARPET, 2, squares, removed),
+        PieceSet(GASKET, 2, triangles, removed),
+        PieceSet(GASKET, 0, [], []),
+    ):
+        assert area_accounting(ps) == area_accounting_oracle(ps)
+    assert {piece.boundary.orientation for piece in removed} == {-1, 1}
