@@ -19,7 +19,8 @@ from .errors import CapacityError, ParameterError, QuasifractalError
 from .geometry import Cell, Loop, Point2, Point3, Segment, Simplex, check_depth, rational
 from .geometry import sorted_segments
 from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, Piece, PieceSet
-from .spatial import CUBE_WIREFRAME, TETRA_GASKET, Face3, SpatialVariant, Stage3
+from .spatial import CUBE_DEPTH_CAP, CUBE_WIREFRAME, TETRA_DEPTH_CAP, TETRA_GASKET
+from .spatial import Face3, SpatialVariant, Stage3
 
 SCHEMA_VERSION = 1
 
@@ -39,18 +40,41 @@ def _point_json(p) -> list[str]:
     return [format_rational(c) for c in p.coords]
 
 
-def _point(data, dim: int = 2):
+class _Rationals(dict):
+    """One document's rationals by their text, each distinct string read once.
+
+    Documents repeat few coordinates many times (257 distinct strings among
+    19 680 in gasket 7). A value that is not a string goes through
+    `rational` uncached, so a bool or a float never finds an equal int's
+    entry; an unhashable one raises TypeError.
+    """
+
+    def __missing__(self, value):
+        number = rational(value)
+        if type(value) is str:
+            self[value] = number
+        return number
+
+
+def _count(value, what: str, cap: int | None = None) -> int:
+    """A count field: a JSON integer, not a bool, a float or a string."""
+    if type(value) is not int:
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return check_depth(value, cap, what=what)
+
+
+def _point(read: _Rationals, data, dim: int = 2):
     """Read a Point2 or Point3 from its list of dim "p/q" coordinates."""
     if len(data) != dim:
         raise ParameterError(f"expected {dim} coordinates, got {data!r}")
-    return (Point2, Point3)[dim - 2](*[rational(c) for c in data])
+    return (Point2, Point3)[dim - 2](*[read[c] for c in data])
 
 
-def _vertices(data, dim: int) -> tuple:
+def _vertices(read: _Rationals, data, dim: int) -> tuple:
     """Read the dim + 1 vertices of a triangle (dim 2) or tetrahedron (dim 3)."""
     if len(data) != dim + 1:
         raise ParameterError(f"expected {dim + 1} vertices, got {len(data)}")
-    return tuple(_point(v, dim) for v in data)
+    return tuple(_point(read, v, dim) for v in data)
 
 
 def _cells_json(cells) -> list:
@@ -60,8 +84,8 @@ def _cells_json(cells) -> list:
     ]
 
 
-def _cells(data, dim: int) -> list[Cell]:
-    return [Cell(c["address"], _point(c["corner"], dim), rational(c["side"])) for c in data]
+def _cells(read: _Rationals, data, dim: int) -> list[Cell]:
+    return [Cell(c["address"], _point(read, c["corner"], dim), read[c["side"]]) for c in data]
 
 
 def _segments_json(segments) -> list:
@@ -111,9 +135,10 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
 @_reads_shape
 def document_to_stage2(doc: dict) -> Stage2:
     _check(doc, "cantor2d")
-    params = Params2(rational(doc["params"]["a"]), int(doc["params"]["depth"]))
-    level = check_depth(int(doc["level"]), DEPTH_CAP, what="level")
-    cells = _cells(doc["cells"], 2)
+    read = _Rationals()
+    params = Params2(read[doc["params"]["a"]], _count(doc["params"]["depth"], "depth"))
+    level = _count(doc["level"], "level", DEPTH_CAP)
+    cells = _cells(read, doc["cells"], 2)
     side = params.a**level
     if (
         level != params.depth
@@ -121,7 +146,7 @@ def document_to_stage2(doc: dict) -> Stage2:
         or any(c.side != side or c.level != level for c in cells)
     ):
         raise ParameterError(f"cantor2d cells do not match level {level} and depth {params.depth}")
-    segments = {Segment(_point(a), _point(b)) for a, b in doc["segments"]}
+    segments = {Segment(_point(read, a), _point(read, b)) for a, b in doc["segments"]}
     return Stage2(params=params, level=level, cells=cells, segments=segments)
 
 
@@ -159,15 +184,16 @@ def document_to_pieces(doc: dict) -> PieceSet:
     if kind not in (CARPET, GASKET):
         raise ParameterError(f"not a planar piece document: kind={kind!r}")
     cap, split = (CARPET_DEPTH_CAP, 8) if kind == CARPET else (GASKET_DEPTH_CAP, 3)
-    level = check_depth(int(doc["level"]), cap, what="level")
+    level = _count(doc["level"], "level", cap)
+    read = _Rationals()
     if kind == CARPET:
-        kept = [Cell("", _point(c["corner"]), rational(c["side"])) for c in doc["kept"]]
+        kept = [Cell("", _point(read, c["corner"]), read[c["side"]]) for c in doc["kept"]]
     else:
-        kept = [Simplex("", _vertices(c["vertices"], 2)) for c in doc["kept"]]
+        kept = [Simplex("", _vertices(read, c["vertices"], 2)) for c in doc["kept"]]
     removed = [
         Piece(
-            Loop(tuple(_point(v) for v in r["boundary"])),
-            int(r["birth_level"]),
+            Loop(tuple(_point(read, v) for v in r["boundary"])),
+            _count(r["birth_level"], "birth_level"),
             r["label"],
         )
         for r in doc["removed"]
@@ -225,26 +251,34 @@ def document_to_stage3(doc: dict) -> Stage3:
     _check(doc, kind)
     if kind not in (CUBE_WIREFRAME, TETRA_GASKET):
         raise ParameterError(f"not a spatial stage document: kind={kind!r}")
-    params = doc["params"]
-    variant = SpatialVariant(
-        kind, rational(params["a"]) if kind == CUBE_WIREFRAME else None
-    )
-    if kind == CUBE_WIREFRAME:
-        cells = _cells(doc["cells"], 3)
+    cube = kind == CUBE_WIREFRAME
+    read = _Rationals()
+    variant = SpatialVariant(kind, read[doc["params"]["a"]] if cube else None)
+    cap, split, faces = (CUBE_DEPTH_CAP, 8, 6) if cube else (TETRA_DEPTH_CAP, 4, 4)
+    level = _count(doc["level"], "level", cap)
+    if cube:
+        cells = _cells(read, doc["cells"], 3)
     else:
-        cells = [Simplex(c["address"], _vertices(c["vertices"], 3)) for c in doc["cells"]]
-    skeleton = {Segment(_point(a, 3), _point(b, 3)) for a, b in doc["skeleton"]}
+        cells = [Simplex(c["address"], _vertices(read, c["vertices"], 3)) for c in doc["cells"]]
+    skeleton = {Segment(_point(read, a, 3), _point(read, b, 3)) for a, b in doc["skeleton"]}
     pieces = [
         Face3(
-            tuple(_point(v, 3) for v in f["boundary"]),
-            int(f["birth_level"]),
-            rational(f["area_sq"]),
+            tuple(_point(read, v, 3) for v in f["boundary"]),
+            _count(f["birth_level"], "birth_level"),
+            read[f["area_sq"]],
         )
         for f in doc["pieces"]
     ]
-    return Stage3(
-        variant=variant, level=int(doc["level"]), cells=cells, skeleton=skeleton, pieces=pieces
-    )
+    births = Counter(face.birth_level for face in pieces)
+    side = variant.a**level if cube else None
+    if (
+        len(cells) != split**level
+        or any(c.level != level for c in cells)
+        or (cube and any(c.side != side for c in cells))
+        or births != Counter({b: faces * split**b for b in range(level + 1)})
+    ):
+        raise ParameterError(f"{kind} cells and faces do not match level {level}")
+    return Stage3(variant=variant, level=level, cells=cells, skeleton=skeleton, pieces=pieces)
 
 
 def _check(doc: dict, kind: str) -> None:

@@ -4,16 +4,23 @@ All coordinates are `fractions.Fraction`, so every predicate here is decided
 by integer arithmetic: no epsilons, no floating point. The only floating
 point surface in the whole package is logarithms (dimensions) and the
 Toeplitz numerics. Points, segments and loops are immutable values.
+
+Batched predicates run on the integer lattice: coordinates scaled by D,
+the lcm of their denominators, held in int64 arrays while every product
+fits and in arrays of Python ints otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     CapacityError,
@@ -44,6 +51,24 @@ def rational(value: Union[int, str, Fraction]) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ParameterError(f"not a rational number: {value!r}") from exc
+
+
+def lattice(denominators: Iterable[int]) -> tuple[int, dict[int, int]]:
+    """D, the lcm of the denominators, and D // q for each denominator q."""
+    denominators = set(denominators)
+    lcm = math.lcm(*denominators)
+    return lcm, {q: lcm // q for q in denominators}
+
+
+# Below this bound in absolute value, differences of lattice coordinates
+# stay below 2^30 and every sum of two products in `crossings` below 2^61.
+_INT64_BOUND = 1 << 29
+
+
+def lattice_dtype(magnitude: int):
+    """int64 for lattice coordinates of at most `magnitude` in absolute value
+    while `crossings` cannot overflow it; otherwise object (Python ints)."""
+    return np.int64 if magnitude < _INT64_BOUND else object
 
 
 def scale_factor(a: Union[int, str, Fraction], allow_half: bool) -> Fraction:
@@ -385,6 +410,52 @@ def winding_number(loop: Loop, p: Point2) -> int:
         elif b.y <= py and c < 0:
             winding -= 1
     return winding
+
+
+def crossings(ax, ay, bx, by, px, py):
+    """`winding_number`'s test of edge a -> b against point p, elementwise.
+
+    The arguments are lattice integers that broadcast together: ints,
+    int64 arrays, or object arrays of Python ints. Returns the signed
+    crossing of the rightward ray from p with the edge (+1 upward, -1
+    downward, 0 none) as int64, and a mask of the points on the closed
+    edge. For a point collinear with the edge, lying inside the edge's box
+    is the same as (p - a) . (p - b) <= 0.
+    """
+    c = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
+    on_edge = (c == 0) & ((px - ax) * (px - bx) + (py - ay) * (py - by) <= 0)
+    a_below = ay <= py
+    b_below = by <= py
+    crossing = (a_below & ~b_below & (c > 0)).astype(np.int64)
+    crossing -= ~a_below & b_below & (c < 0)
+    return crossing, on_edge
+
+
+def winding_numbers(loop: Loop, points: Sequence[Point2]) -> tuple[int, ...]:
+    """`winding_number` of the loop about every point, in order.
+
+    The loop and the points are scaled by D, the lcm of all their
+    denominators, and each loop edge runs `crossings` over every point at
+    once. Raises IndeterminateWindingError, naming the first point on the
+    loop, if any point lies on it.
+    """
+    if not points:
+        return ()
+    coords = [c for p in (*loop.vertices, *points) for c in (p.x, p.y)]
+    _, scale = lattice(c.denominator for c in coords)
+    ints = [c.numerator * scale[c.denominator] for c in coords]
+    n = 2 * len(loop.vertices)
+    grid = np.array(ints[n:], dtype=lattice_dtype(max(max(ints), -min(ints))))
+    px, py = grid[0::2], grid[1::2]
+    winding = np.zeros(len(points), dtype=np.int64)
+    on_loop = np.zeros(len(points), dtype=bool)
+    for (ax, ay), (bx, by) in ring_edges(list(zip(ints[0:n:2], ints[1:n:2]))):
+        crossing, on_edge = crossings(ax, ay, bx, by, px, py)
+        winding += crossing
+        on_loop |= on_edge
+    if on_loop.any():
+        raise IndeterminateWindingError(f"point {points[int(on_loop.argmax())]} lies on the loop")
+    return tuple(winding.tolist())
 
 
 def point_in_polygon(loop: Loop, p: Point2) -> str:

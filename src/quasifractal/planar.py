@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ParameterError
-from .geometry import Cell, Loop, Point2, Segment, Simplex, check_depth, ring_segments
+from .geometry import Cell, Loop, Point2, Segment, Simplex, check_depth, lattice, ring_segments
 from .geometry import signed_area, simplex_children
 
 CARPET = "carpet"
@@ -120,17 +120,11 @@ class AreaAccount:
     removed_area: Fraction
 
 
-def _lattice(denominators: set[int]) -> tuple[int, dict[int, int]]:
-    """D, the lcm of the denominators, and D // q for each denominator q."""
-    lcm = math.lcm(*denominators)
-    return lcm, {q: lcm // q for q in denominators}
-
-
 def _shoelace_sum(rings: list) -> Fraction:
     """The summed signed areas of the vertex rings: twice each, as integers on the lattice."""
     denominators = {p.x.denominator for ring in rings for p in ring}
     denominators.update(p.y.denominator for ring in rings for p in ring)
-    lcm, scale = _lattice(denominators)
+    lcm, scale = lattice(denominators)
     twice = 0
     for ring in rings:
         scaled = [
@@ -156,7 +150,7 @@ def area_accounting(ps: PieceSet) -> AreaAccount:
     """
     if ps.kind == CARPET:
         sides = [cell.side for cell in ps.kept]
-        lcm, scale = _lattice({s.denominator for s in sides})
+        lcm, scale = lattice({s.denominator for s in sides})
         kept_area = Fraction(sum((s.numerator * scale[s.denominator]) ** 2 for s in sides), lcm * lcm)
     else:
         kept_area = _shoelace_sum([cell.vertices for cell in ps.kept])

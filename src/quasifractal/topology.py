@@ -22,8 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ParameterError
-from .geometry import INSIDE, Loop, Point2, area_vector, point_in_polygon, winding_number
+import numpy as np
+
+from .errors import MalformedLoopError, ParameterError
+from .geometry import Loop, Point2, area_vector, crossings, lattice, lattice_dtype, ring_edges
+from .geometry import winding_number, winding_numbers
 
 IndexVector = tuple[int, ...]
 
@@ -52,25 +55,61 @@ class HoleSet:
 
     @classmethod
     def from_pieces(cls, pieces: Iterable) -> "HoleSet":
-        """Build hole representatives from removed pieces (default: centroids).
+        """Build hole representatives from removed pieces: their centroids.
 
-        Each piece must expose a CCW `boundary` loop and a `label`; the
-        centroid is verified to lie strictly inside the piece.
+        Each piece must expose a `boundary` loop and a `label`. The checks
+        of `point_in_polygon` run on the integer lattice, by vertex count k:
+        vertices scaled by k * D (D the lcm of all denominators) put each
+        centroid on the lattice, and one `crossings` call per vertex slot
+        tests every ring of that count. For the first bad piece in order, a
+        zero-area ring raises MalformedLoopError, and a centroid on the ring
+        or outside it ParameterError.
         """
-        reps: list[Point2] = []
-        labels: list[str] = []
-        for piece in pieces:
-            rep = centroid(piece.boundary)
-            if point_in_polygon(piece.boundary, rep) != INSIDE:
-                raise ParameterError(f"centroid of piece {piece.label} is not interior")
-            reps.append(rep)
-            labels.append(piece.label)
-        return cls(tuple(reps), tuple(labels))
+        pieces = list(pieces)
+        coords = [c for piece in pieces for p in piece.boundary.vertices for c in (p.x, p.y)]
+        lcm, scale = lattice(c.denominator for c in coords)
+        groups: dict[int, list[int]] = {}  # vertex count -> positions, in order
+        for i, piece in enumerate(pieces):
+            groups.setdefault(len(piece.boundary.vertices), []).append(i)
+        reps: list = [None] * len(pieces)
+        first_bad = []  # (position, zero area) of each vertex count's first bad piece
+        for k, members in groups.items():
+            ints = [
+                c.numerator * scale[c.denominator]
+                for i in members
+                for p in pieces[i].boundary.vertices
+                for c in (p.x, p.y)
+            ]
+            rings = np.array(ints, dtype=lattice_dtype(k * max(max(ints), -min(ints))))
+            xs, ys = rings.reshape(len(members), k, 2).transpose(2, 1, 0)
+            cx, cy = xs.sum(axis=0), ys.sum(axis=0)  # the centroids on the k * D lattice
+            kxs, kys = k * xs, k * ys
+            twice_area = winding = 0
+            on_ring = False
+            for a, b in ring_edges(range(k)):
+                twice_area += xs[a] * ys[b] - xs[b] * ys[a]
+                crossing, on_edge = crossings(kxs[a], kys[a], kxs[b], kys[b], cx, cy)
+                winding += crossing
+                on_ring |= on_edge
+            flat = twice_area == 0
+            failed = flat | on_ring | (winding == 0)
+            if failed.any():
+                first = int(failed.argmax())
+                first_bad.append((members[first], bool(flat[first])))
+            d = k * lcm
+            for i, sx, sy in zip(members, cx.tolist(), cy.tolist()):
+                reps[i] = Point2(Fraction(sx, d), Fraction(sy, d))
+        if first_bad:
+            position, flat = min(first_bad)
+            if flat:
+                raise MalformedLoopError("degenerate loop has no interior")
+            raise ParameterError(f"centroid of piece {pieces[position].label} is not interior")
+        return cls(tuple(reps), tuple(piece.label for piece in pieces))
 
 
 def index_vector(loop: Loop, holes: HoleSet) -> IndexVector:
     """Winding number of the loop about every hole representative, in order."""
-    return tuple(winding_number(loop, rep) for rep in holes.representatives)
+    return winding_numbers(loop, holes.representatives)
 
 
 def reverse_orientation(loop: Loop) -> Loop:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from quasifractal.geometry import Loop, Point2, Segment, cross2
+from quasifractal.errors import ParameterError
+from quasifractal.geometry import INSIDE, Loop, Point2, Segment, cross2, point_in_polygon
 from quasifractal.planar import CARPET, AreaAccount, PieceSet
+from quasifractal.topology import HoleSet, centroid
 
 F = Fraction
 
@@ -73,6 +75,25 @@ def area_accounting_oracle(ps: PieceSet) -> AreaAccount:
     return AreaAccount(kept_area=kept_area, removed_area=removed_area)
 
 
+def hole_set_oracle(pieces) -> HoleSet:
+    """`topology.HoleSet.from_pieces` as one Fraction centroid and one
+    `point_in_polygon` per piece.
+
+    Independent of the integer lattice: a zero-area ring raises
+    MalformedLoopError from `point_in_polygon`, and a centroid on the ring
+    or outside it raises ParameterError, for the first bad piece in order.
+    """
+    reps: list[Point2] = []
+    labels: list[str] = []
+    for piece in pieces:
+        rep = centroid(piece.boundary)
+        if point_in_polygon(piece.boundary, rep) != INSIDE:
+            raise ParameterError(f"centroid of piece {piece.label} is not interior")
+        reps.append(rep)
+        labels.append(piece.label)
+    return HoleSet(tuple(reps), tuple(labels))
+
+
 def pairwise_components(segments) -> int:
     """Brute-force segment_components: test every pair for endpoint-on-segment.
 
@@ -131,6 +152,43 @@ def star_loop(rng, span: int = 12, points: int = 9) -> Loop:
         turns = zip(ring, ring[1:] + ring[:1])
         if len(ring) >= 3 and all(ax * by - ay * bx > 0 for (ax, ay), (bx, by) in turns):
             return Loop(tuple(pt(x, y) for x, y in ring))
+
+
+# Denominators prime to 6: carpet and gasket hole representatives have
+# denominators 2 * 3^k and 3 * 2^k and lie inside the unit square, so no
+# coordinate drawn over these equals one of theirs.
+QUERY_DENOMINATORS = (5, 7, 11, 13, 25, 35, 49, 55, 77)
+
+
+def query_loop(rng, rectangle: bool, reps=()) -> Loop:
+    """A loop like the benchmark's query loops, in either orientation.
+
+    Vertices have coordinates in [-1/5, 6/5] over `QUERY_DENOMINATORS`. A
+    rectangle is axis-parallel, so it passes through no representative; a
+    convex loop (the hull of 8 draws) through one of `reps` is redrawn.
+    """
+    from quasifractal.geometry import on_segment
+
+    def coordinate():
+        q = rng.choice(QUERY_DENOMINATORS)
+        return F(rng.randint(-q // 5, 6 * q // 5), q)
+
+    while True:
+        if rectangle:
+            x0, x1 = sorted(coordinate() for _ in range(2))
+            y0, y1 = sorted(coordinate() for _ in range(2))
+            if x0 == x1 or y0 == y1:
+                continue
+            ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        else:
+            ring = _hull(sorted({(coordinate(), coordinate()) for _ in range(8)}))
+            if len(ring) < 3:
+                continue
+        if rng.random() < 0.5:
+            ring.reverse()
+        loop = Loop(tuple(Point2(x, y) for x, y in ring))
+        if not any(on_segment(p, a, b) for p in reps for a, b in loop.edges()):
+            return loop
 
 
 def _hull(pts):

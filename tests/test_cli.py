@@ -450,3 +450,94 @@ def test_json_numbers_are_not_read_as_rationals(value, tmp_path, capsys):
     doc["kept"][0]["side"] = value
     path.write_text(json.dumps(doc))
     _assert_one_validation_line(loop, capsys)
+
+
+# Count fields of depth-1 documents: kind -> (argv, setter for the value)
+COUNT_FIELDS = {
+    "carpet-level": (["carpet"], lambda doc, v: doc.update(level=v)),
+    "carpet-birth_level": (["carpet"], lambda doc, v: doc["removed"][0].update(birth_level=v)),
+    "gen2d-depth": (["gen2d", "--a", "1/3"], lambda doc, v: doc["params"].update(depth=v)),
+    "cube-level": (["gen3d", "--variant", "cube", "--a", "1/3"], lambda doc, v: doc.update(level=v)),
+    "tetra-birth_level": (
+        ["gen3d", "--variant", "tetra"],
+        lambda doc, v: doc["pieces"][-1].update(birth_level=v),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [1.9, True, "1"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_count_fields_must_be_json_integers(field, value, tmp_path, capsys):
+    argv, update = COUNT_FIELDS[field]
+    path = tmp_path / "doc.json"
+    assert main(argv + ["--depth", "1", "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    update(doc, value)
+    path.write_text(json.dumps(doc))
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)
+
+
+# Each breaks a depth-1 spatial document; "found" drops a cube cell, gives
+# another side 5 and drops a face.
+SPATIAL_MISMATCHES = {
+    "found": (
+        "cube",
+        lambda doc: (doc["cells"].pop(), doc["cells"][0].update(side="5"), doc["pieces"].pop()),
+    ),
+    "cube-side": ("cube", lambda doc: doc["cells"][0].update(side="1/9")),
+    "cube-count": ("cube", lambda doc: doc["cells"].append(doc["cells"][0])),
+    "cube-address": ("cube", lambda doc: doc["cells"][0].update(address="00")),
+    "cube-face": ("cube", lambda doc: doc["pieces"].pop(0)),
+    "cube-birth": ("cube", lambda doc: doc["pieces"][0].update(birth_level=1)),
+    "cube-level": ("cube", lambda doc: doc.update(level=0)),
+    "tetra-count": ("tetra", lambda doc: doc["cells"].pop()),
+    "tetra-address": ("tetra", lambda doc: doc["cells"][-1].update(address="")),
+    "tetra-face": ("tetra", lambda doc: doc["pieces"].append(doc["pieces"][-1])),
+    "tetra-level": ("tetra", lambda doc: doc.update(level=2)),
+}
+
+
+def _spatial_document(variant: str, depth: str, path) -> None:
+    scale = ["--a", "1/3"] if variant == "cube" else []
+    argv = ["gen3d", "--variant", variant, "--depth", depth, "--out", str(path)]
+    assert main(argv + scale) == EXIT_OK
+
+
+@pytest.mark.parametrize("mismatch", SPATIAL_MISMATCHES)
+def test_spatial_documents_must_match_the_level(mismatch, tmp_path, capsys):
+    variant, mutate = SPATIAL_MISMATCHES[mismatch]
+    path = tmp_path / "s.json"
+    _spatial_document(variant, "1", path)
+    assert main(["render", "--input", str(path), "--out", str(tmp_path / "s.obj")]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)
+
+
+@pytest.mark.parametrize("variant", ["cube", "tetra"])
+def test_spatial_level_above_the_cap_exits_capacity(variant, tmp_path):
+    path = tmp_path / "s.json"
+    _spatial_document(variant, "1", path)
+    doc = json.loads(path.read_text())
+    doc["level"] = 10**6
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["render", "--input", str(path)]) == EXIT_CAPACITY
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+def test_numbers_equal_to_a_read_int_are_still_refused(value, tmp_path, capsys):
+    # the reader interns coordinate strings; an int 1 read first must not
+    # let an equal float or bool through as a cached rational
+    path = tmp_path / "p.json"
+    assert main(["carpet", "--depth", "0", "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["kept"][0]["corner"] = [0, 1]
+    doc["kept"][0]["side"] = 1
+    path.write_text(json.dumps(doc))
+    assert main(["render", "--input", str(path), "--out", str(tmp_path / "p.svg")]) == EXIT_OK
+    doc["kept"][0]["side"] = value
+    path.write_text(json.dumps(doc))
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)

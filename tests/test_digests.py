@@ -17,13 +17,23 @@ documents the benchmark writes; their measures block carries the exact
 area sums. They were recorded before the area sums moved onto the
 integer lattice and before documents were written without the json
 module's indenting encoder.
+
+The index cases run `index` on those two documents with seeded rectangle
+and convex loops (`helpers.query_loop`) and pin the `labels` and
+`entries` of the reports, not their echo of the input path. Their
+digests were recorded before hole checks and index vectors moved onto
+the integer lattice.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
+from helpers import hole_set_oracle, query_loop
 from quasifractal.cli import EXIT_OK, main
+from quasifractal.document import document_to_pieces, loads_document
 
 CASES = {
     "gen2d-1_2-d3": (["gen2d", "--a", "1/2", "--depth", "3"], "svg"),
@@ -107,3 +117,49 @@ def test_loop_overlays_are_byte_identical(name, tmp_path):
     assert main(argv + ["--out", str(doc)]) == EXIT_OK
     assert main(["render", "--input", str(doc), "--loop", loop, "--out", str(svg)]) == EXIT_OK
     assert _sha256(svg) == OVERLAY_DIGESTS[name]
+
+
+INDEX_DOCUMENTS = {"carpet-d4": ["carpet", "--depth", "4"], "gasket-d7": ["gasket", "--depth", "7"]}
+
+# name -> (document, rectangle loops or convex ones, seed); three loops each
+INDEX_CASES = {
+    "carpet-d4-rectangles": ("carpet-d4", True, 4101),
+    "carpet-d4-convex": ("carpet-d4", False, 4102),
+    "gasket-d7-rectangles": ("gasket-d7", True, 7101),
+    "gasket-d7-convex": ("gasket-d7", False, 7102),
+}
+
+INDEX_DIGESTS = {
+    "carpet-d4-convex": "2c9d376504deba2ac1727227d508bde9186f66d0ece72f1387c8c6cbfa70bcd2",
+    "carpet-d4-rectangles": "361f57c2d8ab52d92829cbc3dc854401e7cfb995c39342990d6e68ed8a05a07d",
+    "gasket-d7-convex": "20990e2fd92d44c11ec66687ff41c5c02da43404a2e9251d29377a948cc3ef25",
+    "gasket-d7-rectangles": "5c439f8d99f8b8dc1bc19ed43a47df2f4f8e815134fea8ef56403da6f25bd9f2",
+}
+
+
+@pytest.fixture(scope="module")
+def index_documents(tmp_path_factory):
+    root = tmp_path_factory.mktemp("index")
+    paths = {}
+    for name, argv in INDEX_DOCUMENTS.items():
+        paths[name] = root / f"{name}.json"
+        assert main(argv + ["--out", str(paths[name])]) == EXIT_OK
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_CASES))
+def test_index_reports_are_identical(name, index_documents, tmp_path):
+    doc_name, rectangle, seed = INDEX_CASES[name]
+    path = index_documents[doc_name]
+    holes = hole_set_oracle(document_to_pieces(loads_document(path.read_text())).removed)
+    rng = random.Random(seed)
+    reports = []
+    for _ in range(3):
+        loop = query_loop(rng, rectangle, holes.representatives)
+        text = " ".join(f"{v.x},{v.y}" for v in loop.vertices)
+        out = tmp_path / "index.json"
+        assert main(["index", "--pieces", str(path), f"--loop={text}", "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        reports.append([report["labels"], report["entries"]])
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == INDEX_DIGESTS[name]

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -37,6 +38,7 @@ from quasifractal.geometry import (
     check_depth,
     cross2,
     geometric_sum,
+    lattice_dtype,
     midpoint,
     on_segment,
     point_in_polygon,
@@ -48,6 +50,7 @@ from quasifractal.geometry import (
     signed_area,
     simplex_children,
     union_length,
+    winding_numbers,
 )
 from quasifractal.topology import winding_number
 
@@ -519,3 +522,77 @@ def test_winding_number_raises_exactly_on_the_loop():
 def test_ring_edges_close_the_ring():
     verts = (pt(0, 0), pt(1, 0), pt(0, 1))
     assert list(ring_edges(verts)) == [(verts[0], verts[1]), (verts[1], verts[2]), (verts[2], verts[0])]
+
+
+def _assert_windings_match(loop, points):
+    """`winding_numbers` equals `winding_number` point by point, or both name
+    the first point on the loop."""
+    expected = []
+    for p in points:
+        try:
+            expected.append(winding_number(loop, p))
+        except IndeterminateWindingError as exc:
+            with pytest.raises(IndeterminateWindingError) as got:
+                winding_numbers(loop, points)
+            assert str(got.value) == str(exc)
+            return False
+    assert winding_numbers(loop, points) == tuple(expected)
+    return True
+
+
+@pytest.mark.parametrize("shape", [convex_loop, star_loop])
+def test_winding_numbers_match_winding_number(shape):
+    # points over denominators 2 and 3 against integer loops: many land on
+    # vertices and edges; vertices and edge midpoints are added outright
+    rng = random.Random(71)
+    off = on = 0
+    for _ in range(60):
+        ccw = shape(rng, span=5)
+        for loop in (ccw, Loop(ccw.vertices[::-1])):
+            points = [pt(F(rng.randint(-12, 12), 2), F(rng.randint(-18, 18), 3)) for _ in range(25)]
+            clear = [p for p in points if not any(on_segment(p, a, b) for a, b in loop.edges())]
+            assert _assert_windings_match(loop, clear)
+            off += len(clear)
+            a, b = loop.vertices[0], loop.vertices[1]
+            for p in (a, midpoint(a, b), *points):
+                if p not in clear:
+                    at = rng.randrange(len(clear) + 1)
+                    assert not _assert_windings_match(loop, clear[:at] + [p] + clear[at:])
+                    assert not _assert_windings_match(loop, [p])
+                    on += 1
+    assert off >= 1000 and on >= 300
+    assert winding_numbers(square_loop(0, 0, 1), []) == ()
+
+
+@pytest.mark.parametrize("numerator", [2**29 - 1, 2**29 + 1])
+def test_winding_numbers_on_both_sides_of_the_int64_bound(numerator):
+    # every point has denominator 1 or 2, so D = 2 and the far vertex sits at
+    # `numerator` on the lattice: int64 just below 2^29, Python ints above
+    assert lattice_dtype(numerator) is (np.int64 if numerator < 2**29 else object)
+    far = F(numerator, 2)
+    rng = random.Random(numerator)
+    for _ in range(20):
+        star = star_loop(rng, span=5)
+        loop = Loop(star.vertices + (Point2(far, F(1, 2)),))  # a long spike to the right
+        points = [pt(F(rng.randint(-12, 12), 2), F(rng.randint(-12, 12), 2)) for _ in range(20)]
+        points += [Point2(far - 1, F(1, 2)), Point2(far - 1, F(1, 4)), Point2(far + 1, F(1, 2))]
+        _assert_windings_match(loop, points)
+        for p in points:
+            _assert_windings_match(loop, [p])
+
+
+def test_winding_numbers_with_denominators_near_a_trillion():
+    q = 10**12 + 39
+    rng = random.Random(1039)
+    reps = [pt(F(2 * i + 1, 18), F(2 * j + 1, 18)) for i in range(9) for j in range(9)]
+    for _ in range(30):
+        ccw = convex_loop(rng, span=5)
+        loop = Loop(
+            tuple(
+                Point2(v.x / 10 + F(rng.randint(0, q), q), v.y / 10 + F(rng.randint(0, q), q))
+                for v in ccw.vertices
+            )
+        )
+        assert _assert_windings_match(loop, reps)
+        # a loop through a representative raises, naming it
+        assert not _assert_windings_match(Loop((reps[40],) + loop.vertices[1:]), reps)

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from helpers import F, convex_loop, pt, random_point_off_loop, square_loop, winding_oracle
-from quasifractal.errors import IndeterminateWindingError, ParameterError
+from helpers import F, convex_loop, hole_set_oracle, pt, random_point_off_loop, square_loop, winding_oracle
+from quasifractal.errors import IndeterminateWindingError, MalformedLoopError, ParameterError
 from quasifractal.geometry import INSIDE, Loop, Point2, point_in_polygon, signed_area
-from quasifractal.planar import CARPET, build_planar
+from quasifractal.planar import CARPET, GASKET, Piece, build_planar
 from quasifractal.spatial import CUBE_WIREFRAME, SpatialVariant, TETRA_GASKET, build_spatial
 from quasifractal.topology import (
     HoleSet,
@@ -225,3 +225,87 @@ def test_face_index_flips_with_face_orientation():
     for face in stage.pieces:
         flipped = Face3.of(tuple(reversed(face.boundary)), face.birth_level)
         assert face_index(flipped) == -face_index(face)
+
+
+def _ring(*xy) -> Loop:
+    return Loop(tuple(pt(x, y) for x, y in xy))
+
+
+TRIANGLE = _ring((0, 0), (3, 0), (0, 3))
+CW_SQUARE = _ring((0, 0), (0, 2), (2, 2), (2, 0))
+# a C shape: the vertex average (21/4, 5) lies in its notch
+NOTCHED = _ring((0, 0), (10, 0), (10, 1), (1, 1), (1, 9), (10, 9), (10, 10), (0, 10))
+# the vertex average (2, 2) is the fifth vertex
+CENTROID_ON_RING = _ring((0, 0), (4, 0), (4, 4), (0, 4), (2, 2))
+FLAT = _ring((0, 0), (1, 0), (2, 0))
+BOWTIE = _ring((0, 0), (1, 1), (1, 0), (0, 1))  # its two lobes cancel: zero area
+# lobes of equal area and opposite turn; the extra vertex (0, 1) moves the
+# vertex average (8/5, 1) off the crossing into the left lobe
+FIGURE_EIGHT = _ring((0, 0), (4, 2), (4, 0), (0, 2), (0, 1))
+THIN = _ring((F(1, 7), F(1, 5)), (F(2, 7), F(1, 5)), (F(3, 11), F(3, 10)))
+
+# name -> rings, in the order of the pieces
+HAND_MADE = {
+    "empty": [],
+    "cw-square": [CW_SQUARE],
+    "notched": [NOTCHED],
+    "centroid-on-ring": [CENTROID_ON_RING],
+    "flat": [FLAT],
+    "bowtie": [BOWTIE],
+    "figure-eight": [FIGURE_EIGHT],
+    "mixed-order": [TRIANGLE, CW_SQUARE, THIN, square_loop(5, 5, F(1, 3)), TRIANGLE, CW_SQUARE],
+    "bad-quad-before-flat-triangle": [TRIANGLE, NOTCHED, FLAT],
+    "flat-triangle-before-bad-quad": [CW_SQUARE, FLAT, NOTCHED],
+    "bowtie-after-notch": [THIN, NOTCHED, BOWTIE],
+    "figure-eight-before-notch": [TRIANGLE, FIGURE_EIGHT, NOTCHED],
+    "on-ring-after-good-triangles": [TRIANGLE, THIN, CENTROID_ON_RING, FLAT],
+}
+
+
+def _outcome(build, pieces):
+    try:
+        return build(pieces)
+    except (MalformedLoopError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", HAND_MADE)
+def test_from_pieces_matches_the_oracle_on_hand_made_sets(name):
+    pieces = [Piece(ring, 1, f"1:{i}") for i, ring in enumerate(HAND_MADE[name])]
+    expected = _outcome(hole_set_oracle, pieces)
+    assert _outcome(HoleSet.from_pieces, pieces) == expected
+    assert _outcome(HoleSet.from_pieces, iter(pieces)) == expected
+
+
+@pytest.mark.parametrize("kind, depth", [(CARPET, 3), (GASKET, 5)])
+def test_from_pieces_matches_the_oracle_on_built_stages(kind, depth):
+    removed = build_planar(kind, depth).removed
+    assert HoleSet.from_pieces(removed) == hole_set_oracle(removed)
+
+
+@pytest.mark.parametrize("magnitude", [(2**29 - 1) // 3, (2**29 - 1) // 3 + 1])
+def test_from_pieces_on_both_sides_of_the_int64_bound(magnitude):
+    # three times the largest coordinate crosses 2^29 between the two cases
+    m = magnitude
+    rings = [
+        _ring((0, 0), (m, 0), (0, m)),
+        _ring((-m, -m), (0, -m), (0, 0), (-m, 0)),
+        _ring((0, 0), (m, 0), (2 * m // 3, 1)),
+        _ring((0, 0), (m, 1), (m - 1, 1)),  # long and thin: twice its area is 1
+        _ring((-m, 0), (0, 0), (m, 0)),  # flat
+    ]
+    pieces = [Piece(ring, 1, f"1:{i}") for i, ring in enumerate(rings)]
+    assert _outcome(HoleSet.from_pieces, pieces) == _outcome(hole_set_oracle, pieces)
+    assert HoleSet.from_pieces(pieces[:4]) == hole_set_oracle(pieces[:4])
+
+
+def test_from_pieces_scales_the_guard_by_the_vertex_count():
+    # 23-vertex C shapes whose vertex average lies in the notch, with
+    # coordinates just below 2^29: each coordinate fits int64, but the
+    # centroid lattice multiplies them by 23, past what int64 products hold
+    notch = [(0, 0), (10, 0), (10, 1), *[(x, 1) for x in range(9, 0, -1)]]
+    notch += [*[(x, 9) for x in range(2, 11)], (10, 10), (0, 10)]
+    for shrink in range(1, 40):
+        s = (2**29 - 1) // 10 - shrink * 1234567
+        pieces = [Piece(TRIANGLE, 1, "1:0"), Piece(_ring(*[(x * s, y * s) for x, y in notch]), 1, "1:1")]
+        assert _outcome(HoleSet.from_pieces, pieces) == _outcome(hole_set_oracle, pieces)
