@@ -19,7 +19,6 @@ All generation output is byte-deterministic. Construction is sequential:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -339,7 +338,7 @@ def _cmd_measure(options: dict) -> int:
         "hausdorff_dimension": dimension,
         "perimeter": _series_json(cantor.perimeter_series(a, depth)),
     }
-    _write(json.dumps(report, indent=2) + "\n", options.get("out"))
+    _write(document.dumps_document(report), options.get("out"))
     return EXIT_OK
 
 
@@ -354,7 +353,7 @@ def _cmd_index(options: dict) -> int:
         "labels": list(holes.labels),
         "entries": list(entries),
     }
-    _write(json.dumps(report, indent=2) + "\n", options.get("out"))
+    _write(document.dumps_document(report), options.get("out"))
     return EXIT_OK
 
 
@@ -395,22 +394,22 @@ def _cmd_toeplitz(options: dict) -> int:
             "seed": options.get("seed") or 0,
             "agreements": agreements,
         }
-    _write(json.dumps(report, indent=2) + "\n", options.get("out"))
+    _write(document.dumps_document(report), options.get("out"))
     return EXIT_OK
 
 
 def _cmd_render(options: dict) -> int:
+    loop = parse_loop(options["loop"]) if options.get("loop") else None
     doc = _read_document(_require(options, "input"))
     kind = doc["kind"]
     if kind in (spatial.CUBE_WIREFRAME, spatial.TETRA_GASKET):
+        if loop is not None:
+            raise ParameterError(f"--loop overlays 2D documents only, not {kind}")
         text = render.export_obj(document.document_to_stage3(doc))
     elif kind == "cantor2d":
-        stage = document.document_to_stage2(doc)
-        loop = parse_loop(options["loop"]) if options.get("loop") else None
-        text = render.render_svg(stage, loop=loop)
+        text = render.render_svg(document.document_to_stage2(doc), loop=loop)
     else:
         ps = document.document_to_pieces(doc)
-        loop = parse_loop(options["loop"]) if options.get("loop") else None
         holes = topology.HoleSet.from_pieces(ps.removed) if loop is not None else None
         text = render.render_svg(ps, loop=loop, holes=holes)
     _write(text, options.get("out"))

@@ -5,9 +5,9 @@ by integer arithmetic: no epsilons, no floating point. The only floating
 point surface in the whole package is logarithms (dimensions) and the
 Toeplitz numerics. Points, segments and loops are immutable values.
 
-Batched predicates run on the integer lattice: coordinates scaled by D,
-the lcm of their denominators, held in int64 arrays while every product
-fits and in arrays of Python ints otherwise.
+Batched predicates and area sums run on the integer lattice, built here
+only: coordinates scaled by D, the lcm of their denominators, held in
+int64 arrays while every product fits and in arrays of Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -53,22 +53,45 @@ def rational(value: Union[int, str, Fraction]) -> Fraction:
         raise ParameterError(f"not a rational number: {value!r}") from exc
 
 
-def lattice(denominators: Iterable[int]) -> tuple[int, dict[int, int]]:
-    """D, the lcm of the denominators, and D // q for each denominator q."""
-    denominators = set(denominators)
+def to_lattice(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators, and value * D for each value, in order."""
+    ratios = [v.as_integer_ratio() for v in values]
+    denominators = {q for _, q in ratios}
     lcm = math.lcm(*denominators)
-    return lcm, {q: lcm // q for q in denominators}
+    scale = {q: lcm // q for q in denominators}
+    return lcm, [n * scale[q] for n, q in ratios]
 
 
 # Below this bound in absolute value, differences of lattice coordinates
-# stay below 2^30 and every sum of two products in `crossings` below 2^61.
+# stay below 2^30 and every sum of two products in `lattice_windings` below 2^61.
 _INT64_BOUND = 1 << 29
 
 
 def lattice_dtype(magnitude: int):
     """int64 for lattice coordinates of at most `magnitude` in absolute value
-    while `crossings` cannot overflow it; otherwise object (Python ints)."""
+    while `lattice_windings` cannot overflow it; otherwise object (Python ints)."""
     return np.int64 if magnitude < _INT64_BOUND else object
+
+
+def lattice_rings(rings: Sequence[Sequence[Point2]]) -> tuple[int, dict]:
+    """D for all the rings' coordinates and, for each vertex count k, the
+    positions of the rings with k vertices and their coordinates times D
+    as two (k, count) arrays: row i holds vertex i of every ring. The
+    `lattice_dtype` of k times the largest value leaves room for the
+    k-fold vertex sums of a centroid test."""
+    lcm, ints = to_lattice([c for ring in rings for p in ring for c in (p.x, p.y)])
+    counts = [len(ring) for ring in rings]
+    laid_out = {}
+    for k in dict.fromkeys(counts):
+        members = [i for i, count in enumerate(counts) if count == k]
+        values = ints
+        if len(members) < len(rings):  # mixed vertex counts: gather this group's rings
+            starts = list(accumulate((2 * count for count in counts), initial=0))
+            values = [v for i in members for v in ints[starts[i] : starts[i + 1]]]
+        grid = np.array(values, dtype=lattice_dtype(k * max(max(values), -min(values))))
+        xs, ys = grid.reshape(len(members), k, 2).transpose(2, 1, 0)
+        laid_out[k] = (members, xs, ys)
+    return lcm, laid_out
 
 
 def scale_factor(a: Union[int, str, Fraction], allow_half: bool) -> Fraction:
@@ -412,47 +435,48 @@ def winding_number(loop: Loop, p: Point2) -> int:
     return winding
 
 
-def crossings(ax, ay, bx, by, px, py):
-    """`winding_number`'s test of edge a -> b against point p, elementwise.
+def lattice_windings(xs, ys, px, py):
+    """`winding_number` of rings about points, on the lattice.
 
-    The arguments are lattice integers that broadcast together: ints,
-    int64 arrays, or object arrays of Python ints. Returns the signed
-    crossing of the rightward ray from p with the edge (+1 upward, -1
-    downward, 0 none) as int64, and a mask of the points on the closed
-    edge. For a point collinear with the edge, lying inside the edge's box
-    is the same as (p - a) . (p - b) <= 0.
+    xs and ys hold the k vertices of a ring in order: lists of ints for
+    one ring, or the rows of a `lattice_rings` group for one ring per
+    column. px and py broadcast against them. Returns the winding numbers
+    as int64 and a mask of the points on their ring. Each edge a -> b
+    counts the crossing of the rightward ray from p (+1 upward, -1
+    downward) by the half-open vertex rule; a point collinear with the
+    edge lies on it iff (p - a) . (p - b) <= 0.
     """
-    c = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
-    on_edge = (c == 0) & ((px - ax) * (px - bx) + (py - ay) * (py - by) <= 0)
-    a_below = ay <= py
-    b_below = by <= py
-    crossing = (a_below & ~b_below & (c > 0)).astype(np.int64)
-    crossing -= ~a_below & b_below & (c < 0)
-    return crossing, on_edge
+    winding = 0
+    on_ring = False
+    for a, b in ring_edges(range(len(xs))):
+        ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+        c = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
+        on_ring = on_ring | (c == 0) & ((px - ax) * (px - bx) + (py - ay) * (py - by) <= 0)
+        a_below, b_below = ay <= py, by <= py
+        winding = winding + (a_below & ~b_below & (c > 0)).astype(np.int64)
+        winding = winding - (~a_below & b_below & (c < 0))
+    return winding, on_ring
+
+
+def twice_areas(xs, ys):
+    """Twice the signed area of each ring of a `lattice_rings` group: the lattice shoelace."""
+    return sum(xs[a] * ys[b] - xs[b] * ys[a] for a, b in ring_edges(range(len(xs))))
 
 
 def winding_numbers(loop: Loop, points: Sequence[Point2]) -> tuple[int, ...]:
     """`winding_number` of the loop about every point, in order.
 
     The loop and the points are scaled by D, the lcm of all their
-    denominators, and each loop edge runs `crossings` over every point at
+    denominators, and each loop edge is tested against every point at
     once. Raises IndeterminateWindingError, naming the first point on the
     loop, if any point lies on it.
     """
     if not points:
         return ()
-    coords = [c for p in (*loop.vertices, *points) for c in (p.x, p.y)]
-    _, scale = lattice(c.denominator for c in coords)
-    ints = [c.numerator * scale[c.denominator] for c in coords]
+    _, ints = to_lattice([c for p in (*loop.vertices, *points) for c in (p.x, p.y)])
     n = 2 * len(loop.vertices)
     grid = np.array(ints[n:], dtype=lattice_dtype(max(max(ints), -min(ints))))
-    px, py = grid[0::2], grid[1::2]
-    winding = np.zeros(len(points), dtype=np.int64)
-    on_loop = np.zeros(len(points), dtype=bool)
-    for (ax, ay), (bx, by) in ring_edges(list(zip(ints[0:n:2], ints[1:n:2]))):
-        crossing, on_edge = crossings(ax, ay, bx, by, px, py)
-        winding += crossing
-        on_loop |= on_edge
+    winding, on_loop = lattice_windings(ints[0:n:2], ints[1:n:2], grid[0::2], grid[1::2])
     if on_loop.any():
         raise IndeterminateWindingError(f"point {points[int(on_loop.argmax())]} lies on the loop")
     return tuple(winding.tolist())

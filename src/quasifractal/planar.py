@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ParameterError
-from .geometry import Cell, Loop, Point2, Segment, Simplex, check_depth, lattice, ring_segments
-from .geometry import signed_area, simplex_children
+from .geometry import Cell, Loop, Point2, Segment, Simplex, check_depth, lattice_rings, ring_segments
+from .geometry import signed_area, simplex_children, to_lattice, twice_areas
 
 CARPET = "carpet"
 GASKET = "gasket"
@@ -120,41 +120,29 @@ class AreaAccount:
     removed_area: Fraction
 
 
-def _shoelace_sum(rings: list) -> Fraction:
-    """The summed signed areas of the vertex rings: twice each, as integers on the lattice."""
-    denominators = {p.x.denominator for ring in rings for p in ring}
-    denominators.update(p.y.denominator for ring in rings for p in ring)
-    lcm, scale = lattice(denominators)
-    twice = 0
-    for ring in rings:
-        scaled = [
-            (p.x.numerator * scale[p.x.denominator], p.y.numerator * scale[p.y.denominator])
-            for p in ring
-        ]
-        x0, y0 = scaled[-1]
-        for x1, y1 in scaled:
-            twice += x0 * y1 - x1 * y0
-            x0, y0 = x1, y1
-    return Fraction(twice, 2 * lcm * lcm)
-
-
 def area_accounting(ps: PieceSet) -> AreaAccount:
     """Exact area split: kept + removed equals the level-0 cell area.
 
     Carpet kept area is (8/9)^level; gasket kept area is (3/4)^level * 1/2.
     Both sums run cell by cell, so criterion 5 checks those laws rather
-    than assumes them. Each sum scales its sides or vertices by D, the
-    lcm of their denominators, adds integers and divides once: carpet
-    cells give the sum of (side * D)^2 over D^2, triangles and removed
-    rings the sum of their shoelace sums on the scaled vertices over 2 * D^2.
+    than assumes them. Each sum puts its sides or vertex rings on the
+    integer lattice of D, the lcm of their denominators, adds integers
+    and divides once: carpet cells give the sum of (side * D)^2 over D^2,
+    triangles and removed rings the sum of their lattice shoelaces over
+    2 * D^2.
     """
+
+    def shoelace_sum(rings) -> Fraction:
+        lcm, groups = lattice_rings(rings)
+        twice = sum(sum(twice_areas(xs, ys).tolist()) for _, xs, ys in groups.values())
+        return Fraction(twice, 2 * lcm * lcm)
+
     if ps.kind == CARPET:
-        sides = [cell.side for cell in ps.kept]
-        lcm, scale = lattice({s.denominator for s in sides})
-        kept_area = Fraction(sum((s.numerator * scale[s.denominator]) ** 2 for s in sides), lcm * lcm)
+        lcm, sides = to_lattice([cell.side for cell in ps.kept])
+        kept_area = Fraction(sum(s * s for s in sides), lcm * lcm)
     else:
-        kept_area = _shoelace_sum([cell.vertices for cell in ps.kept])
-    removed_area = _shoelace_sum([piece.boundary.vertices for piece in ps.removed])
+        kept_area = shoelace_sum([cell.vertices for cell in ps.kept])
+    removed_area = shoelace_sum([piece.boundary.vertices for piece in ps.removed])
     return AreaAccount(kept_area=kept_area, removed_area=removed_area)
 
 

@@ -22,6 +22,7 @@ rank deficiency of monomial sections rather than computing it.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -69,6 +70,9 @@ class Symbol:
                 trimmed[int(k)] = c
         if not trimmed:
             raise ParameterError("symbol needs at least one nonzero coefficient")
+        # |s| <= sum |c_k| on the circle: a sum beyond the floats would overflow there
+        if not math.isfinite(sum(math.hypot(c.real, c.imag) for c in trimmed.values())):
+            raise ParameterError("coefficient moduli sum beyond the largest float")
         self.coefficients = dict(sorted(trimmed.items()))
 
     @property

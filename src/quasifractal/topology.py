@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import MalformedLoopError, ParameterError
-from .geometry import Loop, Point2, area_vector, crossings, lattice, lattice_dtype, ring_edges
+from .geometry import Loop, Point2, area_vector, lattice_rings, lattice_windings, twice_areas
 from .geometry import winding_number, winding_numbers
 
 IndexVector = tuple[int, ...]
@@ -60,38 +58,19 @@ class HoleSet:
         Each piece must expose a `boundary` loop and a `label`. The checks
         of `point_in_polygon` run on the integer lattice, by vertex count k:
         vertices scaled by k * D (D the lcm of all denominators) put each
-        centroid on the lattice, and one `crossings` call per vertex slot
-        tests every ring of that count. For the first bad piece in order, a
+        centroid on the lattice, and one walk over the k ring edges tests
+        every ring of that count. For the first bad piece in order, a
         zero-area ring raises MalformedLoopError, and a centroid on the ring
         or outside it ParameterError.
         """
         pieces = list(pieces)
-        coords = [c for piece in pieces for p in piece.boundary.vertices for c in (p.x, p.y)]
-        lcm, scale = lattice(c.denominator for c in coords)
-        groups: dict[int, list[int]] = {}  # vertex count -> positions, in order
-        for i, piece in enumerate(pieces):
-            groups.setdefault(len(piece.boundary.vertices), []).append(i)
+        lcm, groups = lattice_rings([piece.boundary.vertices for piece in pieces])
         reps: list = [None] * len(pieces)
         first_bad = []  # (position, zero area) of each vertex count's first bad piece
-        for k, members in groups.items():
-            ints = [
-                c.numerator * scale[c.denominator]
-                for i in members
-                for p in pieces[i].boundary.vertices
-                for c in (p.x, p.y)
-            ]
-            rings = np.array(ints, dtype=lattice_dtype(k * max(max(ints), -min(ints))))
-            xs, ys = rings.reshape(len(members), k, 2).transpose(2, 1, 0)
+        for k, (members, xs, ys) in groups.items():
             cx, cy = xs.sum(axis=0), ys.sum(axis=0)  # the centroids on the k * D lattice
-            kxs, kys = k * xs, k * ys
-            twice_area = winding = 0
-            on_ring = False
-            for a, b in ring_edges(range(k)):
-                twice_area += xs[a] * ys[b] - xs[b] * ys[a]
-                crossing, on_edge = crossings(kxs[a], kys[a], kxs[b], kys[b], cx, cy)
-                winding += crossing
-                on_ring |= on_edge
-            flat = twice_area == 0
+            winding, on_ring = lattice_windings(k * xs, k * ys, cx, cy)
+            flat = twice_areas(xs, ys) == 0
             failed = flat | on_ring | (winding == 0)
             if failed.any():
                 first = int(failed.argmax())

@@ -112,7 +112,7 @@ def test_criterion_5_quasifractal_completeness():
 
 
 def test_criterion_6_loop_piece_incidence():
-    with criterion(6, "piece boundaries are loops in the skeleton"):
+    with criterion(6, "piece boundaries are loops in the skeleton", budget=10.0):
         cube = SpatialVariant(CUBE_WIREFRAME, F(1, 3))
         tetra = SpatialVariant(TETRA_GASKET)
         for variant in (cube, tetra):
@@ -196,7 +196,7 @@ def test_criterion_8_toeplitz_index():
 
 
 def test_criterion_9_determinism(tmp_path):
-    with criterion(9, "byte-determinism across thread counts"):
+    with criterion(9, "byte-determinism across thread counts", budget=10.0):
         configurations = [
             ["gen2d", "--a", "1/5", "--depth", "3"],
             ["gen2d", "--a", "1/3", "--depth", "4"],

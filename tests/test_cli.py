@@ -105,6 +105,16 @@ def test_render_overlay(tmp_path):
     assert "<text" in out.read_text()
 
 
+@pytest.mark.parametrize("variant", ["cube", "tetra"])
+@pytest.mark.parametrize("loop", ["garbage", "0,0 1,0 1,1 0,1"])
+def test_render_refuses_a_loop_on_3d_documents(variant, loop, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    _spatial_document(variant, "1", path)
+    argv = ["render", "--input", str(path), "--loop", loop, "--out", str(tmp_path / "s.obj")]
+    _assert_one_validation_line(argv, capsys)
+    assert not (tmp_path / "s.obj").exists()
+
+
 def test_exit_codes():
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
@@ -148,6 +158,18 @@ def test_toeplitz_non_finite_coefficient_is_a_validation_error():
     assert main(["toeplitz", "--symbol", "0:1, 1:nan"]) == EXIT_VALIDATION
     assert main(["toeplitz", "--symbol", "0:1, 1:inf"]) == EXIT_VALIDATION
     assert main(["toeplitz", "--symbol", "0:1, 1:1+infj"]) == EXIT_VALIDATION
+
+
+def test_toeplitz_symbol_overflowing_on_the_circle_is_a_validation_error():
+    # each coefficient is finite, but their moduli sum beyond the floats; a
+    # subprocess, because numpy warnings reach stderr only outside pytest
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasifractal", "toeplitz", "--symbol", "0:1e308, 1:1e308"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert proc.stderr.startswith("validation error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_toeplitz_reports_one_sampling_run(capsys):

@@ -39,6 +39,8 @@ from quasifractal.geometry import (
     cross2,
     geometric_sum,
     lattice_dtype,
+    lattice_rings,
+    lattice_windings,
     midpoint,
     on_segment,
     point_in_polygon,
@@ -49,10 +51,11 @@ from quasifractal.geometry import (
     segment_components,
     signed_area,
     simplex_children,
+    twice_areas,
     union_length,
     winding_numbers,
 )
-from quasifractal.topology import winding_number
+from quasifractal.topology import centroid, winding_number
 
 
 def rand_fraction(rng):
@@ -596,3 +599,48 @@ def test_winding_numbers_with_denominators_near_a_trillion():
         assert _assert_windings_match(loop, reps)
         # a loop through a representative raises, naming it
         assert not _assert_windings_match(Loop((reps[40],) + loop.vertices[1:]), reps)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+def test_lattice_ring_walk_and_shoelace_match_the_oracles_at_the_int64_bound(above):
+    """`lattice_windings` and `twice_areas` on seeded convex and star rings,
+    each moved out until k times its largest coordinate is just below 2^29,
+    or at least 2^29 when `above`, against `winding_number` and `signed_area`."""
+    rng = random.Random(529 + above)
+    loops = []
+    for i in range(40):
+        ccw = (convex_loop, star_loop)[i % 2](rng, span=6)
+        k = len(ccw.vertices)
+        shift = (2**29 - 1) // k + above - max(c for v in ccw.vertices for c in v.coords)
+        moved = tuple(Point2(v.x + shift, v.y + shift) for v in ccw.vertices)
+        loops += [Loop(moved), Loop(moved[::-1])]
+    lcm, groups = lattice_rings([loop.vertices for loop in loops])
+    assert lcm == 1 and len(groups) >= 4
+    checked = on = 0
+    for k, (members, xs, ys) in groups.items():
+        assert xs.dtype == (object if above else np.int64)
+        rings = [loops[i] for i in members]
+        assert twice_areas(xs, ys).tolist() == [2 * signed_area(loop) for loop in rings]
+        # every ring about its centroid, on the k-fold lattice that
+        # `HoleSet.from_pieces` uses
+        windings, on_ring = lattice_windings(k * xs, k * ys, xs.sum(axis=0), ys.sum(axis=0))
+        for loop, winding, on_loop in zip(rings, windings.tolist(), on_ring.tolist()):
+            try:
+                assert (winding, on_loop) == (winding_number(loop, centroid(loop)), False)
+            except IndeterminateWindingError:
+                assert on_loop
+        # every ring about the integer points of its box, its vertices among them
+        for j, loop in enumerate(rings):
+            lo = min(c for v in loop.vertices for c in v.coords)
+            points = [pt(lo + rng.randint(-1, 14), lo + rng.randint(-1, 14)) for _ in range(60)]
+            px = np.array([int(p.x) for p in points], dtype=xs.dtype)
+            py = np.array([int(p.y) for p in points], dtype=xs.dtype)
+            windings, on_ring = lattice_windings(xs[:, j], ys[:, j], px, py)
+            for p, winding, on_loop in zip(points, windings.tolist(), on_ring.tolist()):
+                try:
+                    assert (winding, on_loop) == (winding_number(loop, p), False)
+                except IndeterminateWindingError:
+                    assert on_loop
+                    on += 1
+                checked += 1
+    assert checked == 60 * len(loops) and on >= 200

@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from helpers import F, area_accounting_oracle, pt
 from quasifractal.errors import CapacityError, ParameterError
-from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, signed_area
+from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, lattice_rings, signed_area
 from quasifractal.planar import (
     CARPET,
     GASKET,
@@ -235,3 +236,46 @@ def test_area_accounting_matches_the_oracle_on_mixed_denominators(seed):
     ):
         assert area_accounting(ps) == area_accounting_oracle(ps)
     assert {piece.boundary.orientation for piece in removed} == {-1, 1}
+
+
+def _far_ring(rng, k, turn, above):
+    """k vertices over halves running counterclockwise (+1) or clockwise (-1),
+    with coordinates up to m/2 in absolute value for m = (2^29 - 1) // k,
+    plus 1 when `above`, and one x coordinate at +-m/2.
+
+    On the lattice of D = 2 the largest coordinate is m, so k * m is just
+    below 2^29, or at least 2^29 when `above`; twice a ring's area runs
+    to about 2^57, past what a float holds exactly.
+    """
+    m = (2**29 - 1) // k + above
+
+    def half():
+        return F(rng.randint(-m, m), 2)
+
+    while True:
+        ring = [pt(half(), half()) for _ in range(k - 1)]
+        ring.insert(rng.randrange(k), pt(F(rng.choice([m, -m]), 2), half()))
+        if all(p != q for p, q in zip(ring, ring[1:] + ring[:1])):
+            area = signed_area(Loop(tuple(ring)))
+            if area:
+                return ring if (area > 0) == (turn > 0) else ring[::-1]
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+def test_area_accounting_on_both_sides_of_the_int64_bound(above):
+    """Rings of 3 to 8 vertices whose lattice arrays are int64 below the
+    bound and Python ints above it; the sums must not see the difference."""
+    rng = random.Random(29 + above)
+    turns = (1, -1, 1, -1)
+    removed = [
+        Piece(Loop(tuple(_far_ring(rng, k, turn, above))), 1, f"1:{k}:{i}")
+        for k in range(3, 9)
+        for i, turn in enumerate(turns)
+    ]
+    triangles = [Simplex("", tuple(_far_ring(rng, 3, turn, above))) for turn in turns]
+    squares = [Cell("", pt(F(1, 2), F(-1, 2)), F((2**29 - 1) // 4 + above, 2)) for _ in turns]
+    lcm, groups = lattice_rings([piece.boundary.vertices for piece in removed])
+    assert lcm == 2 and sorted(groups) == list(range(3, 9))
+    assert all(xs.dtype == (object if above else np.int64) for _, xs, _ in groups.values())
+    for ps in (PieceSet(CARPET, 1, squares, removed), PieceSet(GASKET, 1, triangles, removed)):
+        assert area_accounting(ps) == area_accounting_oracle(ps)
