@@ -17,7 +17,6 @@ from functools import wraps
 from .cantor import DEPTH_CAP, Params2, Stage2
 from .errors import CapacityError, ParameterError, QuasifractalError
 from .geometry import Cell, Loop, Point2, Point3, Segment, Simplex, check_depth, rational
-from .geometry import sorted_segments
 from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, Piece, PieceSet
 from .spatial import CUBE_DEPTH_CAP, CUBE_WIREFRAME, TETRA_DEPTH_CAP, TETRA_GASKET
 from .spatial import Face3, SpatialVariant, Stage3
@@ -37,7 +36,7 @@ def format_rational(x: Fraction | int) -> str:
 
 
 def _point_json(p) -> list[str]:
-    return [format_rational(c) for c in p.coords]
+    return [format_rational(c) for c in p]
 
 
 class _Rationals(dict):
@@ -89,7 +88,7 @@ def _cells(read: _Rationals, data, dim: int) -> list[Cell]:
 
 
 def _segments_json(segments) -> list:
-    return [[_point_json(s.a), _point_json(s.b)] for s in sorted_segments(segments)]
+    return [[_point_json(s.a), _point_json(s.b)] for s in sorted(segments)]
 
 
 def _loop_json(loop: Loop) -> list:

@@ -3,7 +3,8 @@
 All coordinates are `fractions.Fraction`, so every predicate here is decided
 by integer arithmetic: no epsilons, no floating point. The only floating
 point surface in the whole package is logarithms (dimensions) and the
-Toeplitz numerics. Points, segments and loops are immutable values.
+Toeplitz numerics. Points are coordinate tuples and segments sorted pairs
+of points, so both hash, compare and sort as tuples; loops are immutable.
 
 Batched predicates and area sums run on the integer lattice, built here
 only: coordinates scaled by D, the lcm of their denominators, held in
@@ -79,7 +80,7 @@ def lattice_rings(rings: Sequence[Sequence[Point2]]) -> tuple[int, dict]:
     as two (k, count) arrays: row i holds vertex i of every ring. The
     `lattice_dtype` of k times the largest value leaves room for the
     k-fold vertex sums of a centroid test."""
-    lcm, ints = to_lattice([c for ring in rings for p in ring for c in (p.x, p.y)])
+    lcm, ints = to_lattice([c for ring in rings for p in ring for c in p])
     counts = [len(ring) for ring in rings]
     laid_out = {}
     for k in dict.fromkeys(counts):
@@ -124,14 +125,9 @@ def geometric_sum(r: Fraction, n: int) -> Fraction:
     return (1 - r ** (n + 1)) / (1 - r)
 
 
-@dataclass(frozen=True)
-class Point2:
+class Point2(NamedTuple):
     x: Fraction
     y: Fraction
-
-    @property
-    def coords(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
 
     def __add__(self, other: "Point2") -> "Point2":
         return Point2(self.x + other.x, self.y + other.y)
@@ -140,15 +136,10 @@ class Point2:
         return Point2(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class Point3:
+class Point3(NamedTuple):
     x: Fraction
     y: Fraction
     z: Fraction
-
-    @property
-    def coords(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.x, self.y, self.z)
 
     def __add__(self, other: "Point3") -> "Point3":
         return Point3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -161,33 +152,29 @@ Point = Union[Point2, Point3]
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    return type(p)(*[(a + b) / 2 for a, b in zip(p.coords, q.coords)])
+    return type(p)(*[(a + b) / 2 for a, b in zip(p, q)])
 
 
-@dataclass(frozen=True)
-class Segment:
+class _Endpoints(NamedTuple):
+    a: Point
+    b: Point
+
+
+class Segment(_Endpoints):
     """An unordered pair of distinct points, stored in canonical order.
 
     The constructor sorts the endpoints lexicographically, so structurally
     equal segments compare and hash equal regardless of the order they were
-    built with. That canonical form is what stage skeletons deduplicate on.
+    built with. That canonical form is what stage skeletons deduplicate on,
+    and `sorted` orders segments by first, then second endpoint.
     """
 
-    a: Point
-    b: Point
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a.coords == self.b.coords:
-            raise ParameterError(f"degenerate segment at {self.a}")
-        if self.b.coords < self.a.coords:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-
-def sorted_segments(segments: Iterable[Segment]) -> list[Segment]:
-    """Segments in their canonical output order: by first, then second endpoint."""
-    return sorted(segments, key=lambda s: (s.a.coords, s.b.coords))
+    def __new__(cls, a: Point, b: Point) -> "Segment":
+        if a == b:
+            raise ParameterError(f"degenerate segment at {a}")
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
 
 def ring_edges(vertices: Sequence[Point]) -> Iterator[tuple[Point, Point]]:
@@ -247,7 +234,7 @@ class Cell:
         return len(self.address)
 
     def _ends(self, length: Fraction) -> list[Fraction]:
-        return [v for c in self.corner.coords for v in (c, c + length)]
+        return [v for c in self.corner for v in (c, c + length)]
 
     def vertices(self) -> tuple[Point, ...]:
         """The 2^d corners in bit order: bit i of the index selects the far side in coordinate i."""
@@ -257,12 +244,12 @@ class Cell:
 
     def edge_segments(self) -> tuple[Segment, ...]:
         verts = self.vertices()
-        return tuple(Segment(verts[i], verts[j]) for i, j in _EDGES[len(self.corner.coords)])
+        return tuple(Segment(verts[i], verts[j]) for i, j in _EDGES[len(self.corner)])
 
     def faces(self) -> tuple[tuple[Point, ...], ...]:
         """The vertex rings of the faces, each counterclockwise seen from outside."""
         verts = self.vertices()
-        return tuple(pick(verts) for pick in _FACES[len(self.corner.coords)])
+        return tuple(pick(verts) for pick in _FACES[len(self.corner)])
 
     def children(self, a: Fraction) -> tuple["Cell", ...]:
         child_side = self.side * a
@@ -278,7 +265,7 @@ class Cell:
         """Exact containment of another cell's closed square or cube in this one."""
         return all(
             c <= o and o + other.side <= c + self.side
-            for c, o in zip(self.corner.coords, other.corner.coords)
+            for c, o in zip(self.corner, other.corner)
         )
 
 
@@ -359,7 +346,7 @@ class Loop:
         if len(verts) < 3:
             raise MalformedLoopError("a loop needs at least 3 vertices")
         for i, (p, q) in enumerate(ring_edges(verts)):
-            if p.coords == q.coords:
+            if p == q:
                 raise MalformedLoopError(f"consecutive duplicate vertex at position {i}")
 
     @property
@@ -386,7 +373,7 @@ def area_vector(points: Sequence[Point3]) -> tuple[Fraction, Fraction, Fraction]
     Half the sum of the edge cross products: normal to the polygon, as long as its area.
     """
     ax = ay = az = Fraction(0)
-    for p, q in ring_edges([point.coords for point in points]):
+    for p, q in ring_edges(points):
         ax += p[1] * q[2] - p[2] * q[1]
         ay += p[2] * q[0] - p[0] * q[2]
         az += p[0] * q[1] - p[1] * q[0]
@@ -396,20 +383,6 @@ def area_vector(points: Sequence[Point3]) -> tuple[Fraction, Fraction, Fraction]
 def cross2(o: Point2, a: Point2, b: Point2) -> Fraction:
     """Cross product of (a - o) and (b - o)."""
     return (a.x - o.x) * (b.y - o.y) - (b.x - o.x) * (a.y - o.y)
-
-
-def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """Exact test for p lying on the closed segment from a to b."""
-    pc, ac, bc = p.coords, a.coords, b.coords
-    d = tuple(bi - ai for ai, bi in zip(ac, bc))
-    r = tuple(pi - ai for ai, pi in zip(ac, pc))
-    # collinearity: r x d = 0 componentwise (2D reduces to one term)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            if r[i] * d[j] - r[j] * d[i] != 0:
-                return False
-    dot = sum(ri * di for ri, di in zip(r, d))
-    return 0 <= dot <= sum(di * di for di in d)
 
 
 def winding_number(loop: Loop, p: Point2) -> int:
@@ -473,7 +446,7 @@ def winding_numbers(loop: Loop, points: Sequence[Point2]) -> tuple[int, ...]:
     """
     if not points:
         return ()
-    _, ints = to_lattice([c for p in (*loop.vertices, *points) for c in (p.x, p.y)])
+    _, ints = to_lattice([c for p in (*loop.vertices, *points) for c in p])
     n = 2 * len(loop.vertices)
     grid = np.array(ints[n:], dtype=lattice_dtype(max(max(ints), -min(ints))))
     winding, on_loop = lattice_windings(ints[0:n:2], ints[1:n:2], grid[0::2], grid[1::2])
@@ -508,19 +481,18 @@ def _line_key(p: Point, q: Point):
     """
     # Components known to be 0 or 1 are plain ints: they skip Fraction
     # arithmetic and hash faster, and equal values hash equal either way.
-    pc = p.coords
-    d = tuple(qi - pi if qi != pi else 0 for pi, qi in zip(pc, q.coords))
+    d = tuple(qi - pi if qi != pi else 0 for pi, qi in zip(p, q))
     pivot = next(i for i, di in enumerate(d) if di)
     dp = d[pivot]
     u = tuple(0 if not di else 1 if i == pivot else di / dp for i, di in enumerate(d))
-    return _line_through(pc, u, pivot), pivot
+    return _line_through(p, u, pivot), pivot
 
 
-def _line_through(pc: tuple, u: tuple, pivot: int):
-    """Key of the line in direction u through the point with coordinates pc."""
-    t = pc[pivot]
+def _line_through(p: Point, u: tuple, pivot: int):
+    """Key of the line in direction u through p."""
+    t = p[pivot]
     base = tuple(
-        0 if i == pivot else pi - t * ui if ui else pi for i, (pi, ui) in enumerate(zip(pc, u))
+        0 if i == pivot else pi - t * ui if ui else pi for i, (pi, ui) in enumerate(zip(p, u))
     )
     return (u, base)
 
@@ -534,7 +506,7 @@ def _carrier_lines(segments: Sequence[Segment]) -> dict:
     lines: dict = {}
     for idx, seg in enumerate(segments):
         key, pivot = _line_key(seg.a, seg.b)
-        lines.setdefault(key, []).append((seg.a.coords[pivot], seg.b.coords[pivot], idx))
+        lines.setdefault(key, []).append((seg.a[pivot], seg.b[pivot], idx))
     for entries in lines.values():
         entries.sort()
     return lines
@@ -623,13 +595,12 @@ class SegmentIndex:
         or before p are scanned, so a query costs a bisect per direction
         plus that scan.
         """
-        pc = p.coords
         found: list[int] = []
         for u, pivot in self.directions.items():
-            line = self._lines.get(_line_through(pc, u, pivot))
+            line = self._lines.get(_line_through(p, u, pivot))
             if line is None:
                 continue
-            t = pc[pivot]
+            t = p[pivot]
             i = line.run_at(t)
             if i < 0:
                 continue
@@ -648,7 +619,7 @@ class SegmentIndex:
         line = self._lines.get(key)
         if line is None:
             return False
-        ta, tb = p.coords[pivot], q.coords[pivot]
+        ta, tb = p[pivot], q[pivot]
         i = line.run_at(min(ta, tb))
         return i >= 0 and line.ends[i] >= max(ta, tb)
 

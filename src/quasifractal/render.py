@@ -14,7 +14,7 @@ from typing import Union
 
 from .cantor import Stage2
 from .errors import UnsupportedGeometryError
-from .geometry import Loop, Point2, sorted_segments
+from .geometry import Loop, Point2
 from .planar import CARPET, PieceSet, base_cell
 from .spatial import Stage3
 from .topology import HoleSet, index_vector
@@ -128,7 +128,7 @@ class _Canvas:
 def _draw_stage2(canvas: _Canvas, stage: Stage2) -> None:
     for cell in stage.cells:
         canvas.rect(cell.corner, cell.side, fill=_KEPT_FILL)
-    for segment in sorted_segments(stage.segments):
+    for segment in sorted(stage.segments):
         canvas.polyline((segment.a, segment.b), stroke=_STROKE, width_frac=0.002)
 
 
@@ -186,15 +186,14 @@ def export_obj(stage: Stage3) -> str:
     vertices: list = []
 
     def vid(point) -> int:
-        key = point.coords
-        got = vertex_ids.get(key)
+        got = vertex_ids.get(point)
         if got is None:
             got = len(vertices) + 1  # OBJ indices are 1-based
-            vertex_ids[key] = got
+            vertex_ids[point] = got
             vertices.append(point)
         return got
 
-    lines = [(vid(s.a), vid(s.b)) for s in sorted_segments(stage.skeleton)]
+    lines = [(vid(s.a), vid(s.b)) for s in sorted(stage.skeleton)]
     faces = [tuple(vid(v) for v in face.boundary) for face in stage.pieces]
     out = [
         f"# quasifractal {stage.variant.kind} stage, level {stage.level}",

@@ -140,15 +140,17 @@ def orientation_flip(s: Symbol) -> Symbol:
 
 
 def _symbol_values(coeffs: np.ndarray, exponents: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """s(e^{i theta}) at every angle, evaluated _SAMPLE_BLOCK angles at a time.
+    """s(e^{i theta}) at every angle, evaluated _SAMPLE_BLOCK angles at a time
+    straight into the result.
 
     Each row's exp and sum involve that row only, so the blocks give the
     same bits as one samples-by-terms array at a bounded memory cost.
     """
-    return np.concatenate([
-        (coeffs[None, :] * np.exp(1j * np.outer(theta[i : i + _SAMPLE_BLOCK], exponents))).sum(axis=1)
-        for i in range(0, len(theta), _SAMPLE_BLOCK)
-    ])
+    values = np.empty(len(theta), dtype=np.complex128)
+    for i in range(0, len(theta), _SAMPLE_BLOCK):
+        terms = coeffs[None, :] * np.exp(1j * np.outer(theta[i : i + _SAMPLE_BLOCK], exponents))
+        values[i : i + _SAMPLE_BLOCK] = terms.sum(axis=1)
+    return values
 
 
 def _sample_argument(s: Symbol, samples: Union[int, None]):
@@ -162,18 +164,28 @@ def _sample_argument(s: Symbol, samples: Union[int, None]):
         )
     if samples > _MAX_SAMPLES:
         raise CapacityError(f"{samples} circle samples exceed the ceiling of {_MAX_SAMPLES}")
+    # Sample s / 2^e, whose largest coefficient modulus lies in [1/2, 1), so
+    # that a huge finite coefficient overflows neither the values nor their
+    # neighbour ratios. A power of two scales exactly: an ordinary symbol
+    # gives the same bits, and the minimum is unscaled before its test.
+    _, e = math.frexp(max(abs(c) for c in s.coefficients.values()))
     exponents = np.array(list(s.coefficients), dtype=np.int64)
-    coeffs = np.array([s.coefficients[int(k)] for k in exponents], dtype=np.complex128)
+    coeffs = np.array(
+        [complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in s.coefficients.values()],
+        dtype=np.complex128,
+    )
     while samples <= _MAX_SAMPLES:
         theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         values = _symbol_values(coeffs, exponents, theta)
-        min_modulus = float(np.abs(values).min())
+        min_modulus = math.ldexp(float(np.abs(values).min()), e)
         if min_modulus <= MIN_CIRCLE_MODULUS:
             raise NotFredholmError(
                 f"symbol modulus {min_modulus:.3e} on the circle is below "
                 f"{MIN_CIRCLE_MODULUS:.0e}; the operator is not Fredholm"
             )
-        steps = np.angle(np.roll(values, -1) / values)
+        steps = np.roll(values, -1)
+        steps /= values  # in place: no second samples-long temporary at the peak
+        steps = np.angle(steps)
         if np.max(np.abs(steps)) < np.pi / 2:
             total = float(steps.sum())
             winding = total / (2.0 * np.pi)
@@ -305,15 +317,11 @@ def truncate(s: Symbol, n: int) -> ToeplitzTruncation:
     width = s.m + s.p + 1
     if n < width:
         raise ParameterError(f"truncation size {n} is below the band width {width}")
-    j, k = np.indices((n, n))
-    offsets = j - k
-    matrix = np.zeros((n, n), dtype=np.complex128)
+    band = np.zeros(2 * n - 1, dtype=np.complex128)  # c_k at index k + n - 1
     for exponent, c in s.coefficients.items():
-        matrix[offsets == exponent] = c
-    for offset in range(-(n - 1), n):
-        diag = np.diagonal(matrix, offset=-offset)
-        if diag.size and not np.all(diag == diag[0]):
-            raise NumericalError("truncation lost the constant-diagonal property")
+        band[exponent + n - 1] = c
+    j, k = np.indices((n, n))
+    matrix = band[j - k + n - 1]
     singular_values = np.linalg.svd(matrix, compute_uv=False)
     return ToeplitzTruncation(
         n=n,

@@ -123,4 +123,4 @@ def _normal_axis(points: Sequence) -> int:
 
 def _project(points: Sequence) -> Loop:
     drop = _normal_axis(points)
-    return Loop(tuple(Point2(*[c for i, c in enumerate(p.coords) if i != drop]) for p in points))
+    return Loop(tuple(Point2(*[c for i, c in enumerate(p) if i != drop]) for p in points))

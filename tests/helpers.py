@@ -37,6 +37,19 @@ def winding_oracle(loop: Loop, p: Point2) -> int:
     return int(nearest)
 
 
+def on_segment(p, a, b) -> bool:
+    """Exact test for p lying on the closed segment from a to b."""
+    d = tuple(bi - ai for ai, bi in zip(a, b))
+    r = tuple(pi - ai for ai, pi in zip(a, p))
+    # collinearity: r x d = 0 componentwise (2D reduces to one term)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if r[i] * d[j] - r[j] * d[i] != 0:
+                return False
+    dot = sum(ri * di for ri, di in zip(r, d))
+    return 0 <= dot <= sum(di * di for di in d)
+
+
 def union_length_oracle(segments) -> Fraction:
     """Brute-force union measure: per carrier, sweep elementary gaps.
 
@@ -46,7 +59,7 @@ def union_length_oracle(segments) -> Fraction:
     """
     carriers: dict = {}
     for seg in segments:
-        a, b = seg.a.coords, seg.b.coords
+        a, b = seg
         axis = next(i for i in range(len(a)) if a[i] != b[i])
         key = (axis,) + tuple(c for i, c in enumerate(a) if i != axis)
         lo, hi = min(a[axis], b[axis]), max(a[axis], b[axis])
@@ -100,8 +113,6 @@ def pairwise_components(segments) -> int:
     Independent of the carrier-line index: O(n^2) exact `on_segment` tests,
     then a graph search over the adjacency they define.
     """
-    from quasifractal.geometry import on_segment
-
     segments = list(segments)
     n = len(segments)
     adjacency = {i: set() for i in range(n)}
@@ -167,8 +178,6 @@ def query_loop(rng, rectangle: bool, reps=()) -> Loop:
     rectangle is axis-parallel, so it passes through no representative; a
     convex loop (the hull of 8 draws) through one of `reps` is redrawn.
     """
-    from quasifractal.geometry import on_segment
-
     def coordinate():
         q = rng.choice(QUERY_DENOMINATORS)
         return F(rng.randint(-q // 5, 6 * q // 5), q)
@@ -211,8 +220,6 @@ def _hull(pts):
 
 
 def random_point_off_loop(rng, loop: Loop, span: int = 30) -> Point2:
-    from quasifractal.geometry import on_segment
-
     while True:
         p = pt(F(rng.randint(-4 * span, 4 * span), 4), F(rng.randint(-4 * span, 4 * span), 4))
         if not any(on_segment(p, a, b) for a, b in loop.edges()):

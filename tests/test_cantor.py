@@ -41,7 +41,7 @@ def test_level0_is_unit_square():
 
 def test_refine_quarter_scale_corners():
     stage = refine(level0(F(1, 4)))
-    corners = [cell.corner.coords for cell in stage.cells]
+    corners = [cell.corner for cell in stage.cells]
     assert corners == [
         (0, 0),
         (F(3, 4), 0),
@@ -69,7 +69,7 @@ def test_half_scale_cells_tile_unit_square():
     for depth in (1, 2, 3):
         stage = build(Params2(F(1, 2), depth))
         n = 2**depth
-        corners = {cell.corner.coords for cell in stage.cells}
+        corners = {cell.corner for cell in stage.cells}
         expected = {(F(i, n), F(j, n)) for i in range(n) for j in range(n)}
         assert corners == expected
         assert sum(cell.side**2 for cell in stage.cells) == 1
@@ -87,9 +87,9 @@ def test_build_extreme_corners_match_offset_series():
     # NE-most corner offset is the partial sum of (1 - a) a^k
     expected = sum((1 - a) * a**k for k in range(2))
     assert expected == F(8, 9)
-    assert stage.cells[0].corner.coords == (0, 0)
-    ne = max(stage.cells, key=lambda c: c.corner.coords)
-    assert ne.corner.coords == (F(8, 9), F(8, 9))
+    assert stage.cells[0].corner == (0, 0)
+    ne = max(stage.cells, key=lambda c: c.corner)
+    assert ne.corner == (F(8, 9), F(8, 9))
 
 
 def test_addresses_are_lexicographic():

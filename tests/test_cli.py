@@ -172,6 +172,20 @@ def test_toeplitz_symbol_overflowing_on_the_circle_is_a_validation_error():
     assert proc.stderr.startswith("validation error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_toeplitz_huge_finite_coefficient_is_sampled_without_overflow():
+    # a subprocess, because numpy warnings reach stderr only outside pytest
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasifractal", "toeplitz", "--symbol", "0:1e308+1e308j"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["winding_by_argument"] == 0
+    assert report["min_modulus_on_circle"] == 1.4142135623730951e308
+
+
 def test_toeplitz_reports_one_sampling_run(capsys):
     # |2 + c z| with |c| = 1 reaches 1 at theta = pi - arg(c), which no grid
     # hits: the sampled minimum at 100 points differs from the default 64's

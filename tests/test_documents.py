@@ -230,10 +230,10 @@ def test_obj_vertex_dedup_matches_exact_oracle():
     vertices, lines, faces = _parse_obj(export_obj(stage))
     exact = set()
     for seg in stage.skeleton:
-        exact.add(seg.a.coords)
-        exact.add(seg.b.coords)
+        exact.add(seg.a)
+        exact.add(seg.b)
     for face in stage.pieces:
-        exact.update(v.coords for v in face.boundary)
+        exact.update(face.boundary)
     assert len(vertices) == len(exact) == 64
 
 

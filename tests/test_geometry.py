@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     F,
     convex_loop,
+    on_segment,
     pairwise_components,
     pt,
     random_point_off_loop,
@@ -42,7 +43,6 @@ from quasifractal.geometry import (
     lattice_rings,
     lattice_windings,
     midpoint,
-    on_segment,
     point_in_polygon,
     rational,
     ring_edges,
@@ -176,12 +176,33 @@ def test_segment_canonical_form():
     s2 = Segment(pt(0, 0), pt(1, 1))
     assert s1 == s2
     assert len({s1, s2}) == 1
-    assert s1.a.coords <= s1.b.coords
+    assert s1.a <= s1.b
 
 
 def test_segment_rejects_equal_endpoints():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as raised:
         Segment(pt(1, 2), pt(1, 2))
+    assert str(raised.value) == "degenerate segment at Point2(x=Fraction(1, 1), y=Fraction(2, 1))"
+
+
+def test_points_and_segments_are_coordinate_tuples():
+    assert all(issubclass(cls, tuple) for cls in (Point2, Point3, Segment))
+    assert Point2(0, 0) != Point3(0, 0, 0)
+    total = pt(1, 2) + pt(F(1, 2), 3)
+    assert type(total) is Point2 and total == (F(3, 2), 5)
+    assert type(Point3(1, 2, 3) - Point3(1, 1, 1)) is Point3
+
+
+def test_point_and_segment_reprs():
+    p = pt(F(1, 2), 0)
+    assert repr(p) == "Point2(x=Fraction(1, 2), y=Fraction(0, 1))"
+    assert repr(Point3(F(1), F(0), F(1, 3))) == (
+        "Point3(x=Fraction(1, 1), y=Fraction(0, 1), z=Fraction(1, 3))"
+    )
+    assert repr(Segment(pt(1, 0), p)) == (
+        "Segment(a=Point2(x=Fraction(1, 2), y=Fraction(0, 1)), "
+        "b=Point2(x=Fraction(1, 1), y=Fraction(0, 1)))"
+    )
 
 
 def test_union_length_overlapping_collinear():
@@ -251,10 +272,10 @@ def _has_overlap(segments) -> bool:
             if axis_a != axis_b:
                 continue
             other = 1 - axis_a
-            if s.a.coords[other] != t.a.coords[other]:
+            if s.a[other] != t.a[other]:
                 continue
-            lo = max(s.a.coords[axis_a], t.a.coords[axis_a])
-            hi = min(s.b.coords[axis_a], t.b.coords[axis_a])
+            lo = max(s.a[axis_a], t.a[axis_a])
+            hi = min(s.b[axis_a], t.b[axis_a])
             if lo < hi:
                 return True
     return False
@@ -312,7 +333,7 @@ TETRA_DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0,
 
 
 def _along(p, direction, t):
-    return Point3(*(c + t * d for c, d in zip(p.coords, direction)))
+    return Point3(*(c + t * d for c, d in zip(p, direction)))
 
 
 def _tetra_direction_segments(rng):
@@ -367,10 +388,10 @@ def _brute_ids_through(segments, p):
 
 def _brute_covers(segments, p, q):
     # cut pq at every indexed endpoint on it; each closed piece must lie in one segment
-    d = tuple(qi - pi for pi, qi in zip(p.coords, q.coords))
+    d = tuple(qi - pi for pi, qi in zip(p, q))
 
     def param(x):
-        return sum((xi - pi) * di for xi, pi, di in zip(x.coords, p.coords, d))
+        return sum((xi - pi) * di for xi, pi, di in zip(x, p, d))
 
     cuts = {p, q} | {e for s in segments for e in (s.a, s.b) if on_segment(e, p, q)}
     cuts = sorted(cuts, key=param)
@@ -390,7 +411,7 @@ def test_segment_index_queries_match_brute_force():
         for p in points:
             assert sorted(index.ids_through(p)) == _brute_ids_through(segments, p)
         for _ in range(20):
-            p = rng.choice(sorted(points, key=lambda x: x.coords))
+            p = rng.choice(sorted(points))
             q = _along(p, rng.choice(TETRA_DIRECTIONS), F(rng.randint(1, 6), 4))
             assert index.covers(p, q) == index.covers(q, p) == _brute_covers(segments, p, q)
 
@@ -435,11 +456,11 @@ def test_square_cell_edges_are_its_four_sides():
 def test_cube_cell_vertices_and_edges():
     cell = Cell("", Point3(F(0), F(0), F(0)), F(1))
     verts = cell.vertices()
-    assert [v.coords for v in verts] == [(b & 1, b >> 1 & 1, b >> 2 & 1) for b in range(8)]
+    assert list(verts) == [(b & 1, b >> 1 & 1, b >> 2 & 1) for b in range(8)]
     edges = cell.edge_segments()
     assert len(set(edges)) == 12
     for e in edges:
-        assert sum(ai != bi for ai, bi in zip(e.a.coords, e.b.coords)) == 1
+        assert sum(ai != bi for ai, bi in zip(e.a, e.b)) == 1
 
 
 @pytest.mark.parametrize("corner", [pt(F(1, 7), F(2, 7)), Point3(F(1, 7), F(2, 7), F(3, 7))])
@@ -450,7 +471,7 @@ def test_cell_children_take_the_corners_in_letter_order(corner):
     assert [k.address for k in kids] == ["3" + str(i) for i in range(len(kids))]
     assert all(k.side == cell.side * a and cell.contains(k) for k in kids)
     shift = cell.side - cell.side * a
-    offsets = [tuple((k.corner.coords[i] - corner.coords[i]) / shift for i in range(len(corner.coords))) for k in kids]
+    offsets = [tuple((k.corner[i] - corner[i]) / shift for i in range(len(corner))) for k in kids]
     if len(kids) == 4:
         assert offsets == [(0, 0), (1, 0), (1, 1), (0, 1)]  # SW, SE, NE, NW
     else:
@@ -467,7 +488,7 @@ def test_simplex_children_keep_a_vertex_and_take_edge_midpoints(n):
     assert len(kids) == n
     for i, kid in enumerate(kids):
         for j, v in enumerate(kid):
-            expected = verts[i] if i == j else point(*((p + q) / 2 for p, q in zip(verts[i].coords, verts[j].coords)))
+            expected = verts[i] if i == j else point(*((p + q) / 2 for p, q in zip(verts[i], verts[j])))
             assert v == expected
 
 
@@ -611,7 +632,7 @@ def test_lattice_ring_walk_and_shoelace_match_the_oracles_at_the_int64_bound(abo
     for i in range(40):
         ccw = (convex_loop, star_loop)[i % 2](rng, span=6)
         k = len(ccw.vertices)
-        shift = (2**29 - 1) // k + above - max(c for v in ccw.vertices for c in v.coords)
+        shift = (2**29 - 1) // k + above - max(c for v in ccw.vertices for c in v)
         moved = tuple(Point2(v.x + shift, v.y + shift) for v in ccw.vertices)
         loops += [Loop(moved), Loop(moved[::-1])]
     lcm, groups = lattice_rings([loop.vertices for loop in loops])
@@ -631,7 +652,7 @@ def test_lattice_ring_walk_and_shoelace_match_the_oracles_at_the_int64_bound(abo
                 assert on_loop
         # every ring about the integer points of its box, its vertices among them
         for j, loop in enumerate(rings):
-            lo = min(c for v in loop.vertices for c in v.coords)
+            lo = min(c for v in loop.vertices for c in v)
             points = [pt(lo + rng.randint(-1, 14), lo + rng.randint(-1, 14)) for _ in range(60)]
             px = np.array([int(p.x) for p in points], dtype=xs.dtype)
             py = np.array([int(p.y) for p in points], dtype=xs.dtype)

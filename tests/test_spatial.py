@@ -47,7 +47,7 @@ def test_cube_depth1_cells_and_skeleton():
     stage = build_spatial(CUBE_THIRD, 1)
     assert len(stage.cells) == 8
     assert all(cell.side == F(1, 3) for cell in stage.cells)
-    corners = {cell.corner.coords for cell in stage.cells}
+    corners = {cell.corner for cell in stage.cells}
     assert corners == {
         (x, y, z) for x in (0, F(2, 3)) for y in (0, F(2, 3)) for z in (0, F(2, 3))
     }
@@ -193,7 +193,7 @@ def test_connectivity_negative_controls_match_pairwise_oracle():
     cube = Cell("", Point3(F(0), F(0), F(0)), F(1))
     origin = cube.corner
     segs = [s for s in cube.edge_segments() if s.a != origin]
-    segs += [Segment(origin, Point3(*(c / 2 for c in s.b.coords))) for s in cube.edge_segments() if s.a == origin]
+    segs += [Segment(origin, Point3(*(c / 2 for c in s.b))) for s in cube.edge_segments() if s.a == origin]
     assert len(segs) == 12
     assert segment_components(segs) == pairwise_components(segs) == 2
 
@@ -251,7 +251,7 @@ def test_face_edges_subset_of_own_cell_edges():
 
 def _centroid(points):
     points = list(points)
-    return [sum(c) / len(points) for c in zip(*(p.coords for p in points))]
+    return [sum(c) / len(points) for c in zip(*points)]
 
 
 @pytest.mark.parametrize("variant", [CUBE_THIRD, TETRA])

@@ -1,5 +1,6 @@
 """Symbols, dual winding computations, index reports, truncations."""
 
+import math
 import random
 
 import numpy as np
@@ -89,6 +90,10 @@ def test_winding_rejects_vanishing_symbol():
         winding_by_argument(vanishing)
     with pytest.raises(NotFredholmError):
         winding_by_roots(vanishing)
+    # the modulus threshold is absolute: sampling scaled coefficients does not move it
+    tiny = random_symbol(random.Random(43))
+    with pytest.raises(NotFredholmError):
+        winding_by_argument(Symbol({k: c * 1e-300 for k, c in tiny.coefficients.items()}))
 
 
 def test_winding_by_roots_examples():
@@ -152,6 +157,17 @@ def test_winding_scaling_invariance():
         assert winding_by_argument(scaled) == winding_by_argument(s)
 
 
+def test_power_of_two_scaling_keeps_winding_and_scales_min_modulus_exactly():
+    rng = random.Random(41)
+    for _ in range(20):
+        s = random_symbol(rng)
+        base = fredholm_index(s)
+        for k in (-16, -3, 5, 900):
+            scaled = fredholm_index(Symbol({e: c * 2.0**k for e, c in s.coefficients.items()}))
+            assert scaled.winding_arg == base.winding_arg
+            assert scaled.min_modulus_on_circle == math.ldexp(base.min_modulus_on_circle, k)
+
+
 def test_truncate_shift():
     section = truncate(Symbol({1: 1}), 4)
     expected = np.zeros((4, 4), dtype=complex)
@@ -180,6 +196,18 @@ def test_truncate_monomial_rank_deficiency():
     for k in range(0, 6):
         section = truncate(Symbol({k: 1}), 6)
         assert section.numerical_rank == 6 - k
+
+
+def test_truncate_matches_nested_loop_sections():
+    rng = random.Random(47)
+    for _ in range(20):
+        s = random_symbol(rng)
+        width = s.m + s.p + 1
+        for n in (width, width + 1, 2 * width + 3):
+            expected = np.array(
+                [[s.coefficients.get(j - k, 0) for k in range(n)] for j in range(n)], dtype=complex
+            )
+            assert np.array_equal(truncate(s, n).matrix, expected)
 
 
 def test_truncate_size_floor():
