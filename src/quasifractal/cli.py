@@ -237,7 +237,7 @@ def _pieces_measures(ps: planar.PieceSet) -> dict:
         "kept_count": len(ps.kept),
         "kept_area": document.format_rational(account.kept_area),
         "removed_area": document.format_rational(account.removed_area),
-        "removed_by_level": dict(Counter(str(piece.birth_level) for piece in ps.removed)),
+        "removed_by_level": dict(Counter(map(str, ps.removed.births))),
         "similarity_dimension": planar.similarity_dimension(ps.kind),
     }
 

@@ -16,8 +16,9 @@ from functools import wraps
 
 from .cantor import DEPTH_CAP, Params2, Stage2
 from .errors import CapacityError, ParameterError, QuasifractalError
-from .geometry import Cell, Loop, Point2, Point3, Segment, Simplex, check_depth, rational
-from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, Piece, PieceSet
+from .geometry import Cell, LatticeTable, Point2, Point3, Segment, Simplex, check_depth
+from .geometry import check_ring, rational, to_lattice
+from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, PieceSet, on_lattice
 from .spatial import CUBE_DEPTH_CAP, CUBE_WIREFRAME, TETRA_DEPTH_CAP, TETRA_GASKET
 from .spatial import Face3, SpatialVariant, Stage3
 
@@ -62,18 +63,38 @@ def _count(value, what: str, cap: int | None = None) -> int:
     return check_depth(value, cap, what=what)
 
 
-def _point(read: _Rationals, data, dim: int = 2):
+class _Points(dict):
+    """One document's points by their coordinate entries, each distinct point built once.
+
+    Only points of string coordinates are kept, so an entry that is a bool
+    or a float is read, and refused, every time; an unhashable entry raises
+    TypeError.
+    """
+
+    def __init__(self, read: _Rationals, dim: int):
+        super().__init__()
+        self.read = read
+        self.dim = dim
+
+    def __missing__(self, key: tuple):
+        point = (Point2, Point3)[self.dim - 2](*[self.read[c] for c in key])
+        if all(type(c) is str for c in key):
+            self[key] = point
+        return point
+
+
+def _point(points: _Points, data):
     """Read a Point2 or Point3 from its list of dim "p/q" coordinates."""
-    if len(data) != dim:
-        raise ParameterError(f"expected {dim} coordinates, got {data!r}")
-    return (Point2, Point3)[dim - 2](*[read[c] for c in data])
+    if len(data) != points.dim:
+        raise ParameterError(f"expected {points.dim} coordinates, got {data!r}")
+    return points[tuple(data)]
 
 
-def _vertices(read: _Rationals, data, dim: int) -> tuple:
-    """Read the dim + 1 vertices of a triangle (dim 2) or tetrahedron (dim 3)."""
-    if len(data) != dim + 1:
-        raise ParameterError(f"expected {dim + 1} vertices, got {len(data)}")
-    return tuple(_point(read, v, dim) for v in data)
+def _vertices(points: _Points, data) -> tuple:
+    """Read the dim + 1 vertices of a tetrahedron."""
+    if len(data) != points.dim + 1:
+        raise ParameterError(f"expected {points.dim + 1} vertices, got {len(data)}")
+    return tuple(_point(points, v) for v in data)
 
 
 def _cells_json(cells) -> list:
@@ -83,16 +104,12 @@ def _cells_json(cells) -> list:
     ]
 
 
-def _cells(read: _Rationals, data, dim: int) -> list[Cell]:
-    return [Cell(c["address"], _point(read, c["corner"], dim), read[c["side"]]) for c in data]
+def _cells(points: _Points, data) -> list[Cell]:
+    return [Cell(c["address"], _point(points, c["corner"]), points.read[c["side"]]) for c in data]
 
 
 def _segments_json(segments) -> list:
     return [[_point_json(s.a), _point_json(s.b)] for s in sorted(segments)]
-
-
-def _loop_json(loop: Loop) -> list:
-    return [_point_json(v) for v in loop.vertices]
 
 
 def _reads_shape(read):
@@ -134,10 +151,10 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
 @_reads_shape
 def document_to_stage2(doc: dict) -> Stage2:
     _check(doc, "cantor2d")
-    read = _Rationals()
-    params = Params2(read[doc["params"]["a"]], _count(doc["params"]["depth"], "depth"))
+    points = _Points(_Rationals(), 2)
+    params = Params2(points.read[doc["params"]["a"]], _count(doc["params"]["depth"], "depth"))
     level = _count(doc["level"], "level", DEPTH_CAP)
-    cells = _cells(read, doc["cells"], 2)
+    cells = _cells(points, doc["cells"])
     side = params.a**level
     if (
         level != params.depth
@@ -145,69 +162,153 @@ def document_to_stage2(doc: dict) -> Stage2:
         or any(c.side != side or c.level != level for c in cells)
     ):
         raise ParameterError(f"cantor2d cells do not match level {level} and depth {params.depth}")
-    segments = {Segment(_point(read, a), _point(read, b)) for a, b in doc["segments"]}
+    segments = {Segment(_point(points, a), _point(points, b)) for a, b in doc["segments"]}
     return Stage2(params=params, level=level, cells=cells, segments=segments)
 
 
+class Encoded:
+    """JSON text written ahead of `dumps_document`, which splices it verbatim.
+
+    The text is laid out for the value of a top-level key of a document.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _vertex_rows(k: int) -> str:
+    """The layout of k vertices of a piece document item, a %s per coordinate."""
+    vertex = "[\n          %s,\n          %s\n        ]"
+    return "[\n        " + ",\n        ".join([vertex] * k) + "\n      ]"
+
+
+_CARPET_CELL = '{\n      "corner": [\n        %s,\n        %s\n      ],\n      "side": %s\n    }'
+_TRIANGLE = '{\n      "vertices": ' + _vertex_rows(3) + "\n    }"
+
+
+def _encoded_list(items: list[str]) -> Encoded:
+    return Encoded("[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]")
+
+
 def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
-    if ps.kind == CARPET:
-        kept = [
-            {"corner": _point_json(cell.corner), "side": format_rational(cell.side)}
-            for cell in ps.kept
-        ]
-    else:
-        kept = [{"vertices": [_point_json(v) for v in c.vertices]} for c in ps.kept]
+    """The piece document of `ps`. Its "kept" and "removed" lists are
+    `Encoded` text, assembled row by row from the lattice arrays with each
+    distinct coordinate formatted once, so the document is ready for
+    `dumps_document` but is not plain JSON data."""
+    lcm = ps.kept.lcm
+    text = LatticeTable(lambda v: '"' + format_rational(Fraction(v, lcm)) + '"')
+
+    def vertex_columns(xs, ys) -> list:
+        return [text.column(row) for pair in zip(xs, ys) for row in pair]
+
+    def kept_rows(members, xs, ys) -> list[str]:
+        if ps.kind == CARPET:  # corner and diagonal (side, side)
+            columns = [text.column(xs[0]), text.column(ys[0]), text.column(xs[1])]
+            return [_CARPET_CELL % row for row in zip(*columns)]
+        return [_TRIANGLE % row for row in zip(*vertex_columns(xs, ys))]
+
+    births, labels = ps.removed.births, ps.removed.labels
+
+    def removed_rows(members, xs, ys) -> list[str]:
+        template = '{\n      "boundary": ' + _vertex_rows(len(xs))
+        template += ',\n      "birth_level": %d,\n      "label": %s\n    }'
+        columns = vertex_columns(xs, ys)
+        columns += [[births[i] for i in members], [_string(labels[i]) for i in members]]
+        return [template % row for row in zip(*columns)]
+
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": ps.kind,
         "level": ps.level,
-        "kept": kept,
-        "removed": [
-            {
-                "boundary": _loop_json(piece.boundary),
-                "birth_level": piece.birth_level,
-                "label": piece.label,
-            }
-            for piece in ps.removed
-        ],
+        "kept": _encoded_list(ps.kept.arrange(kept_rows)),
+        "removed": _encoded_list(ps.removed.arrange(removed_rows)),
     }
     if measures is not None:
         doc["measures"] = measures
     return doc
 
 
+class _Numbers(dict):
+    """One document's coordinates numbered by value: each distinct entry is
+    read once, and `values[n]` is the value numbered n. Only string entries
+    are kept, as `_Rationals` keeps them."""
+
+    def __init__(self):
+        super().__init__()
+        self.values: list[Fraction] = []
+        self._by_value: dict = {}
+
+    def __missing__(self, entry) -> int:
+        value = rational(entry)
+        number = self._by_value.setdefault(value, len(self.values))
+        if number == len(self.values):
+            self.values.append(value)
+        if type(entry) is str:
+            self[entry] = number
+        return number
+
+
+def _pair(numbers: _Numbers, data, entries: list) -> tuple[int, int]:
+    """Check a point of two "p/q" coordinates, note their numbers in entries and return them."""
+    if len(data) != 2:
+        raise ParameterError(f"expected 2 coordinates, got {data!r}")
+    x, y = data
+    point = numbers[x], numbers[y]
+    entries += point
+    return point
+
+
 @_reads_shape
 def document_to_pieces(doc: dict) -> PieceSet:
+    """Read a piece document onto the lattice of D, the lcm of its
+    denominators: each distinct coordinate is read and scaled once, and no
+    point object is built."""
     kind = doc.get("kind")
     _check(doc, kind)
     if kind not in (CARPET, GASKET):
         raise ParameterError(f"not a planar piece document: kind={kind!r}")
     cap, split = (CARPET_DEPTH_CAP, 8) if kind == CARPET else (GASKET_DEPTH_CAP, 3)
     level = _count(doc["level"], "level", cap)
-    read = _Rationals()
+    numbers = _Numbers()
+    entries: list[int] = []  # the number of every coordinate, x then y, point after point
+    counts: list[int] = []  # points per ring, kept cells first
     if kind == CARPET:
-        kept = [Cell("", _point(read, c["corner"]), read[c["side"]]) for c in doc["kept"]]
+        for c in doc["kept"]:
+            _pair(numbers, c["corner"], entries)
+            side = numbers[c["side"]]
+            entries += (side, side)  # the diagonal
+        counts = [2] * (len(entries) // 4)
+        sides = set(entries[2::4])
     else:
-        kept = [Simplex("", _vertices(read, c["vertices"], 2)) for c in doc["kept"]]
-    removed = [
-        Piece(
-            Loop(tuple(_point(read, v) for v in r["boundary"])),
-            _count(r["birth_level"], "birth_level"),
-            r["label"],
-        )
-        for r in doc["removed"]
-    ]
-    births = Counter(piece.birth_level for piece in removed)
+        for c in doc["kept"]:
+            vertices = c["vertices"]
+            if len(vertices) != 3:
+                raise ParameterError(f"expected 3 vertices, got {len(vertices)}")
+            for v in vertices:
+                _pair(numbers, v, entries)
+            counts.append(3)
+        sides = set()
+    kept_count = len(counts)
+    births: list[int] = []
+    labels: list = []
+    for r in doc["removed"]:
+        ring = [_pair(numbers, v, entries) for v in r["boundary"]]
+        check_ring(ring)
+        births.append(_count(r["birth_level"], "birth_level"))
+        labels.append(r["label"])
+        counts.append(len(ring))
     thirds = 3**level  # a carpet cell's side is 1 / thirds
     if (
-        len(kept) != split**level
-        or births != Counter({b: split ** (b - 1) for b in range(1, level + 1)})
-        or (
-            kind == CARPET
-            and any(c.side.numerator != 1 or c.side.denominator != thirds for c in kept)
-        )
+        kept_count != split**level
+        or Counter(births) != Counter({b: split ** (b - 1) for b in range(1, level + 1)})
+        or any(numbers.values[side] != Fraction(1, thirds) for side in sides)
     ):
         raise ParameterError(f"{kind} pieces do not match level {level}")
+    lcm, ints = to_lattice(numbers.values)
+    ints = list(map(ints.__getitem__, entries))
+    kept, removed = on_lattice(kind, lcm, ints, counts, kept_count, births, labels)
     return PieceSet(kind=kind, level=level, kept=kept, removed=removed)
 
 
@@ -251,18 +352,19 @@ def document_to_stage3(doc: dict) -> Stage3:
     if kind not in (CUBE_WIREFRAME, TETRA_GASKET):
         raise ParameterError(f"not a spatial stage document: kind={kind!r}")
     cube = kind == CUBE_WIREFRAME
-    read = _Rationals()
+    points = _Points(_Rationals(), 3)
+    read = points.read
     variant = SpatialVariant(kind, read[doc["params"]["a"]] if cube else None)
     cap, split, faces = (CUBE_DEPTH_CAP, 8, 6) if cube else (TETRA_DEPTH_CAP, 4, 4)
     level = _count(doc["level"], "level", cap)
     if cube:
-        cells = _cells(read, doc["cells"], 3)
+        cells = _cells(points, doc["cells"])
     else:
-        cells = [Simplex(c["address"], _vertices(read, c["vertices"], 3)) for c in doc["cells"]]
-    skeleton = {Segment(_point(read, a, 3), _point(read, b, 3)) for a, b in doc["skeleton"]}
+        cells = [Simplex(c["address"], _vertices(points, c["vertices"])) for c in doc["cells"]]
+    skeleton = {Segment(_point(points, a), _point(points, b)) for a, b in doc["skeleton"]}
     pieces = [
         Face3(
-            tuple(_point(read, v, 3) for v in f["boundary"]),
+            tuple(_point(points, v) for v in f["boundary"]),
             _count(f["birth_level"], "birth_level"),
             read[f["area_sq"]],
         )
@@ -292,7 +394,8 @@ def dumps_document(doc: dict) -> str:
     """The bytes of `json.dumps(doc, indent=2)` plus a newline, written directly.
 
     On this layout the json module falls back to its pure-Python encoder,
-    which is most of a document's write time.
+    which is most of a document's write time. An `Encoded` value is
+    written as its text.
     """
     return _emit(doc, "\n") + "\n"
 
@@ -317,6 +420,8 @@ def _emit(value, newline: str) -> str:
         else:
             items = [_emit(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, Encoded):
+        return value.text
     return json.dumps(value)
 
 

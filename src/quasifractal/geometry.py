@@ -75,24 +75,102 @@ def lattice_dtype(magnitude: int):
 
 
 def lattice_rings(rings: Sequence[Sequence[Point2]]) -> tuple[int, dict]:
-    """D for all the rings' coordinates and, for each vertex count k, the
-    positions of the rings with k vertices and their coordinates times D
-    as two (k, count) arrays: row i holds vertex i of every ring. The
+    """D for all the rings' coordinates and their `lattice_groups` layout."""
+    lcm, ints = to_lattice([c for ring in rings for p in ring for c in p])
+    return lcm, lattice_groups(ints, [len(ring) for ring in rings])
+
+
+def lattice_groups(ints: list[int], counts: Sequence[int]) -> dict:
+    """Lay out the lattice coordinates of consecutive rings, x then y for
+    each vertex and counts[i] vertices in ring i, by vertex count k: the
+    positions of the rings with k vertices and their coordinates as two
+    (k, count) arrays, row i holding vertex i of every ring. The
     `lattice_dtype` of k times the largest value leaves room for the
     k-fold vertex sums of a centroid test."""
-    lcm, ints = to_lattice([c for ring in rings for p in ring for c in p])
-    counts = [len(ring) for ring in rings]
     laid_out = {}
     for k in dict.fromkeys(counts):
-        members = [i for i, count in enumerate(counts) if count == k]
+        members = range(len(counts))
         values = ints
-        if len(members) < len(rings):  # mixed vertex counts: gather this group's rings
+        if counts.count(k) < len(counts):  # mixed vertex counts: gather this group's rings
+            members = [i for i, count in enumerate(counts) if count == k]
             starts = list(accumulate((2 * count for count in counts), initial=0))
             values = [v for i in members for v in ints[starts[i] : starts[i + 1]]]
         grid = np.array(values, dtype=lattice_dtype(k * max(max(values), -min(values))))
         xs, ys = grid.reshape(len(members), k, 2).transpose(2, 1, 0)
         laid_out[k] = (members, xs, ys)
-    return lcm, laid_out
+    return laid_out
+
+
+class LatticeTable(dict):
+    """f(v) for each distinct lattice int v, computed at its first lookup."""
+
+    def __init__(self, f):
+        super().__init__()
+        self._f = f
+
+    def __missing__(self, v):
+        value = self[v] = self._f(v)
+        return value
+
+    def column(self, values) -> list:
+        """f of every entry of a lattice array, in order."""
+        return list(map(self.__getitem__, values.tolist()))
+
+
+def _group(cells) -> dict:
+    """(N, k, 2) lattice coordinates as `lattice_groups` lays out N rings of k vertices."""
+    if not len(cells):
+        return {}
+    count, k, _ = cells.shape
+    dtype = lattice_dtype(k * int(abs(cells).max()))
+    xs, ys = cells.astype(dtype, copy=False).transpose(2, 1, 0)
+    return {k: (range(count), xs, ys)}
+
+
+# The carpet keeps the eight outer thirds of a square, row by row from its
+# corner, and removes the centre, whose ring runs counterclockwise; both
+# as multiples of the square's diagonal on the lattice refined threefold.
+_THIRDS = np.array([(i, j) for j in range(3) for i in range(3) if (i, j) != (1, 1)])
+_CENTRE = np.array([(1, 1), (2, 1), (2, 2), (1, 2)])
+
+
+def split_squares(squares):
+    """One carpet step: (N, 2, 2) squares, each its corner and diagonal, to
+    the (8N, 2, 2) kept thirds, parent by parent, and the (N, 4, 2) rings
+    of the removed centres, on the lattice refined threefold."""
+    corners, diagonals = 3 * squares[:, :1], squares[:, 1:]
+    thirds = corners + _THIRDS * diagonals
+    kept = np.stack((thirds, np.broadcast_to(diagonals, thirds.shape)), axis=2)
+    return kept.reshape(-1, 2, 2), corners + _CENTRE * diagonals
+
+
+def split_triangles(triangles):
+    """One gasket step: (N, 3, 2) triangles to the (3N, 3, 2) corner
+    children, parent by parent, and the (N, 3, 2) removed middle triangles
+    (m01, m12, m02), on the lattice refined twofold.
+
+    Vertex j of child i is v_i + v_j: v_i doubled for j = i, and otherwise
+    the doubled midpoint of edge ij, in `simplex_children`'s order.
+    """
+    sums = triangles[:, :, None] + triangles[:, None]
+    return sums.reshape(-1, 3, 2), sums[:, (0, 1, 0), (1, 2, 2)]
+
+
+def lattice_subdivision(base: list, split, scale: int, depth: int) -> tuple[dict, dict, list[int]]:
+    """`depth` rounds of a lattice split (`split_squares`, `split_triangles`)
+    from the level-0 cells `base`, nested lists of lattice ints; each round
+    refines the lattice `scale`-fold. Returns the last level's cells and
+    every removed ring, level by level, as `lattice_groups` lays them out on
+    the last lattice, and the number of rings each level removed."""
+    top = max(abs(v) for cell in base for p in cell for v in p) * scale**depth
+    cells = np.array(base, dtype=lattice_dtype(top))
+    removed = []
+    for _ in range(depth):
+        cells, rings = split(cells)
+        removed.append(rings)
+    counts = [len(rings) for rings in removed]
+    removed = [rings * scale ** (depth - level) for level, rings in enumerate(removed, 1)]
+    return _group(cells), _group(np.concatenate(removed)) if removed else {}, counts
 
 
 def scale_factor(a: Union[int, str, Fraction], allow_half: bool) -> Fraction:
@@ -180,6 +258,16 @@ class Segment(_Endpoints):
 def ring_edges(vertices: Sequence[Point]) -> Iterator[tuple[Point, Point]]:
     """The consecutive vertex pairs of a closed ring, the last vertex joined to the first."""
     return zip(vertices, (*vertices[1:], *vertices[:1]))
+
+
+def check_ring(vertices: Sequence) -> None:
+    """Refuse a ring that cannot bound a loop: fewer than 3 vertices, or two
+    consecutive vertices equal (MalformedLoopError)."""
+    if len(vertices) < 3:
+        raise MalformedLoopError("a loop needs at least 3 vertices")
+    for i, (p, q) in enumerate(ring_edges(vertices)):
+        if p == q:
+            raise MalformedLoopError(f"consecutive duplicate vertex at position {i}")
 
 
 def ring_segments(vertices: Sequence[Point]) -> tuple[Segment, ...]:
@@ -343,11 +431,7 @@ class Loop:
     def __post_init__(self):
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
-        if len(verts) < 3:
-            raise MalformedLoopError("a loop needs at least 3 vertices")
-        for i, (p, q) in enumerate(ring_edges(verts)):
-            if p == q:
-                raise MalformedLoopError(f"consecutive duplicate vertex at position {i}")
+        check_ring(verts)
 
     @property
     def orientation(self) -> int:

@@ -14,7 +14,7 @@ from typing import Union
 
 from .cantor import Stage2
 from .errors import UnsupportedGeometryError
-from .geometry import Loop, Point2
+from .geometry import LatticeTable, Loop, Point2
 from .planar import CARPET, PieceSet, base_cell
 from .spatial import Stage3
 from .topology import HoleSet, index_vector
@@ -51,7 +51,10 @@ class _Canvas:
     Each drawing method records the element's points, which set the
     bounds, and a formatter `(fy, scale) -> str` that writes the element
     once `emit` knows the y flip `fy` and the stroke scale. Callers pass
-    point tuples: a generator would be consumed twice.
+    point tuples: a generator would be consumed twice. Blocks of cells or
+    pieces on the integer lattice (`planar.Cells`, `planar.Pieces`) record
+    the corners of their integer bounding box and write one line per cell,
+    with one `fmt` per distinct value and per distinct flipped y.
     """
 
     def __init__(self):
@@ -66,14 +69,49 @@ class _Canvas:
             f'width="{fmt(side)}" height="{fmt(side)}" fill="{fill}"/>'
         )
 
-    def polygon(self, vertices, fill: str):
-        self._points += vertices
+    def _bound(self, lcm: int, xs, ys) -> None:
+        """Record the corners of the bounding box of lattice arrays: xs and ys are tuples of them."""
+        low = [Fraction(min(int(a.min()) for a in axis), lcm) for axis in (xs, ys)]
+        high = [Fraction(max(int(a.max()) for a in axis), lcm) for axis in (xs, ys)]
+        self._points += (Point2(*low), Point2(*high))
+
+    def _lattice(self, block, rows) -> None:
+        """Write a lattice block: rows(members, xs, ys, x, y) makes a group's
+        lines, where x and y give the text of a lattice value and of a
+        lattice y flipped."""
+        lcm = block.lcm
 
         def element(fy, scale):
-            d = " L ".join(f"{fmt(v.x)} {fmt(fy(v.y))}" for v in vertices)
-            return f'<path d="M {d} Z" fill="{fill}"/>'
+            x = LatticeTable(lambda v: fmt(v / lcm))
+            y = LatticeTable(lambda v: fmt(fy(Fraction(v, lcm))))
+            return "\n".join(block.arrange(lambda *group: rows(*group, x, y)))
 
-        self._elements.append(element)
+        if len(block):
+            self._elements.append(element)
+
+    def squares(self, cells, fill: str):
+        """Carpet cells, each held by its corner and its diagonal (side, side)."""
+        template = '<rect x="%s" y="%s" width="%s" height="%s" fill="' + fill + '"/>'
+        for _, xs, ys in cells.groups.values():
+            self._bound(cells.lcm, (xs[0], xs[0] + xs[1]), (ys[0], ys[0] + ys[1]))
+
+        def rows(members, xs, ys, x, y):
+            sides = x.column(xs[1])
+            return [template % row for row in zip(x.column(xs[0]), y.column(ys[0] + ys[1]), sides, sides)]
+
+        self._lattice(cells, rows)
+
+    def polygons(self, rings, fills: list[str]):
+        """Triangles or piece rings, with a fill per ring."""
+        for _, xs, ys in rings.groups.values():
+            self._bound(rings.lcm, (xs,), (ys,))
+
+        def rows(members, xs, ys, x, y):
+            template = '<path d="M ' + " L ".join(["%s %s"] * len(xs)) + ' Z" fill="%s"/>'
+            columns = [text for row in zip(xs, ys) for text in (x.column(row[0]), y.column(row[1]))]
+            return [template % row for row in zip(*columns, [fills[i] for i in members])]
+
+        self._lattice(rings, rows)
 
     def polyline(self, points, stroke: str, width_frac: float = 0.004):
         self._points += points
@@ -133,13 +171,11 @@ def _draw_stage2(canvas: _Canvas, stage: Stage2) -> None:
 
 
 def _draw_pieces(canvas: _Canvas, ps: PieceSet) -> None:
-    for cell in ps.kept:
-        if ps.kind == CARPET:
-            canvas.rect(cell.corner, cell.side, fill=_KEPT_FILL)
-        else:
-            canvas.polygon(cell.vertices, fill=_KEPT_FILL)
-    for piece in ps.removed:
-        canvas.polygon(piece.boundary.vertices, fill=_level_color(piece.birth_level))
+    if ps.kind == CARPET:
+        canvas.squares(ps.kept, fill=_KEPT_FILL)
+    else:
+        canvas.polygons(ps.kept, [_KEPT_FILL] * len(ps.kept))
+    canvas.polygons(ps.removed, [_level_color(birth) for birth in ps.removed.births])
     (outer,) = base_cell(ps.kind).faces()
     canvas.polyline(outer + (outer[0],), stroke=_STROKE, width_frac=0.002)
 

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 from .errors import MalformedLoopError, ParameterError
 from .geometry import Loop, Point2, area_vector, lattice_rings, lattice_windings, twice_areas
 from .geometry import winding_number, winding_numbers
+from .planar import Pieces
 
 IndexVector = tuple[int, ...]
 
@@ -55,17 +56,23 @@ class HoleSet:
     def from_pieces(cls, pieces: Iterable) -> "HoleSet":
         """Build hole representatives from removed pieces: their centroids.
 
-        Each piece must expose a `boundary` loop and a `label`. The checks
-        of `point_in_polygon` run on the integer lattice, by vertex count k:
-        vertices scaled by k * D (D the lcm of all denominators) put each
-        centroid on the lattice, and one walk over the k ring edges tests
-        every ring of that count. For the first bad piece in order, a
-        zero-area ring raises MalformedLoopError, and a centroid on the ring
-        or outside it ParameterError.
+        `pieces` is a piece set's `Pieces`, read as its lattice arrays, or
+        any iterable of pieces that expose a `boundary` loop and a `label`,
+        put on the lattice here. The checks of `point_in_polygon` run on
+        the integer lattice, by vertex count k: vertices scaled by k * D (D
+        the lcm of all denominators) put each centroid on the lattice, and
+        one walk over the k ring edges tests every ring of that count. For
+        the first bad piece in order, a zero-area ring raises
+        MalformedLoopError, and a centroid on the ring or outside it
+        ParameterError.
         """
-        pieces = list(pieces)
-        lcm, groups = lattice_rings([piece.boundary.vertices for piece in pieces])
-        reps: list = [None] * len(pieces)
+        if isinstance(pieces, Pieces):
+            lcm, groups, labels = pieces.lcm, pieces.groups, pieces.labels
+        else:
+            pieces = list(pieces)
+            lcm, groups = lattice_rings([piece.boundary.vertices for piece in pieces])
+            labels = [piece.label for piece in pieces]
+        reps: list = [None] * len(labels)
         first_bad = []  # (position, zero area) of each vertex count's first bad piece
         for k, (members, xs, ys) in groups.items():
             cx, cy = xs.sum(axis=0), ys.sum(axis=0)  # the centroids on the k * D lattice
@@ -82,8 +89,8 @@ class HoleSet:
             position, flat = min(first_bad)
             if flat:
                 raise MalformedLoopError("degenerate loop has no interior")
-            raise ParameterError(f"centroid of piece {pieces[position].label} is not interior")
-        return cls(tuple(reps), tuple(piece.label for piece in pieces))
+            raise ParameterError(f"centroid of piece {labels[position]} is not interior")
+        return cls(tuple(reps), tuple(labels))
 
 
 def index_vector(loop: Loop, holes: HoleSet) -> IndexVector:

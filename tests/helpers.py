@@ -6,8 +6,9 @@ import math
 from fractions import Fraction
 
 from quasifractal.errors import ParameterError
-from quasifractal.geometry import INSIDE, Loop, Point2, Segment, cross2, point_in_polygon
-from quasifractal.planar import CARPET, AreaAccount, PieceSet
+from quasifractal.geometry import INSIDE, Cell, Loop, Point2, Segment, Simplex, cross2, point_in_polygon
+from quasifractal.geometry import simplex_children
+from quasifractal.planar import CARPET, AreaAccount, Piece, PieceSet, base_cell
 from quasifractal.topology import HoleSet, centroid
 
 F = Fraction
@@ -86,6 +87,151 @@ def area_accounting_oracle(ps: PieceSet) -> AreaAccount:
         kept_area = sum((cross2(*cell.vertices) / 2 for cell in ps.kept), F(0))
     removed_area = sum((piece.area for piece in ps.removed), F(0))
     return AreaAccount(kept_area=kept_area, removed_area=removed_area)
+
+
+def _carpet_children(cell: Cell):
+    third = cell.side / 3
+    x0, y0 = cell.corner.x, cell.corner.y
+    xs = (x0, x0 + third, x0 + third + third)
+    ys = (y0, y0 + third, y0 + third + third)
+    kept = [Cell("", Point2(x, y), third) for y in ys for x in xs]
+    centre = kept.pop(4)
+    return kept, [Loop(*centre.faces())]
+
+
+def _gasket_children(cell: Simplex):
+    corners = simplex_children(cell.vertices)
+    # the middle triangle's vertices are the midpoints m01, m12, m02
+    removed = [Loop((corners[0][1], corners[1][2], corners[0][2]))]
+    return [Simplex("", verts) for verts in corners], removed
+
+
+def build_planar_oracle(kind: str, depth: int) -> tuple[list, list]:
+    """`planar.build_planar` as one `Fraction` object per coordinate: the
+    kept cells and removed pieces, subdivided cell by cell."""
+    subdivide = _carpet_children if kind == CARPET else _gasket_children
+    kept: list = [base_cell(kind)]
+    removed: list[Piece] = []
+    for level in range(1, depth + 1):
+        parents, kept = kept, []
+        new_loops: list[Loop] = []
+        for cell in parents:
+            children, loops = subdivide(cell)
+            kept.extend(children)
+            new_loops.extend(loops)
+        removed.extend(Piece(loop, level, f"{level}:{i}") for i, loop in enumerate(new_loops))
+    return kept, removed
+
+
+def pieces_document_oracle(kind: str, level: int, kept, removed, measures=None) -> dict:
+    """The piece document of cell and piece objects as plain JSON data."""
+
+    def point(p):
+        return [str(c) for c in p]
+
+    if kind == CARPET:
+        kept_json = [{"corner": point(c.corner), "side": str(c.side)} for c in kept]
+    else:
+        kept_json = [{"vertices": [point(v) for v in c.vertices]} for c in kept]
+    doc = {
+        "schema_version": 1,
+        "kind": kind,
+        "level": level,
+        "kept": kept_json,
+        "removed": [
+            {
+                "boundary": [point(v) for v in piece.boundary.vertices],
+                "birth_level": piece.birth_level,
+                "label": piece.label,
+            }
+            for piece in removed
+        ],
+    }
+    if measures is not None:
+        doc["measures"] = measures
+    return doc
+
+
+def pieces_from_document_oracle(doc: dict) -> tuple[list, list]:
+    """The kept cells and removed pieces of a piece document, one Fraction per coordinate."""
+
+    def point(data) -> Point2:
+        return Point2(*[F(c) for c in data])
+
+    if doc["kind"] == CARPET:
+        kept = [Cell("", point(c["corner"]), F(c["side"])) for c in doc["kept"]]
+    else:
+        kept = [Simplex("", tuple(map(point, c["vertices"]))) for c in doc["kept"]]
+    removed = [
+        Piece(Loop(tuple(map(point, r["boundary"]))), r["birth_level"], r["label"])
+        for r in doc["removed"]
+    ]
+    return kept, removed
+
+
+def svg_oracle(kind: str, kept, removed, loop=None, entries=(), reps=()) -> str:
+    """`render.render_svg` of cell and piece objects, one `Fraction` per
+    coordinate: bounds by Fraction min and max, each coordinate written
+    through `float`, in the same element order and layout."""
+    palette = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f")
+    palette += ("#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac")
+
+    def fmt(value) -> str:
+        return f"{float(value):.12g}"
+
+    (outer,) = base_cell(kind).faces()
+    closed = loop.vertices + loop.vertices[:1] if loop is not None else ()
+    points = [*outer, *closed, *reps]
+    for cell in kept:
+        if kind == CARPET:
+            points += [cell.corner, cell.corner + Point2(cell.side, cell.side)]
+        else:
+            points += cell.vertices
+    for piece in removed:
+        points += piece.boundary.vertices
+    xmin, xmax = min(p.x for p in points), max(p.x for p in points)
+    ymin, ymax = min(p.y for p in points), max(p.y for p in points)
+    span = max(xmax - xmin, ymax - ymin, F(1, 1000))
+    margin = span / 20
+    flip = ymin + ymax
+    scale = float(span)
+
+    def path(vertices, fill):
+        d = " L ".join(f"{fmt(v.x)} {fmt(flip - v.y)}" for v in vertices)
+        return f'<path d="M {d} Z" fill="{fill}"/>'
+
+    def polyline(vertices, stroke, width):
+        pts = " ".join(f"{fmt(v.x)},{fmt(flip - v.y)}" for v in vertices)
+        return (
+            f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
+            f'stroke-width="{fmt(width * scale)}" stroke-linecap="square"/>'
+        )
+
+    view = f"{fmt(xmin - margin)} {fmt(ymin - margin)} "
+    view += f"{fmt(xmax - xmin + 2 * margin)} {fmt(ymax - ymin + 2 * margin)}"
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}" width="640" height="640">',
+    ]
+    for cell in kept:
+        if kind == CARPET:
+            x, y, s = cell.corner.x, cell.corner.y, cell.side
+            out.append(
+                f'<rect x="{fmt(x)}" y="{fmt(flip - y - s)}" width="{fmt(s)}" height="{fmt(s)}" fill="#e8e8e8"/>'
+            )
+        else:
+            out.append(path(cell.vertices, "#e8e8e8"))
+    for piece in removed:
+        out.append(path(piece.boundary.vertices, palette[(piece.birth_level - 1) % len(palette)]))
+    out.append(polyline(outer + outer[:1], "#222222", 0.002))
+    if loop is not None:
+        out.append(polyline(closed, "#d62728", 0.006))
+    for rep, entry in zip(reps, entries):
+        out.append(
+            f'<text x="{fmt(rep.x)}" y="{fmt(flip - rep.y)}" font-size="{fmt(0.05 * scale)}" '
+            f'font-family="sans-serif" text-anchor="middle">{entry}</text>'
+        )
+    return "\n".join(out + ["</svg>"]) + "\n"
 
 
 def hole_set_oracle(pieces) -> HoleSet:

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -577,3 +578,50 @@ def test_numbers_equal_to_a_read_int_are_still_refused(value, tmp_path, capsys):
     doc["kept"][0]["side"] = value
     path.write_text(json.dumps(doc))
     _assert_one_validation_line(["render", "--input", str(path)], capsys)
+
+
+def test_stage_points_read_from_ints_are_not_reused_for_bools(tmp_path, capsys):
+    # the stage readers build each distinct point once; a point read from
+    # the ints [1, 0] must not let [True, 0] through as the same point
+    path = tmp_path / "s.json"
+    assert main(["gen2d", "--a", "1/3", "--depth", "0", "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    assert doc["segments"][1][1] == doc["segments"][3][0] == ["1", "0"]
+    doc["segments"][1][1] = [1, 0]
+    path.write_text(json.dumps(doc))
+    assert main(["render", "--input", str(path), "--out", str(tmp_path / "s.svg")]) == EXIT_OK
+    doc["segments"][3][0] = [True, 0]
+    path.write_text(json.dumps(doc))
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)
+
+
+def _unreduced(point):
+    """The same point with each coordinate written over a doubled denominator."""
+    return [f"{2 * v.numerator}/{2 * v.denominator}" for v in map(Fraction, point)]
+
+
+# Each breaks the first removed ring of a depth-1 piece document; the
+# reader refuses it with the message of the loop it cannot form.
+BAD_RINGS = {
+    "two-vertices": (lambda ring: ring[:2], "a loop needs at least 3 vertices"),
+    "repeated-vertex": (lambda ring: ring[:2] + ring[1:], "consecutive duplicate vertex at position 1"),
+    "repeated-value": (
+        lambda ring: ring[:2] + [_unreduced(ring[1])] + ring[2:],
+        "consecutive duplicate vertex at position 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_RINGS)
+@pytest.mark.parametrize("kind", ["carpet", "gasket"])
+def test_piece_rings_must_form_loops(kind, bad, tmp_path, capsys):
+    mutate, message = BAD_RINGS[bad]
+    path = tmp_path / "p.json"
+    assert main([kind, "--depth", "1", "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["removed"][0]["boundary"] = mutate(doc["removed"][0]["boundary"])
+    path.write_text(json.dumps(doc))
+    for argv in (["render", "--input", str(path)], ["index", "--pieces", str(path), "--loop", "0,0 1,0 1,1"]):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1

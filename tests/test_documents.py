@@ -1,15 +1,29 @@
 """JSON round-trips plus SVG/OBJ well-formedness checks."""
 
 import json
+import random
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import F, pt, square_loop
+from helpers import (
+    F,
+    build_planar_oracle,
+    hole_set_oracle,
+    pieces_document_oracle,
+    pieces_from_document_oracle,
+    pt,
+    query_loop,
+    square_loop,
+    svg_oracle,
+)
 from quasifractal.cantor import Params2, build
+from quasifractal.cli import EXIT_OK, EXIT_VALIDATION, _pieces_measures, main
 from quasifractal.document import (
+    Encoded,
     document_to_pieces,
     document_to_stage2,
     document_to_stage3,
@@ -21,7 +35,7 @@ from quasifractal.document import (
     stage3_to_document,
 )
 from quasifractal.errors import CapacityError, ParameterError, UnsupportedGeometryError
-from quasifractal.geometry import rational
+from quasifractal.geometry import rational, winding_number
 from quasifractal.planar import CARPET, GASKET, build_planar
 from quasifractal.render import export_obj, render_svg
 from quasifractal.spatial import (
@@ -30,7 +44,7 @@ from quasifractal.spatial import (
     TETRA_GASKET,
     build_spatial,
 )
-from quasifractal.topology import HoleSet
+from quasifractal.topology import HoleSet, index_vector
 
 
 def test_rational_codec():
@@ -70,6 +84,120 @@ def test_stage3_round_trip():
         stage = build_spatial(variant, 1)
         doc = loads_document(dumps_document(stage3_to_document(stage)))
         assert document_to_stage3(doc) == stage
+
+
+@pytest.mark.parametrize(
+    "kind, depth", [(CARPET, d) for d in range(6)] + [(GASKET, d) for d in range(9)]
+)
+def test_piece_documents_and_pictures_match_the_oracle(kind, depth):
+    ps = build_planar(kind, depth)
+    kept, removed = build_planar_oracle(kind, depth)
+    measures = _pieces_measures(ps)
+    text = dumps_document(pieces_to_document(ps, measures))
+    expected = pieces_document_oracle(kind, depth, kept, removed, measures)
+    assert text == json.dumps(expected, indent=2) + "\n"
+    assert document_to_pieces(loads_document(text)) == ps
+    assert render_svg(ps) == svg_oracle(kind, kept, removed)
+    reps = hole_set_oracle(removed).representatives
+    loop = query_loop(random.Random(depth), rectangle=kind == CARPET, reps=reps)
+    entries = [winding_number(loop, rep) for rep in reps]
+    holes = HoleSet.from_pieces(ps.removed)
+    assert holes.representatives == reps
+    svg = render_svg(ps, loop=loop, holes=holes)
+    assert svg == svg_oracle(kind, kept, removed, loop, entries, reps)
+
+
+def test_piece_documents_are_written_ahead():
+    doc = pieces_to_document(build_planar(GASKET, 1))
+    assert isinstance(doc["kept"], Encoded) and isinstance(doc["removed"], Encoded)
+    with pytest.raises(TypeError):
+        json.dumps(doc)
+    text = '[\n    "one"\n  ]'
+    assert dumps_document({"a": Encoded(text), "b": [Encoded("[]")]}) == (
+        '{\n  "a": ' + text + ',\n  "b": [\n    []\n  ]\n}\n'
+    )
+
+
+def _far_document(kind: str, above: bool) -> dict:
+    """A level-1 piece document whose lattice coordinates, times the
+    vertex count k of their ring, reach just below 2^29 or at least 2^29."""
+
+    def point(x, y, denominator):
+        return [str(F(x, denominator)), str(F(y, denominator))]
+
+    if kind == CARPET:  # D = 3; corners with their diagonals (k = 2), a square ring (k = 4)
+        m2, m4 = 2**28 - 1 + above, 2**27 - 1 + above
+        kept = [{"corner": point(m2 - 3 * i, -i, 3), "side": "1/3"} for i in range(8)]
+        ring = [point(0, 0, 3), point(m4, 0, 3), point(m4, m4, 3), point(0, m4, 3)]
+    else:  # D = 2; triangles (k = 3)
+        m3 = (2**29 - 1) // 3 + above
+        kept = [{"vertices": [point(i, 0, 2), point(m3, i, 2), point(0, m3 - i, 2)]} for i in range(3)]
+        ring = [point(m3, 0, 2), point(0, m3, 2), point(-m3, -m3, 2)]
+    removed = [{"boundary": ring, "birth_level": 1, "label": "1:0"}]
+    return {"schema_version": 1, "kind": kind, "level": 1, "kept": kept, "removed": removed}
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "at"])
+@pytest.mark.parametrize("kind", [CARPET, GASKET])
+def test_piece_documents_on_both_sides_of_the_int64_bound(kind, above, tmp_path, capsys):
+    doc = _far_document(kind, above)
+    ps = document_to_pieces(doc)
+    kept, removed = pieces_from_document_oracle(doc)
+    assert list(ps.kept) == kept and list(ps.removed) == removed
+    for block in (ps.kept, ps.removed):
+        assert all(xs.dtype == (object if above else np.int64) for _, xs, _ in block.groups.values())
+    holes = hole_set_oracle(removed)
+    assert HoleSet.from_pieces(ps.removed) == holes
+    loop = square_loop(F(-1, 7), F(-2**27, 7), F(2**27, 1))
+    entries = [winding_number(loop, rep) for rep in holes.representatives]
+    assert index_vector(loop, holes) == tuple(entries) == (1,)
+    # the same through the CLI, from the document's bytes
+    path, svg = tmp_path / "far.json", tmp_path / "far.svg"
+    path.write_text(json.dumps(doc))
+    loop_arg = " ".join(f"{v.x},{v.y}" for v in loop.vertices)
+    assert main(["index", "--pieces", str(path), "--loop", loop_arg]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert (report["labels"], report["entries"]) == (["1:0"], entries)
+    assert main(["render", "--input", str(path), "--loop", loop_arg, "--out", str(svg)]) == EXIT_OK
+    expected = svg_oracle(kind, kept, removed, loop, entries, holes.representatives)
+    assert svg.read_text() == expected == render_svg(ps, loop=loop, holes=holes)
+
+
+def _stage_documents(seed: int):
+    rng = random.Random(seed)
+    a = F(1, rng.choice([3, 4, 5, 7]))
+    yield build(Params2(a, rng.randint(0, 3))), stage2_to_document, document_to_stage2
+    cube = SpatialVariant(CUBE_WIREFRAME, F(rng.randint(1, 3), 7))
+    yield build_spatial(cube, rng.randint(0, 2)), stage3_to_document, document_to_stage3
+    tetra = SpatialVariant(TETRA_GASKET)
+    yield build_spatial(tetra, rng.randint(0, 2)), stage3_to_document, document_to_stage3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stage_readers_build_each_point_once(seed):
+    for stage, write, read in _stage_documents(seed):
+        got = read(loads_document(dumps_document(write(stage))))
+        assert got == stage
+        segments = got.segments if write is stage2_to_document else got.skeleton
+        points = [p for segment in segments for p in segment]
+        assert len({id(p) for p in points}) == len(set(points))
+
+
+@pytest.mark.parametrize("kind", ["cantor2d", CUBE_WIREFRAME, TETRA_GASKET])
+def test_unhashable_coordinates_in_stage_documents_exit_2(kind, tmp_path, capsys):
+    if kind == "cantor2d":
+        doc = stage2_to_document(build(Params2(F(1, 3), 1)))
+        doc["segments"][1][0][1] = ["1/3"]
+    else:
+        a = F(1, 3) if kind == CUBE_WIREFRAME else None
+        doc = stage3_to_document(build_spatial(SpatialVariant(kind, a), 1))
+        doc["skeleton"][1][0][1] = ["1/3"]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParameterError, match="TypeError: unhashable"):
+        (document_to_stage2 if kind == "cantor2d" else document_to_stage3)(loads_document(path.read_text()))
+    assert main(["render", "--input", str(path)]) == EXIT_VALIDATION
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 JSON_SCALARS = (

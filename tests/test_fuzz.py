@@ -49,7 +49,9 @@ def _seed_documents() -> list[dict]:
     for depth in (0, 1):
         docs.append(document.stage2_to_document(cantor.build(cantor.Params2(F(1, 3), depth))))
         for kind in (planar.CARPET, planar.GASKET):
-            docs.append(document.pieces_to_document(planar.build_planar(kind, depth)))
+            # a piece document's lists are written ahead (document.Encoded): read its bytes back
+            text = document.dumps_document(document.pieces_to_document(planar.build_planar(kind, depth)))
+            docs.append(document.loads_document(text))
         for variant in (
             spatial.SpatialVariant(spatial.CUBE_WIREFRAME, F(1, 3)),
             spatial.SpatialVariant(spatial.TETRA_GASKET),

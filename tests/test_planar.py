@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import F, area_accounting_oracle, pt
+from helpers import F, area_accounting_oracle, build_planar_oracle, pt
 from quasifractal.errors import CapacityError, ParameterError
 from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, lattice_rings, signed_area
 from quasifractal.planar import (
@@ -169,6 +169,31 @@ def test_depth_cap_and_validation():
         build_planar(CARPET, -1)
 
 
+@pytest.mark.parametrize(
+    "kind, depth", [(CARPET, d) for d in range(6)] + [(GASKET, d) for d in range(9)]
+)
+def test_build_matches_the_object_oracle(kind, depth):
+    ps = build_planar(kind, depth)
+    kept, removed = build_planar_oracle(kind, depth)
+    assert (len(ps.kept), len(ps.removed)) == (len(kept), len(removed))
+    assert list(ps.kept) == kept
+    assert list(ps.removed) == removed
+    assert ps.removed.births == [piece.birth_level for piece in removed]
+    assert PieceSet(kind, depth, kept, removed) == ps
+
+
+def test_piece_sets_compare_their_lattice_arrays():
+    ps = build_planar(GASKET, 2)
+    kept, removed = list(ps.kept), list(ps.removed)
+    assert PieceSet(GASKET, 2, kept, removed) == ps
+    assert PieceSet(GASKET, 2, kept[::-1], removed) != ps
+    assert PieceSet(GASKET, 2, kept, removed[1:]) != ps
+    relabelled = [Piece(p.boundary, p.birth_level, p.label + "'") for p in removed]
+    assert PieceSet(GASKET, 2, kept, relabelled) != ps
+    assert PieceSet(GASKET, 1, kept, removed) != ps
+    assert build_planar(CARPET, 0) != build_planar(GASKET, 0)
+
+
 def test_parallel_build_is_identical():
     assert build_planar(CARPET, 3, workers=4) == build_planar(CARPET, 3)
     assert build_planar(GASKET, 5, workers=4) == build_planar(GASKET, 5)
@@ -263,8 +288,9 @@ def _far_ring(rng, k, turn, above):
 
 @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
 def test_area_accounting_on_both_sides_of_the_int64_bound(above):
-    """Rings of 3 to 8 vertices whose lattice arrays are int64 below the
-    bound and Python ints above it; the sums must not see the difference."""
+    """Rings of 3 to 8 vertices, triangles and squares whose lattice arrays
+    are int64 below the bound and Python ints above it; the sums must not
+    see the difference."""
     rng = random.Random(29 + above)
     turns = (1, -1, 1, -1)
     removed = [
@@ -273,9 +299,14 @@ def test_area_accounting_on_both_sides_of_the_int64_bound(above):
         for i, turn in enumerate(turns)
     ]
     triangles = [Simplex("", tuple(_far_ring(rng, 3, turn, above))) for turn in turns]
-    squares = [Cell("", pt(F(1, 2), F(-1, 2)), F((2**29 - 1) // 4 + above, 2)) for _ in turns]
+    # a square is held by its corner and its diagonal (side, side): twice
+    # the side on the lattice of D = 2 is just below 2^29, or 2^29
+    squares = [Cell("", pt(F(1, 2), F(-1, 2)), F((2**29 - 1) // 2 + above, 2)) for _ in turns]
     lcm, groups = lattice_rings([piece.boundary.vertices for piece in removed])
     assert lcm == 2 and sorted(groups) == list(range(3, 9))
     assert all(xs.dtype == (object if above else np.int64) for _, xs, _ in groups.values())
     for ps in (PieceSet(CARPET, 1, squares, removed), PieceSet(GASKET, 1, triangles, removed)):
+        assert ps.kept.lcm == ps.removed.lcm == 2
+        for block in (ps.kept, ps.removed):
+            assert all(xs.dtype == (object if above else np.int64) for _, xs, _ in block.groups.values())
         assert area_accounting(ps) == area_accounting_oracle(ps)
