@@ -23,7 +23,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,9 +145,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = build_parser()  # built once per process: parsing leaves it unchanged
+
+
 def parse_args(argv) -> RunConfig:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     if ns.command is None:
         raise UsageError("a subcommand is required (see --help)")
     options = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
@@ -202,15 +204,11 @@ def parse_loop(text: str) -> Loop:
     return Loop(tuple(points))
 
 
-def _rational_or_none(x: Fraction | None) -> str | None:
-    return None if x is None else document.format_rational(x)
-
-
-def _series_json(series: cantor.PerimeterSeries) -> dict:
+def _series_json(series: cantor.PerimeterSeries | spatial.SeriesMeasures) -> dict:
+    """A `PerimeterSeries` or `SeriesMeasures` by field, each Fraction as a "p/q" string."""
     return {
-        "partial_sum": document.format_rational(series.partial_sum),
-        "limit": _rational_or_none(series.limit),
-        "finite": series.finite,
+        key: document.format_rational(value) if isinstance(value, Fraction) else value
+        for key, value in asdict(series).items()
     }
 
 
@@ -250,23 +248,9 @@ def _stage3_measures(stage: spatial.Stage3) -> dict:
         "incidence_violations": spatial.boundary_incidence(stage),
         "components": spatial.connectivity3(stage),
     }
-    series = spatial.series_measures(stage.variant, stage.level)
-    if stage.variant.kind == spatial.CUBE_WIREFRAME:
-        measures["series"] = {
-            "edge_length_sum": document.format_rational(series.edge_length_sum),
-            "face_area_sum": document.format_rational(series.face_area_sum),
-            "edge_limit": _rational_or_none(series.edge_limit),
-            "area_limit": _rational_or_none(series.area_limit),
-            "edge_finite": series.edge_finite,
-            "area_finite": series.area_finite,
-        }
-    else:
-        measures["series"] = {
-            "edge_length_sum": series.edge_length_sum,
-            "face_area_sum": series.face_area_sum,
-            "edge_finite": series.edge_finite,
-            "area_finite": series.area_finite,
-        }
+    series = measures["series"] = _series_json(spatial.series_measures(stage.variant, stage.level))
+    if stage.variant.kind == spatial.TETRA_GASKET:  # float sums of divergent series: no limits
+        del series["edge_limit"], series["area_limit"]
     return measures
 
 
@@ -416,19 +400,21 @@ def _cmd_render(options: dict) -> int:
     return EXIT_OK
 
 
+_HANDLERS = {
+    "gen2d": _cmd_gen2d,
+    planar.CARPET: lambda opts: _cmd_planar(planar.CARPET, opts),
+    planar.GASKET: lambda opts: _cmd_planar(planar.GASKET, opts),
+    "gen3d": _cmd_gen3d,
+    "measure": _cmd_measure,
+    "index": _cmd_index,
+    "toeplitz": _cmd_toeplitz,
+    "render": _cmd_render,
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated run configuration; may raise package errors."""
-    handlers = {
-        "gen2d": _cmd_gen2d,
-        planar.CARPET: lambda opts: _cmd_planar(planar.CARPET, opts),
-        planar.GASKET: lambda opts: _cmd_planar(planar.GASKET, opts),
-        "gen3d": _cmd_gen3d,
-        "measure": _cmd_measure,
-        "index": _cmd_index,
-        "toeplitz": _cmd_toeplitz,
-        "render": _cmd_render,
-    }
-    handler = handlers.get(config.command)
+    handler = _HANDLERS.get(config.command)
     if handler is None:
         raise UsageError(f"unknown command {config.command!r}")
     _check_threads(config.options)

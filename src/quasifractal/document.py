@@ -40,22 +40,6 @@ def _point_json(p) -> list[str]:
     return [format_rational(c) for c in p]
 
 
-class _Rationals(dict):
-    """One document's rationals by their text, each distinct string read once.
-
-    Documents repeat few coordinates many times (257 distinct strings among
-    19 680 in gasket 7). A value that is not a string goes through
-    `rational` uncached, so a bool or a float never finds an equal int's
-    entry; an unhashable one raises TypeError.
-    """
-
-    def __missing__(self, value):
-        number = rational(value)
-        if type(value) is str:
-            self[value] = number
-        return number
-
-
 def _count(value, what: str, cap: int | None = None) -> int:
     """A count field: a JSON integer, not a bool, a float or a string."""
     if type(value) is not int:
@@ -71,13 +55,13 @@ class _Points(dict):
     TypeError.
     """
 
-    def __init__(self, read: _Rationals, dim: int):
+    def __init__(self, dim: int):
         super().__init__()
-        self.read = read
+        self.read = _Numbers().read
         self.dim = dim
 
     def __missing__(self, key: tuple):
-        point = (Point2, Point3)[self.dim - 2](*[self.read[c] for c in key])
+        point = (Point2, Point3)[self.dim - 2](*map(self.read, key))
         if all(type(c) is str for c in key):
             self[key] = point
         return point
@@ -105,7 +89,7 @@ def _cells_json(cells) -> list:
 
 
 def _cells(points: _Points, data) -> list[Cell]:
-    return [Cell(c["address"], _point(points, c["corner"]), points.read[c["side"]]) for c in data]
+    return [Cell(c["address"], _point(points, c["corner"]), points.read(c["side"])) for c in data]
 
 
 def _segments_json(segments) -> list:
@@ -151,8 +135,8 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
 @_reads_shape
 def document_to_stage2(doc: dict) -> Stage2:
     _check(doc, "cantor2d")
-    points = _Points(_Rationals(), 2)
-    params = Params2(points.read[doc["params"]["a"]], _count(doc["params"]["depth"], "depth"))
+    points = _Points(2)
+    params = Params2(points.read(doc["params"]["a"]), _count(doc["params"]["depth"], "depth"))
     level = _count(doc["level"], "level", DEPTH_CAP)
     cells = _cells(points, doc["cells"])
     side = params.a**level
@@ -178,14 +162,12 @@ class Encoded:
         self.text = text
 
 
-def _vertex_rows(k: int) -> str:
-    """The layout of k vertices of a piece document item, a %s per coordinate."""
-    vertex = "[\n          %s,\n          %s\n        ]"
-    return "[\n        " + ",\n        ".join([vertex] * k) + "\n      ]"
+_SLOT = Encoded("%s")
 
 
-_CARPET_CELL = '{\n      "corner": [\n        %s,\n        %s\n      ],\n      "side": %s\n    }'
-_TRIANGLE = '{\n      "vertices": ' + _vertex_rows(3) + "\n    }"
+def _template(item: dict) -> str:
+    """`item` laid out as a row of a top-level list, a %s for each `_SLOT`; its keys hold no %."""
+    return _emit(item, "\n    ")
 
 
 def _encoded_list(items: list[str]) -> Encoded:
@@ -205,15 +187,17 @@ def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
 
     def kept_rows(members, xs, ys) -> list[str]:
         if ps.kind == CARPET:  # corner and diagonal (side, side)
+            template = _template({"corner": [_SLOT, _SLOT], "side": _SLOT})
             columns = [text.column(xs[0]), text.column(ys[0]), text.column(xs[1])]
-            return [_CARPET_CELL % row for row in zip(*columns)]
-        return [_TRIANGLE % row for row in zip(*vertex_columns(xs, ys))]
+        else:
+            template = _template({"vertices": [[_SLOT, _SLOT]] * 3})
+            columns = vertex_columns(xs, ys)
+        return [template % row for row in zip(*columns)]
 
     births, labels = ps.removed.births, ps.removed.labels
 
     def removed_rows(members, xs, ys) -> list[str]:
-        template = '{\n      "boundary": ' + _vertex_rows(len(xs))
-        template += ',\n      "birth_level": %d,\n      "label": %s\n    }'
+        template = _template({"boundary": [[_SLOT, _SLOT]] * len(xs), "birth_level": _SLOT, "label": _SLOT})
         columns = vertex_columns(xs, ys)
         columns += [[births[i] for i in members], [_string(labels[i]) for i in members]]
         return [template % row for row in zip(*columns)]
@@ -231,9 +215,13 @@ def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
 
 
 class _Numbers(dict):
-    """One document's coordinates numbered by value: each distinct entry is
-    read once, and `values[n]` is the value numbered n. Only string entries
-    are kept, as `_Rationals` keeps them."""
+    """One document's rationals numbered by value: each distinct entry is
+    read once, and `values[n]` is the value numbered n.
+
+    Documents repeat few coordinates many times (257 distinct strings among
+    19 680 in gasket 7). Only string entries are kept, so a bool or a float
+    never finds an equal int's entry; an unhashable entry raises TypeError.
+    """
 
     def __init__(self):
         super().__init__()
@@ -248,6 +236,9 @@ class _Numbers(dict):
         if type(entry) is str:
             self[entry] = number
         return number
+
+    def read(self, entry) -> Fraction:
+        return self.values[self[entry]]
 
 
 def _pair(numbers: _Numbers, data, entries: list) -> tuple[int, int]:
@@ -352,9 +343,9 @@ def document_to_stage3(doc: dict) -> Stage3:
     if kind not in (CUBE_WIREFRAME, TETRA_GASKET):
         raise ParameterError(f"not a spatial stage document: kind={kind!r}")
     cube = kind == CUBE_WIREFRAME
-    points = _Points(_Rationals(), 3)
+    points = _Points(3)
     read = points.read
-    variant = SpatialVariant(kind, read[doc["params"]["a"]] if cube else None)
+    variant = SpatialVariant(kind, read(doc["params"]["a"]) if cube else None)
     cap, split, faces = (CUBE_DEPTH_CAP, 8, 6) if cube else (TETRA_DEPTH_CAP, 4, 4)
     level = _count(doc["level"], "level", cap)
     if cube:
@@ -366,7 +357,7 @@ def document_to_stage3(doc: dict) -> Stage3:
         Face3(
             tuple(_point(points, v) for v in f["boundary"]),
             _count(f["birth_level"], "birth_level"),
-            read[f["area_sq"]],
+            read(f["area_sq"]),
         )
         for f in doc["pieces"]
     ]

@@ -464,36 +464,8 @@ def area_vector(points: Sequence[Point3]) -> tuple[Fraction, Fraction, Fraction]
     return (ax / 2, ay / 2, az / 2)
 
 
-def cross2(o: Point2, a: Point2, b: Point2) -> Fraction:
-    """Cross product of (a - o) and (b - o)."""
-    return (a.x - o.x) * (b.y - o.y) - (b.x - o.x) * (a.y - o.y)
-
-
-def winding_number(loop: Loop, p: Point2) -> int:
-    """Exact winding number of the loop about p.
-
-    Signed crossings of the horizontal ray from p toward +x, with the
-    half-open vertex rule (an edge is counted only while it strictly
-    straddles the ray line), so vertices on the ray need no perturbation.
-    Raises IndeterminateWindingError if p lies on the loop.
-    """
-    px, py = p.x, p.y
-    winding = 0
-    for a, b in loop.edges():
-        c = cross2(a, b, p)
-        # p is on the edge iff it is collinear with it and inside its box
-        if c == 0 and min(a.x, b.x) <= px <= max(a.x, b.x) and min(a.y, b.y) <= py <= max(a.y, b.y):
-            raise IndeterminateWindingError(f"point {p} lies on the loop")
-        if a.y <= py:
-            if b.y > py and c > 0:
-                winding += 1
-        elif b.y <= py and c < 0:
-            winding -= 1
-    return winding
-
-
 def lattice_windings(xs, ys, px, py):
-    """`winding_number` of rings about points, on the lattice.
+    """Exact winding numbers of rings about points, on the lattice.
 
     xs and ys hold the k vertices of a ring in order: lists of ints for
     one ring, or the rows of a `lattice_rings` group for one ring per
@@ -521,7 +493,7 @@ def twice_areas(xs, ys):
 
 
 def winding_numbers(loop: Loop, points: Sequence[Point2]) -> tuple[int, ...]:
-    """`winding_number` of the loop about every point, in order.
+    """Exact winding number of the loop about every point, in order.
 
     The loop and the points are scaled by D, the lcm of all their
     denominators, and each loop edge is tested against every point at
@@ -537,6 +509,11 @@ def winding_numbers(loop: Loop, points: Sequence[Point2]) -> tuple[int, ...]:
     if on_loop.any():
         raise IndeterminateWindingError(f"point {points[int(on_loop.argmax())]} lies on the loop")
     return tuple(winding.tolist())
+
+
+def winding_number(loop: Loop, p: Point2) -> int:
+    """`winding_numbers` of one point; raises IndeterminateWindingError if p lies on the loop."""
+    return winding_numbers(loop, (p,))[0]
 
 
 def point_in_polygon(loop: Loop, p: Point2) -> str:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 from .cantor import Stage2
-from .errors import UnsupportedGeometryError
+from .errors import CapacityError, UnsupportedGeometryError
 from .geometry import LatticeTable, Loop, Point2
 from .planar import CARPET, PieceSet, base_cell
 from .spatial import Stage3
@@ -61,14 +61,6 @@ class _Canvas:
         self._points: list[Point2] = []
         self._elements: list = []
 
-    def rect(self, corner: Point2, side: Fraction, fill: str):
-        far = Point2(corner.x + side, corner.y + side)
-        self._points += (corner, far)
-        self._elements.append(
-            lambda fy, scale: f'<rect x="{fmt(corner.x)}" y="{fmt(fy(far.y))}" '
-            f'width="{fmt(side)}" height="{fmt(side)}" fill="{fill}"/>'
-        )
-
     def _bound(self, lcm: int, xs, ys) -> None:
         """Record the corners of the bounding box of lattice arrays: xs and ys are tuples of them."""
         low = [Fraction(min(int(a.min()) for a in axis), lcm) for axis in (xs, ys)]
@@ -90,7 +82,7 @@ class _Canvas:
             self._elements.append(element)
 
     def squares(self, cells, fill: str):
-        """Carpet cells, each held by its corner and its diagonal (side, side)."""
+        """Square cells, each held by its corner and its diagonal (side, side)."""
         template = '<rect x="%s" y="%s" width="%s" height="%s" fill="' + fill + '"/>'
         for _, xs, ys in cells.groups.values():
             self._bound(cells.lcm, (xs[0], xs[0] + xs[1]), (ys[0], ys[0] + ys[1]))
@@ -164,8 +156,7 @@ class _Canvas:
 
 
 def _draw_stage2(canvas: _Canvas, stage: Stage2) -> None:
-    for cell in stage.cells:
-        canvas.rect(cell.corner, cell.side, fill=_KEPT_FILL)
+    canvas.squares(PieceSet(CARPET, stage.level, stage.cells, ()).kept, fill=_KEPT_FILL)
     for segment in sorted(stage.segments):
         canvas.polyline((segment.a, segment.b), stroke=_STROKE, width_frac=0.002)
 
@@ -207,7 +198,10 @@ def render_svg(
             entries = index_vector(loop, holes)
             for rep, entry in zip(holes.representatives, entries):
                 canvas.text(rep, str(entry), size_frac=0.05)
-    return canvas.emit()
+    try:
+        return canvas.emit()
+    except OverflowError as exc:
+        raise CapacityError(f"coordinate beyond the float range: {exc}") from exc
 
 
 def export_obj(stage: Stage3) -> str:
@@ -237,8 +231,10 @@ def export_obj(stage: Stage3) -> str:
         f"# lines: {len(lines)}",
         f"# faces: {len(faces)}",
     ]
-    for v in vertices:
-        out.append(f"v {fmt(v.x)} {fmt(v.y)} {fmt(v.z)}")
+    try:
+        out += [f"v {fmt(v.x)} {fmt(v.y)} {fmt(v.z)}" for v in vertices]
+    except OverflowError as exc:
+        raise CapacityError(f"coordinate beyond the float range: {exc}") from exc
     for a, b in lines:
         out.append(f"l {a} {b}")
     for face in faces:

@@ -2,7 +2,7 @@
 
 A loop in the plane minus a set of marked points induces a circle-valued
 map around each point; its degree is the exact winding number that
-`geometry.winding_number` counts by signed crossings. The index vector of a loop against a
+`geometry.winding_numbers` counts by signed crossings. The index vector of a loop against a
 hole set (one interior representative per bounded complement piece)
 collects those winding numbers in a fixed order. At a fixed construction
 stage, equality of index vectors is equality of all the circle-map

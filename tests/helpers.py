@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from quasifractal.errors import ParameterError
-from quasifractal.geometry import INSIDE, Cell, Loop, Point2, Segment, Simplex, cross2, point_in_polygon
+from quasifractal.errors import IndeterminateWindingError, MalformedLoopError, ParameterError
+from quasifractal.geometry import Cell, Loop, Point2, Segment, Simplex, signed_area
 from quasifractal.geometry import simplex_children
 from quasifractal.planar import CARPET, AreaAccount, Piece, PieceSet, base_cell
 from quasifractal.topology import HoleSet, centroid
@@ -21,6 +21,35 @@ def pt(x, y) -> Point2:
 def square_loop(x, y, side) -> Loop:
     x, y, side = F(x), F(y), F(side)
     return Loop((pt(x, y), pt(x + side, y), pt(x + side, y + side), pt(x, y + side)))
+
+
+def cross2(o: Point2, a: Point2, b: Point2) -> Fraction:
+    """Cross product of (a - o) and (b - o)."""
+    return (a.x - o.x) * (b.y - o.y) - (b.x - o.x) * (a.y - o.y)
+
+
+def crossing_oracle(loop: Loop, p: Point2) -> int:
+    """Exact winding number of the loop about p, one Fraction edge at a time.
+
+    Signed crossings of the horizontal ray from p toward +x, with the
+    half-open vertex rule (an edge is counted only while it strictly
+    straddles the ray line), so vertices on the ray need no perturbation.
+    Raises IndeterminateWindingError, with `winding_numbers`' message, if
+    p lies on the loop. Independent of the integer lattice.
+    """
+    px, py = p.x, p.y
+    winding = 0
+    for a, b in loop.edges():
+        c = cross2(a, b, p)
+        # p is on the edge iff it is collinear with it and inside its box
+        if c == 0 and min(a.x, b.x) <= px <= max(a.x, b.x) and min(a.y, b.y) <= py <= max(a.y, b.y):
+            raise IndeterminateWindingError(f"point {p} lies on the loop")
+        if a.y <= py:
+            if b.y > py and c > 0:
+                winding += 1
+        elif b.y <= py and c < 0:
+            winding -= 1
+    return winding
 
 
 def winding_oracle(loop: Loop, p: Point2) -> int:
@@ -235,18 +264,24 @@ def svg_oracle(kind: str, kept, removed, loop=None, entries=(), reps=()) -> str:
 
 
 def hole_set_oracle(pieces) -> HoleSet:
-    """`topology.HoleSet.from_pieces` as one Fraction centroid and one
-    `point_in_polygon` per piece.
+    """`topology.HoleSet.from_pieces` as one Fraction centroid, one
+    `signed_area` and one `crossing_oracle` per piece.
 
     Independent of the integer lattice: a zero-area ring raises
-    MalformedLoopError from `point_in_polygon`, and a centroid on the ring
-    or outside it raises ParameterError, for the first bad piece in order.
+    MalformedLoopError, and a centroid on the ring or outside it raises
+    ParameterError, for the first bad piece in order.
     """
     reps: list[Point2] = []
     labels: list[str] = []
     for piece in pieces:
         rep = centroid(piece.boundary)
-        if point_in_polygon(piece.boundary, rep) != INSIDE:
+        if signed_area(piece.boundary) == 0:
+            raise MalformedLoopError("degenerate loop has no interior")
+        try:
+            inside = crossing_oracle(piece.boundary, rep) != 0
+        except IndeterminateWindingError:
+            inside = False
+        if not inside:
             raise ParameterError(f"centroid of piece {piece.label} is not interior")
         reps.append(rep)
         labels.append(piece.label)

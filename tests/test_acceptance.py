@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from helpers import F, convex_loop, query_loop, random_point_off_loop, square_loop, winding_oracle
+from helpers import F, convex_loop, crossing_oracle, query_loop, random_point_off_loop, square_loop, winding_oracle
 from quasifractal.cantor import Params2, build, connectivity, hausdorff_dimension, perimeter_series
 from quasifractal.cli import EXIT_OK, main
 from quasifractal.geometry import Loop, Point2, Point3
@@ -169,12 +169,12 @@ def test_criterion_7_winding_index_suite():
             forward = index_vector(loop, holes)
             backward = index_vector(reverse_orientation(loop), holes)
             assert backward == tuple(-e for e in forward)
-        # batched index vectors on the gasket-7 hole set (1 093 holes) against winding_number
+        # batched index vectors on the gasket-7 hole set (1 093 holes) against the Fraction crossing oracle
         holes = HoleSet.from_pieces(build_planar(GASKET, 7).removed)
         assert len(holes) == 1093
         for rectangle in (True, False) * 4:
             loop = query_loop(rng, rectangle, holes.representatives)
-            expected = tuple(winding_number(loop, rep) for rep in holes.representatives)
+            expected = tuple(crossing_oracle(loop, rep) for rep in holes.representatives)
             assert index_vector(loop, holes) == expected
             assert index_vector(reverse_orientation(loop), holes) == tuple(-e for e in expected)
 

@@ -625,3 +625,46 @@ def test_piece_rings_must_form_loops(kind, bad, tmp_path, capsys):
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(monkeypatch, capsys):
+    # the parser is built once per process; a usage error or --help must
+    # leave nothing behind for the next call
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    good = ["gen2d", "--a", "1/3", "--depth", "2"]
+    calls = [good, ["gen2d", "--depth", "x"], ["render", "--help"], good]
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "quasifractal", *argv], capture_output=True)
+        code = main(argv)
+        got = capsys.readouterr()
+        assert (code, got.out.encode(), got.err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [main(argv) for argv in calls] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+
+
+BEYOND_FLOAT = "1" + "0" * 400  # a coordinate no float can hold
+
+# Level-0 documents with one drawn coordinate beyond the float range; each
+# reader accepts it, and rendering refuses it.
+FAR_COORDINATES = {
+    "carpet": (["carpet"], lambda doc: doc["kept"][0]["corner"]),
+    "gasket": (["gasket"], lambda doc: doc["kept"][0]["vertices"][0]),
+    "cantor2d": (["gen2d", "--a", "1/3"], lambda doc: doc["cells"][0]["corner"]),
+    "cube": (["gen3d", "--variant", "cube", "--a", "1/3"], lambda doc: doc["skeleton"][0][0]),
+}
+
+
+@pytest.mark.parametrize("kind", FAR_COORDINATES)
+def test_render_refuses_coordinates_beyond_the_float_range(kind, tmp_path, capsys):
+    argv, point = FAR_COORDINATES[kind]
+    path = tmp_path / "far.json"
+    assert main(argv + ["--depth", "0", "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    point(doc)[0] = BEYOND_FLOAT
+    path.write_text(json.dumps(doc))
+    loops = [[]] if kind == "cube" else [[], ["--loop", "-1,-1 2,-1 2,2"]]
+    for loop in loops:
+        assert main(["render", "--input", str(path), *loop]) == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:") and err.count("\n") == 1, err
+    if kind in ("carpet", "gasket"):
+        assert main(["index", "--pieces", str(path), "--loop", "-1,-1 2,-1 2,2"]) == EXIT_OK

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     F,
     build_planar_oracle,
+    crossing_oracle,
     hole_set_oracle,
     pieces_document_oracle,
     pieces_from_document_oracle,
@@ -35,7 +36,7 @@ from quasifractal.document import (
     stage3_to_document,
 )
 from quasifractal.errors import CapacityError, ParameterError, UnsupportedGeometryError
-from quasifractal.geometry import rational, winding_number
+from quasifractal.geometry import rational
 from quasifractal.planar import CARPET, GASKET, build_planar
 from quasifractal.render import export_obj, render_svg
 from quasifractal.spatial import (
@@ -100,7 +101,7 @@ def test_piece_documents_and_pictures_match_the_oracle(kind, depth):
     assert render_svg(ps) == svg_oracle(kind, kept, removed)
     reps = hole_set_oracle(removed).representatives
     loop = query_loop(random.Random(depth), rectangle=kind == CARPET, reps=reps)
-    entries = [winding_number(loop, rep) for rep in reps]
+    entries = [crossing_oracle(loop, rep) for rep in reps]
     holes = HoleSet.from_pieces(ps.removed)
     assert holes.representatives == reps
     svg = render_svg(ps, loop=loop, holes=holes)
@@ -149,7 +150,7 @@ def test_piece_documents_on_both_sides_of_the_int64_bound(kind, above, tmp_path,
     holes = hole_set_oracle(removed)
     assert HoleSet.from_pieces(ps.removed) == holes
     loop = square_loop(F(-1, 7), F(-2**27, 7), F(2**27, 1))
-    entries = [winding_number(loop, rep) for rep in holes.representatives]
+    entries = [crossing_oracle(loop, rep) for rep in holes.representatives]
     assert index_vector(loop, holes) == tuple(entries) == (1,)
     # the same through the CLI, from the document's bytes
     path, svg = tmp_path / "far.json", tmp_path / "far.svg"

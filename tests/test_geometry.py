@@ -8,6 +8,8 @@ import pytest
 from helpers import (
     F,
     convex_loop,
+    cross2,
+    crossing_oracle,
     on_segment,
     pairwise_components,
     pt,
@@ -37,7 +39,6 @@ from quasifractal.geometry import (
     Simplex,
     area_vector,
     check_depth,
-    cross2,
     geometric_sum,
     lattice_dtype,
     lattice_rings,
@@ -142,7 +143,7 @@ def test_point_in_polygon_matches_winding_on_convex_loops():
         if point_in_polygon(loop, p) == BOUNDARY:
             continue
         inside = point_in_polygon(loop, p) == INSIDE
-        assert inside == (winding_number(loop, p) != 0)
+        assert inside == (crossing_oracle(loop, p) != 0)
 
 
 def test_geometric_sum_matches_term_by_term_sum():
@@ -549,12 +550,12 @@ def test_ring_edges_close_the_ring():
 
 
 def _assert_windings_match(loop, points):
-    """`winding_numbers` equals `winding_number` point by point, or both name
+    """`winding_numbers` equals `crossing_oracle` point by point, or both name
     the first point on the loop."""
     expected = []
     for p in points:
         try:
-            expected.append(winding_number(loop, p))
+            expected.append(crossing_oracle(loop, p))
         except IndeterminateWindingError as exc:
             with pytest.raises(IndeterminateWindingError) as got:
                 winding_numbers(loop, points)
@@ -626,7 +627,7 @@ def test_winding_numbers_with_denominators_near_a_trillion():
 def test_lattice_ring_walk_and_shoelace_match_the_oracles_at_the_int64_bound(above):
     """`lattice_windings` and `twice_areas` on seeded convex and star rings,
     each moved out until k times its largest coordinate is just below 2^29,
-    or at least 2^29 when `above`, against `winding_number` and `signed_area`."""
+    or at least 2^29 when `above`, against `crossing_oracle` and `signed_area`."""
     rng = random.Random(529 + above)
     loops = []
     for i in range(40):
@@ -647,7 +648,7 @@ def test_lattice_ring_walk_and_shoelace_match_the_oracles_at_the_int64_bound(abo
         windings, on_ring = lattice_windings(k * xs, k * ys, xs.sum(axis=0), ys.sum(axis=0))
         for loop, winding, on_loop in zip(rings, windings.tolist(), on_ring.tolist()):
             try:
-                assert (winding, on_loop) == (winding_number(loop, centroid(loop)), False)
+                assert (winding, on_loop) == (crossing_oracle(loop, centroid(loop)), False)
             except IndeterminateWindingError:
                 assert on_loop
         # every ring about the integer points of its box, its vertices among them
@@ -659,7 +660,7 @@ def test_lattice_ring_walk_and_shoelace_match_the_oracles_at_the_int64_bound(abo
             windings, on_ring = lattice_windings(xs[:, j], ys[:, j], px, py)
             for p, winding, on_loop in zip(points, windings.tolist(), on_ring.tolist()):
                 try:
-                    assert (winding, on_loop) == (winding_number(loop, p), False)
+                    assert (winding, on_loop) == (crossing_oracle(loop, p), False)
                 except IndeterminateWindingError:
                     assert on_loop
                     on += 1
