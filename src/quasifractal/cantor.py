@@ -20,13 +20,14 @@ partially overlap parent edges, the 1D measure computed by
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
 from .errors import CapacityError
-from .geometry import Cell, Point2, Segment, check_depth, geometric_sum, scale_factor
-from .geometry import segment_components
+from .geometry import BoxCells, Cell, Segment, Segments, box_edges, check_depth, common_lattice
+from .geometry import corner_children, geometric_sum, scale_factor, segment_components
 
 DEPTH_CAP = 10
 
@@ -53,48 +54,53 @@ class Stage2:
 
     `segments` holds the canonical boundary segments of every cell of
     levels 0..level, including the unit-square boundary; `cells` is in
-    lexicographic address order.
+    lexicographic address order. Both are views on one integer lattice
+    (`BoxCells` and `Segments`), D = q^level for a = p/q, and build their
+    `Cell` and `Segment` objects only when asked. Given a list of cells
+    and a set of segments instead, the constructor puts them on the lattice
+    of their denominators.
     """
 
     params: Params2
     level: int
-    cells: list[Cell]
-    segments: set[Segment] = field(repr=False)
+    cells: Sequence[Cell]
+    segments: Set[Segment] = field(repr=False)
+
+    def __post_init__(self):
+        self.cells, self.segments = common_lattice((BoxCells, self.cells), (Segments, self.segments))
 
 
 def level0(a: Union[Fraction, str, int]) -> Stage2:
     a = scale_factor(a, allow_half=True)
-    root = Cell("", Point2(Fraction(0), Fraction(0)), Fraction(1))
-    return Stage2(
-        params=Params2(a, 0),
-        level=0,
-        cells=[root],
-        segments=set(root.edge_segments()),
-    )
+    root = ("", (0, 0), 1)
+    return Stage2(Params2(a, 0), 0, BoxCells(1, [root]), Segments(1, box_edges((0, 0), 1)))
 
 
 def refine(stage: Stage2) -> Stage2:
     """One subdivision step: each cell is replaced by its 4 corner children.
 
-    The children's boundaries are appended to the retained segment set
-    (deduplicated in canonical form) and the input stage is left unchanged.
-    Children are emitted parent by parent in letter order, so the cells
-    stay in address order.
+    The stage moves from its lattice of D to that of D * q, where the
+    children's sides are multiples of the parents' times p. The children's
+    boundaries are added to the retained segment set (deduplicated in
+    canonical form) and the input stage is left unchanged. Children are
+    emitted parent by parent in letter order, so the cells stay in address
+    order.
     """
     if stage.level >= DEPTH_CAP:
         raise CapacityError(f"depth cap {DEPTH_CAP} reached at level {stage.level}")
     a = stage.params.a
-    cells: list[Cell] = []
-    segments = set(stage.segments)
-    for cell in stage.cells:
-        for child in cell.children(a):
-            cells.append(child)
-            segments.update(child.edge_segments())
+    q = a.denominator
+    parents = [(address, (x * q, y * q), side * q) for address, (x, y), side in stage.cells.rows]
+    cells = corner_children(parents, a)
+    segments = {((x0 * q, y0 * q), (x1 * q, y1 * q)) for (x0, y0), (x1, y1) in stage.segments.rows}
+    for _, corner, side in cells:
+        segments.update(box_edges(corner, side))
+    lcm = stage.cells.lcm * q
     return Stage2(
         params=Params2(a, stage.level + 1),
         level=stage.level + 1,
-        cells=cells,
-        segments=segments,
+        cells=BoxCells(lcm, cells),
+        segments=Segments(lcm, segments),
     )
 
 

@@ -216,7 +216,7 @@ def _stage2_measures(stage: cantor.Stage2) -> dict:
     a = stage.params.a
     measures = {
         "cell_count": len(stage.cells),
-        "cell_side": document.format_rational(stage.cells[0].side),
+        "cell_side": document.format_rational(a**stage.level),
         "segment_count": len(stage.segments),
         "boundary_union_length": document.format_rational(union_length(stage.segments)),
         "components": cantor.connectivity(stage),

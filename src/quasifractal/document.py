@@ -16,11 +16,11 @@ from functools import wraps
 
 from .cantor import DEPTH_CAP, Params2, Stage2
 from .errors import CapacityError, ParameterError, QuasifractalError
-from .geometry import Cell, LatticeTable, Point2, Point3, Segment, Simplex, check_depth
-from .geometry import check_ring, rational, to_lattice
+from .geometry import BoxCells, LatticeTable, Segments, Simplices, check_depth, check_ring
+from .geometry import rational, to_lattice
 from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, PieceSet, on_lattice
 from .spatial import CUBE_DEPTH_CAP, CUBE_WIREFRAME, TETRA_DEPTH_CAP, TETRA_GASKET
-from .spatial import Face3, SpatialVariant, Stage3
+from .spatial import Faces, SpatialVariant, Stage3
 
 SCHEMA_VERSION = 1
 
@@ -36,10 +36,6 @@ def format_rational(x: Fraction | int) -> str:
         raise CapacityError(f"rational too large to write: {exc}") from exc
 
 
-def _point_json(p) -> list[str]:
-    return [format_rational(c) for c in p]
-
-
 def _count(value, what: str, cap: int | None = None) -> int:
     """A count field: a JSON integer, not a bool, a float or a string."""
     if type(value) is not int:
@@ -47,53 +43,67 @@ def _count(value, what: str, cap: int | None = None) -> int:
     return check_depth(value, cap, what=what)
 
 
-class _Points(dict):
-    """One document's points by their coordinate entries, each distinct point built once.
+class _Lattice(dict):
+    """One stage document's points on the lattice of D = `lcm`, by their coordinate entries.
 
-    Only points of string coordinates are kept, so an entry that is a bool
-    or a float is read, and refused, every time; an unhashable entry raises
-    TypeError.
+    A coordinate must be a multiple of 1/D in [0, 1]. Each distinct entry
+    is read (through `_Numbers`) and checked once, and each point of string
+    entries is kept, so an entry that is a bool or a float is read, and
+    refused, every time; an unhashable entry raises TypeError.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, kind: str, dim: int, numbers: "_Numbers", lcm: int):
         super().__init__()
-        self.read = _Numbers().read
+        self.kind = kind
         self.dim = dim
+        self.numbers = numbers
+        self.lcm = lcm
+        self._ints = LatticeTable(self._scale)  # value number -> lattice int
 
-    def __missing__(self, key: tuple):
-        point = (Point2, Point3)[self.dim - 2](*map(self.read, key))
+    def _scale(self, number: int) -> int:
+        value = self.numbers.values[number]
+        scaled = value * self.lcm
+        if not 0 <= value <= 1 or scaled.denominator != 1:
+            raise ParameterError(
+                f"{self.kind} coordinate {value} is not a multiple of 1/{self.lcm} in [0, 1]"
+            )
+        return scaled.numerator
+
+    def __missing__(self, key: tuple) -> tuple:
+        point = tuple(self._ints[self.numbers[entry]] for entry in key)
         if all(type(c) is str for c in key):
             self[key] = point
         return point
 
+    def point(self, data) -> tuple:
+        """Read a point from its list of dim "p/q" coordinates."""
+        if len(data) != self.dim:
+            raise ParameterError(f"expected {self.dim} coordinates, got {data!r}")
+        return self[tuple(data)]
 
-def _point(points: _Points, data):
-    """Read a Point2 or Point3 from its list of dim "p/q" coordinates."""
-    if len(data) != points.dim:
-        raise ParameterError(f"expected {points.dim} coordinates, got {data!r}")
-    return points[tuple(data)]
+    def vertices(self, data) -> tuple:
+        """Read the dim + 1 vertices of a tetrahedron."""
+        if len(data) != self.dim + 1:
+            raise ParameterError(f"expected {self.dim + 1} vertices, got {len(data)}")
+        return tuple(map(self.point, data))
 
-
-def _vertices(points: _Points, data) -> tuple:
-    """Read the dim + 1 vertices of a tetrahedron."""
-    if len(data) != points.dim + 1:
-        raise ParameterError(f"expected {points.dim + 1} vertices, got {len(data)}")
-    return tuple(_point(points, v) for v in data)
-
-
-def _cells_json(cells) -> list:
-    return [
-        {"address": c.address, "corner": _point_json(c.corner), "side": format_rational(c.side)}
-        for c in cells
-    ]
-
-
-def _cells(points: _Points, data) -> list[Cell]:
-    return [Cell(c["address"], _point(points, c["corner"]), points.read(c["side"])) for c in data]
+    def segments(self, data) -> set:
+        """Read a list of segments, each a pair of distinct points, into rows (p, q), p < q."""
+        rows = set()
+        for a, b in data:
+            p, q = self.point(a), self.point(b)
+            if p == q:
+                raise ParameterError(f"degenerate segment at {a!r}")
+            rows.add((p, q) if p < q else (q, p))
+        return rows
 
 
-def _segments_json(segments) -> list:
-    return [[_point_json(s.a), _point_json(s.b)] for s in sorted(segments)]
+def _box_cells(points: _Lattice, data, side: Fraction) -> tuple[BoxCells, bool]:
+    """Read box cells onto the lattice, whose D is the denominator of
+    `side`, and tell whether every cell has that side."""
+    cells = [(c["address"], points.point(c["corner"]), points.numbers.read(c["side"])) for c in data]
+    rows = [(address, corner, side.numerator) for address, corner, _ in cells]
+    return BoxCells(points.lcm, rows), all(s == side for _, _, s in cells)
 
 
 def _reads_shape(read):
@@ -119,13 +129,17 @@ def _reads_shape(read):
 
 
 def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
+    """The cantor2d document of `stage`; its "cells" and "segments" are
+    `Encoded` text, written from the lattice rows with each distinct
+    coordinate formatted once."""
+    text = _lattice_text(stage.cells.lcm)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "cantor2d",
         "params": {"a": format_rational(stage.params.a), "depth": stage.params.depth},
         "level": stage.level,
-        "cells": _cells_json(stage.cells),
-        "segments": _segments_json(stage.segments),
+        "cells": _encoded_list(_box_texts(stage.cells, 2, text)),
+        "segments": _encoded_list(_segment_texts(stage.segments, 2, text)),
     }
     if measures is not None:
         doc["measures"] = measures
@@ -134,20 +148,22 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
 
 @_reads_shape
 def document_to_stage2(doc: dict) -> Stage2:
+    """Read a cantor2d document onto the lattice of its level, D = q^level for a = p/q."""
     _check(doc, "cantor2d")
-    points = _Points(2)
-    params = Params2(points.read(doc["params"]["a"]), _count(doc["params"]["depth"], "depth"))
+    numbers = _Numbers()
+    params = Params2(numbers.read(doc["params"]["a"]), _count(doc["params"]["depth"], "depth"))
     level = _count(doc["level"], "level", DEPTH_CAP)
-    cells = _cells(points, doc["cells"])
     side = params.a**level
+    points = _Lattice("cantor2d", 2, numbers, side.denominator)
+    cells, sides_match = _box_cells(points, doc["cells"], side)
     if (
         level != params.depth
         or len(cells) != 4**level
-        or any(c.side != side or c.level != level for c in cells)
+        or not sides_match
+        or any(len(address) != level for address, _, _ in cells.rows)
     ):
         raise ParameterError(f"cantor2d cells do not match level {level} and depth {params.depth}")
-    segments = {Segment(_point(points, a), _point(points, b)) for a, b in doc["segments"]}
-    return Stage2(params=params, level=level, cells=cells, segments=segments)
+    return Stage2(params, level, cells, Segments(points.lcm, points.segments(doc["segments"])))
 
 
 class Encoded:
@@ -165,7 +181,7 @@ class Encoded:
 _SLOT = Encoded("%s")
 
 
-def _template(item: dict) -> str:
+def _template(item) -> str:
     """`item` laid out as a row of a top-level list, a %s for each `_SLOT`; its keys hold no %."""
     return _emit(item, "\n    ")
 
@@ -174,13 +190,31 @@ def _encoded_list(items: list[str]) -> Encoded:
     return Encoded("[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]")
 
 
+def _lattice_text(lcm: int) -> LatticeTable:
+    """The JSON text of each distinct lattice value v, the string of v / lcm."""
+    return LatticeTable(lambda v: '"' + format_rational(Fraction(v, lcm)) + '"')
+
+
+def _box_texts(cells: BoxCells, dim: int, text: LatticeTable) -> list[str]:
+    template = _template({"address": _SLOT, "corner": [_SLOT] * dim, "side": _SLOT})
+    value = text.__getitem__
+    return [template % (_string(a), *map(value, corner), value(side)) for a, corner, side in cells.rows]
+
+
+def _segment_texts(segments: Segments, dim: int, text: LatticeTable) -> list[str]:
+    """The segments' rows in the one segment order, by first then second
+    endpoint: plain `sorted` on the lattice rows is the Fraction order."""
+    template = _template([[_SLOT] * dim] * 2)
+    value = text.__getitem__
+    return [template % (*map(value, p), *map(value, q)) for p, q in sorted(segments.rows)]
+
+
 def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
     """The piece document of `ps`. Its "kept" and "removed" lists are
     `Encoded` text, assembled row by row from the lattice arrays with each
     distinct coordinate formatted once, so the document is ready for
     `dumps_document` but is not plain JSON data."""
-    lcm = ps.kept.lcm
-    text = LatticeTable(lambda v: '"' + format_rational(Fraction(v, lcm)) + '"')
+    text = _lattice_text(ps.kept.lcm)
 
     def vertex_columns(xs, ys) -> list:
         return [text.column(row) for pair in zip(xs, ys) for row in pair]
@@ -304,32 +338,38 @@ def document_to_pieces(doc: dict) -> PieceSet:
 
 
 def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
+    """The spatial stage document of `stage`; its "cells", "skeleton" and
+    "pieces" are `Encoded` text, written from the lattice rows."""
     variant = stage.variant
     params: dict = {"kind": variant.kind}
     if variant.a is not None:
         params["a"] = format_rational(variant.a)
+    text = _lattice_text(stage.cells.lcm)
+    value = text.__getitem__
     if variant.kind == CUBE_WIREFRAME:
-        cells = _cells_json(stage.cells)
+        cells = _box_texts(stage.cells, 3, text)
     else:
+        template = _template({"address": _SLOT, "vertices": [[_SLOT] * 3] * 4})
         cells = [
-            {"address": c.address, "vertices": [_point_json(v) for v in c.vertices]}
-            for c in stage.cells
+            template % (_string(address), *[value(c) for v in vertices for c in v])
+            for address, vertices in stage.cells.rows
         ]
+    area = LatticeTable(lambda area_sq: '"' + format_rational(area_sq) + '"')
+    templates = LatticeTable(
+        lambda k: _template({"boundary": [[_SLOT] * 3] * k, "birth_level": _SLOT, "area_sq": _SLOT})
+    )
+    pieces = [
+        templates[len(ring)] % (*[value(c) for v in ring for c in v], birth_level, area[area_sq])
+        for ring, birth_level, area_sq in stage.pieces.rows
+    ]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": variant.kind,
         "params": params,
         "level": stage.level,
-        "cells": cells,
-        "skeleton": _segments_json(stage.skeleton),
-        "pieces": [
-            {
-                "boundary": [_point_json(v) for v in face.boundary],
-                "birth_level": face.birth_level,
-                "area_sq": format_rational(face.area_sq),
-            }
-            for face in stage.pieces
-        ],
+        "cells": _encoded_list(cells),
+        "skeleton": _encoded_list(_segment_texts(stage.skeleton, 3, text)),
+        "pieces": _encoded_list(pieces),
     }
     if measures is not None:
         doc["measures"] = measures
@@ -338,38 +378,41 @@ def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
 
 @_reads_shape
 def document_to_stage3(doc: dict) -> Stage3:
+    """Read a spatial stage document onto the lattice of its level, D =
+    q^level for the cube's a = p/q and 2^level for the tetrahedron."""
     kind = doc.get("kind")
     _check(doc, kind)
     if kind not in (CUBE_WIREFRAME, TETRA_GASKET):
         raise ParameterError(f"not a spatial stage document: kind={kind!r}")
     cube = kind == CUBE_WIREFRAME
-    points = _Points(3)
-    read = points.read
-    variant = SpatialVariant(kind, read(doc["params"]["a"]) if cube else None)
+    numbers = _Numbers()
+    variant = SpatialVariant(kind, numbers.read(doc["params"]["a"]) if cube else None)
     cap, split, faces = (CUBE_DEPTH_CAP, 8, 6) if cube else (TETRA_DEPTH_CAP, 4, 4)
     level = _count(doc["level"], "level", cap)
+    points = _Lattice(kind, 3, numbers, variant.a.denominator**level if cube else 2**level)
     if cube:
-        cells = _cells(points, doc["cells"])
+        cells, sides_match = _box_cells(points, doc["cells"], variant.a**level)
     else:
-        cells = [Simplex(c["address"], _vertices(points, c["vertices"])) for c in doc["cells"]]
-    skeleton = {Segment(_point(points, a), _point(points, b)) for a, b in doc["skeleton"]}
+        cells = Simplices(points.lcm, [(c["address"], points.vertices(c["vertices"])) for c in doc["cells"]])
+        sides_match = True
+    skeleton = points.segments(doc["skeleton"])
     pieces = [
-        Face3(
-            tuple(_point(points, v) for v in f["boundary"]),
+        (
+            tuple(map(points.point, f["boundary"])),
             _count(f["birth_level"], "birth_level"),
-            read(f["area_sq"]),
+            numbers.read(f["area_sq"]),
         )
         for f in doc["pieces"]
     ]
-    births = Counter(face.birth_level for face in pieces)
-    side = variant.a**level if cube else None
+    births = Counter(birth_level for _, birth_level, _ in pieces)
     if (
         len(cells) != split**level
-        or any(c.level != level for c in cells)
-        or (cube and any(c.side != side for c in cells))
+        or any(len(address) != level for address, *_ in cells.rows)
+        or not sides_match
         or births != Counter({b: faces * split**b for b in range(level + 1)})
     ):
         raise ParameterError(f"{kind} cells and faces do not match level {level}")
+    skeleton, pieces = Segments(points.lcm, skeleton), Faces(points.lcm, pieces)
     return Stage3(variant=variant, level=level, cells=cells, skeleton=skeleton, pieces=pieces)
 
 

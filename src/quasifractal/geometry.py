@@ -9,17 +9,22 @@ of points, so both hash, compare and sort as tuples; loops are immutable.
 Batched predicates and area sums run on the integer lattice, built here
 only: coordinates scaled by D, the lcm of their denominators, held in
 int64 arrays while every product fits and in arrays of Python ints otherwise.
+Skeleton stages hold their cells and segments as rows of Python ints on
+their level's lattice (`OnLattice` views), and the carrier-line kernels
+(`SegmentIndex`, `union_length`, `segment_components`) run on those ints.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, combinations
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from operator import itemgetter, mul
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -302,6 +307,44 @@ _FACES = {
 }
 
 
+def _ends(corner, length) -> list:
+    return [v for c in corner for v in (c, c + length)]
+
+
+def box_vertices(corner, side) -> list[tuple]:
+    """The 2^d corners of a box as coordinate tuples, in bit order: bit i of
+    the index selects the far side in coordinate i."""
+    ends = _ends(corner, side)
+    return [pick(ends) for pick in _VERTEX_PICKS[len(corner)]]
+
+
+def box_edges(corner, side) -> list[tuple]:
+    """The edges of a box as vertex pairs, each in lexicographic order."""
+    verts = box_vertices(corner, side)
+    return [(verts[i], verts[j]) for i, j in _EDGES[len(corner)]]
+
+
+def box_faces(corner, side) -> list[tuple]:
+    """The vertex rings of a box's faces, each counterclockwise seen from outside."""
+    verts = box_vertices(corner, side)
+    return [pick(verts) for pick in _FACES[len(corner)]]
+
+
+def corner_children(cells: list, a: Fraction) -> list:
+    """One corner split of lattice boxes (address, corner, side), each side a
+    multiple of q for the scale factor a = p/q, on the same lattice: child k
+    of a box has side side // q * p and its corner at the offsets of
+    `_CHILD_PICKS`[k], parent by parent in letter order."""
+    p, q = a.numerator, a.denominator
+    children = []
+    for address, corner, side in cells:
+        child = side // q * p
+        ends = _ends(corner, side - child)
+        picks = _CHILD_PICKS[len(corner)]
+        children += [(address + str(k), pick(ends), child) for k, pick in enumerate(picks)]
+    return children
+
+
 @dataclass(frozen=True)
 class Cell:
     """An addressed corner square (Point2 corner) or cube (Point3 corner).
@@ -321,14 +364,10 @@ class Cell:
     def level(self) -> int:
         return len(self.address)
 
-    def _ends(self, length: Fraction) -> list[Fraction]:
-        return [v for c in self.corner for v in (c, c + length)]
-
     def vertices(self) -> tuple[Point, ...]:
         """The 2^d corners in bit order: bit i of the index selects the far side in coordinate i."""
-        ends = self._ends(self.side)
         point = type(self.corner)
-        return tuple(point(*pick(ends)) for pick in _VERTEX_PICKS[len(ends) // 2])
+        return tuple(point(*v) for v in box_vertices(self.corner, self.side))
 
     def edge_segments(self) -> tuple[Segment, ...]:
         verts = self.vertices()
@@ -341,12 +380,12 @@ class Cell:
 
     def children(self, a: Fraction) -> tuple["Cell", ...]:
         child_side = self.side * a
-        ends = self._ends(self.side - child_side)
+        ends = _ends(self.corner, self.side - child_side)
         point = type(self.corner)
         address = self.address
         return tuple(
             Cell(address + str(k), point(*pick(ends)), child_side)
-            for k, pick in enumerate(_CHILD_PICKS[len(ends) // 2])
+            for k, pick in enumerate(_CHILD_PICKS[len(self.corner)])
         )
 
     def contains(self, other: "Cell") -> bool:
@@ -377,15 +416,31 @@ _SIMPLEX_FACES = {
 }
 
 
-def simplex_children(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
+def simplex_children(vertices: Sequence[Point], middle=midpoint) -> list[tuple[Point, ...]]:
     """The half-scale corner copies of a triangle or tetrahedron.
 
     Child i keeps vertex i in place i and puts the midpoint of the edge to
-    vertex j in place j; each edge midpoint is computed once.
+    vertex j in place j; each edge midpoint is computed once, by `middle`
+    (`lattice_midpoint` for lattice points whose sums are even).
     """
     edges, picks = _SIMPLEX_PATTERNS[len(vertices)]
-    points = (*vertices, *[midpoint(vertices[i], vertices[j]) for i, j in edges])
+    points = (*vertices, *[middle(vertices[i], vertices[j]) for i, j in edges])
     return [pick(points) for pick in picks]
+
+
+def lattice_midpoint(p: tuple, q: tuple) -> tuple:
+    return tuple((a + b) // 2 for a, b in zip(p, q))
+
+
+def simplex_edges(vertices: Sequence) -> list[tuple]:
+    """The edges of a simplex as vertex pairs, each in lexicographic order."""
+    edges, _ = _SIMPLEX_PATTERNS[len(vertices)]
+    return [(u, v) if u < v else (v, u) for u, v in ((vertices[i], vertices[j]) for i, j in edges)]
+
+
+def simplex_faces(vertices: Sequence) -> list[tuple]:
+    """The vertex rings of a simplex's faces, each counterclockwise seen from outside."""
+    return [pick(vertices) for pick in _SIMPLEX_FACES[len(vertices)]]
 
 
 @dataclass(frozen=True)
@@ -405,14 +460,11 @@ class Simplex:
         return len(self.address)
 
     def edge_segments(self) -> tuple[Segment, ...]:
-        verts = self.vertices
-        edges, _ = _SIMPLEX_PATTERNS[len(verts)]
-        return tuple(Segment(verts[i], verts[j]) for i, j in edges)
+        return tuple(Segment(u, v) for u, v in simplex_edges(self.vertices))
 
     def faces(self) -> tuple[tuple[Point, ...], ...]:
         """The vertex rings of the faces, each counterclockwise seen from outside."""
-        verts = self.vertices
-        return tuple(pick(verts) for pick in _SIMPLEX_FACES[len(verts)])
+        return tuple(simplex_faces(self.vertices))
 
     def children(self) -> tuple["Simplex", ...]:
         address = self.address
@@ -451,17 +503,23 @@ def signed_area(loop: Loop) -> Fraction:
     return total / 2
 
 
+def cross_sum(points: Sequence) -> tuple:
+    """The sum of the edge cross products p x q of a polygon in 3-space, in
+    the points' own arithmetic: twice its area vector."""
+    ax = ay = az = 0
+    for p, q in ring_edges(points):
+        ax += p[1] * q[2] - p[2] * q[1]
+        ay += p[2] * q[0] - p[0] * q[2]
+        az += p[0] * q[1] - p[1] * q[0]
+    return ax, ay, az
+
+
 def area_vector(points: Sequence[Point3]) -> tuple[Fraction, Fraction, Fraction]:
     """Exact area vector of a planar polygon in 3-space.
 
     Half the sum of the edge cross products: normal to the polygon, as long as its area.
     """
-    ax = ay = az = Fraction(0)
-    for p, q in ring_edges(points):
-        ax += p[1] * q[2] - p[2] * q[1]
-        ay += p[2] * q[0] - p[0] * q[2]
-        az += p[0] * q[1] - p[1] * q[0]
-    return (ax / 2, ay / 2, az / 2)
+    return tuple(Fraction(c) / 2 for c in cross_sum(points))
 
 
 def lattice_windings(xs, ys, px, py):
@@ -532,45 +590,164 @@ def point_in_polygon(loop: Loop, p: Point2) -> str:
         return BOUNDARY
 
 
-def _line_key(p: Point, q: Point):
-    """Canonical (direction, base-point) key for the line through p and q.
+_POINTS = {2: Point2, 3: Point3}
 
-    The direction is scaled so its first nonzero component is 1, and the
-    base point is the point on the line whose pivot coordinate is 0. Two
-    segments are collinear iff their keys are equal; the pivot coordinate
-    of a point then serves as its 1D parameter along the line.
+
+class OnLattice:
+    """Objects held as rows of Python ints on the lattice of D = `lcm`.
+
+    `len` reads the rows. The objects are built from them on first use,
+    each distinct point and value once. A subclass says how a row holds an
+    object (`row(obj, f)`, f mapping each coordinate to its lattice int)
+    and how a row becomes the object again (`_object`).
     """
-    # Components known to be 0 or 1 are plain ints: they skip Fraction
-    # arithmetic and hash faster, and equal values hash equal either way.
-    d = tuple(qi - pi if qi != pi else 0 for pi, qi in zip(p, q))
-    pivot = next(i for i, di in enumerate(d) if di)
-    dp = d[pivot]
-    u = tuple(0 if not di else 1 if i == pivot else di / dp for i, di in enumerate(d))
-    return _line_through(p, u, pivot), pivot
+
+    def __init__(self, lcm: int, rows):
+        self.lcm = lcm
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self._objects)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(lcm={self.lcm}, count={len(self)})"
+
+    @cached_property
+    def _objects(self) -> list:
+        value = LatticeTable(lambda v: Fraction(v, self.lcm))
+        point = LatticeTable(lambda p: _POINTS[len(p)](*map(value.__getitem__, p)))
+        return [self._object(row, point, value) for row in self.rows]
 
 
-def _line_through(p: Point, u: tuple, pivot: int):
-    """Key of the line in direction u through p."""
-    t = p[pivot]
-    base = tuple(
-        0 if i == pivot else pi - t * ui if ui else pi for i, (pi, ui) in enumerate(zip(p, u))
-    )
-    return (u, base)
+class LatticeSequence(OnLattice, Sequence):
+    """Objects in order, held as a list of rows; equal to any sequence of equal objects."""
+
+    def __getitem__(self, i):
+        return self._objects[i]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
 
 
-def _carrier_lines(segments: Sequence[Segment]) -> dict:
-    """Group segments by carrier line: line key -> sorted [(lo, hi, index)].
+class Segments(OnLattice, Set):
+    """A set of segments, held as a set of rows (p, q): lattice points, p < q.
 
-    lo and hi are the endpoints' parameters along the line; lo < hi
-    because a Segment stores its endpoints in lexicographic order.
+    Set operations with other sets return plain sets of `Segment`s.
     """
-    lines: dict = {}
-    for idx, seg in enumerate(segments):
-        key, pivot = _line_key(seg.a, seg.b)
-        lines.setdefault(key, []).append((seg.a[pivot], seg.b[pivot], idx))
-    for entries in lines.values():
-        entries.sort()
-    return lines
+
+    def __init__(self, lcm: int, rows):
+        super().__init__(lcm, set(rows))
+
+    @staticmethod
+    def row(segment, f) -> tuple:
+        return tuple(map(f, segment[0])), tuple(map(f, segment[1]))
+
+    def _object(self, row, point, value) -> Segment:
+        return Segment(point[row[0]], point[row[1]])
+
+    def __contains__(self, segment) -> bool:
+        return segment in self._members
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self._objects)
+
+    @classmethod
+    def _from_iterable(cls, segments) -> set:
+        return set(segments)
+
+
+class BoxCells(LatticeSequence):
+    """Box cells, held as rows (address, corner, side)."""
+
+    @staticmethod
+    def row(cell: Cell, f) -> tuple:
+        return cell.address, tuple(map(f, cell.corner)), f(cell.side)
+
+    def _object(self, row, point, value) -> Cell:
+        address, corner, side = row
+        return Cell(address, point[corner], value[side])
+
+
+class Simplices(LatticeSequence):
+    """Simplex cells, held as rows (address, vertices)."""
+
+    @staticmethod
+    def row(cell: Simplex, f) -> tuple:
+        return cell.address, tuple(tuple(map(f, v)) for v in cell.vertices)
+
+    def _object(self, row, point, value) -> Simplex:
+        address, vertices = row
+        return Simplex(address, tuple(map(point.__getitem__, vertices)))
+
+
+def lattice_rows(*blocks) -> tuple[int, list[list]]:
+    """Put (row, objects) blocks on one lattice: D, the lcm of the
+    denominators of every coordinate, and for each block the list of
+    row(obj, f) of its objects, f mapping each coordinate to its lattice
+    int. A first pass of `row` collects the coordinates for `to_lattice`,
+    and a second, in the same order, takes their ints."""
+    blocks = [(row, list(objects)) for row, objects in blocks]
+    values: list = []
+    for row, objects in blocks:
+        for obj in objects:
+            row(obj, values.append)
+    lcm, ints = to_lattice(values)
+    scaled = iter(ints)
+    return lcm, [[row(obj, lambda _: next(scaled)) for obj in objects] for row, objects in blocks]
+
+
+def common_lattice(*blocks) -> list:
+    """Views on one lattice of (view type, content) blocks: the contents
+    themselves when they are views of those types on one D already,
+    otherwise their objects put on the lattice of all their denominators."""
+    contents = [content for _, content in blocks]
+    if all(type(content) is kind for kind, content in blocks) and len({c.lcm for c in contents}) == 1:
+        return contents
+    lcm, rows = lattice_rows(*[(kind.row, content) for kind, content in blocks])
+    return [kind(lcm, block) for (kind, _), block in zip(blocks, rows)]
+
+
+def segment_rows(segments) -> tuple[int, list]:
+    """D and the rows (p, q) of `Segments`, or of other segments, in order,
+    put on the lattice of their denominators."""
+    if isinstance(segments, Segments):
+        return segments.lcm, list(segments.rows)
+    lcm, (rows,) = lattice_rows((Segments.row, segments))
+    return lcm, rows
+
+
+# The moment p x w of a point p and a direction w: its components m_ij =
+# p_i w_j - p_j w_i for the index pairs i < j.
+_MOMENTS = {
+    2: lambda p, w: (p[0] * w[1] - p[1] * w[0],),
+    3: lambda p, w: (p[0] * w[1] - p[1] * w[0], p[0] * w[2] - p[2] * w[0], p[1] * w[2] - p[2] * w[1]),
+}
+
+
+def _carrier(p, q) -> tuple:
+    """The key of the line through lattice points p < q and their parameters along it.
+
+    The key is integer Plücker coordinates: the direction w, q - p reduced
+    by its gcd, and the moment p x w, which every point of the line shares.
+    The parameter of a point x is x . w, which grows along w. As p < q, the
+    first nonzero component of w is positive. Coordinates that are
+    Fractions (points off the lattice) are scaled to ints before the gcd.
+    """
+    d = [b - a for a, b in zip(p, q)]
+    try:
+        g = math.gcd(*d)
+    except TypeError:  # Fractions
+        scale = math.lcm(*(c.denominator for c in d))
+        d = [int(c * scale) for c in d]
+        g = math.gcd(*d)
+    w = tuple([c // g for c in d])
+    return (w, _MOMENTS[len(p)](p, w)), sum(map(mul, p, w)), sum(map(mul, q, w))
 
 
 class _Line(NamedTuple):
@@ -602,54 +779,36 @@ class _Line(NamedTuple):
                 firsts.append(k)
         return cls(entries, starts, ends, firsts)
 
-    def run_at(self, t: Fraction) -> int:
+    def run_at(self, t) -> int:
         """Number of the run containing parameter t, or -1."""
         i = bisect_right(self.starts, t) - 1
         return i if i >= 0 and self.ends[i] >= t else -1
 
 
-def union_length(segments: Iterable[Segment]) -> Fraction:
-    """Exact 1-dimensional measure of a union of axis-parallel segments.
-
-    Segments are grouped by carrier line, overlapping intervals are merged,
-    and the merged lengths are summed; overlaps are therefore counted once.
-    Raises UnsupportedGeometryError for any non-axis-parallel segment.
-    """
-    segments = list(segments)
-    total = Fraction(0)
-    for (u, _), entries in _carrier_lines(segments).items():
-        if sum(1 for ui in u if ui) != 1:
-            raise UnsupportedGeometryError(
-                f"union_length requires axis-parallel segments, got {segments[entries[0][2]]}"
-            )
-        line = _Line.of(entries)
-        for lo, hi in zip(line.starts, line.ends):
-            total += hi - lo
-    return total
-
-
 class SegmentIndex:
-    """Carrier-line index over a fixed set of segments.
+    """Carrier-line index over a fixed set of segments, on their lattice.
 
-    The segments are grouped by carrier line, sorted along it and merged
-    into runs of overlapping or touching intervals (O(n log n)). Two exact
-    queries share one bisect over a line's runs: `covers`, whether a query
-    segment lies in the union of collinear indexed segments, and
-    `ids_through`, which segments pass through a point.
+    The segments (`Segments`, or any segments, put on the lattice of their
+    denominators, D = `lcm`) are grouped by the integer key of their
+    carrier line, sorted along it and merged into runs of overlapping or
+    touching intervals (O(n log n)). Two exact queries share one bisect
+    over a line's runs: `covers`, whether a query segment lies in the
+    union of collinear indexed segments, and `ids_through`, which segments
+    pass through a point. Query points are given on the lattice, as their
+    coordinates times D; a Fraction there is a point off the lattice.
     """
 
     def __init__(self, segments: Iterable[Segment]):
-        self.segments: list[Segment] = list(segments)
-        self._lines = {
-            key: _Line.of(entries) for key, entries in _carrier_lines(self.segments).items()
-        }
-        # direction -> its pivot, the index of its first nonzero component (1)
-        self.directions: dict = {}
-        for u, _ in self._lines:
-            self.directions.setdefault(u, next(i for i, ui in enumerate(u) if ui))
+        self.lcm, self.rows = segment_rows(segments)
+        lines: dict = {}
+        for idx, (p, q) in enumerate(self.rows):
+            key, lo, hi = _carrier(p, q)
+            lines.setdefault(key, []).append((lo, hi, idx))
+        self._lines = {key: _Line.of(sorted(entries)) for key, entries in lines.items()}
+        self.directions = dict.fromkeys(w for w, _ in self._lines)
 
-    def ids_through(self, p: Point) -> list[int]:
-        """Indices of all segments whose closed support contains p.
+    def ids_through(self, p) -> list[int]:
+        """Indices of all segments whose closed support contains lattice point p.
 
         For each direction, the line through p is looked up and bisected
         for the run containing p; only that run's segments that start at
@@ -657,11 +816,11 @@ class SegmentIndex:
         plus that scan.
         """
         found: list[int] = []
-        for u, pivot in self.directions.items():
-            line = self._lines.get(_line_through(p, u, pivot))
+        for w in self.directions:
+            line = self._lines.get((w, _MOMENTS[len(p)](p, w)))
             if line is None:
                 continue
-            t = p[pivot]
+            t = sum(map(mul, p, w))
             i = line.run_at(t)
             if i < 0:
                 continue
@@ -674,15 +833,35 @@ class SegmentIndex:
                     found.append(idx)
         return found
 
-    def covers(self, p: Point, q: Point) -> bool:
-        """True iff segment pq lies inside the union of collinear indexed segments."""
-        key, pivot = _line_key(p, q)
+    def covers(self, p, q) -> bool:
+        """True iff the segment between lattice points p and q lies inside
+        the union of collinear indexed segments."""
+        key, ta, tb = _carrier(p, q) if p < q else _carrier(q, p)
         line = self._lines.get(key)
         if line is None:
             return False
-        ta, tb = p[pivot], q[pivot]
-        i = line.run_at(min(ta, tb))
-        return i >= 0 and line.ends[i] >= max(ta, tb)
+        i = line.run_at(ta)
+        return i >= 0 and line.ends[i] >= tb
+
+
+def union_length(segments: Iterable[Segment]) -> Fraction:
+    """Exact 1-dimensional measure of a union of axis-parallel segments.
+
+    Segments are grouped by carrier line, overlapping intervals are merged,
+    and the merged lengths are summed; overlaps are therefore counted once.
+    An axis-parallel direction is a unit vector, so the lengths are sums
+    of lattice ints, divided by D once. Raises UnsupportedGeometryError for
+    any non-axis-parallel segment.
+    """
+    index = SegmentIndex(segments)
+    total = 0
+    for (w, _), line in index._lines.items():
+        if sum(map(bool, w)) != 1:
+            p, q = index.rows[line.entries[0][2]]
+            shown = [[str(Fraction(v, index.lcm)) for v in point] for point in (p, q)]
+            raise UnsupportedGeometryError(f"union_length requires axis-parallel segments, got {shown}")
+        total += sum(line.ends) - sum(line.starts)
+    return Fraction(total, index.lcm)
 
 
 def segment_components(segments: Iterable[Segment]) -> int:
@@ -693,10 +872,10 @@ def segment_components(segments: Iterable[Segment]) -> int:
     between segments includes such an endpoint incidence, so this equals
     topological connectivity of the union.
 
-    The kernel sorts and sweeps instead of testing pairs. The segments of
-    each merged run of a carrier line are joined to the run's
-    representative: collinear segments meet at an endpoint exactly when
-    their closed intervals intersect. Then each distinct endpoint p is
+    The kernel sorts and sweeps instead of testing pairs, on lattice ints.
+    The segments of each merged run of a carrier line are joined to the
+    run's representative: collinear segments meet at an endpoint exactly
+    when their closed intervals intersect. Then each distinct endpoint p is
     resolved. Where segments of every indexed direction end at p, each
     segment through p lies on the line of one of them and so already sits
     in its run: joining one ending segment per direction suffices. Any
@@ -707,21 +886,21 @@ def segment_components(segments: Iterable[Segment]) -> int:
     plus a scan of the run it lands in.
     """
     index = SegmentIndex(segments)
-    n = len(index.segments)
+    n = len(index.rows)
     if n == 0:
         return 0
     uf = UnionFind(n)
     ending: dict = {}  # endpoint -> {direction: a segment ending there}
-    for (u, _), line in index._lines.items():
+    for (w, _), line in index._lines.items():
         bounds = line.firsts + [len(line.entries)]
         for first, stop in zip(bounds, bounds[1:]):
             rep = line.entries[first][2]
             for _, _, idx in line.entries[first + 1 : stop]:
                 uf.union(rep, idx)
         for _, _, idx in line.entries:
-            seg = index.segments[idx]
-            ending.setdefault(seg.a, {})[u] = idx
-            ending.setdefault(seg.b, {})[u] = idx
+            p, q = index.rows[idx]
+            ending.setdefault(p, {})[w] = idx
+            ending.setdefault(q, {})[w] = idx
     every = len(index.directions)
     for p, by_direction in ending.items():
         ids = list(by_direction.values()) if len(by_direction) == every else index.ids_through(p)

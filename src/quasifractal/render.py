@@ -14,8 +14,8 @@ from typing import Union
 
 from .cantor import Stage2
 from .errors import CapacityError, UnsupportedGeometryError
-from .geometry import LatticeTable, Loop, Point2
-from .planar import CARPET, PieceSet, base_cell
+from .geometry import LatticeTable, Loop, Point2, lattice_groups, to_lattice
+from .planar import CARPET, Cells, PieceSet, base_cell
 from .spatial import Stage3
 from .topology import HoleSet, index_vector
 
@@ -51,10 +51,11 @@ class _Canvas:
     Each drawing method records the element's points, which set the
     bounds, and a formatter `(fy, scale) -> str` that writes the element
     once `emit` knows the y flip `fy` and the stroke scale. Callers pass
-    point tuples: a generator would be consumed twice. Blocks of cells or
-    pieces on the integer lattice (`planar.Cells`, `planar.Pieces`) record
-    the corners of their integer bounding box and write one line per cell,
-    with one `fmt` per distinct value and per distinct flipped y.
+    point tuples: a generator would be consumed twice. Blocks on the
+    integer lattice (`planar.Cells` and `planar.Pieces`, stage segments,
+    loop labels) record the corners of their integer bounding box and
+    write one line per item, with one `fmt` per distinct value and per
+    distinct flipped y.
     """
 
     def __init__(self):
@@ -62,48 +63,82 @@ class _Canvas:
         self._elements: list = []
 
     def _bound(self, lcm: int, xs, ys) -> None:
-        """Record the corners of the bounding box of lattice arrays: xs and ys are tuples of them."""
-        low = [Fraction(min(int(a.min()) for a in axis), lcm) for axis in (xs, ys)]
-        high = [Fraction(max(int(a.max()) for a in axis), lcm) for axis in (xs, ys)]
-        self._points += (Point2(*low), Point2(*high))
+        """Record the corners of the bounding box of lattice ints xs and ys."""
+        self._points += (Point2(Fraction(min(xs), lcm), Fraction(min(ys), lcm)),)
+        self._points += (Point2(Fraction(max(xs), lcm), Fraction(max(ys), lcm)),)
 
-    def _lattice(self, block, rows) -> None:
-        """Write a lattice block: rows(members, xs, ys, x, y) makes a group's
-        lines, where x and y give the text of a lattice value and of a
-        lattice y flipped."""
-        lcm = block.lcm
+    def _lattice(self, lcm: int, lines) -> None:
+        """Write a lattice block: lines(x, y, scale) makes its lines, where x
+        and y give the text of a lattice value and of a lattice y flipped."""
 
         def element(fy, scale):
             x = LatticeTable(lambda v: fmt(v / lcm))
             y = LatticeTable(lambda v: fmt(fy(Fraction(v, lcm))))
-            return "\n".join(block.arrange(lambda *group: rows(*group, x, y)))
+            return "\n".join(lines(x, y, scale))
 
+        self._elements.append(element)
+
+    def _groups(self, block, rows) -> None:
+        """Write a `planar` block: rows(members, xs, ys, x, y) makes a group's lines."""
         if len(block):
-            self._elements.append(element)
+            self._lattice(block.lcm, lambda x, y, scale: block.arrange(lambda *group: rows(*group, x, y)))
 
     def squares(self, cells, fill: str):
         """Square cells, each held by its corner and its diagonal (side, side)."""
         template = '<rect x="%s" y="%s" width="%s" height="%s" fill="' + fill + '"/>'
         for _, xs, ys in cells.groups.values():
-            self._bound(cells.lcm, (xs[0], xs[0] + xs[1]), (ys[0], ys[0] + ys[1]))
+            far_x, far_y = xs[0] + xs[1], ys[0] + ys[1]
+            self._bound(cells.lcm, (int(xs[0].min()), int(far_x.max())), (int(ys[0].min()), int(far_y.max())))
 
         def rows(members, xs, ys, x, y):
             sides = x.column(xs[1])
             return [template % row for row in zip(x.column(xs[0]), y.column(ys[0] + ys[1]), sides, sides)]
 
-        self._lattice(cells, rows)
+        self._groups(cells, rows)
 
     def polygons(self, rings, fills: list[str]):
         """Triangles or piece rings, with a fill per ring."""
         for _, xs, ys in rings.groups.values():
-            self._bound(rings.lcm, (xs,), (ys,))
+            self._bound(rings.lcm, (int(xs.min()), int(xs.max())), (int(ys.min()), int(ys.max())))
 
         def rows(members, xs, ys, x, y):
             template = '<path d="M ' + " L ".join(["%s %s"] * len(xs)) + ' Z" fill="%s"/>'
             columns = [text for row in zip(xs, ys) for text in (x.column(row[0]), y.column(row[1]))]
             return [template % row for row in zip(*columns, [fills[i] for i in members])]
 
-        self._lattice(rings, rows)
+        self._groups(rings, rows)
+
+    def segments(self, lcm: int, rows, stroke: str, width_frac: float):
+        """Segments of lattice points, rows (p, q), one two-point polyline each."""
+        if not rows:
+            return
+        self._bound(lcm, [p[0] for row in rows for p in row], [p[1] for row in rows for p in row])
+
+        def lines(x, y, scale):
+            template = (
+                '<polyline points="%s,%s %s,%s" fill="none" stroke="' + stroke
+                + '" stroke-width="' + fmt(width_frac * scale) + '" stroke-linecap="square"/>'
+            )
+            return [template % (x[p[0]], y[p[1]], x[q[0]], y[q[1]]) for p, q in rows]
+
+        self._lattice(lcm, lines)
+
+    def labels(self, points, texts, size_frac: float):
+        """Texts centred at points, put on the lattice of their denominators."""
+        if not points:
+            return
+        lcm, ints = to_lattice([c for p in points for c in p])
+        xs, ys = ints[0::2], ints[1::2]
+        self._bound(lcm, xs, ys)
+
+        def lines(x, y, scale):
+            template = (
+                '<text x="%s" y="%s" font-size="' + fmt(size_frac * scale)
+                + '" font-family="sans-serif" text-anchor="middle">%s</text>'
+            )
+            return [template % (x[u], y[v], text) for u, v, text in zip(xs, ys, texts)]
+
+        self._lattice(lcm, lines)
 
     def polyline(self, points, stroke: str, width_frac: float = 0.004):
         self._points += points
@@ -116,14 +151,6 @@ class _Canvas:
             )
 
         self._elements.append(element)
-
-    def text(self, at: Point2, content: str, size_frac: float = 0.05):
-        self._points.append(at)
-        self._elements.append(
-            lambda fy, scale: f'<text x="{fmt(at.x)}" y="{fmt(fy(at.y))}" '
-            f'font-size="{fmt(size_frac * scale)}" font-family="sans-serif" '
-            f'text-anchor="middle">{content}</text>'
-        )
 
     def emit(self) -> str:
         if self._points:
@@ -156,9 +183,10 @@ class _Canvas:
 
 
 def _draw_stage2(canvas: _Canvas, stage: Stage2) -> None:
-    canvas.squares(PieceSet(CARPET, stage.level, stage.cells, ()).kept, fill=_KEPT_FILL)
-    for segment in sorted(stage.segments):
-        canvas.polyline((segment.a, segment.b), stroke=_STROKE, width_frac=0.002)
+    cells, lcm = stage.cells.rows, stage.cells.lcm
+    corners = [v for _, (x, y), side in cells for v in (x, y, side, side)]  # corner and diagonal
+    canvas.squares(Cells(CARPET, lcm, lattice_groups(corners, [2] * len(cells))), fill=_KEPT_FILL)
+    canvas.segments(lcm, sorted(stage.segments.rows), stroke=_STROKE, width_frac=0.002)
 
 
 def _draw_pieces(canvas: _Canvas, ps: PieceSet) -> None:
@@ -196,8 +224,7 @@ def render_svg(
         canvas.polyline(closed, stroke="#d62728", width_frac=0.006)
         if holes is not None:
             entries = index_vector(loop, holes)
-            for rep, entry in zip(holes.representatives, entries):
-                canvas.text(rep, str(entry), size_frac=0.05)
+            canvas.labels(holes.representatives, list(map(str, entries)), size_frac=0.05)
     try:
         return canvas.emit()
     except OverflowError as exc:
@@ -223,16 +250,18 @@ def export_obj(stage: Stage3) -> str:
             vertices.append(point)
         return got
 
-    lines = [(vid(s.a), vid(s.b)) for s in sorted(stage.skeleton)]
-    faces = [tuple(vid(v) for v in face.boundary) for face in stage.pieces]
+    lines = [(vid(p), vid(q)) for p, q in sorted(stage.skeleton.rows)]
+    faces = [tuple(map(vid, ring)) for ring, _, _ in stage.pieces.rows]
     out = [
         f"# quasifractal {stage.variant.kind} stage, level {stage.level}",
         f"# vertices: {len(vertices)}",
         f"# lines: {len(lines)}",
         f"# faces: {len(faces)}",
     ]
+    lcm = stage.skeleton.lcm
+    value = LatticeTable(lambda v: fmt(v / lcm))
     try:
-        out += [f"v {fmt(v.x)} {fmt(v.y)} {fmt(v.z)}" for v in vertices]
+        out += ["v " + " ".join(map(value.__getitem__, v)) for v in vertices]
     except OverflowError as exc:
         raise CapacityError(f"coordinate beyond the float range: {exc}") from exc
     for a, b in lines:

@@ -19,18 +19,28 @@ face boundaries are loops in the wireframe, which is the defining
 incidence property `boundary_incidence` verifies. Triangle areas involve
 square roots, so faces store their exact squared area and take the root
 only at reporting time.
+
+A stage is built on the integer lattice of its level, D = q^depth for
+a = p/q and 2^depth for the tetrahedron: cells, skeleton edges and faces
+are rows of Python ints from the first level on, and a face's squared
+area is |sum of p x q over its edges|^2 / (4 D^4), one Fraction per
+distinct integer.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import sqrt
 from typing import Union
 
 from .errors import ParameterError
-from .geometry import Cell, Point3, Segment, SegmentIndex, Simplex, area_vector, check_depth
-from .geometry import geometric_sum, ring_edges, scale_factor, segment_components
+from .geometry import BoxCells, Cell, LatticeSequence, LatticeTable, Point3, Segment, SegmentIndex
+from .geometry import Segments, Simplex, Simplices, box_edges, box_faces, check_depth, common_lattice
+from .geometry import corner_children, cross_sum, geometric_sum, lattice_midpoint, ring_edges
+from .geometry import scale_factor, segment_components, simplex_children, simplex_edges, simplex_faces
 
 CUBE_WIREFRAME = "cube_wireframe"
 TETRA_GASKET = "tetra_gasket"
@@ -38,12 +48,7 @@ TETRA_GASKET = "tetra_gasket"
 CUBE_DEPTH_CAP = 4
 TETRA_DEPTH_CAP = 6
 
-_TETRA_BASE = (
-    Point3(Fraction(0), Fraction(0), Fraction(0)),
-    Point3(Fraction(1), Fraction(0), Fraction(0)),
-    Point3(Fraction(0), Fraction(1), Fraction(0)),
-    Point3(Fraction(0), Fraction(0), Fraction(1)),
-)
+_TETRA_BASE = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -76,11 +81,6 @@ class Face3:
     birth_level: int
     area_sq: Fraction
 
-    @classmethod
-    def of(cls, boundary: tuple[Point3, ...], birth_level: int) -> "Face3":
-        ax, ay, az = area_vector(boundary)
-        return cls(tuple(boundary), birth_level, ax * ax + ay * ay + az * az)
-
     @property
     def area(self) -> float:
         return sqrt(self.area_sq)
@@ -89,48 +89,99 @@ class Face3:
         return tuple(ring_edges(self.boundary))
 
 
+class Faces(LatticeSequence):
+    """Faces, held as rows (boundary ring, birth level, area_sq)."""
+
+    @staticmethod
+    def row(face: Face3, f) -> tuple:
+        return tuple(tuple(map(f, v)) for v in face.boundary), face.birth_level, face.area_sq
+
+    def _object(self, row, point, value) -> Face3:
+        ring, birth_level, area_sq = row
+        return Face3(tuple(map(point.__getitem__, ring)), birth_level, area_sq)
+
+
 Cell3 = Union[Cell, Simplex]
 
 
 @dataclass
 class Stage3:
-    """Cells at `level`, plus skeleton edges and face pieces of levels 0..level."""
+    """Cells at `level`, plus skeleton edges and face pieces of levels 0..level.
+
+    The three are views on one integer lattice (`BoxCells` or `Simplices`,
+    `Segments` and `Faces`) and build their objects only when asked. Given
+    lists and a set of objects instead, the constructor puts them on the
+    lattice of their denominators.
+    """
 
     variant: SpatialVariant
     level: int
-    cells: list[Cell3]
-    skeleton: set[Segment] = field(repr=False)
-    pieces: list[Face3] = field(repr=False)
+    cells: Sequence[Cell3]
+    skeleton: Set[Segment] = field(repr=False)
+    pieces: Sequence[Face3] = field(repr=False)
+
+    def __post_init__(self):
+        cells = BoxCells if self.variant.kind == CUBE_WIREFRAME else Simplices
+        self.cells, self.skeleton, self.pieces = common_lattice(
+            (cells, self.cells), (Segments, self.skeleton), (Faces, self.pieces)
+        )
+
+
+def _split_tetrahedra(cells: list) -> list:
+    return [
+        (address + str(i), child)
+        for address, vertices in cells
+        for i, child in enumerate(simplex_children(vertices, lattice_midpoint))
+    ]
+
+
+def _cube_outline(cell: tuple) -> tuple:
+    _, corner, side = cell
+    return box_edges(corner, side), box_faces(corner, side)
+
+
+def _tetra_outline(cell: tuple) -> tuple:
+    _, vertices = cell
+    return simplex_edges(vertices), simplex_faces(vertices)
 
 
 def build_spatial(variant: SpatialVariant, depth: int, workers: int = 1) -> Stage3:
     """Subdivide to the given depth with canonical (address-sorted) ordering.
 
-    Children are emitted parent by parent in letter order, so the cells
-    stay in address order. `workers` is accepted and ignored.
+    The whole build runs on the lattice of the last level: a cube child's
+    side is its parent's // q * p, a tetrahedron child's vertex the
+    midpoint (u + v) // 2. Children are emitted parent by parent in letter
+    order, so the cells stay in address order. `workers` is accepted and
+    ignored.
     """
     cube = variant.kind == CUBE_WIREFRAME
     check_depth(depth, CUBE_DEPTH_CAP if cube else TETRA_DEPTH_CAP, what=f"{variant.kind} depth")
     if cube:
-        root: Cell3 = Cell("", Point3(Fraction(0), Fraction(0), Fraction(0)), Fraction(1))
+        lcm = variant.a.denominator**depth
+        cells: list = [("", (0, 0, 0), lcm)]
+        kind, split, outline = BoxCells, partial(corner_children, a=variant.a), _cube_outline
     else:
-        root = Simplex("", _TETRA_BASE)
-    cells: list[Cell3] = [root]
-    skeleton: set[Segment] = set(root.edge_segments())
-    pieces: list[Face3] = [Face3.of(ring, 0) for ring in root.faces()]
-    for level in range(1, depth + 1):
-        parents, cells = cells, []
-        for cell in parents:
-            for child in cell.children(variant.a) if cube else cell.children():
-                cells.append(child)
-                skeleton.update(child.edge_segments())
-                pieces.extend(Face3.of(ring, level) for ring in child.faces())
+        lcm = 2**depth
+        cells = [("", tuple(tuple(c * lcm for c in v) for v in _TETRA_BASE))]
+        kind, split, outline = Simplices, _split_tetrahedra, _tetra_outline
+    area_sq = LatticeTable(lambda n: Fraction(n, 4 * lcm**4))
+    skeleton: set = set()
+    pieces: list = []
+    for level in range(depth + 1):
+        if level:
+            cells = split(cells)
+        for cell in cells:
+            edges, faces = outline(cell)
+            skeleton.update(edges)
+            for ring in faces:
+                ax, ay, az = cross_sum(ring)
+                pieces.append((ring, level, area_sq[ax * ax + ay * ay + az * az]))
     return Stage3(
         variant=variant,
         level=depth,
-        cells=cells,
-        skeleton=skeleton,
-        pieces=pieces,
+        cells=kind(lcm, cells),
+        skeleton=Segments(lcm, skeleton),
+        pieces=Faces(lcm, pieces),
     )
 
 
@@ -197,14 +248,14 @@ def boundary_incidence(stage: Stage3) -> int:
     """Count face boundary edges not covered by the skeleton (expected: 0).
 
     Each edge must lie inside the union of collinear skeleton segments;
-    the test is exact, so a face displaced off the edge lattice is caught.
-    The skeleton's SegmentIndex costs O(n log n) to build and each
-    `covers` query one bisect.
+    the test is exact, on the stage's lattice, so a face displaced off the
+    edge lattice is caught. The skeleton's SegmentIndex costs O(n log n)
+    to build and each `covers` query one bisect.
     """
     index = SegmentIndex(stage.skeleton)
     violations = 0
-    for face in stage.pieces:
-        for p, q in face.edges():
+    for ring, _, _ in stage.pieces.rows:
+        for p, q in ring_edges(ring):
             if not index.covers(p, q):
                 violations += 1
     return violations

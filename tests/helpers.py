@@ -6,9 +6,10 @@ import math
 from fractions import Fraction
 
 from quasifractal.errors import IndeterminateWindingError, MalformedLoopError, ParameterError
-from quasifractal.geometry import Cell, Loop, Point2, Segment, Simplex, signed_area
-from quasifractal.geometry import simplex_children
+from quasifractal.geometry import Cell, Loop, Point2, Point3, Segment, Simplex, area_vector, ring_edges
+from quasifractal.geometry import signed_area, simplex_children
 from quasifractal.planar import CARPET, AreaAccount, Piece, PieceSet, base_cell
+from quasifractal.spatial import CUBE_WIREFRAME, Face3
 from quasifractal.topology import HoleSet, centroid
 
 F = Fraction
@@ -78,6 +79,11 @@ def on_segment(p, a, b) -> bool:
                 return False
     dot = sum(ri * di for ri, di in zip(r, d))
     return 0 <= dot <= sum(di * di for di in d)
+
+
+def on_lattice_of(index, *points) -> list[tuple]:
+    """Points as a `SegmentIndex` takes them: their coordinates times its D."""
+    return [tuple(c * index.lcm for c in p) for p in points]
 
 
 def union_length_oracle(segments) -> Fraction:
@@ -411,3 +417,162 @@ def segments_of_loop(loop: Loop):
     verts = loop.vertices
     n = len(verts)
     return [Segment(verts[i], verts[(i + 1) % n]) for i in range(n)]
+
+
+# ------------------------------------------------- skeleton stage oracles
+
+
+def face3_oracle(boundary, birth_level: int) -> Face3:
+    """A face of Fraction points with its squared area from `area_vector`."""
+    ax, ay, az = area_vector(boundary)
+    return Face3(tuple(boundary), birth_level, ax * ax + ay * ay + az * az)
+
+
+def build_stage2_oracle(a, depth: int) -> tuple[list, set]:
+    """`cantor.build` as one `Fraction` object per coordinate: the level-depth
+    cells and every level's edge segments, split cell by cell."""
+    cells = [Cell("", pt(0, 0), F(1))]
+    segments = set(cells[0].edge_segments())
+    for _ in range(depth):
+        cells = [child for cell in cells for child in cell.children(a)]
+        for cell in cells:
+            segments.update(cell.edge_segments())
+    return cells, segments
+
+
+_TETRA = (Point3(F(0), F(0), F(0)), Point3(F(1), F(0), F(0)), Point3(F(0), F(1), F(0)), Point3(F(0), F(0), F(1)))
+
+
+def build_spatial_oracle(variant, depth: int) -> tuple[list, set, list]:
+    """`spatial.build_spatial` as one `Fraction` object per coordinate: the
+    level-depth cells, the skeleton set and the faces of every level."""
+    cube = variant.kind == CUBE_WIREFRAME
+    cells: list = [Cell("", Point3(F(0), F(0), F(0)), F(1)) if cube else Simplex("", _TETRA)]
+    skeleton = set(cells[0].edge_segments())
+    faces = [face3_oracle(ring, 0) for ring in cells[0].faces()]
+    for level in range(1, depth + 1):
+        cells = [child for cell in cells for child in (cell.children(variant.a) if cube else cell.children())]
+        for cell in cells:
+            skeleton.update(cell.edge_segments())
+            faces += [face3_oracle(ring, level) for ring in cell.faces()]
+    return cells, skeleton, faces
+
+
+def line_key_oracle(p, q):
+    """Canonical (direction, base-point) key for the line through p and q, in Fractions.
+
+    The direction is scaled so its first nonzero component is 1, and the
+    base point is the point on the line whose pivot coordinate is 0. Two
+    segments are collinear iff their keys are equal; the pivot coordinate
+    of a point then serves as its 1D parameter along the line.
+    """
+    d = tuple(qi - pi for pi, qi in zip(p, q))
+    pivot = next(i for i, di in enumerate(d) if di)
+    u = tuple(F(di) / d[pivot] for di in d)
+    return line_through_oracle(p, u, pivot), pivot
+
+
+def line_through_oracle(p, u: tuple, pivot: int):
+    """Key of the line in direction u through p."""
+    t = p[pivot]
+    return (u, tuple(F(pi) - t * ui for pi, ui in zip(p, u)))
+
+
+def carrier_lines_oracle(segments) -> dict:
+    """Segments grouped by `line_key_oracle`: line key -> the sorted
+    intervals of their pivot coordinates."""
+    lines: dict = {}
+    for s in segments:
+        key, pivot = line_key_oracle(s.a, s.b)
+        lines.setdefault(key, []).append((s.a[pivot], s.b[pivot]))
+    for intervals in lines.values():
+        intervals.sort()
+    return lines
+
+
+def covers_oracle(lines: dict, p, q) -> bool:
+    """Whether segment pq lies in the union of the collinear segments of
+    `carrier_lines_oracle`, by a sweep over the intervals of its line."""
+    key, pivot = line_key_oracle(p, q)
+    lo, hi = sorted((p[pivot], q[pivot]))
+    reach = lo  # the sweep moves it past lo only through an interval that contains lo
+    for start, end in lines.get(key, ()):
+        if start <= reach:
+            reach = max(reach, end)
+    return reach >= hi
+
+
+def incidence_oracle(skeleton, faces) -> int:
+    """`spatial.boundary_incidence` over Fraction segments and faces."""
+    lines = carrier_lines_oracle(skeleton)
+    return sum(not covers_oracle(lines, p, q) for face in faces for p, q in ring_edges(face.boundary))
+
+
+def stage_document_oracle(kind: str, params: dict, level: int, cells, segments, faces=None, measures=None) -> dict:
+    """A cantor2d or spatial stage document of Fraction objects as plain JSON data."""
+
+    def point(p):
+        return [str(c) for c in p]
+
+    if isinstance(cells[0], Cell):
+        cells_json = [{"address": c.address, "corner": point(c.corner), "side": str(c.side)} for c in cells]
+    else:
+        cells_json = [{"address": c.address, "vertices": [point(v) for v in c.vertices]} for c in cells]
+    doc = {"schema_version": 1, "kind": kind, "params": params, "level": level, "cells": cells_json}
+    lines = [[point(s.a), point(s.b)] for s in sorted(segments)]
+    if faces is None:
+        doc["segments"] = lines
+    else:
+        doc["skeleton"] = lines
+        doc["pieces"] = [
+            {"boundary": [point(v) for v in f.boundary], "birth_level": f.birth_level, "area_sq": str(f.area_sq)}
+            for f in faces
+        ]
+    if measures is not None:
+        doc["measures"] = measures
+    return doc
+
+
+def stage2_svg_oracle(cells, segments) -> str:
+    """`render.render_svg` of a Cantor stage's Fraction cells and segments:
+    bounds by Fraction min and max, each coordinate written through `float`."""
+
+    def fmt(value) -> str:
+        return f"{float(value):.12g}"
+
+    points = [p for c in cells for p in (c.corner, c.corner + Point2(c.side, c.side))]
+    points += [p for s in segments for p in s]
+    xmin, xmax = min(p.x for p in points), max(p.x for p in points)
+    ymin, ymax = min(p.y for p in points), max(p.y for p in points)
+    span = max(xmax - xmin, ymax - ymin, F(1, 1000))
+    margin = span / 20
+    flip = ymin + ymax
+    view = f"{fmt(xmin - margin)} {fmt(ymin - margin)} "
+    view += f"{fmt(xmax - xmin + 2 * margin)} {fmt(ymax - ymin + 2 * margin)}"
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}" width="640" height="640">',
+    ]
+    for c in cells:
+        x, y, s = c.corner.x, c.corner.y, c.side
+        out.append(f'<rect x="{fmt(x)}" y="{fmt(flip - y - s)}" width="{fmt(s)}" height="{fmt(s)}" fill="#e8e8e8"/>')
+    for a, b in sorted(segments):
+        out.append(
+            f'<polyline points="{fmt(a.x)},{fmt(flip - a.y)} {fmt(b.x)},{fmt(flip - b.y)}" fill="none" '
+            f'stroke="#222222" stroke-width="{fmt(0.002 * float(span))}" stroke-linecap="square"/>'
+        )
+    return "\n".join(out + ["</svg>"]) + "\n"
+
+
+def obj_oracle(kind: str, level: int, skeleton, faces) -> str:
+    """`render.export_obj` of Fraction segments and faces: vertices by first
+    occurrence over the sorted skeleton, then the faces."""
+    ids: dict = {}
+    for p in [p for s in sorted(skeleton) for p in s] + [v for f in faces for v in f.boundary]:
+        ids.setdefault(p, len(ids) + 1)
+    out = [f"# quasifractal {kind} stage, level {level}", f"# vertices: {len(ids)}"]
+    out += [f"# lines: {len(skeleton)}", f"# faces: {len(faces)}"]
+    out += ["v " + " ".join(f"{float(c):.12g}" for c in p) for p in ids]
+    out += [f"l {ids[s.a]} {ids[s.b]}" for s in sorted(skeleton)]
+    out += ["f " + " ".join(str(ids[v]) for v in f.boundary) for f in faces]
+    return "\n".join(out) + "\n"

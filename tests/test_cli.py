@@ -643,8 +643,9 @@ def test_repeated_calls_in_one_process_match_fresh_processes(monkeypatch, capsys
 
 BEYOND_FLOAT = "1" + "0" * 400  # a coordinate no float can hold
 
-# Level-0 documents with one drawn coordinate beyond the float range; each
-# reader accepts it, and rendering refuses it.
+# Level-0 documents with one drawn coordinate beyond the float range. The
+# piece readers accept it and rendering refuses it (exit 3); the stage
+# readers refuse it as off the construction (exit 2).
 FAR_COORDINATES = {
     "carpet": (["carpet"], lambda doc: doc["kept"][0]["corner"]),
     "gasket": (["gasket"], lambda doc: doc["kept"][0]["vertices"][0]),
@@ -662,9 +663,44 @@ def test_render_refuses_coordinates_beyond_the_float_range(kind, tmp_path, capsy
     point(doc)[0] = BEYOND_FLOAT
     path.write_text(json.dumps(doc))
     loops = [[]] if kind == "cube" else [[], ["--loop", "-1,-1 2,-1 2,2"]]
+    pieces = kind in ("carpet", "gasket")
+    code, prefix = (EXIT_CAPACITY, "capacity error:") if pieces else (EXIT_VALIDATION, "validation error:")
     for loop in loops:
-        assert main(["render", "--input", str(path), *loop]) == EXIT_CAPACITY
+        assert main(["render", "--input", str(path), *loop]) == code
         err = capsys.readouterr().err
-        assert err.startswith("capacity error:") and err.count("\n") == 1, err
-    if kind in ("carpet", "gasket"):
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+    if pieces:
         assert main(["index", "--pieces", str(path), "--loop", "-1,-1 2,-1 2,2"]) == EXIT_OK
+
+
+# Each moves a point of a level-1 stage document off the construction: out
+# of [0, 1]^d, or off the level's lattice (a denominator that does not
+# divide q^level, or 2^level for the tetrahedron). "found" moves the first
+# cell's corner to (5, 5) and adds a segment from (5, 5) to (7, 5).
+OFF_CONSTRUCTION = {
+    "cantor2d-found": (
+        ["gen2d", "--a", "1/3"],
+        lambda doc: (doc["cells"][0].update(corner=["5", "5"]), doc["segments"].append([["5", "5"], ["7", "5"]])),
+    ),
+    "cantor2d-negative": (["gen2d", "--a", "1/3"], lambda doc: doc["segments"][0][0].__setitem__(0, "-1/3")),
+    "cantor2d-off-lattice": (["gen2d", "--a", "1/3"], lambda doc: doc["segments"][0][1].__setitem__(1, "1/9")),
+    "cube-corner": (["gen3d", "--variant", "cube", "--a", "1/3"], lambda doc: doc["cells"][0]["corner"].__setitem__(2, "4/3")),
+    "cube-off-lattice": (
+        ["gen3d", "--variant", "cube", "--a", "1/3"],
+        lambda doc: doc["pieces"][0]["boundary"][0].__setitem__(0, "1/7"),
+    ),
+    "tetra-vertex": (["gen3d", "--variant", "tetra"], lambda doc: doc["cells"][0]["vertices"][1].__setitem__(0, "2")),
+    "tetra-off-lattice": (["gen3d", "--variant", "tetra"], lambda doc: doc["skeleton"][0][1].__setitem__(2, "1/4")),
+}
+
+
+@pytest.mark.parametrize("mismatch", OFF_CONSTRUCTION)
+def test_stage_documents_refuse_points_off_the_construction(mismatch, tmp_path, capsys):
+    argv, mutate = OFF_CONSTRUCTION[mismatch]
+    path = tmp_path / "s.json"
+    assert main(argv + ["--depth", "1", "--out", str(path)]) == EXIT_OK
+    assert main(["render", "--input", str(path), "--out", str(tmp_path / "s.out")]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)

@@ -187,11 +187,11 @@ def test_stage_readers_build_each_point_once(seed):
 @pytest.mark.parametrize("kind", ["cantor2d", CUBE_WIREFRAME, TETRA_GASKET])
 def test_unhashable_coordinates_in_stage_documents_exit_2(kind, tmp_path, capsys):
     if kind == "cantor2d":
-        doc = stage2_to_document(build(Params2(F(1, 3), 1)))
+        doc = loads_document(dumps_document(stage2_to_document(build(Params2(F(1, 3), 1)))))
         doc["segments"][1][0][1] = ["1/3"]
     else:
         a = F(1, 3) if kind == CUBE_WIREFRAME else None
-        doc = stage3_to_document(build_spatial(SpatialVariant(kind, a), 1))
+        doc = loads_document(dumps_document(stage3_to_document(build_spatial(SpatialVariant(kind, a), 1))))
         doc["skeleton"][1][0][1] = ["1/3"]
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
@@ -234,7 +234,7 @@ def test_dumps_document_refuses_keys_that_are_not_strings():
 
 def test_documents_never_carry_float_coordinates():
     stage = build(Params2(F(1, 3), 2))
-    doc = stage2_to_document(stage)
+    doc = loads_document(dumps_document(stage2_to_document(stage)))
 
     def scan(node):
         if isinstance(node, dict):

@@ -46,18 +46,18 @@ def _run(argv) -> int:
 
 def _seed_documents() -> list[dict]:
     docs = []
+    written = []
     for depth in (0, 1):
-        docs.append(document.stage2_to_document(cantor.build(cantor.Params2(F(1, 3), depth))))
+        written.append(document.stage2_to_document(cantor.build(cantor.Params2(F(1, 3), depth))))
         for kind in (planar.CARPET, planar.GASKET):
-            # a piece document's lists are written ahead (document.Encoded): read its bytes back
-            text = document.dumps_document(document.pieces_to_document(planar.build_planar(kind, depth)))
-            docs.append(document.loads_document(text))
+            written.append(document.pieces_to_document(planar.build_planar(kind, depth)))
         for variant in (
             spatial.SpatialVariant(spatial.CUBE_WIREFRAME, F(1, 3)),
             spatial.SpatialVariant(spatial.TETRA_GASKET),
         ):
-            docs.append(document.stage3_to_document(spatial.build_spatial(variant, depth)))
-    return docs
+            written.append(document.stage3_to_document(spatial.build_spatial(variant, depth)))
+    # a document's lists are written ahead (document.Encoded): read its bytes back
+    return [document.loads_document(document.dumps_document(doc)) for doc in written]
 
 
 SEEDS = _seed_documents()

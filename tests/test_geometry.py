@@ -10,6 +10,7 @@ from helpers import (
     convex_loop,
     cross2,
     crossing_oracle,
+    on_lattice_of,
     on_segment,
     pairwise_components,
     pt,
@@ -410,11 +411,12 @@ def test_segment_index_queries_match_brute_force():
         points = {e for s in segments for e in (s.a, s.b)}
         points |= {Point3(*(F(rng.randint(0, 8), 4) for _ in range(3))) for _ in range(10)}
         for p in points:
-            assert sorted(index.ids_through(p)) == _brute_ids_through(segments, p)
+            assert sorted(index.ids_through(*on_lattice_of(index, p))) == _brute_ids_through(segments, p)
         for _ in range(20):
             p = rng.choice(sorted(points))
             q = _along(p, rng.choice(TETRA_DIRECTIONS), F(rng.randint(1, 6), 4))
-            assert index.covers(p, q) == index.covers(q, p) == _brute_covers(segments, p, q)
+            lp, lq = on_lattice_of(index, p, q)
+            assert index.covers(lp, lq) == index.covers(lq, lp) == _brute_covers(segments, p, q)
 
 
 @pytest.mark.parametrize("a, depth", [(F(1, 3), 2), (F(2, 5), 2), (F(1, 2), 2), (F(1, 5), 1)])

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import F, area_accounting_oracle, build_planar_oracle, pt
+from helpers import F, area_accounting_oracle, build_planar_oracle, on_lattice_of, pt
 from quasifractal.errors import CapacityError, ParameterError
 from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, lattice_rings, signed_area
 from quasifractal.planar import (
@@ -149,7 +149,7 @@ def test_removed_boundaries_lie_in_kept_boundaries_at_birth(kind):
             verts = piece.boundary.vertices
             n = len(verts)
             for i in range(n):
-                assert index.covers(verts[i], verts[(i + 1) % n])
+                assert index.covers(*on_lattice_of(index, verts[i], verts[(i + 1) % n]))
 
 
 def test_kept_cells_are_ccw():

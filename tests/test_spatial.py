@@ -3,14 +3,13 @@
 
 import pytest
 
-from helpers import F, pairwise_components
+from helpers import F, face3_oracle, on_lattice_of, pairwise_components
 from quasifractal.errors import CapacityError, ParameterError
 from quasifractal.geometry import Point3, Segment, area_vector, segment_components
 from quasifractal.spatial import (
     CUBE_WIREFRAME,
     TETRA_GASKET,
     Cell,
-    Face3,
     SpatialVariant,
     Stage3,
     boundary_incidence,
@@ -132,24 +131,24 @@ def test_boundary_incidence_clean():
 def test_boundary_incidence_detects_displaced_face():
     stage = build_spatial(CUBE_THIRD, 1)
     shift = Point3(F(1, 7), F(1, 7), F(1, 7))
-    displaced = Face3.of(tuple(v + shift for v in stage.pieces[0].boundary), 1)
+    displaced = face3_oracle(tuple(v + shift for v in stage.pieces[0].boundary), 1)
     broken = Stage3(
         variant=stage.variant,
         level=stage.level,
         cells=stage.cells,
         skeleton=stage.skeleton,
-        pieces=stage.pieces + [displaced],
+        pieces=[*stage.pieces, displaced],
     )
     assert boundary_incidence(broken) == 4
 
     tetra_stage = build_spatial(TETRA, 1)
-    displaced3 = Face3.of(tuple(v + shift for v in tetra_stage.pieces[0].boundary), 1)
+    displaced3 = face3_oracle(tuple(v + shift for v in tetra_stage.pieces[0].boundary), 1)
     broken3 = Stage3(
         variant=tetra_stage.variant,
         level=tetra_stage.level,
         cells=tetra_stage.cells,
         skeleton=tetra_stage.skeleton,
-        pieces=tetra_stage.pieces + [displaced3],
+        pieces=[*tetra_stage.pieces, displaced3],
     )
     assert boundary_incidence(broken3) == 3
 
@@ -165,7 +164,7 @@ def test_level2_face_boundaries_lie_in_level2_cell_edges():
         if face.birth_level != 2:
             continue
         for p, q in face.edges():
-            assert level2_edges.covers(p, q)
+            assert level2_edges.covers(*on_lattice_of(level2_edges, p, q))
 
 
 def test_connectivity_one_component():
