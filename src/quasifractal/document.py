@@ -16,9 +16,9 @@ from functools import wraps
 
 from .cantor import DEPTH_CAP, Params2, Stage2
 from .errors import CapacityError, ParameterError, QuasifractalError
-from .geometry import BoxCells, LatticeTable, Segments, Simplices, check_depth, check_ring
-from .geometry import rational, to_lattice
-from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, PieceSet, on_lattice
+from .geometry import BoxCells, LatticeTable, Segments, Simplices, check_depth, check_ring, lattice_groups
+from .geometry import rational
+from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, Cells, Pieces, PieceSet
 from .spatial import CUBE_DEPTH_CAP, CUBE_WIREFRAME, TETRA_DEPTH_CAP, TETRA_GASKET
 from .spatial import Faces, SpatialVariant, Stage3
 
@@ -44,11 +44,11 @@ def _count(value, what: str, cap: int | None = None) -> int:
 
 
 class _Lattice(dict):
-    """One stage document's points on the lattice of D = `lcm`, by their coordinate entries.
+    """One document's coordinates on the lattice of D = `lcm`, by their entries.
 
     A coordinate must be a multiple of 1/D in [0, 1]. Each distinct entry
-    is read (through `_Numbers`) and checked once, and each point of string
-    entries is kept, so an entry that is a bool or a float is read, and
+    is read (through `_Numbers`), checked and scaled once. Only string
+    entries are kept, so an entry that is a bool or a float is read, and
     refused, every time; an unhashable entry raises TypeError.
     """
 
@@ -58,28 +58,28 @@ class _Lattice(dict):
         self.dim = dim
         self.numbers = numbers
         self.lcm = lcm
-        self._ints = LatticeTable(self._scale)  # value number -> lattice int
 
-    def _scale(self, number: int) -> int:
-        value = self.numbers.values[number]
-        scaled = value * self.lcm
-        if not 0 <= value <= 1 or scaled.denominator != 1:
+    def __missing__(self, entry) -> int:
+        value = self.numbers.read(entry)
+        n, q = value.as_integer_ratio()
+        if self.lcm % q or not 0 <= n <= q:
             raise ParameterError(
                 f"{self.kind} coordinate {value} is not a multiple of 1/{self.lcm} in [0, 1]"
             )
-        return scaled.numerator
-
-    def __missing__(self, key: tuple) -> tuple:
-        point = tuple(self._ints[self.numbers[entry]] for entry in key)
-        if all(type(c) is str for c in key):
-            self[key] = point
-        return point
+        scaled = n * (self.lcm // q)
+        if type(entry) is str:
+            self[entry] = scaled
+        return scaled
 
     def point(self, data) -> tuple:
         """Read a point from its list of dim "p/q" coordinates."""
         if len(data) != self.dim:
             raise ParameterError(f"expected {self.dim} coordinates, got {data!r}")
-        return self[tuple(data)]
+        if self.dim == 2:  # unpacked: a third of the time of a generic tuple(map(...))
+            x, y = data
+            return self[x], self[y]
+        x, y, z = data
+        return self[x], self[y], self[z]
 
     def vertices(self, data) -> tuple:
         """Read the dim + 1 vertices of a tetrahedron."""
@@ -275,66 +275,54 @@ class _Numbers(dict):
         return self.values[self[entry]]
 
 
-def _pair(numbers: _Numbers, data, entries: list) -> tuple[int, int]:
-    """Check a point of two "p/q" coordinates, note their numbers in entries and return them."""
-    if len(data) != 2:
-        raise ParameterError(f"expected 2 coordinates, got {data!r}")
-    x, y = data
-    point = numbers[x], numbers[y]
-    entries += point
-    return point
-
-
 @_reads_shape
 def document_to_pieces(doc: dict) -> PieceSet:
-    """Read a piece document onto the lattice of D, the lcm of its
-    denominators: each distinct coordinate is read and scaled once, and no
-    point object is built."""
+    """Read a piece document onto the lattice of its level, D = 3^level for
+    the carpet and 2^(level + 1) for the gasket, whose base triangle has a
+    vertex at x = 1/2. Each distinct coordinate is read and scaled once,
+    and no point object is built."""
     kind = doc.get("kind")
     _check(doc, kind)
     if kind not in (CARPET, GASKET):
         raise ParameterError(f"not a planar piece document: kind={kind!r}")
-    cap, split = (CARPET_DEPTH_CAP, 8) if kind == CARPET else (GASKET_DEPTH_CAP, 3)
+    carpet = kind == CARPET
+    cap, split = (CARPET_DEPTH_CAP, 8) if carpet else (GASKET_DEPTH_CAP, 3)
     level = _count(doc["level"], "level", cap)
-    numbers = _Numbers()
-    entries: list[int] = []  # the number of every coordinate, x then y, point after point
-    counts: list[int] = []  # points per ring, kept cells first
-    if kind == CARPET:
+    points = _Lattice(kind, 2, _Numbers(), 3**level if carpet else 2 ** (level + 1))
+    kept: list[int] = []  # lattice coordinates, x then y, point after point
+    if carpet:  # a square as `Cells` holds it: its corner and its diagonal (side, side)
         for c in doc["kept"]:
-            _pair(numbers, c["corner"], entries)
-            side = numbers[c["side"]]
-            entries += (side, side)  # the diagonal
-        counts = [2] * (len(entries) // 4)
-        sides = set(entries[2::4])
+            kept += points.point(c["corner"])
+            kept += (points[c["side"]],) * 2
     else:
         for c in doc["kept"]:
             vertices = c["vertices"]
             if len(vertices) != 3:
                 raise ParameterError(f"expected 3 vertices, got {len(vertices)}")
             for v in vertices:
-                _pair(numbers, v, entries)
-            counts.append(3)
-        sides = set()
-    kept_count = len(counts)
+                kept += points.point(v)
+    counts = [2 if carpet else 3] * len(doc["kept"])  # the points that hold each cell
+    removed: list[int] = []
+    ring_counts: list[int] = []
     births: list[int] = []
     labels: list = []
     for r in doc["removed"]:
-        ring = [_pair(numbers, v, entries) for v in r["boundary"]]
+        ring = [points.point(v) for v in r["boundary"]]
         check_ring(ring)
+        for v in ring:
+            removed += v
+        ring_counts.append(len(ring))
         births.append(_count(r["birth_level"], "birth_level"))
         labels.append(r["label"])
-        counts.append(len(ring))
-    thirds = 3**level  # a carpet cell's side is 1 / thirds
     if (
-        kept_count != split**level
+        len(counts) != split**level
         or Counter(births) != Counter({b: split ** (b - 1) for b in range(1, level + 1)})
-        or any(numbers.values[side] != Fraction(1, thirds) for side in sides)
+        or (carpet and any(side != 1 for side in kept[2::4]))  # a side of 1 / 3^level
     ):
         raise ParameterError(f"{kind} pieces do not match level {level}")
-    lcm, ints = to_lattice(numbers.values)
-    ints = list(map(ints.__getitem__, entries))
-    kept, removed = on_lattice(kind, lcm, ints, counts, kept_count, births, labels)
-    return PieceSet(kind=kind, level=level, kept=kept, removed=removed)
+    lcm = points.lcm
+    cells = Cells(lcm, lattice_groups(kept, counts))
+    return PieceSet(kind, level, cells, Pieces(lcm, lattice_groups(removed, ring_counts), births, labels))
 
 
 def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:

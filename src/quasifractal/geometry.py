@@ -1,17 +1,18 @@
 """Exact rational primitives for planar and spatial subdivision geometry.
 
-All coordinates are `fractions.Fraction`, so every predicate here is decided
-by integer arithmetic: no epsilons, no floating point. The only floating
-point surface in the whole package is logarithms (dimensions) and the
-Toeplitz numerics. Points are coordinate tuples and segments sorted pairs
-of points, so both hash, compare and sort as tuples; loops are immutable.
+Coordinates are exact, `fractions.Fraction`s or the ints of the lattice
+below, so every predicate here is decided by integer arithmetic: no
+epsilons, no floating point. The only floating point surface in the whole
+package is logarithms (dimensions) and the Toeplitz numerics. Points are
+coordinate tuples and segments sorted pairs of points, so both hash,
+compare and sort as tuples; loops are immutable.
 
 Batched predicates and area sums run on the integer lattice, built here
 only: coordinates scaled by D, the lcm of their denominators, held in
 int64 arrays while every product fits and in arrays of Python ints otherwise.
-Skeleton stages hold their cells and segments as rows of Python ints on
-their level's lattice (`OnLattice` views), and the carrier-line kernels
-(`SegmentIndex`, `union_length`, `segment_components`) run on those ints.
+Every stage holds its cells, segments, faces and pieces on its level's
+lattice in `OnLattice` views, and the carrier-line kernels
+(`SegmentIndex`, `union_length`, `segment_components`) run on the ints.
 """
 
 from __future__ import annotations
@@ -77,12 +78,6 @@ def lattice_dtype(magnitude: int):
     """int64 for lattice coordinates of at most `magnitude` in absolute value
     while `lattice_windings` cannot overflow it; otherwise object (Python ints)."""
     return np.int64 if magnitude < _INT64_BOUND else object
-
-
-def lattice_rings(rings: Sequence[Sequence[Point2]]) -> tuple[int, dict]:
-    """D for all the rings' coordinates and their `lattice_groups` layout."""
-    lcm, ints = to_lattice([c for ring in rings for p in ring for c in p])
-    return lcm, lattice_groups(ints, [len(ring) for ring in rings])
 
 
 def lattice_groups(ints: list[int], counts: Sequence[int]) -> dict:
@@ -526,7 +521,7 @@ def lattice_windings(xs, ys, px, py):
     """Exact winding numbers of rings about points, on the lattice.
 
     xs and ys hold the k vertices of a ring in order: lists of ints for
-    one ring, or the rows of a `lattice_rings` group for one ring per
+    one ring, or the rows of a `lattice_groups` group for one ring per
     column. px and py broadcast against them. Returns the winding numbers
     as int64 and a mask of the points on their ring. Each edge a -> b
     counts the crossing of the rightward ray from p (+1 upward, -1
@@ -546,7 +541,7 @@ def lattice_windings(xs, ys, px, py):
 
 
 def twice_areas(xs, ys):
-    """Twice the signed area of each ring of a `lattice_rings` group: the lattice shoelace."""
+    """Twice the signed area of each ring of a `lattice_groups` group: the lattice shoelace."""
     return sum(xs[a] * ys[b] - xs[b] * ys[a] for a, b in ring_edges(range(len(xs))))
 
 
@@ -605,6 +600,11 @@ class OnLattice:
     def __init__(self, lcm: int, rows):
         self.lcm = lcm
         self.rows = rows
+
+    @classmethod
+    def of(cls, lcm: int, rows) -> "OnLattice":
+        """The view of `rows` on the lattice of D = lcm."""
+        return cls(lcm, rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -705,12 +705,13 @@ def lattice_rows(*blocks) -> tuple[int, list[list]]:
 def common_lattice(*blocks) -> list:
     """Views on one lattice of (view type, content) blocks: the contents
     themselves when they are views of those types on one D already,
-    otherwise their objects put on the lattice of all their denominators."""
+    otherwise their objects put on the lattice of all their denominators
+    (`kind.of`)."""
     contents = [content for _, content in blocks]
     if all(type(content) is kind for kind, content in blocks) and len({c.lcm for c in contents}) == 1:
         return contents
     lcm, rows = lattice_rows(*[(kind.row, content) for kind, content in blocks])
-    return [kind(lcm, block) for (kind, _), block in zip(blocks, rows)]
+    return [kind.of(lcm, block) for (kind, _), block in zip(blocks, rows)]
 
 
 def segment_rows(segments) -> tuple[int, list]:

@@ -23,9 +23,9 @@ from functools import cached_property
 from typing import Union
 
 from .errors import ParameterError
-from .geometry import Cell, LatticeTable, Loop, Point2, Segment, Simplex, check_depth, lattice_groups
-from .geometry import lattice_subdivision, ring_segments, signed_area, split_squares, split_triangles
-from .geometry import to_lattice, twice_areas
+from .geometry import Cell, LatticeSequence, Loop, Point2, Segment, Simplex, check_depth, common_lattice
+from .geometry import lattice_groups, lattice_rows, lattice_subdivision, ring_segments, signed_area
+from .geometry import split_squares, split_triangles, twice_areas
 
 CARPET = "carpet"
 GASKET = "gasket"
@@ -49,14 +49,10 @@ class Piece:
         return signed_area(self.boundary)
 
 
-class _OnLattice(Sequence):
-    """Cells or pieces held on the integer lattice of D = `lcm`.
-
-    `groups` is the `lattice_groups` layout: for each vertex count k, the
-    positions of the rings with k vertices and their coordinates times D as
-    two (k, count) arrays. `len` reads the arrays; the objects are built
-    from them on first use.
-    """
+class _Rings(LatticeSequence):
+    """Objects held by rings of lattice points, in the `lattice_groups`
+    arrays `groups` on the lattice of D = `lcm`. `len` reads the arrays;
+    the rows are read from them on first use."""
 
     def __init__(self, lcm: int, groups: dict):
         self.lcm = lcm
@@ -64,24 +60,6 @@ class _OnLattice(Sequence):
 
     def __len__(self) -> int:
         return sum(len(members) for members, _, _ in self.groups.values())
-
-    def __getitem__(self, i):
-        return self._objects[i]
-
-    def __iter__(self):
-        return iter(self._objects)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._key() == other._key()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(lcm={self.lcm}, count={len(self)})"
-
-    def _key(self) -> tuple:
-        groups = [(k, list(m), xs.tolist(), ys.tolist()) for k, (m, xs, ys) in self.groups.items()]
-        return self.lcm, sorted(groups)
 
     def arrange(self, rows) -> list:
         """rows(members, xs, ys) makes one item per ring of a group; all items in ring order."""
@@ -94,55 +72,80 @@ class _OnLattice(Sequence):
                 ordered[i] = item
         return ordered
 
+    @staticmethod
+    def _groups(rings) -> dict:
+        """The `lattice_groups` layout of rings of lattice points."""
+        return lattice_groups([c for ring in rings for p in ring for c in p], [len(ring) for ring in rings])
+
     def _rings(self) -> list:
-        """Each ring as a tuple of points, in ring order."""
-        value = LatticeTable(lambda v: Fraction(v, self.lcm))
+        """Each ring as a tuple of lattice points, in ring order."""
 
-        def points(members, xs, ys):
-            slots = [map(Point2, value.column(x), value.column(y)) for x, y in zip(xs, ys)]
-            return list(zip(*slots))
+        def rings(members, xs, ys) -> list:
+            return list(zip(*[zip(x.tolist(), y.tolist()) for x, y in zip(xs, ys)]))
 
-        return self.arrange(points)
+        return self.arrange(rings)
 
 
-class Cells(_OnLattice):
-    """Kept cells on the lattice, each held by the points of `_lattice_ring`."""
+class Cells(_Rings):
+    """Kept cells, held as rings: a square by its corner and its diagonal
+    (side, side), a triangle by its vertices."""
 
-    def __init__(self, kind: str, lcm: int, groups: dict):
-        super().__init__(lcm, groups)
-        self.kind = kind
+    @classmethod
+    def of(cls, lcm: int, rows) -> "Cells":
+        return cls(lcm, cls._groups(rows))
 
     @cached_property
-    def _objects(self) -> list[PlanarCell]:
-        if self.kind == CARPET:
-            return [Cell("", corner, diagonal.x) for corner, diagonal in self._rings()]
-        return [Simplex("", ring) for ring in self._rings()]
+    def rows(self) -> list:
+        return self._rings()
+
+    @staticmethod
+    def row(cell: PlanarCell, f) -> tuple:
+        if isinstance(cell, Cell):
+            corner, side = tuple(map(f, cell.corner)), f(cell.side)
+            return corner, (side, side)
+        return tuple(tuple(map(f, v)) for v in cell.vertices)
+
+    def _object(self, row, point, value) -> PlanarCell:
+        if len(row) == 2:  # a square's corner and diagonal
+            corner, (side, _) = row
+            return Cell("", point[corner], value[side])
+        return Simplex("", tuple(map(point.__getitem__, row)))
 
 
-class Pieces(_OnLattice):
-    """Removed pieces on the lattice: boundary rings, birth levels and labels, in order."""
+class Pieces(_Rings):
+    """Removed pieces, held as rows (boundary ring, birth level, label);
+    the rings live in `groups`, the birth levels and labels in their lists."""
 
     def __init__(self, lcm: int, groups: dict, births: list[int], labels: list[str]):
         super().__init__(lcm, groups)
         self.births = births
         self.labels = labels
 
-    def _key(self) -> tuple:
-        return super()._key(), self.births, self.labels
+    @classmethod
+    def of(cls, lcm: int, rows) -> "Pieces":
+        groups = cls._groups([ring for ring, _, _ in rows])
+        return cls(lcm, groups, [b for _, b, _ in rows], [label for _, _, label in rows])
 
     @cached_property
-    def _objects(self) -> list[Piece]:
-        rings = self._rings()
-        return [Piece(Loop(r), b, label) for r, b, label in zip(rings, self.births, self.labels)]
+    def rows(self) -> list:
+        return list(zip(self._rings(), self.births, self.labels))
+
+    @staticmethod
+    def row(piece: Piece, f) -> tuple:
+        return tuple(tuple(map(f, v)) for v in piece.boundary.vertices), piece.birth_level, piece.label
+
+    def _object(self, row, point, value) -> Piece:
+        ring, birth_level, label = row
+        return Piece(Loop(tuple(map(point.__getitem__, ring))), birth_level, label)
 
 
 @dataclass
 class PieceSet:
     """Stage snapshot: kept cells at `level`, removed pieces of levels <= level.
 
-    Both live on one integer lattice, as `Cells` and `Pieces`. Given lists
-    of cell and piece objects instead, the constructor puts them on it.
-    Equal piece sets have equal kind, level and lattice arrays.
+    Both are views on one integer lattice, `Cells` and `Pieces`. Given
+    lists of cell and piece objects instead, the constructor puts them on
+    the lattice of their denominators.
     """
 
     kind: str
@@ -151,33 +154,7 @@ class PieceSet:
     removed: Sequence[Piece]
 
     def __post_init__(self):
-        if isinstance(self.kept, Cells) and isinstance(self.removed, Pieces):
-            return
-        kept = [_lattice_ring(self.kind, cell) for cell in self.kept]
-        removed = list(self.removed)
-        rings = kept + [piece.boundary.vertices for piece in removed]
-        lcm, ints = to_lattice([c for ring in rings for p in ring for c in p])
-        births = [piece.birth_level for piece in removed]
-        labels = [piece.label for piece in removed]
-        counts = [len(ring) for ring in rings]
-        self.kept, self.removed = on_lattice(self.kind, lcm, ints, counts, len(kept), births, labels)
-
-
-def _lattice_ring(kind: str, cell: PlanarCell) -> tuple:
-    """The points that hold a kept cell on the lattice: a square's corner and
-    its diagonal (side, side), a triangle's vertices."""
-    return (cell.corner, Point2(cell.side, cell.side)) if kind == CARPET else cell.vertices
-
-
-def on_lattice(kind, lcm, ints, counts, kept_count, births, labels) -> tuple[Cells, Pieces]:
-    """Kept cells and removed pieces from their coordinates times D = lcm,
-    x then y, point after point: counts[i] points in ring i, the first
-    `kept_count` rings the kept cells' (see `_lattice_ring`)."""
-    cut = 2 * sum(counts[:kept_count])
-    return (
-        Cells(kind, lcm, lattice_groups(ints[:cut], counts[:kept_count])),
-        Pieces(lcm, lattice_groups(ints[cut:], counts[kept_count:]), births, labels),
-    )
+        self.kept, self.removed = common_lattice((Cells, self.kept), (Pieces, self.removed))
 
 
 def base_cell(kind: str) -> PlanarCell:
@@ -209,14 +186,13 @@ def build_planar(kind: str, depth: int, workers: int = 1) -> PieceSet:
     base = base_cell(kind)
     cap = CARPET_DEPTH_CAP if kind == CARPET else GASKET_DEPTH_CAP
     check_depth(depth, cap, what=f"{kind} depth")
-    lcm, ints = to_lattice([c for p in _lattice_ring(kind, base) for c in p])
+    lcm, (cells,) = lattice_rows((Cells.row, [base]))
     split, scale = (split_squares, 3) if kind == CARPET else (split_triangles, 2)
-    cells = [list(zip(ints[0::2], ints[1::2]))]
     kept, removed, counts = lattice_subdivision(cells, split, scale, depth)
     births = [level for level, count in enumerate(counts, 1) for _ in range(count)]
     labels = [f"{level}:{i}" for level, count in enumerate(counts, 1) for i in range(count)]
     lcm *= scale**depth
-    return PieceSet(kind, depth, Cells(kind, lcm, kept), Pieces(lcm, removed, births, labels))
+    return PieceSet(kind, depth, Cells(lcm, kept), Pieces(lcm, removed, births, labels))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Union
 
 from .cantor import Stage2
 from .errors import CapacityError, UnsupportedGeometryError
-from .geometry import LatticeTable, Loop, Point2, lattice_groups, to_lattice
+from .geometry import LatticeTable, Loop, Point2, to_lattice
 from .planar import CARPET, Cells, PieceSet, base_cell
 from .spatial import Stage3
 from .topology import HoleSet, index_vector
@@ -52,10 +52,10 @@ class _Canvas:
     bounds, and a formatter `(fy, scale) -> str` that writes the element
     once `emit` knows the y flip `fy` and the stroke scale. Callers pass
     point tuples: a generator would be consumed twice. Blocks on the
-    integer lattice (`planar.Cells` and `planar.Pieces`, stage segments,
-    loop labels) record the corners of their integer bounding box and
-    write one line per item, with one `fmt` per distinct value and per
-    distinct flipped y.
+    integer lattice (the `groups` arrays of `planar.Cells` and
+    `planar.Pieces`, the rows of stage segments, loop labels) record the
+    corners of their integer bounding box and write one line per item,
+    with one `fmt` per distinct value and per distinct flipped y.
     """
 
     def __init__(self):
@@ -183,9 +183,9 @@ class _Canvas:
 
 
 def _draw_stage2(canvas: _Canvas, stage: Stage2) -> None:
-    cells, lcm = stage.cells.rows, stage.cells.lcm
-    corners = [v for _, (x, y), side in cells for v in (x, y, side, side)]  # corner and diagonal
-    canvas.squares(Cells(CARPET, lcm, lattice_groups(corners, [2] * len(cells))), fill=_KEPT_FILL)
+    lcm = stage.cells.lcm
+    squares = [(corner, (side, side)) for _, corner, side in stage.cells.rows]  # as `Cells` holds them
+    canvas.squares(Cells.of(lcm, squares), fill=_KEPT_FILL)
     canvas.segments(lcm, sorted(stage.segments.rows), stroke=_STROKE, width_frac=0.002)
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import MalformedLoopError, ParameterError
-from .geometry import Loop, Point2, area_vector, lattice_rings, lattice_windings, twice_areas
+from .geometry import Loop, Point2, area_vector, common_lattice, lattice_windings, twice_areas
 from .geometry import winding_number, winding_numbers
 from .planar import Pieces
 
@@ -57,24 +57,20 @@ class HoleSet:
         """Build hole representatives from removed pieces: their centroids.
 
         `pieces` is a piece set's `Pieces`, read as its lattice arrays, or
-        any iterable of pieces that expose a `boundary` loop and a `label`,
-        put on the lattice here. The checks of `point_in_polygon` run on
-        the integer lattice, by vertex count k: vertices scaled by k * D (D
-        the lcm of all denominators) put each centroid on the lattice, and
-        one walk over the k ring edges tests every ring of that count. For
+        any iterable of `Piece`s, put on the lattice of their denominators
+        first. The checks of `point_in_polygon` run on the integer lattice,
+        by vertex count k: vertices scaled by k * D (D the lcm of all
+        denominators) put each centroid on the lattice, and one walk over
+        the k ring edges tests every ring of that count. For
         the first bad piece in order, a zero-area ring raises
         MalformedLoopError, and a centroid on the ring or outside it
         ParameterError.
         """
-        if isinstance(pieces, Pieces):
-            lcm, groups, labels = pieces.lcm, pieces.groups, pieces.labels
-        else:
-            pieces = list(pieces)
-            lcm, groups = lattice_rings([piece.boundary.vertices for piece in pieces])
-            labels = [piece.label for piece in pieces]
+        (pieces,) = common_lattice((Pieces, pieces))
+        lcm, labels = pieces.lcm, pieces.labels
         reps: list = [None] * len(labels)
         first_bad = []  # (position, zero area) of each vertex count's first bad piece
-        for k, (members, xs, ys) in groups.items():
+        for k, (members, xs, ys) in pieces.groups.items():
             cx, cy = xs.sum(axis=0), ys.sum(axis=0)  # the centroids on the k * D lattice
             winding, on_ring = lattice_windings(k * xs, k * ys, cx, cy)
             flat = twice_areas(xs, ys) == 0

@@ -643,9 +643,8 @@ def test_repeated_calls_in_one_process_match_fresh_processes(monkeypatch, capsys
 
 BEYOND_FLOAT = "1" + "0" * 400  # a coordinate no float can hold
 
-# Level-0 documents with one drawn coordinate beyond the float range. The
-# piece readers accept it and rendering refuses it (exit 3); the stage
-# readers refuse it as off the construction (exit 2).
+# Level-0 documents with one drawn coordinate beyond the float range. Every
+# reader refuses it as off the construction (exit 2).
 FAR_COORDINATES = {
     "carpet": (["carpet"], lambda doc: doc["kept"][0]["corner"]),
     "gasket": (["gasket"], lambda doc: doc["kept"][0]["vertices"][0]),
@@ -663,20 +662,20 @@ def test_render_refuses_coordinates_beyond_the_float_range(kind, tmp_path, capsy
     point(doc)[0] = BEYOND_FLOAT
     path.write_text(json.dumps(doc))
     loops = [[]] if kind == "cube" else [[], ["--loop", "-1,-1 2,-1 2,2"]]
-    pieces = kind in ("carpet", "gasket")
-    code, prefix = (EXIT_CAPACITY, "capacity error:") if pieces else (EXIT_VALIDATION, "validation error:")
-    for loop in loops:
-        assert main(["render", "--input", str(path), *loop]) == code
+    commands = [["render", "--input", str(path), *loop] for loop in loops]
+    if kind in ("carpet", "gasket"):
+        commands.append(["index", "--pieces", str(path), "--loop", "-1,-1 2,-1 2,2"])
+    for command in commands:
+        assert main(command) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith(prefix) and err.count("\n") == 1, err
-    if pieces:
-        assert main(["index", "--pieces", str(path), "--loop", "-1,-1 2,-1 2,2"]) == EXIT_OK
+        assert err.startswith("validation error:") and err.count("\n") == 1, err
 
 
-# Each moves a point of a level-1 stage document off the construction: out
-# of [0, 1]^d, or off the level's lattice (a denominator that does not
-# divide q^level, or 2^level for the tetrahedron). "found" moves the first
-# cell's corner to (5, 5) and adds a segment from (5, 5) to (7, 5).
+# Each moves a point of a level-1 stage or piece document off the
+# construction: out of [0, 1]^d, or off the level's lattice (a denominator
+# that does not divide q^level, 2^level for the tetrahedron, 3^level for
+# the carpet or 2^(level + 1) for the gasket). "cantor2d-found" moves the
+# first cell's corner to (5, 5) and adds a segment from (5, 5) to (7, 5).
 OFF_CONSTRUCTION = {
     "cantor2d-found": (
         ["gen2d", "--a", "1/3"],
@@ -691,6 +690,10 @@ OFF_CONSTRUCTION = {
     ),
     "tetra-vertex": (["gen3d", "--variant", "tetra"], lambda doc: doc["cells"][0]["vertices"][1].__setitem__(0, "2")),
     "tetra-off-lattice": (["gen3d", "--variant", "tetra"], lambda doc: doc["skeleton"][0][1].__setitem__(2, "1/4")),
+    "carpet-corner": (["carpet"], lambda doc: doc["kept"][0].update(corner=["5", "5"])),
+    "carpet-off-lattice": (["carpet"], lambda doc: doc["removed"][0]["boundary"][0].__setitem__(0, "1/9")),
+    "gasket-vertex": (["gasket"], lambda doc: doc["kept"][0]["vertices"][1].__setitem__(1, "-1/4")),
+    "gasket-off-lattice": (["gasket"], lambda doc: doc["removed"][0]["boundary"][1].__setitem__(0, "1/7")),
 }
 
 

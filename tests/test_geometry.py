@@ -40,9 +40,9 @@ from quasifractal.geometry import (
     Simplex,
     area_vector,
     check_depth,
+    common_lattice,
     geometric_sum,
     lattice_dtype,
-    lattice_rings,
     lattice_windings,
     midpoint,
     point_in_polygon,
@@ -57,6 +57,7 @@ from quasifractal.geometry import (
     union_length,
     winding_numbers,
 )
+from quasifractal.planar import Piece, Pieces
 from quasifractal.topology import centroid, winding_number
 
 
@@ -638,7 +639,8 @@ def test_lattice_ring_walk_and_shoelace_match_the_oracles_at_the_int64_bound(abo
         shift = (2**29 - 1) // k + above - max(c for v in ccw.vertices for c in v)
         moved = tuple(Point2(v.x + shift, v.y + shift) for v in ccw.vertices)
         loops += [Loop(moved), Loop(moved[::-1])]
-    lcm, groups = lattice_rings([loop.vertices for loop in loops])
+    (pieces,) = common_lattice((Pieces, [Piece(loop, 1, str(i)) for i, loop in enumerate(loops)]))
+    lcm, groups = pieces.lcm, pieces.groups
     assert lcm == 1 and len(groups) >= 4
     checked = on = 0
     for k, (members, xs, ys) in groups.items():

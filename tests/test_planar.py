@@ -7,11 +7,12 @@ import pytest
 
 from helpers import F, area_accounting_oracle, build_planar_oracle, on_lattice_of, pt
 from quasifractal.errors import CapacityError, ParameterError
-from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, lattice_rings, signed_area
+from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, common_lattice, signed_area
 from quasifractal.planar import (
     CARPET,
     GASKET,
     Piece,
+    Pieces,
     PieceSet,
     area_accounting,
     boundary_of_rest,
@@ -302,7 +303,8 @@ def test_area_accounting_on_both_sides_of_the_int64_bound(above):
     # a square is held by its corner and its diagonal (side, side): twice
     # the side on the lattice of D = 2 is just below 2^29, or 2^29
     squares = [Cell("", pt(F(1, 2), F(-1, 2)), F((2**29 - 1) // 2 + above, 2)) for _ in turns]
-    lcm, groups = lattice_rings([piece.boundary.vertices for piece in removed])
+    (pieces,) = common_lattice((Pieces, removed))
+    lcm, groups = pieces.lcm, pieces.groups
     assert lcm == 2 and sorted(groups) == list(range(3, 9))
     assert all(xs.dtype == (object if above else np.int64) for _, xs, _ in groups.values())
     for ps in (PieceSet(CARPET, 1, squares, removed), PieceSet(GASKET, 1, triangles, removed)):
