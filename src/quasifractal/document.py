@@ -73,8 +73,8 @@ class _Lattice(dict):
 
     def point(self, data) -> tuple:
         """Read a point from its list of dim "p/q" coordinates."""
-        if len(data) != self.dim:
-            raise ParameterError(f"expected {self.dim} coordinates, got {data!r}")
+        if type(data) is not list or len(data) != self.dim:
+            raise ParameterError(f"expected a list of {self.dim} coordinates, got {data!r}")
         if self.dim == 2:  # unpacked: a third of the time of a generic tuple(map(...))
             x, y = data
             return self[x], self[y]

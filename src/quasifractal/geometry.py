@@ -657,6 +657,11 @@ class Segments(OnLattice, Set):
     def _members(self) -> frozenset:
         return frozenset(self._objects)
 
+    @cached_property
+    def index(self) -> "SegmentIndex":
+        """The one `SegmentIndex` over these rows, built on first use; `SegmentIndex(self)` returns it."""
+        return SegmentIndex._over(self.lcm, list(self.rows), self.rows)
+
     @classmethod
     def _from_iterable(cls, segments) -> set:
         return set(segments)
@@ -712,15 +717,6 @@ def common_lattice(*blocks) -> list:
         return contents
     lcm, rows = lattice_rows(*[(kind.row, content) for kind, content in blocks])
     return [kind.of(lcm, block) for (kind, _), block in zip(blocks, rows)]
-
-
-def segment_rows(segments) -> tuple[int, list]:
-    """D and the rows (p, q) of `Segments`, or of other segments, in order,
-    put on the lattice of their denominators."""
-    if isinstance(segments, Segments):
-        return segments.lcm, list(segments.rows)
-    lcm, (rows,) = lattice_rows((Segments.row, segments))
-    return lcm, rows
 
 
 # The moment p x w of a point p and a direction w: its components m_ij =
@@ -792,21 +788,37 @@ class SegmentIndex:
     The segments (`Segments`, or any segments, put on the lattice of their
     denominators, D = `lcm`) are grouped by the integer key of their
     carrier line, sorted along it and merged into runs of overlapping or
-    touching intervals (O(n log n)). Two exact queries share one bisect
-    over a line's runs: `covers`, whether a query segment lies in the
-    union of collinear indexed segments, and `ids_through`, which segments
-    pass through a point. Query points are given on the lattice, as their
-    coordinates times D; a Fraction there is a point off the lattice.
+    touching intervals (O(n log n)). A `Segments` view is immutable and
+    keeps the one index built over it (`Segments.index`), so
+    `SegmentIndex(view)` builds once per view and then returns that index;
+    any other segments get an index of their own.
+
+    Two exact queries share one bisect over a line's runs: `covers`,
+    whether a query segment lies in the union of collinear indexed
+    segments, and `ids_through`, which segments pass through a point.
+    Query points are given on the lattice, as their coordinates times D;
+    a Fraction there is a point off the lattice.
     """
 
-    def __init__(self, segments: Iterable[Segment]):
-        self.lcm, self.rows = segment_rows(segments)
+    def __new__(cls, segments: Iterable[Segment]) -> "SegmentIndex":
+        if isinstance(segments, Segments):
+            return segments.index
+        lcm, (rows,) = lattice_rows((Segments.row, segments))
+        return cls._over(lcm, rows, set(rows))
+
+    @classmethod
+    def _over(cls, lcm: int, rows: list, members: Set) -> "SegmentIndex":
+        """The index of `rows` (p, q), p < q, on the lattice of D = lcm;
+        `members` holds the same rows, for `covers`."""
+        self = super().__new__(cls)
+        self.lcm, self.rows, self._members = lcm, rows, members
         lines: dict = {}
-        for idx, (p, q) in enumerate(self.rows):
+        for idx, (p, q) in enumerate(rows):
             key, lo, hi = _carrier(p, q)
             lines.setdefault(key, []).append((lo, hi, idx))
         self._lines = {key: _Line.of(sorted(entries)) for key, entries in lines.items()}
         self.directions = dict.fromkeys(w for w, _ in self._lines)
+        return self
 
     def ids_through(self, p) -> list[int]:
         """Indices of all segments whose closed support contains lattice point p.
@@ -836,7 +848,13 @@ class SegmentIndex:
 
     def covers(self, p, q) -> bool:
         """True iff the segment between lattice points p and q lies inside
-        the union of collinear indexed segments."""
+        the union of collinear indexed segments.
+
+        An indexed row, (p, q) or (q, p), is answered by membership; any
+        other segment, such as a part or a displaced copy of a row, by the
+        exact carrier-line test."""
+        if (p, q) in self._members or (q, p) in self._members:
+            return True
         key, ta, tb = _carrier(p, q) if p < q else _carrier(q, p)
         line = self._lines.get(key)
         if line is None:

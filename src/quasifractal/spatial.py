@@ -249,8 +249,10 @@ def boundary_incidence(stage: Stage3) -> int:
 
     Each edge must lie inside the union of collinear skeleton segments;
     the test is exact, on the stage's lattice, so a face displaced off the
-    edge lattice is caught. The skeleton's SegmentIndex costs O(n log n)
-    to build and each `covers` query one bisect.
+    edge lattice is caught. The skeleton keeps one SegmentIndex, built in
+    O(n log n) on first use and shared with `connectivity3`. Every face
+    edge of a built stage is itself a skeleton row, which `covers` answers
+    by membership; any other edge costs one carrier-line bisect.
     """
     index = SegmentIndex(stage.skeleton)
     violations = 0

@@ -694,6 +694,14 @@ OFF_CONSTRUCTION = {
     "carpet-off-lattice": (["carpet"], lambda doc: doc["removed"][0]["boundary"][0].__setitem__(0, "1/9")),
     "gasket-vertex": (["gasket"], lambda doc: doc["kept"][0]["vertices"][1].__setitem__(1, "-1/4")),
     "gasket-off-lattice": (["gasket"], lambda doc: doc["removed"][0]["boundary"][1].__setitem__(0, "1/7")),
+    # a string of coordinate characters where the origin's list belongs
+    "cantor2d-string-corner": (["gen2d", "--a", "1/3"], lambda doc: doc["cells"][0].update(corner="00")),
+    "cantor2d-string-endpoint": (["gen2d", "--a", "1/3"], lambda doc: doc["segments"][0].__setitem__(0, "00")),
+    "cube-string-point": (
+        ["gen3d", "--variant", "cube", "--a", "1/3"],
+        lambda doc: doc["skeleton"][0].__setitem__(0, "000"),
+    ),
+    "carpet-string-corner": (["carpet"], lambda doc: doc["kept"][0].update(corner="00")),
 }
 
 
@@ -707,3 +715,24 @@ def test_stage_documents_refuse_points_off_the_construction(mismatch, tmp_path, 
     mutate(doc)
     path.write_text(json.dumps(doc))
     _assert_one_validation_line(["render", "--input", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["gen2d", "--a", "1/3", "--depth", "3"], "segment_count"),
+        (["gen3d", "--variant", "cube", "--a", "1/3", "--depth", "2"], "skeleton_count"),
+        (["gen3d", "--variant", "tetra", "--depth", "3"], "skeleton_count"),
+    ],
+)
+def test_skeleton_request_takes_one_carrier_line_pass(argv, count, monkeypatch, tmp_path):
+    # union length, connectivity and incidence share the stage's one index,
+    # and every face edge is a skeleton row, answered by membership
+    from quasifractal import geometry
+
+    calls = []
+    carrier = geometry._carrier
+    monkeypatch.setattr(geometry, "_carrier", lambda p, q: calls.append(1) or carrier(p, q))
+    out = tmp_path / "s.json"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert len(calls) == json.loads(out.read_text())["measures"][count]

@@ -1,6 +1,7 @@
 """Exact predicates and measures on rational points, segments, and loops."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from helpers import (
     union_length_oracle,
     winding_oracle,
 )
+from quasifractal import geometry
 from quasifractal.errors import (
     CapacityError,
     IndeterminateWindingError,
@@ -37,6 +39,7 @@ from quasifractal.geometry import (
     Point3,
     Segment,
     SegmentIndex,
+    Segments,
     Simplex,
     area_vector,
     check_depth,
@@ -418,6 +421,49 @@ def test_segment_index_queries_match_brute_force():
             q = _along(p, rng.choice(TETRA_DIRECTIONS), F(rng.randint(1, 6), 4))
             lp, lq = on_lattice_of(index, p, q)
             assert index.covers(lp, lq) == index.covers(lq, lp) == _brute_covers(segments, p, q)
+
+
+def _covers_queries(segments, rng):
+    """Query pairs around indexed segments: parts of one, spans over two
+    that touch, and displaced or overlong copies."""
+    queries = []
+    for s in segments:
+        d = tuple(b - a for a, b in zip(s.a, s.b))
+        lo, hi = sorted(rng.sample(range(5), 2))
+        queries.append((_along(s.a, d, F(lo, 4)), _along(s.a, d, F(hi, 4))))
+        shift = rng.choice(TETRA_DIRECTIONS)
+        queries.append((_along(s.a, shift, F(1, 4)), _along(s.b, shift, F(1, 4))))
+        queries.append((s.a, _along(s.b, d, F(1, 4))))
+    for s, t in combinations(segments, 2):
+        for p, shared, q in ((s.a, s.b, t.b), (s.b, s.a, t.a), (s.a, s.b, t.a), (s.b, s.a, t.b)):
+            if shared in (t.a, t.b) and p != q:
+                queries.append((p, q))
+    return queries
+
+
+def test_segment_index_membership_path_matches_brute_force(monkeypatch):
+    rng = random.Random(505)
+    carriers = []
+    carrier = geometry._carrier
+    monkeypatch.setattr(geometry, "_carrier", lambda p, q: carriers.append(1) or carrier(p, q))
+    for _ in range(40):
+        segments = _tetra_direction_segments(rng)
+        (view,) = common_lattice((Segments, segments))
+        index = SegmentIndex(view)
+        assert SegmentIndex(view) is index
+        built = len(carriers)
+        for s in segments:  # indexed rows, in both orientations: answered by membership alone
+            lp, lq = on_lattice_of(index, s.a, s.b)
+            assert index.covers(lp, lq) and index.covers(lq, lp)
+        assert len(carriers) == built
+        for p, q in _covers_queries(segments, rng):
+            lp, lq = on_lattice_of(index, p, q)
+            assert index.covers(lp, lq) == index.covers(lq, lp) == _brute_covers(segments, p, q), (p, q)
+        own = SegmentIndex(segments)
+        assert own is not index and own is not SegmentIndex(segments)
+        for p, q in _covers_queries(segments, rng):
+            lp, lq = on_lattice_of(own, p, q)
+            assert own.covers(lp, lq) == _brute_covers(segments, p, q), (p, q)
 
 
 @pytest.mark.parametrize("a, depth", [(F(1, 3), 2), (F(2, 5), 2), (F(1, 2), 2), (F(1, 5), 1)])
