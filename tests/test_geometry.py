@@ -434,10 +434,11 @@ def _covers_queries(segments, rng):
         shift = rng.choice(TETRA_DIRECTIONS)
         queries.append((_along(s.a, shift, F(1, 4)), _along(s.b, shift, F(1, 4))))
         queries.append((s.a, _along(s.b, d, F(1, 4))))
-    for s, t in combinations(segments, 2):
-        for p, shared, q in ((s.a, s.b, t.b), (s.b, s.a, t.a), (s.a, s.b, t.a), (s.b, s.a, t.b)):
-            if shared in (t.a, t.b) and p != q:
-                queries.append((p, q))
+    for s, t in combinations(segments, 2):  # from the far end of s to the far end of t
+        for p, shared in ((s.a, s.b), (s.b, s.a)):
+            for q, joint in ((t.b, t.a), (t.a, t.b)):
+                if shared == joint and p != q:
+                    queries.append((p, q))
     return queries
 
 
