@@ -22,10 +22,12 @@ rank deficiency of monomial sections rather than computing it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .errors import (
     NotFredholmError,
     NumericalError,
     ParameterError,
+    QuasifractalError,
     SamplingFailureError,
 )
 
@@ -43,8 +46,11 @@ RANK_TOL = 1e-10
 RANDOM_MAX_DEGREE = 4  # band limits of random_symbol
 RANDOM_MIN_MODULUS = 0.05  # smallest circle modulus random_symbol accepts
 _MAX_SAMPLES = 1 << 22
-_SAMPLE_BLOCK = 8192  # rows per block: bounds the samples-by-terms temporaries
+_SAMPLE_BLOCK = 8192  # (symbol, angle) pairs per block: bounds the samples-by-terms temporaries
 _RESIDUAL_TOL = 0.01
+_TEST_POINTS = 512  # circle points of random_symbol's rejection test
+# candidates tested at a time: as many values as _symbol_values' largest block holds
+_TEST_ROWS = _SAMPLE_BLOCK * (2 * RANDOM_MAX_DEGREE + 1) // _TEST_POINTS
 
 
 class Symbol:
@@ -140,95 +146,191 @@ def orientation_flip(s: Symbol) -> Symbol:
 
 
 def _symbol_values(coeffs: np.ndarray, exponents: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """s(e^{i theta}) at every angle, evaluated _SAMPLE_BLOCK angles at a time
-    straight into the result.
+    """s(e^{i theta}) at every angle for each row of `coeffs` and `exponents`.
 
-    Each row's exp and sum involve that row only, so the blocks give the
-    same bits as one samples-by-terms array at a bounded memory cost.
+    Rows are the leading axes of the two (..., terms) arrays; the result
+    has shape (..., angles). At most _SAMPLE_BLOCK (row, angle) pairs are
+    evaluated at a time, straight into the result. Each pair's exp and sum
+    involve that pair only, so the blocks give the same bits as one
+    samples-by-terms array at a bounded memory cost.
     """
-    values = np.empty(len(theta), dtype=np.complex128)
-    for i in range(0, len(theta), _SAMPLE_BLOCK):
-        terms = coeffs[None, :] * np.exp(1j * np.outer(theta[i : i + _SAMPLE_BLOCK], exponents))
-        values[i : i + _SAMPLE_BLOCK] = terms.sum(axis=1)
-    return values
+    shape = coeffs.shape[:-1] + theta.shape
+    coeffs = coeffs.reshape(-1, coeffs.shape[-1])
+    exponents = exponents.reshape(coeffs.shape)
+    values = np.empty((len(coeffs), len(theta)), dtype=np.complex128)
+    rows = max(1, _SAMPLE_BLOCK // len(theta))
+    span = min(len(theta), _SAMPLE_BLOCK)
+    for r in range(0, len(coeffs), rows):
+        for i in range(0, len(theta), span):
+            angles = theta[None, i : i + span, None] * exponents[r : r + rows, None, :]
+            terms = coeffs[r : r + rows, None, :] * np.exp(1j * angles)
+            values[r : r + rows, i : i + span] = terms.sum(axis=2)
+    return values.reshape(shape)
 
 
-def _sample_argument(s: Symbol, samples: Union[int, None]):
-    """Winding by argument accumulation; returns (winding, min modulus)."""
-    min_required = 8 * (s.m + s.p + 1)
-    if samples is None:
-        samples = max(64, min_required)
-    elif samples < min_required:
-        raise ParameterError(
-            f"need at least {min_required} samples for band [{-s.m}, {s.p}]"
-        )
-    if samples > _MAX_SAMPLES:
-        raise CapacityError(f"{samples} circle samples exceed the ceiling of {_MAX_SAMPLES}")
-    # Sample s / 2^e, whose largest coefficient modulus lies in [1/2, 1), so
-    # that a huge finite coefficient overflows neither the values nor their
-    # neighbour ratios. A power of two scales exactly: an ordinary symbol
-    # gives the same bits, and the minimum is unscaled before its test.
-    _, e = math.frexp(max(abs(c) for c in s.coefficients.values()))
-    exponents = np.array(list(s.coefficients), dtype=np.int64)
-    coeffs = np.array(
-        [complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in s.coefficients.values()],
-        dtype=np.complex128,
-    )
-    while samples <= _MAX_SAMPLES:
-        theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        values = _symbol_values(coeffs, exponents, theta)
-        min_modulus = math.ldexp(float(np.abs(values).min()), e)
-        if min_modulus <= MIN_CIRCLE_MODULUS:
-            raise NotFredholmError(
-                f"symbol modulus {min_modulus:.3e} on the circle is below "
-                f"{MIN_CIRCLE_MODULUS:.0e}; the operator is not Fredholm"
+def _batch(s: Union[Symbol, Sequence[Symbol]]) -> list[Symbol]:
+    return [s] if isinstance(s, Symbol) else list(s)
+
+
+def _raise_first(failures: dict[int, QuasifractalError]) -> None:
+    """Raise the failure of the lowest row, with that row as its `draw`.
+
+    A batch call fails as the same calls made one symbol at a time would,
+    with the error of the first symbol that fails; `draw` tells a caller
+    that interleaves two methods which symbol that was.
+    """
+    if failures:
+        draw = min(failures)
+        failures[draw].draw = draw
+        raise failures[draw]
+
+
+def _sample_argument(symbols: list[Symbol], samples: Union[int, None]):
+    """Winding by argument accumulation of each symbol; returns the lists
+    (windings, min moduli).
+
+    Symbols with the same starting sample count and number of terms are
+    sampled together, each row with its own exponents, and only the rows
+    whose increments have not settled double their count.
+    """
+    windings = [0] * len(symbols)
+    moduli = [0.0] * len(symbols)
+    failures: dict[int, QuasifractalError] = {}
+    groups: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for row, s in enumerate(symbols):
+        min_required = 8 * (s.m + s.p + 1)
+        start = max(64, min_required) if samples is None else samples
+        if start < min_required:
+            failures[row] = ParameterError(
+                f"need at least {min_required} samples for band [{-s.m}, {s.p}]"
             )
-        steps = np.roll(values, -1)
-        steps /= values  # in place: no second samples-long temporary at the peak
-        steps = np.angle(steps)
-        if np.max(np.abs(steps)) < np.pi / 2:
-            total = float(steps.sum())
-            winding = total / (2.0 * np.pi)
-            nearest = round(winding)
-            if abs(winding - nearest) >= _RESIDUAL_TOL:
-                raise SamplingFailureError(
-                    f"argument sum residual {abs(winding - nearest):.3g} too large"
-                )
-            return int(nearest), min_modulus
-        samples *= 2
-    raise SamplingFailureError("argument increments did not settle below pi/2")
+        elif start > _MAX_SAMPLES:
+            failures[row] = CapacityError(f"{start} circle samples exceed the ceiling of {_MAX_SAMPLES}")
+        else:
+            groups[start, len(s.coefficients)].append(row)
+    for (count, _), rows in groups.items():
+        # Sample s / 2^e, whose largest coefficient modulus lies in [1/2, 1), so
+        # that a huge finite coefficient overflows neither the values nor their
+        # neighbour ratios. A power of two scales exactly: an ordinary symbol
+        # gives the same bits, and the minimum is unscaled before its test.
+        terms = [symbols[row].coefficients for row in rows]
+        scale = [math.frexp(max(abs(c) for c in t.values()))[1] for t in terms]
+        exponents = np.array([list(t) for t in terms], dtype=np.int64)
+        coeffs = np.array(
+            [[complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in t.values()] for t, e in zip(terms, scale)],
+            dtype=np.complex128,
+        )
+        rows, scale = np.array(rows), np.array(scale)
+        while len(rows) and count <= _MAX_SAMPLES:
+            theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+            values = _symbol_values(coeffs, exponents, theta)
+            minima = np.ldexp(np.abs(values).min(axis=1), scale)
+            steps = np.roll(values, -1, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero value fails its row below
+                steps /= values  # in place: no second samples-long temporary at the peak
+            steps = np.angle(steps)
+            settled = np.abs(steps).max(axis=1) < np.pi / 2
+            turns = steps.sum(axis=1) / (2.0 * np.pi)
+            for row, min_modulus, done, winding in zip(rows.tolist(), minima.tolist(), settled.tolist(), turns.tolist()):
+                moduli[row] = min_modulus
+                if min_modulus <= MIN_CIRCLE_MODULUS:
+                    failures[row] = NotFredholmError(
+                        f"symbol modulus {min_modulus:.3e} on the circle is below "
+                        f"{MIN_CIRCLE_MODULUS:.0e}; the operator is not Fredholm"
+                    )
+                elif done:
+                    nearest = round(winding)
+                    if abs(winding - nearest) >= _RESIDUAL_TOL:
+                        failures[row] = SamplingFailureError(
+                            f"argument sum residual {abs(winding - nearest):.3g} too large"
+                        )
+                    else:
+                        windings[row] = nearest
+            unsettled = ~settled & (minima > MIN_CIRCLE_MODULUS)
+            rows, scale, exponents, coeffs = rows[unsettled], scale[unsettled], exponents[unsettled], coeffs[unsettled]
+            count *= 2
+        for row in rows.tolist():
+            failures[row] = SamplingFailureError("argument increments did not settle below pi/2")
+    _raise_first(failures)
+    return windings, moduli
 
 
-def winding_by_argument(s: Symbol, samples: Union[int, None] = None) -> int:
+def winding_by_argument(s: Union[Symbol, Sequence[Symbol]], samples: Union[int, None] = None):
     """Winding number of s around the origin by argument accumulation.
 
     Doubles the sample count until every increment is below pi/2 and the
-    accumulated total is within 0.01 of an integer multiple of 2 pi.
+    accumulated total is within 0.01 of an integer multiple of 2 pi. Given
+    a sequence of symbols, returns an int64 array of their windings, or
+    raises the error of the first symbol that fails.
     """
-    winding, _ = _sample_argument(s, samples)
-    return winding
+    windings, _ = _sample_argument(_batch(s), samples)
+    return windings[0] if isinstance(s, Symbol) else np.array(windings, dtype=np.int64)
 
 
-def winding_by_roots(s: Symbol) -> int:
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of the stack; NaN for a matrix on which
+    LAPACK does not converge (the halves of a failing stack are retried)."""
+    try:
+        return np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.full(stack.shape[:-1], np.nan, dtype=np.complex128)
+        half = len(stack) // 2
+        return np.concatenate([_eigvals(stack[:half]), _eigvals(stack[half:])])
+
+
+def winding_by_roots(s: Union[Symbol, Sequence[Symbol]]):
     """Winding number via the argument principle on q(z) = z^m s(z).
 
     q is an honest polynomial of degree m + p; the winding of s equals
     (number of roots of q inside the open unit disk) - m. Roots within
     1e-6 of the circle mean the symbol (numerically) vanishes there.
+
+    The roots are the eigenvalues of q's companion matrix, built as
+    `np.roots` builds it: zero leading coefficients are stripped and each
+    zero trailing one is a root at 0. Given a sequence of symbols, their
+    matrices are stacked by size, one eigenvalue call per size, and an
+    int64 array of their windings is returned, or the error of the first
+    symbol that fails is raised.
     """
-    m, p = s.m, s.p
-    degree = m + p
-    if degree == 0:
-        return 0
-    coeffs = [s.coefficients.get(k - m, 0) for k in range(degree, -1, -1)]
-    try:
-        roots = np.roots(np.array(coeffs, dtype=np.complex128))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"root finding failed: {exc}") from exc
-    moduli = np.abs(roots)
-    if np.any(np.abs(moduli - 1.0) < ROOT_CIRCLE_TOL):
-        raise NotFredholmError("a symbol root lies on (or within 1e-6 of) the unit circle")
-    return int((moduli < 1.0).sum()) - m
+    symbols = _batch(s)
+    windings = [0] * len(symbols)
+    failures: dict[int, QuasifractalError] = {}
+    groups: dict[int, list[tuple[int, list, int]]] = defaultdict(list)
+    for row, symbol in enumerate(symbols):
+        m = symbol.m
+        degree = m + symbol.p
+        coeffs = [symbol.coefficients.get(k - m, 0) for k in range(degree, -1, -1)]
+        nonzero = [i for i, c in enumerate(coeffs) if c != 0]
+        zeros = degree - nonzero[-1]  # roots at 0, inside the disk
+        groups[nonzero[-1] - nonzero[0] + 1].append((row, coeffs[nonzero[0] : nonzero[-1] + 1], zeros - m))
+    for size, members in groups.items():
+        poly = np.array([coeffs for _, coeffs, _ in members], dtype=np.complex128)
+        companion = np.zeros((len(members), size - 1, size - 1), dtype=np.complex128)
+        if size > 1:
+            companion[:, 1:, :-1] = np.eye(size - 2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+        finite = np.isfinite(companion).all(axis=(1, 2))
+        roots = np.full(companion.shape[:-1], np.nan, dtype=np.complex128)
+        if size > 1 and finite.any():
+            roots[finite] = _eigvals(companion[finite])
+        moduli = np.abs(roots)
+        on_circle = (np.abs(moduli - 1.0) < ROOT_CIRCLE_TOL).any(axis=1)
+        inside = (moduli < 1.0).sum(axis=1)
+        for (row, _, offset), ok, converged, near, count in zip(
+            members, finite, ~np.isnan(moduli).any(axis=1), on_circle, inside.tolist()
+        ):
+            if not ok:  # np.roots' error for a matrix with an inf or nan
+                failures[row] = NumericalError("root finding failed: Array must not contain infs or NaNs")
+            elif not converged:
+                failures[row] = NumericalError("root finding failed: Eigenvalues did not converge")
+            elif near:
+                failures[row] = NotFredholmError("a symbol root lies on (or within 1e-6 of) the unit circle")
+            else:
+                windings[row] = count + offset
+    _raise_first(failures)
+    return windings[0] if isinstance(s, Symbol) else np.array(windings, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -255,7 +357,7 @@ def fredholm_index(s: Symbol, samples: Union[int, None] = None) -> IndexReport:
     winding computations and whether they agree. `samples` is the initial
     circle sample count of the argument method, as in `winding_by_argument`.
     """
-    winding_arg, min_modulus = _sample_argument(s, samples)
+    (winding_arg,), (min_modulus,) = _sample_argument([s], samples)
     winding_roots_ = winding_by_roots(s)
     kernel = cokernel = None
     if len(s.coefficients) == 1:
@@ -272,28 +374,50 @@ def fredholm_index(s: Symbol, samples: Union[int, None] = None) -> IndexReport:
     )
 
 
-def random_symbol(rng: random.Random) -> Symbol:
-    """Draw a random banded symbol that is safely Fredholm.
+@functools.cache
+def _test_powers() -> list[np.ndarray]:
+    """z^k at random_symbol's test points, for k in [-RANDOM_MAX_DEGREE, RANDOM_MAX_DEGREE]."""
+    z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, _TEST_POINTS, endpoint=False))
+    return [z**k for k in range(-RANDOM_MAX_DEGREE, RANDOM_MAX_DEGREE + 1)]
+
+
+def random_symbol(rng: random.Random, count: Union[int, None] = None):
+    """Draw a random banded symbol, or a list of `count` of them.
 
     Band limits are uniform in [0, RANDOM_MAX_DEGREE], coefficients
-    uniform in the square [-1, 1]^2; candidates whose sampled circle
-    modulus dips below RANDOM_MIN_MODULUS are rejected and redrawn, so
-    both winding methods are well-conditioned on the result.
+    uniform in the square [-1, 1]^2. A candidate is rejected and redrawn
+    when its modulus at one of 512 equally spaced points of the circle is
+    below RANDOM_MIN_MODULUS. That test samples the circle and bounds
+    nothing between the points: an accepted symbol can dip far lower in
+    between (the fifth draw of random.Random(968725673) has a sampled
+    minimum modulus of 5.8e-5). The winding methods apply their own
+    checks to it, and the argument method doubles its samples until the
+    increments settle (to about 590k samples on that draw).
+
+    Each round draws as many candidates as are still wanted, in stream
+    order, and tests them together, so a list of `count` holds the
+    symbols, and leaves `rng` in the state, of `count` single draws.
     """
-    while True:
-        m = rng.randint(0, RANDOM_MAX_DEGREE)
-        p = rng.randint(0, RANDOM_MAX_DEGREE)
-        coefficients = {
-            k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(-m, p + 1)
-        }
-        try:
-            candidate = Symbol(coefficients)
-        except ParameterError:
-            continue
-        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-        values = candidate(np.exp(1j * theta))
-        if float(np.abs(values).min()) >= RANDOM_MIN_MODULUS:
-            return candidate
+    wanted = 1 if count is None else count
+    accepted: list[Symbol] = []
+    while len(accepted) < wanted:
+        drawn = []
+        for _ in range(wanted - len(accepted)):
+            m = rng.randint(0, RANDOM_MAX_DEGREE)
+            p = rng.randint(0, RANDOM_MAX_DEGREE)
+            drawn.append({k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(-m, p + 1)})
+        padded = np.zeros((len(drawn), 2 * RANDOM_MAX_DEGREE + 1), dtype=np.complex128)
+        for row, coefficients in zip(padded, drawn):
+            row[[k + RANDOM_MAX_DEGREE for k in coefficients]] = list(coefficients.values())
+        keep = np.empty(len(drawn), dtype=bool)
+        for r in range(0, len(drawn), _TEST_ROWS):
+            # Term by term as Symbol.__call__ sums: a zero term changes no modulus.
+            values = 0
+            for column, power in zip(padded[r : r + _TEST_ROWS].T, _test_powers()):
+                values = values + column[:, None] * power
+            keep[r : r + _TEST_ROWS] = np.abs(values).min(axis=1) >= RANDOM_MIN_MODULUS
+        accepted += [Symbol(c) for c, ok in zip(drawn, keep.tolist()) if ok]
+    return accepted[0] if count is None else accepted
 
 
 @dataclass(eq=False)
@@ -320,8 +444,8 @@ def truncate(s: Symbol, n: int) -> ToeplitzTruncation:
     band = np.zeros(2 * n - 1, dtype=np.complex128)  # c_k at index k + n - 1
     for exponent, c in s.coefficients.items():
         band[exponent + n - 1] = c
-    j, k = np.indices((n, n))
-    matrix = band[j - k + n - 1]
+    # row j of the section is band[j + n - 1], band[j + n - 2], ..., band[j]
+    matrix = np.lib.stride_tricks.sliding_window_view(band[::-1], n)[::-1]
     singular_values = np.linalg.svd(matrix, compute_uv=False)
     return ToeplitzTruncation(
         n=n,

@@ -5,7 +5,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from quasifractal.errors import IndeterminateWindingError, MalformedLoopError, ParameterError
+import numpy as np
+
+from quasifractal import toeplitz
+from quasifractal.errors import (
+    IndeterminateWindingError,
+    MalformedLoopError,
+    NotFredholmError,
+    NumericalError,
+    ParameterError,
+    SamplingFailureError,
+)
 from quasifractal.geometry import Cell, Loop, Point2, Point3, Segment, Simplex, area_vector, ring_edges
 from quasifractal.geometry import signed_area, simplex_children
 from quasifractal.planar import CARPET, AreaAccount, Piece, PieceSet, base_cell
@@ -576,3 +586,83 @@ def obj_oracle(kind: str, level: int, skeleton, faces) -> str:
     out += [f"l {ids[s.a]} {ids[s.b]}" for s in sorted(skeleton)]
     out += ["f " + " ".join(str(ids[v]) for v in f.boundary) for f in faces]
     return "\n".join(out) + "\n"
+
+
+def random_symbol_oracle(rng):
+    """One `toeplitz.random_symbol` draw, a candidate at a time: redraw
+    until the modulus at 512 circle points reaches RANDOM_MIN_MODULUS."""
+    while True:
+        m = rng.randint(0, toeplitz.RANDOM_MAX_DEGREE)
+        p = rng.randint(0, toeplitz.RANDOM_MAX_DEGREE)
+        coefficients = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(-m, p + 1)}
+        try:
+            candidate = toeplitz.Symbol(coefficients)
+        except ParameterError:
+            continue
+        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+        if float(np.abs(candidate(np.exp(1j * theta))).min()) >= toeplitz.RANDOM_MIN_MODULUS:
+            return candidate
+
+
+def sample_argument_oracle(s):
+    """`toeplitz._sample_argument` for one symbol at the default sample
+    count: (winding, min modulus), the circle values 8192 angles at a time."""
+    samples = max(64, 8 * (s.m + s.p + 1))
+    _, e = math.frexp(max(abs(c) for c in s.coefficients.values()))
+    exponents = np.array(list(s.coefficients), dtype=np.int64)
+    coeffs = np.array(
+        [complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in s.coefficients.values()],
+        dtype=np.complex128,
+    )
+    while samples <= 1 << 22:
+        theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        values = np.concatenate(
+            [
+                (coeffs[None, :] * np.exp(1j * np.outer(theta[i : i + 8192], exponents))).sum(axis=1)
+                for i in range(0, samples, 8192)
+            ]
+        )
+        min_modulus = math.ldexp(float(np.abs(values).min()), e)
+        if min_modulus <= toeplitz.MIN_CIRCLE_MODULUS:
+            raise NotFredholmError(
+                f"symbol modulus {min_modulus:.3e} on the circle is below "
+                f"{toeplitz.MIN_CIRCLE_MODULUS:.0e}; the operator is not Fredholm"
+            )
+        steps = np.angle(np.roll(values, -1) / values)
+        if np.max(np.abs(steps)) < np.pi / 2:
+            winding = float(steps.sum()) / (2.0 * np.pi)
+            nearest = round(winding)
+            if abs(winding - nearest) >= 0.01:
+                raise SamplingFailureError(f"argument sum residual {abs(winding - nearest):.3g} too large")
+            return int(nearest), min_modulus
+        samples *= 2
+    raise SamplingFailureError("argument increments did not settle below pi/2")
+
+
+def winding_by_roots_oracle(s) -> int:
+    """Roots of z^m s(z) inside the disk, minus m, by `np.roots`."""
+    m = s.m
+    degree = m + s.p
+    if degree == 0:
+        return 0
+    coeffs = [s.coefficients.get(k - m, 0) for k in range(degree, -1, -1)]
+    try:
+        roots = np.roots(np.array(coeffs, dtype=np.complex128))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"root finding failed: {exc}") from exc
+    moduli = np.abs(roots)
+    if np.any(np.abs(moduli - 1.0) < toeplitz.ROOT_CIRCLE_TOL):
+        raise NotFredholmError("a symbol root lies on (or within 1e-6 of) the unit circle")
+    return int((moduli < 1.0).sum()) - m
+
+
+def random_check_oracle(rng, count: int):
+    """The `toeplitz --random-check` loop one draw at a time: returns the
+    symbols, their (winding, min modulus) by argument and their windings by
+    roots; raises the first error, the argument method's before the roots'."""
+    symbols, by_argument, by_roots = [], [], []
+    for _ in range(count):
+        symbols.append(random_symbol_oracle(rng))
+        by_argument.append(sample_argument_oracle(symbols[-1]))
+        by_roots.append(winding_by_roots_oracle(symbols[-1]))
+    return symbols, by_argument, by_roots

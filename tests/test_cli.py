@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import random_check_oracle
+from quasifractal import toeplitz
 from quasifractal.cli import (
     EXIT_CAPACITY,
     MEASURE_DEPTH_CAP,
@@ -187,6 +189,17 @@ def test_toeplitz_huge_finite_coefficient_is_sampled_without_overflow():
     assert report["min_modulus_on_circle"] == 1.4142135623730951e308
 
 
+def test_toeplitz_overflowing_companion_matrix_is_one_numerical_error_line():
+    # -1e300 / 1e-300 overflows in the companion matrix of 1e-300 z + 1e300
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasifractal", "toeplitz", "--symbol", "0:1e300, 1:1e-300"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr == "numerical error: root finding failed: Array must not contain infs or NaNs\n"
+
+
 def test_toeplitz_reports_one_sampling_run(capsys):
     # |2 + c z| with |c| = 1 reaches 1 at theta = pi - arg(c), which no grid
     # hits: the sampled minimum at 100 points differs from the default 64's
@@ -354,6 +367,38 @@ def test_toeplitz_random_check_cap_exits_capacity_fast(capsys):
     assert main(argv) == EXIT_CAPACITY
     assert time.perf_counter() - start < 0.5
     assert "--random-check" in capsys.readouterr().err
+
+
+def test_toeplitz_random_check_at_the_cap_agrees_on_every_draw(capsys):
+    argv = ["toeplitz", "--symbol", "0:4, 1:1", "--random-check", str(RANDOM_CHECK_CAP)]
+    assert main(argv) == EXIT_OK
+    check = json.loads(capsys.readouterr().out)["random_check"]
+    assert check["count"] == check["agreements"] == RANDOM_CHECK_CAP
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (18, "symbol modulus"),  # the argument method fails at draw 2, the roots method at draw 3
+        (6, "a symbol root lies"),  # the roots method fails at draw 1, the argument method at draw 6
+        (14, "symbol modulus"),  # both methods fail first at draw 7
+    ],
+)
+def test_random_check_fails_with_the_first_error_of_the_per_draw_loop(seed, message, monkeypatch, capsys):
+    monkeypatch.setattr(toeplitz, "MIN_CIRCLE_MODULUS", 0.1)
+    monkeypatch.setattr(toeplitz, "ROOT_CIRCLE_TOL", 0.05)
+    argv = ["toeplitz", "--symbol", "1:1", "--random-check", "20", "--seed", str(seed)]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical error: {message}")
+
+    def per_draw_loop(rng, count):
+        random_check_oracle(rng, count)
+        pytest.fail("the per-draw loop passed every draw")
+
+    monkeypatch.setattr(toeplitz, "random_symbol", per_draw_loop)
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == err
 
 
 def test_toeplitz_symbol_band_cap_exits_capacity_fast(capsys):

@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from quasifractal.errors import NotFredholmError, ParameterError
+from helpers import random_check_oracle
+from quasifractal import toeplitz
+from quasifractal.errors import NotFredholmError, NumericalError, ParameterError
 from quasifractal.toeplitz import (
     IndexReport,
     Symbol,
@@ -210,6 +212,20 @@ def test_truncate_matches_nested_loop_sections():
             assert np.array_equal(truncate(s, n).matrix, expected)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 33])
+def test_truncate_section_equals_the_fancy_indexed_band(n):
+    rng = random.Random(n)
+    j, k = np.indices((n, n))
+    for _ in range(5):
+        m = rng.randint(0, n - 1)
+        exponents = range(-m, rng.randint(0, n - 1 - m) + 1)
+        s = Symbol({e: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for e in exponents})
+        band = np.zeros(2 * n - 1, dtype=np.complex128)
+        for exponent, c in s.coefficients.items():
+            band[exponent + n - 1] = c
+        assert np.array_equal(truncate(s, n).matrix, band[j - k + n - 1])
+
+
 def test_truncate_size_floor():
     with pytest.raises(ParameterError):
         truncate(Symbol({-2: 1, 2: 1}), 4)
@@ -232,3 +248,77 @@ def test_blocked_circle_values_match_one_shot_array():
         theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         one_shot = (coeffs[None, :] * np.exp(1j * np.outer(theta, exponents))).sum(axis=1)
         assert np.array_equal(_symbol_values(coeffs, exponents, theta), one_shot)
+
+
+# Draws a symbol whose modulus dips to 5.8e-5 between random_symbol's 512
+# test points within its first 5 draws; the argument method doubles to
+# about 590k samples on it.
+NEAR_SINGULAR_SEED = 968725673
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 100])
+def test_batched_random_check_matches_the_per_draw_loop(count):
+    for seed in list(range(50)) + [NEAR_SINGULAR_SEED]:
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        symbols = random_symbol(rng, count)
+        expected, by_argument, by_roots = random_check_oracle(oracle_rng, count)
+        assert symbols == expected
+        assert rng.getstate() == oracle_rng.getstate()
+        windings, moduli = toeplitz._sample_argument(symbols, None)
+        assert windings == winding_by_argument(symbols).tolist() == [w for w, _ in by_argument]
+        assert [m.hex() for m in moduli] == [m.hex() for _, m in by_argument]
+        assert winding_by_roots(symbols).tolist() == by_roots
+        agreements = int((winding_by_argument(symbols) == winding_by_roots(symbols)).sum())
+        assert agreements == sum(a == r for (a, _), r in zip(by_argument, by_roots))
+
+
+def test_single_draws_are_batches_of_one():
+    rng, batch_rng = random.Random(3), random.Random(3)
+    singles = [random_symbol(rng) for _ in range(20)]
+    assert singles == random_symbol(batch_rng, 20)
+    assert rng.getstate() == batch_rng.getstate()
+    assert [winding_by_argument(s) for s in singles] == winding_by_argument(singles).tolist()
+    assert [winding_by_roots(s) for s in singles] == winding_by_roots(singles).tolist()
+    for s in singles[:5]:
+        (winding,), (modulus,) = toeplitz._sample_argument([s], None)
+        report = fredholm_index(s)
+        assert (report.winding_arg, report.min_modulus_on_circle) == (winding, modulus)
+
+
+def test_batches_raise_the_error_of_the_first_failing_symbol():
+    good, vanishing, constant = Symbol({1: 1}), Symbol({0: -1, 1: 1}), Symbol({0: 3})
+    with pytest.raises(NotFredholmError) as raised:
+        winding_by_argument([good, constant, vanishing, good, vanishing])
+    assert raised.value.draw == 2
+    with pytest.raises(ParameterError) as raised:
+        winding_by_argument([good, Symbol({-2: 1, 3: 1}), vanishing], samples=16)
+    assert raised.value.draw == 1
+    with pytest.raises(NotFredholmError) as raised:
+        winding_by_roots([constant, good, Symbol({-1: 1, 0: 4, 1: 1}), vanishing])
+    assert raised.value.draw == 3
+    assert winding_by_argument([]).tolist() == winding_by_roots([]).tolist() == []
+
+
+def test_roots_of_a_stack_find_the_matrix_that_does_not_converge(monkeypatch):
+    # 2z^3 + 1 and z^3 + 1/2 share one companion matrix; LAPACK is made to fail on it
+    symbols = [Symbol({-1: 1, 0: 3}), Symbol({0: 1, 3: 2}), Symbol({2: 1}), Symbol({0: 0.5, 3: 1})]
+    failing = np.array([[0, 0, -0.5], [1, 0, 0], [0, 1, 0]], dtype=complex)
+    eigvals = np.linalg.eigvals
+
+    def eigvals_failing_on_it(stack):
+        if np.any(np.all(stack == failing, axis=(1, 2))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals_failing_on_it)
+    with pytest.raises(NumericalError, match="did not converge") as raised:
+        winding_by_roots(symbols)
+    assert raised.value.draw == 1
+    assert winding_by_roots([symbols[0], symbols[2], Symbol({0: 1, 3: 3})]).tolist() == [0, 2, 3]
+
+
+def test_roots_of_an_overflowing_companion_matrix_are_a_numerical_error():
+    # -1e300 / 1e-300 overflows, as np.roots' companion entry would
+    with pytest.raises(NumericalError, match="infs or NaNs") as raised:
+        winding_by_roots([Symbol({1: 1}), Symbol({0: 1e300, 1: 1e-300})])
+    assert raised.value.draw == 1
