@@ -11,20 +11,20 @@ Batched predicates and area sums run on the integer lattice, built here
 only: coordinates scaled by D, the lcm of their denominators, held in
 int64 arrays while every product fits and in arrays of Python ints otherwise.
 Every stage holds its cells, segments, faces and pieces on its level's
-lattice in `OnLattice` views, and the carrier-line kernels
-(`SegmentIndex`, `union_length`, `segment_components`) run on the ints.
+lattice in `OnLattice` views. `SegmentIndex` sorts a stage's segments,
+as one such array, into a run table of the carrier lines, whose runs
+`union_length` sums and `segment_components` joins.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations
-from operator import itemgetter, mul
+from itertools import accumulate, chain, combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
@@ -719,85 +719,71 @@ def common_lattice(*blocks) -> list:
     return [kind.of(lcm, block) for (kind, _), block in zip(blocks, rows)]
 
 
-# The moment p x w of a point p and a direction w: its components m_ij =
-# p_i w_j - p_j w_i for the index pairs i < j.
-_MOMENTS = {
-    2: lambda p, w: (p[0] * w[1] - p[1] * w[0],),
-    3: lambda p, w: (p[0] * w[1] - p[1] * w[0], p[0] * w[2] - p[2] * w[0], p[1] * w[2] - p[2] * w[1]),
-}
+def _fitted(grid: np.ndarray) -> np.ndarray:
+    """An array of lattice ints as the `lattice_dtype` of its largest magnitude."""
+    return grid.astype(lattice_dtype(max(int(grid.max(initial=0)), -int(grid.min(initial=0)))), copy=False)
 
 
-def _carrier(p, q) -> tuple:
-    """The key of the line through lattice points p < q and their parameters along it.
-
-    The key is integer Plücker coordinates: the direction w, q - p reduced
-    by its gcd, and the moment p x w, which every point of the line shares.
-    The parameter of a point x is x . w, which grows along w. As p < q, the
-    first nonzero component of w is positive. Coordinates that are
-    Fractions (points off the lattice) are scaled to ints before the gcd.
-    """
-    d = [b - a for a, b in zip(p, q)]
+def _segment_grid(rows: list) -> np.ndarray:
+    """Segment rows (p, q) of lattice ints as an (n, 2, d) `_fitted` array."""
+    d = len(rows[0][0])
     try:
-        g = math.gcd(*d)
-    except TypeError:  # Fractions
-        scale = math.lcm(*(c.denominator for c in d))
-        d = [int(c * scale) for c in d]
-        g = math.gcd(*d)
-    w = tuple([c // g for c in d])
-    return (w, _MOMENTS[len(p)](p, w)), sum(map(mul, p, w)), sum(map(mul, q, w))
+        grid = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.int64, 2 * d * len(rows))
+    except OverflowError:  # beyond int64
+        return np.array(rows, dtype=object)
+    return _fitted(grid.reshape(-1, 2, d))
 
 
-class _Line(NamedTuple):
-    """The segments on one carrier line and their merged runs.
+def _query_grid(points, d: int) -> np.ndarray:
+    """One query point or an array (or sequence) of them as an (m, d)
+    array: `_fitted`, or of objects when a Fraction (off the lattice) is among them."""
+    grid = points if isinstance(points, np.ndarray) else np.array(points, dtype=object)
+    grid = grid.reshape(-1, d)
+    if grid.dtype == object and not all(type(v) is int for v in grid.flat):
+        return grid
+    return _fitted(grid)
 
-    A run is a maximal chain of overlapping or touching intervals, so it
-    covers [starts[i], ends[i]] without a gap. Its segments are
-    entries[firsts[i]:firsts[i + 1]], and the first of them is the run's
-    representative.
-    """
 
-    entries: list
-    starts: list
-    ends: list
-    firsts: list
+# The moment p x w of points p along directions w: its components
+# m_ij = p_i w_j - p_j w_i for the index pairs i < j.
+_MOMENT_PAIRS = {d: [list(ij) for ij in zip(*combinations(range(d), 2))] for d in (2, 3)}
 
-    @classmethod
-    def of(cls, entries: list) -> "_Line":
-        starts: list = []
-        ends: list = []
-        firsts: list = []
-        for k, (lo, hi, _) in enumerate(entries):
-            if ends and lo <= ends[-1]:
-                if hi > ends[-1]:
-                    ends[-1] = hi
-            else:
-                starts.append(lo)
-                ends.append(hi)
-                firsts.append(k)
-        return cls(entries, starts, ends, firsts)
 
-    def run_at(self, t) -> int:
-        """Number of the run containing parameter t, or -1."""
-        i = bisect_right(self.starts, t) - 1
-        return i if i >= 0 and self.ends[i] >= t else -1
+def _line_keys(points: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the lines through points along directions w, both (m, d)
+    lattice arrays, and the points' parameters x . w along them. A key is
+    integer Plücker coordinates: w (primitive, first nonzero entry
+    positive), then the moment p x w that every point of the line shares."""
+    i, j = _MOMENT_PAIRS[points.shape[1]]
+    moments = points[:, i] * w[:, j] - points[:, j] * w[:, i]
+    return np.concatenate((w, moments), axis=1), (points * w).sum(axis=1)
+
+
+def _starts(rows: np.ndarray) -> np.ndarray:
+    """Where each row of a sorted array differs from the one before it (always at 0)."""
+    new = np.ones(len(rows), dtype=bool)
+    rows = rows.reshape(len(rows), -1)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    return new
 
 
 class SegmentIndex:
-    """Carrier-line index over a fixed set of segments, on their lattice.
+    """Carrier-line run table over a fixed set of segments, on their lattice.
 
-    The segments (`Segments`, or any segments, put on the lattice of their
-    denominators, D = `lcm`) are grouped by the integer key of their
-    carrier line, sorted along it and merged into runs of overlapping or
-    touching intervals (O(n log n)). A `Segments` view is immutable and
-    keeps the one index built over it (`Segments.index`), so
-    `SegmentIndex(view)` builds once per view and then returns that index;
-    any other segments get an index of their own.
+    The segments (a `Segments` view, or any segments put on the lattice of
+    their denominators, D = `lcm`) are one (n, 2, d) array, sorted once by
+    (line key, lo, hi) and cut into runs: maximal chains of overlapping or
+    touching segments of one line. A run starts where its lo exceeds the
+    running maximum of the his before it on its line, compared as
+    line * 2n + dense rank, which cannot overflow. A view keeps the one
+    index built over it (`Segments.index`), which `SegmentIndex(view)`
+    returns.
 
-    Two exact queries share one bisect over a line's runs: `covers`,
-    whether a query segment lies in the union of collinear indexed
-    segments, and `ids_through`, which segments pass through a point.
-    Query points are given on the lattice, as their coordinates times D;
-    a Fraction there is a point off the lattice.
+    In sorted order, `segments`, `lo`, `hi` and `run` hold each segment's
+    endpoints, parameters and run, and `order` its row; run r is sorted
+    segments run_first[r]:run_first[r + 1], of line `run_keys[r]`, covering
+    [run_lo[r], run_hi[r]]. Queries take points times D; a Fraction there
+    is a point off the lattice.
     """
 
     def __new__(cls, segments: Iterable[Segment]) -> "SegmentIndex":
@@ -812,75 +798,126 @@ class SegmentIndex:
         `members` holds the same rows, for `covers`."""
         self = super().__new__(cls)
         self.lcm, self.rows, self._members = lcm, rows, members
-        lines: dict = {}
-        for idx, (p, q) in enumerate(rows):
-            key, lo, hi = _carrier(p, q)
-            lines.setdefault(key, []).append((lo, hi, idx))
-        self._lines = {key: _Line.of(sorted(entries)) for key, entries in lines.items()}
-        self.directions = dict.fromkeys(w for w, _ in self._lines)
+        n = len(rows)
+        if not n:
+            return self
+        segments = _segment_grid(rows)
+        p, q = segments[:, 0], segments[:, 1]
+        step = q - p
+        w = step // np.gcd.reduce(step, axis=1)[:, None]
+        keys, lo = _line_keys(p, w)
+        hi = (q * w).sum(axis=1)
+        order = np.lexsort((hi, lo, *keys.T[::-1]))
+        keys, lo, hi = keys[order], lo[order], hi[order]
+        ends = np.concatenate((lo, hi))
+        by_value = np.argsort(ends, kind="stable")
+        rank = np.empty(2 * n, dtype=np.int64)
+        rank[by_value] = np.cumsum(_starts(ends[by_value]))  # dense, from 1
+        packed = np.cumsum(_starts(keys)) * (2 * n)  # line number times 2n
+        reach = np.maximum.accumulate(packed + rank[n:])
+        starts = np.ones(n, dtype=bool)
+        np.greater((packed + rank[:n])[1:], reach[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        d = segments.shape[2]
+        turns = _starts(keys[:, :d])
+        self.order, self.segments, self.lo, self.hi = order, segments[order], lo, hi
+        self.directions = keys[turns, :d]
+        self.run, self.run_first = np.cumsum(starts) - 1, np.concatenate((first, [n]))
+        self.run_keys, self.run_lo, self.run_hi = keys[first], lo[first], np.maximum.reduceat(hi, first)
         return self
 
-    def ids_through(self, p) -> list[int]:
-        """Indices of all segments whose closed support contains lattice point p.
+    def _runs_at(self, keys: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The run holding each query, a line key and a parameter along that
+        line, or -1: one lexsort of the queries among the run starts, where
+        each query meets the last run starting at or before it."""
+        count = len(self.run_lo)
+        table = np.concatenate((self.run_keys, keys))
+        at = np.concatenate((self.run_lo, t))
+        order = np.lexsort((np.arange(len(at)) >= count, at, *table.T[::-1]))
+        queries = order >= count
+        last = np.maximum.accumulate(np.where(queries, -1, order))
+        found = np.empty(len(t), dtype=np.int64)
+        found[order[queries] - count] = last[queries]
+        held = (found >= 0) & (self.run_keys[found] == keys).all(axis=1) & (self.run_hi[found] >= t)
+        return np.where(held, found, -1)
 
-        For each direction, the line through p is looked up and bisected
-        for the run containing p; only that run's segments that start at
-        or before p are scanned, so a query costs a bisect per direction
-        plus that scan.
+    def ids_through(self, points):
+        """The segments whose closed support contains each lattice point.
+
+        `points` is one point or an (m, d) array (or sequence) of them. A
+        batch gets an (h, 2) array of (point number, segment row) hits in
+        point order; one point, a batch of one, the list of its rows. Each
+        (point, direction) is one `_runs_at` query.
         """
-        found: list[int] = []
-        for w in self.directions:
-            line = self._lines.get((w, _MOMENTS[len(p)](p, w)))
-            if line is None:
-                continue
-            t = sum(map(mul, p, w))
-            i = line.run_at(t)
-            if i < 0:
-                continue
-            entries = line.entries
-            for k in range(line.firsts[i], len(entries)):
-                lo, hi, idx = entries[k]
-                if lo > t:
-                    break
-                if hi >= t:
-                    found.append(idx)
-        return found
+        single = np.ndim(points) == 1
+        if self.rows:
+            k = len(self.directions)
+            grid = _query_grid(points, self.directions.shape[1])
+            keys, t = _line_keys(np.repeat(grid, k, axis=0), np.tile(self.directions, (len(grid), 1)))
+            runs = self._runs_at(keys, t)
+            query = np.flatnonzero(runs >= 0)
+            first, stop = self.run_first[runs[query]], self.run_first[runs[query] + 1]
+            sizes = stop - first
+            which = np.repeat(query, sizes)
+            at = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+            t = t[which]
+            inside = (self.lo[at] <= t) & (t <= self.hi[at])
+            hits = np.stack((which[inside] // k, self.order[at[inside]]), axis=1)
+        else:
+            hits = np.empty((0, 2), dtype=np.int64)
+        return hits[:, 1].tolist() if single else hits
 
     def covers(self, p, q) -> bool:
         """True iff the segment between lattice points p and q lies inside
         the union of collinear indexed segments.
 
         An indexed row, (p, q) or (q, p), is answered by membership; any
-        other segment, such as a part or a displaced copy of a row, by the
-        exact carrier-line test."""
+        other segment, such as a part or a displaced copy of a row, by
+        looking up the run holding its lower end on its line, which must
+        reach its upper end."""
         if (p, q) in self._members or (q, p) in self._members:
             return True
-        key, ta, tb = _carrier(p, q) if p < q else _carrier(q, p)
-        line = self._lines.get(key)
-        if line is None:
+        if not self.rows:
             return False
-        i = line.run_at(ta)
-        return i >= 0 and line.ends[i] >= tb
+        if p == q:  # a point: covered when a segment passes through it
+            return bool(self.ids_through(p))
+        if q < p:
+            p, q = q, p
+        step = [b - a for a, b in zip(p, q)]
+        scale = math.lcm(*(Fraction(c).denominator for c in step))  # off the lattice: scale to ints
+        step = [int(c * scale) for c in step]
+        g = math.gcd(*step)
+        grid = _query_grid((p, q, [c // g for c in step]), len(p))
+        keys, t = _line_keys(grid[:2], grid[[2, 2]])
+        run = self._runs_at(keys[:1], t[:1])[0]
+        return bool(run >= 0 and self.run_hi[run] >= t[1])
 
 
 def union_length(segments: Iterable[Segment]) -> Fraction:
     """Exact 1-dimensional measure of a union of axis-parallel segments.
 
-    Segments are grouped by carrier line, overlapping intervals are merged,
-    and the merged lengths are summed; overlaps are therefore counted once.
-    An axis-parallel direction is a unit vector, so the lengths are sums
-    of lattice ints, divided by D once. Raises UnsupportedGeometryError for
-    any non-axis-parallel segment.
+    The sum of the run extents of their `SegmentIndex`, divided by D once.
+    Raises UnsupportedGeometryError for any other segment, showing the
+    first segment along the line of the first such row.
     """
     index = SegmentIndex(segments)
-    total = 0
-    for (w, _), line in index._lines.items():
-        if sum(map(bool, w)) != 1:
-            p, q = index.rows[line.entries[0][2]]
-            shown = [[str(Fraction(v, index.lcm)) for v in point] for point in (p, q)]
-            raise UnsupportedGeometryError(f"union_length requires axis-parallel segments, got {shown}")
-        total += sum(line.ends) - sum(line.starts)
-    return Fraction(total, index.lcm)
+    if not index.rows:
+        return Fraction(0)
+    if any(sum(map(bool, w)) != 1 for w in index.directions.tolist()):
+        skew = next(i for i, (p, q) in enumerate(index.rows) if sum(a != b for a, b in zip(p, q)) != 1)
+        run = index.run[np.flatnonzero(index.order == skew)[0]]
+        line = np.flatnonzero((index.run_keys == index.run_keys[run]).all(axis=1))[0]
+        p, q = index.rows[index.order[index.run_first[line]]]
+        shown = [[str(Fraction(v, index.lcm)) for v in point] for point in (p, q)]
+        raise UnsupportedGeometryError(f"union_length requires axis-parallel segments, got {shown}")
+    return Fraction(int((index.run_hi - index.run_lo).sum()), index.lcm)
+
+
+def _joins(at: np.ndarray, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run pairs chaining the distinct runs at each point: each run to the
+    one before it, given runs grouped by point and then by run."""
+    join = (at[1:] == at[:-1]) & (runs[1:] != runs[:-1])
+    return runs[:-1][join], runs[1:][join]
 
 
 def segment_components(segments: Iterable[Segment]) -> int:
@@ -891,38 +928,32 @@ def segment_components(segments: Iterable[Segment]) -> int:
     between segments includes such an endpoint incidence, so this equals
     topological connectivity of the union.
 
-    The kernel sorts and sweeps instead of testing pairs, on lattice ints.
-    The segments of each merged run of a carrier line are joined to the
-    run's representative: collinear segments meet at an endpoint exactly
-    when their closed intervals intersect. Then each distinct endpoint p is
-    resolved. Where segments of every indexed direction end at p, each
-    segment through p lies on the line of one of them and so already sits
-    in its run: joining one ending segment per direction suffices. Any
-    other endpoint (a T-junction, or a vertex in a single direction) joins
-    everything `ids_through` finds through it. Grouping, sorting and the
-    sweep cost O(n log n); the constructions' vertices mostly take the
-    first branch, and an `ids_through` lookup is a bisect per direction
-    plus a scan of the run it lands in.
+    Union-find joins the runs of their `SegmentIndex`, each connected:
+    collinear segments meet at an endpoint exactly when their intervals
+    intersect. The endpoints, sorted by (point, run), chain the runs ending
+    at each point. Where segments of every direction end at p, every run
+    through p is among them; the other endpoints (T-junctions, tetra
+    vertices) chain the runs that one batched `ids_through` finds.
     """
     index = SegmentIndex(segments)
     n = len(index.rows)
     if n == 0:
         return 0
-    uf = UnionFind(n)
-    ending: dict = {}  # endpoint -> {direction: a segment ending there}
-    for (w, _), line in index._lines.items():
-        bounds = line.firsts + [len(line.entries)]
-        for first, stop in zip(bounds, bounds[1:]):
-            rep = line.entries[first][2]
-            for _, _, idx in line.entries[first + 1 : stop]:
-                uf.union(rep, idx)
-        for _, _, idx in line.entries:
-            p, q = index.rows[idx]
-            ending.setdefault(p, {})[w] = idx
-            ending.setdefault(q, {})[w] = idx
-    every = len(index.directions)
-    for p, by_direction in ending.items():
-        ids = list(by_direction.values()) if len(by_direction) == every else index.ids_through(p)
-        for idx in ids[1:]:
-            uf.union(ids[0], idx)
+    ends = index.segments.reshape(2 * n, -1)  # p, q of each sorted segment in turn
+    run = index.run.repeat(2)
+    order = np.lexsort((run, *ends.T[::-1]))
+    ends, run = ends[order], run[order]
+    new_point = _starts(ends)
+    firsts = np.flatnonzero(new_point)
+    a, b = _joins(np.cumsum(new_point), run)
+    short = np.add.reduceat(new_point | _starts(run), firsts) < len(index.directions)
+    if short.any():
+        hits = index.ids_through(ends[firsts[short]])
+        run_of_row = np.empty(n, dtype=np.int64)
+        run_of_row[index.order] = index.run
+        more_a, more_b = _joins(hits[:, 0], run_of_row[hits[:, 1]])
+        a, b = np.concatenate((a, more_a)), np.concatenate((b, more_b))
+    uf = UnionFind(len(index.run_lo))
+    for x, y in zip(a.tolist(), b.tolist()):
+        uf.union(x, y)
     return uf.components

@@ -252,7 +252,7 @@ def boundary_incidence(stage: Stage3) -> int:
     edge lattice is caught. The skeleton keeps one SegmentIndex, built in
     O(n log n) on first use and shared with `connectivity3`. Every face
     edge of a built stage is itself a skeleton row, which `covers` answers
-    by membership; any other edge costs one carrier-line bisect.
+    by membership; any other edge costs one run-table lookup.
     """
     index = SegmentIndex(stage.skeleton)
     violations = 0

@@ -284,7 +284,8 @@ def winding_by_roots(s: Union[Symbol, Sequence[Symbol]]):
 
     q is an honest polynomial of degree m + p; the winding of s equals
     (number of roots of q inside the open unit disk) - m. Roots within
-    1e-6 of the circle mean the symbol (numerically) vanishes there.
+    ROOT_CIRCLE_TOL of the circle mean the symbol (numerically) vanishes
+    there; the NotFredholmError names the tolerance.
 
     The roots are the eigenvalues of q's companion matrix, built as
     `np.roots` builds it: zero leading coefficients are stripped and each
@@ -326,7 +327,9 @@ def winding_by_roots(s: Union[Symbol, Sequence[Symbol]]):
             elif not converged:
                 failures[row] = NumericalError("root finding failed: Eigenvalues did not converge")
             elif near:
-                failures[row] = NotFredholmError("a symbol root lies on (or within 1e-6 of) the unit circle")
+                failures[row] = NotFredholmError(
+                    f"a symbol root lies on (or within {ROOT_CIRCLE_TOL:.0e} of) the unit circle"
+                )
             else:
                 windings[row] = count + offset
     _raise_first(failures)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,9 +18,10 @@ from quasifractal.errors import (
     NumericalError,
     ParameterError,
     SamplingFailureError,
+    UnsupportedGeometryError,
 )
-from quasifractal.geometry import Cell, Loop, Point2, Point3, Segment, Simplex, area_vector, ring_edges
-from quasifractal.geometry import signed_area, simplex_children
+from quasifractal.geometry import Cell, Loop, Point2, Point3, Segment, Segments, Simplex, area_vector, lattice_rows
+from quasifractal.geometry import ring_edges, signed_area, simplex_children
 from quasifractal.planar import CARPET, AreaAccount, Piece, PieceSet, base_cell
 from quasifractal.spatial import CUBE_WIREFRAME, Face3
 from quasifractal.topology import HoleSet, centroid
@@ -652,7 +656,7 @@ def winding_by_roots_oracle(s) -> int:
         raise NumericalError(f"root finding failed: {exc}") from exc
     moduli = np.abs(roots)
     if np.any(np.abs(moduli - 1.0) < toeplitz.ROOT_CIRCLE_TOL):
-        raise NotFredholmError("a symbol root lies on (or within 1e-6 of) the unit circle")
+        raise NotFredholmError(f"a symbol root lies on (or within {toeplitz.ROOT_CIRCLE_TOL:.0e} of) the unit circle")
     return int((moduli < 1.0).sum()) - m
 
 
@@ -666,3 +670,158 @@ def random_check_oracle(rng, count: int):
         by_argument.append(sample_argument_oracle(symbols[-1]))
         by_roots.append(winding_by_roots_oracle(symbols[-1]))
     return symbols, by_argument, by_roots
+
+
+# The tuple kernel the array carrier-line kernel replaced, kept as its
+# oracle: per segment, the integer Plücker key of its carrier line, then
+# per line a sorted list of intervals merged into runs by a Python sweep.
+_MOMENTS = {
+    2: lambda p, w: (p[0] * w[1] - p[1] * w[0],),
+    3: lambda p, w: (p[0] * w[1] - p[1] * w[0], p[0] * w[2] - p[2] * w[0], p[1] * w[2] - p[2] * w[1]),
+}
+
+
+def _carrier(p, q) -> tuple:
+    """The key (w, p x w) of the line through lattice points p < q and their
+    parameters x . w along it; Fractions (points off the lattice) are
+    scaled to ints before the gcd."""
+    d = [b - a for a, b in zip(p, q)]
+    try:
+        g = math.gcd(*d)
+    except TypeError:  # Fractions
+        scale = math.lcm(*(c.denominator for c in d))
+        d = [int(c * scale) for c in d]
+        g = math.gcd(*d)
+    w = tuple([c // g for c in d])
+    return (w, _MOMENTS[len(p)](p, w)), sum(map(mul, p, w)), sum(map(mul, q, w))
+
+
+class _Line(NamedTuple):
+    """The (lo, hi, row) entries of one carrier line, sorted, and their runs:
+    run i covers [starts[i], ends[i]] and holds entries[firsts[i]:firsts[i + 1]]."""
+
+    entries: list
+    starts: list
+    ends: list
+    firsts: list
+
+    @classmethod
+    def of(cls, entries: list) -> "_Line":
+        starts: list = []
+        ends: list = []
+        firsts: list = []
+        for k, (lo, hi, _) in enumerate(entries):
+            if ends and lo <= ends[-1]:
+                if hi > ends[-1]:
+                    ends[-1] = hi
+            else:
+                starts.append(lo)
+                ends.append(hi)
+                firsts.append(k)
+        return cls(entries, starts, ends, firsts)
+
+    def run_at(self, t) -> int:
+        """Number of the run containing parameter t, or -1."""
+        i = bisect_right(self.starts, t) - 1
+        return i if i >= 0 and self.ends[i] >= t else -1
+
+
+class TupleSegmentIndex:
+    """`geometry.SegmentIndex` as a dict of `_Line`s, over the same rows in
+    the same order: a `Segments` view's own rows, or any segments put on
+    the lattice of their denominators."""
+
+    def __init__(self, segments):
+        if isinstance(segments, Segments):
+            self.lcm, self.rows = segments.lcm, list(segments.rows)
+        else:
+            self.lcm, (self.rows,) = lattice_rows((Segments.row, segments))
+        self._members = set(self.rows)
+        lines: dict = {}
+        for idx, (p, q) in enumerate(self.rows):
+            key, lo, hi = _carrier(p, q)
+            lines.setdefault(key, []).append((lo, hi, idx))
+        self._lines = {key: _Line.of(sorted(entries)) for key, entries in lines.items()}
+        self.directions = dict.fromkeys(w for w, _ in self._lines)
+
+    def ids_through(self, p) -> list[int]:
+        """Rows of all segments whose closed support contains lattice point p."""
+        found: list[int] = []
+        for w in self.directions:
+            line = self._lines.get((w, _MOMENTS[len(p)](p, w)))
+            if line is None:
+                continue
+            t = sum(map(mul, p, w))
+            i = line.run_at(t)
+            if i < 0:
+                continue
+            entries = line.entries
+            for k in range(line.firsts[i], len(entries)):
+                lo, hi, idx = entries[k]
+                if lo > t:
+                    break
+                if hi >= t:
+                    found.append(idx)
+        return found
+
+    def covers(self, p, q) -> bool:
+        """Whether the segment pq lies in the union of collinear indexed segments."""
+        if (p, q) in self._members or (q, p) in self._members:
+            return True
+        key, ta, tb = _carrier(p, q) if p < q else _carrier(q, p)
+        line = self._lines.get(key)
+        if line is None:
+            return False
+        i = line.run_at(ta)
+        return i >= 0 and line.ends[i] >= tb
+
+
+def tuple_union_length(segments) -> Fraction:
+    """`geometry.union_length` by `TupleSegmentIndex`, with the same error text."""
+    index = TupleSegmentIndex(segments)
+    total = 0
+    for (w, _), line in index._lines.items():
+        if sum(map(bool, w)) != 1:
+            p, q = index.rows[line.entries[0][2]]
+            shown = [[str(Fraction(v, index.lcm)) for v in point] for point in (p, q)]
+            raise UnsupportedGeometryError(f"union_length requires axis-parallel segments, got {shown}")
+        total += sum(line.ends) - sum(line.starts)
+    return Fraction(total, index.lcm)
+
+
+def tuple_segment_components(segments) -> int:
+    """`geometry.segment_components` by `TupleSegmentIndex`: the segments of
+    each run joined to its first, then at each endpoint one ending segment
+    per direction, or everything `ids_through` finds where a direction is
+    missing."""
+    index = TupleSegmentIndex(segments)
+    n = len(index.rows)
+    if n == 0:
+        return 0
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    ending: dict = {}
+    for (w, _), line in index._lines.items():
+        bounds = line.firsts + [len(line.entries)]
+        for first, stop in zip(bounds, bounds[1:]):
+            for _, _, idx in line.entries[first + 1 : stop]:
+                union(line.entries[first][2], idx)
+        for _, _, idx in line.entries:
+            p, q = index.rows[idx]
+            ending.setdefault(p, {})[w] = idx
+            ending.setdefault(q, {})[w] = idx
+    every = len(index.directions)
+    for p, by_direction in ending.items():
+        ids = list(by_direction.values()) if len(by_direction) == every else index.ids_through(p)
+        for idx in ids[1:]:
+            union(ids[0], idx)
+    return len({find(i) for i in range(n)})

@@ -401,6 +401,14 @@ def test_random_check_fails_with_the_first_error_of_the_per_draw_loop(seed, mess
     assert capsys.readouterr().err == err
 
 
+def test_root_circle_error_names_the_tolerance_in_force(monkeypatch, capsys):
+    # seed 6 draws a symbol with a root within 0.05 of the circle first
+    monkeypatch.setattr(toeplitz, "ROOT_CIRCLE_TOL", 0.05)
+    argv = ["toeplitz", "--symbol", "1:1", "--random-check", "20", "--seed", "6"]
+    assert main(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical error: a symbol root lies on (or within 5e-02 of) the unit circle\n"
+
+
 def test_toeplitz_symbol_band_cap_exits_capacity_fast(capsys):
     start = time.perf_counter()
     assert main(["toeplitz", "--symbol", f"0:1, {SYMBOL_BAND_CAP + 1}:0.5"]) == EXIT_CAPACITY
@@ -772,12 +780,22 @@ def test_stage_documents_refuse_points_off_the_construction(mismatch, tmp_path, 
 )
 def test_skeleton_request_takes_one_carrier_line_pass(argv, count, monkeypatch, tmp_path):
     # union length, connectivity and incidence share the stage's one index,
-    # and every face edge is a skeleton row, answered by membership
-    from quasifractal import geometry
+    # built in one pass over every segment, and every face edge is a
+    # skeleton row, answered by membership: the only run lookups are the
+    # batched ids_through of connectivity
+    from quasifractal.geometry import SegmentIndex
 
-    calls = []
-    carrier = geometry._carrier
-    monkeypatch.setattr(geometry, "_carrier", lambda p, q: calls.append(1) or carrier(p, q))
+    builds, lookups, batches = [], [], []
+    over, runs_at, ids_through = SegmentIndex._over.__func__, SegmentIndex._runs_at, SegmentIndex.ids_through
+
+    def counted_over(cls, lcm, rows, members):
+        builds.append(len(rows))
+        return over(cls, lcm, rows, members)
+
+    monkeypatch.setattr(SegmentIndex, "_over", classmethod(counted_over))
+    monkeypatch.setattr(SegmentIndex, "_runs_at", lambda *args: lookups.append(1) or runs_at(*args))
+    monkeypatch.setattr(SegmentIndex, "ids_through", lambda *args: batches.append(1) or ids_through(*args))
     out = tmp_path / "s.json"
     assert main(argv + ["--out", str(out)]) == EXIT_OK
-    assert len(calls) == json.loads(out.read_text())["measures"][count]
+    assert builds == [json.loads(out.read_text())["measures"][count]]
+    assert len(lookups) == len(batches) <= 1

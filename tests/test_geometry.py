@@ -18,10 +18,11 @@ from helpers import (
     random_point_off_loop,
     square_loop,
     star_loop,
+    tuple_segment_components,
+    tuple_union_length,
     union_length_oracle,
     winding_oracle,
 )
-from quasifractal import geometry
 from quasifractal.errors import (
     CapacityError,
     IndeterminateWindingError,
@@ -339,7 +340,7 @@ TETRA_DIRECTIONS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0,
 
 
 def _along(p, direction, t):
-    return Point3(*(c + t * d for c, d in zip(p, direction)))
+    return type(p)(*(c + t * d for c, d in zip(p, direction)))
 
 
 def _tetra_direction_segments(rng):
@@ -423,15 +424,15 @@ def test_segment_index_queries_match_brute_force():
             assert index.covers(lp, lq) == index.covers(lq, lp) == _brute_covers(segments, p, q)
 
 
-def _covers_queries(segments, rng):
+def _covers_queries(segments, rng, directions=TETRA_DIRECTIONS):
     """Query pairs around indexed segments: parts of one, spans over two
-    that touch, and displaced or overlong copies."""
+    that touch, and copies displaced along one of `directions` or overlong."""
     queries = []
     for s in segments:
         d = tuple(b - a for a, b in zip(s.a, s.b))
         lo, hi = sorted(rng.sample(range(5), 2))
         queries.append((_along(s.a, d, F(lo, 4)), _along(s.a, d, F(hi, 4))))
-        shift = rng.choice(TETRA_DIRECTIONS)
+        shift = rng.choice(directions)
         queries.append((_along(s.a, shift, F(1, 4)), _along(s.b, shift, F(1, 4))))
         queries.append((s.a, _along(s.b, d, F(1, 4))))
     for s, t in combinations(segments, 2):  # from the far end of s to the far end of t
@@ -444,19 +445,21 @@ def _covers_queries(segments, rng):
 
 def test_segment_index_membership_path_matches_brute_force(monkeypatch):
     rng = random.Random(505)
-    carriers = []
-    carrier = geometry._carrier
-    monkeypatch.setattr(geometry, "_carrier", lambda p, q: carriers.append(1) or carrier(p, q))
+    builds, lookups = [], []
+    over, runs_at = SegmentIndex._over.__func__, SegmentIndex._runs_at
+    monkeypatch.setattr(SegmentIndex, "_over", classmethod(lambda *args: builds.append(1) or over(*args)))
+    monkeypatch.setattr(SegmentIndex, "_runs_at", lambda *args: lookups.append(1) or runs_at(*args))
     for _ in range(40):
         segments = _tetra_direction_segments(rng)
         (view,) = common_lattice((Segments, segments))
+        built = len(builds)
         index = SegmentIndex(view)
-        assert SegmentIndex(view) is index
-        built = len(carriers)
+        assert SegmentIndex(view) is index and len(builds) == built + 1
+        looked_up = len(lookups)
         for s in segments:  # indexed rows, in both orientations: answered by membership alone
             lp, lq = on_lattice_of(index, s.a, s.b)
             assert index.covers(lp, lq) and index.covers(lq, lp)
-        assert len(carriers) == built
+        assert len(lookups) == looked_up
         for p, q in _covers_queries(segments, rng):
             lp, lq = on_lattice_of(index, p, q)
             assert index.covers(lp, lq) == index.covers(lq, lp) == _brute_covers(segments, p, q), (p, q)
@@ -465,6 +468,76 @@ def test_segment_index_membership_path_matches_brute_force(monkeypatch):
         for p, q in _covers_queries(segments, rng):
             lp, lq = on_lattice_of(own, p, q)
             assert own.covers(lp, lq) == _brute_covers(segments, p, q), (p, q)
+
+
+# Axis, diagonal and tetra directions in the plane and in space.
+MIXED_DIRECTIONS = {
+    2: ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1)),
+    3: TETRA_DIRECTIONS + ((1, 1, 1), (2, 0, 1)),
+}
+_POINTS = {2: Point2, 3: Point3}
+
+
+def _mixed_segments(rng, dim, offset):
+    """Segments along `MIXED_DIRECTIONS[dim]` (axis directions only in about
+    a third of the sets) with collinear overlaps, nested and touching
+    companions and T-junctions, shifted by `offset` in every coordinate."""
+    directions = MIXED_DIRECTIONS[dim][: dim if rng.random() < 0.35 else None]
+    segments = set()
+    for _ in range(rng.randint(1, 9)):
+        start = _POINTS[dim](*(offset + F(rng.randint(0, 6), 2) for _ in range(dim)))
+        direction = rng.choice(directions)
+        length = F(rng.randint(1, 4), 2)
+        end = _along(start, direction, length)
+        segments.add(Segment(start, end))
+        roll = rng.random()
+        if roll < 0.2:  # nested inside it, possibly sharing an end
+            lo, hi = sorted(rng.sample(range(5), 2))
+            segments.add(Segment(_along(start, direction, length * lo / 4), _along(start, direction, length * hi / 4)))
+        elif roll < 0.4:  # overlapping it past its end
+            segments.add(Segment(_along(start, direction, length / 2), _along(end, direction, length / 2)))
+        elif roll < 0.55:  # touching it end to end
+            segments.add(Segment(end, _along(end, direction, F(rng.randint(1, 3), 2))))
+        elif roll < 0.8:  # a T-junction onto its midpoint from another direction
+            mid = _along(start, direction, length / 2)
+            other = rng.choice([d for d in directions if d != direction] or [direction])
+            segments.add(Segment(mid, _along(mid, other, F(rng.choice((-1, 1)) * rng.randint(1, 3), 2))))
+    return sorted(segments)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("offset", [0, 3**25], ids=["int64", "object"])
+def test_array_kernel_matches_the_tuple_kernel(dim, offset):
+    rng = random.Random(1800 + 10 * dim + bool(offset))
+    components, skew = set(), 0
+    for _ in range(50):
+        segments = _mixed_segments(rng, dim, offset)
+        index = SegmentIndex(segments)
+        assert (index.run_lo.dtype == object) == bool(offset)
+        expected = pairwise_components(segments)
+        assert segment_components(segments) == tuple_segment_components(segments) == expected
+        components.add(expected)
+        try:
+            length = tuple_union_length(segments)
+        except UnsupportedGeometryError as exc:
+            skew += 1
+            with pytest.raises(UnsupportedGeometryError) as raised:
+                union_length(segments)
+            assert str(raised.value) == str(exc)
+        else:
+            assert union_length(segments) == length == union_length_oracle(segments)
+        points = sorted({e for s in segments for e in (s.a, s.b)} | {midpoint(s.a, s.b) for s in segments})
+        points += [_along(rng.choice(points), [rng.randint(-4, 4) for _ in range(dim)], F(1, 8)) for _ in range(8)]
+        hits = index.ids_through(on_lattice_of(index, *points))
+        for number, p in enumerate(points):  # quarter points are off the lattice when D is 2
+            through = _brute_ids_through(segments, p)
+            assert sorted(hits[hits[:, 0] == number, 1].tolist()) == through, p
+            assert index.covers(*on_lattice_of(index, p, p)) == bool(through), p
+        assert sorted(index.ids_through(*on_lattice_of(index, points[0]))) == _brute_ids_through(segments, points[0])
+        for p, q in _covers_queries(segments, rng, MIXED_DIRECTIONS[dim]):
+            lp, lq = on_lattice_of(index, p, q)
+            assert index.covers(lp, lq) == index.covers(lq, lp) == _brute_covers(segments, p, q), (p, q)
+    assert {1, 2, 3} <= components and 0 < skew < 50
 
 
 @pytest.mark.parametrize("a, depth", [(F(1, 3), 2), (F(2, 5), 2), (F(1, 2), 2), (F(1, 5), 1)])

@@ -5,7 +5,9 @@ written from its rows. Each is compared with the same construction done
 one `Fraction` object at a time (`helpers.build_stage2_oracle`,
 `helpers.build_spatial_oracle`): cells, segments, faces and their squared
 areas; union length, components and incidence; and the document, SVG and
-OBJ bytes, written from the objects by the oracle writers.
+OBJ bytes, written from the objects by the oracle writers. The deck's
+stages are also measured by the tuple carrier-line kernel that the array
+kernel replaced (`helpers.TupleSegmentIndex`).
 """
 
 import json
@@ -15,6 +17,7 @@ import pytest
 
 from helpers import (
     F,
+    TupleSegmentIndex,
     build_spatial_oracle,
     build_stage2_oracle,
     face3_oracle,
@@ -23,6 +26,8 @@ from helpers import (
     pairwise_components,
     stage2_svg_oracle,
     stage_document_oracle,
+    tuple_segment_components,
+    tuple_union_length,
     union_length_oracle,
 )
 from quasifractal.cantor import Params2, build, connectivity
@@ -35,7 +40,8 @@ from quasifractal.document import (
     stage2_to_document,
     stage3_to_document,
 )
-from quasifractal.geometry import Point3, union_length
+from quasifractal.errors import UnsupportedGeometryError
+from quasifractal.geometry import Point3, ring_edges, union_length
 from quasifractal.render import export_obj, render_svg
 from quasifractal.spatial import (
     CUBE_WIREFRAME,
@@ -146,3 +152,36 @@ def test_hand_built_stages_go_on_the_lattice_of_their_denominators():
     assert again == stage and again.cells.lcm == again.segments.lcm == 9
     assert again.segments.rows == stage.segments.rows
     assert union_length(segments) == union_length(stage.segments) == Fraction(union_length_oracle(segments))
+
+
+# The deck's scale factors at the depths the skeleton workload builds, and
+# 997/1999 one level deeper, past the int64 bound of the lattice.
+SWEEP = [
+    *[("cantor", F(a), depth) for a in ("1/5", "1/4", "1/3", "2/5", "3/7", "1/2") for depth in range(5)],
+    ("cantor", F(997, 1999), 3),
+    *[(CUBE_WIREFRAME, F(a), depth) for a in ("1/5", "1/4", "1/3") for depth in range(3)],
+    (CUBE_WIREFRAME, F(997, 1999), 3),
+    *[(TETRA_GASKET, None, depth) for depth in range(5)],
+]
+
+
+@pytest.mark.parametrize("kind, a, depth", SWEEP, ids=str)
+def test_stage_measures_match_the_tuple_kernel(kind, a, depth):
+    if kind == "cantor":
+        stage = build(Params2(a, depth))
+        segments, components = stage.segments, connectivity(stage)
+    else:
+        stage = build_spatial(SpatialVariant(kind, a), depth)
+        segments, components = stage.skeleton, connectivity3(stage)
+        oracle = TupleSegmentIndex(segments)
+        missing = sum(not oracle.covers(p, q) for ring, _, _ in stage.pieces.rows for p, q in ring_edges(ring))
+        assert boundary_incidence(stage) == missing == 0
+    assert components == tuple_segment_components(segments) == 1
+    try:
+        length = tuple_union_length(segments)
+    except UnsupportedGeometryError as exc:  # the tetrahedron's diagonal edges
+        with pytest.raises(UnsupportedGeometryError) as raised:
+            union_length(segments)
+        assert str(raised.value) == str(exc)
+    else:
+        assert union_length(segments) == length
