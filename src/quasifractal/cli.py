@@ -185,12 +185,13 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _read_document(path: str) -> dict:
+def _read_document(path: str) -> tuple[dict, str]:
+    """A document parsed, and its text, which its reader compares as well."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParameterError(f"cannot read document {path}: {exc}") from exc
-    return document.loads_document(text)
+    return document.loads_document(text), text
 
 
 def parse_loop(text: str) -> Loop:
@@ -327,8 +328,7 @@ def _cmd_measure(options: dict) -> int:
 
 
 def _cmd_index(options: dict) -> int:
-    doc = _read_document(_require(options, "pieces"))
-    ps = document.document_to_pieces(doc)
+    ps = document.document_to_pieces(*_read_document(_require(options, "pieces")))
     loop = parse_loop(_require(options, "loop"))
     holes = topology.HoleSet.from_pieces(ps.removed)
     entries = topology.index_vector(loop, holes)
@@ -387,16 +387,16 @@ def _cmd_toeplitz(options: dict) -> int:
 
 def _cmd_render(options: dict) -> int:
     loop = parse_loop(options["loop"]) if options.get("loop") else None
-    doc = _read_document(_require(options, "input"))
+    doc, source = _read_document(_require(options, "input"))
     kind = doc["kind"]
     if kind in (spatial.CUBE_WIREFRAME, spatial.TETRA_GASKET):
         if loop is not None:
             raise ParameterError(f"--loop overlays 2D documents only, not {kind}")
-        text = render.export_obj(document.document_to_stage3(doc))
+        text = render.export_obj(document.document_to_stage3(doc, source))
     elif kind == "cantor2d":
-        text = render.render_svg(document.document_to_stage2(doc), loop=loop)
+        text = render.render_svg(document.document_to_stage2(doc, source), loop=loop)
     else:
-        ps = document.document_to_pieces(doc)
+        ps = document.document_to_pieces(doc, source)
         holes = topology.HoleSet.from_pieces(ps.removed) if loop is not None else None
         text = render.render_svg(ps, loop=loop, holes=holes)
     _write(text, options.get("out"))

@@ -3,30 +3,42 @@
 Every rational value is serialized as a "p/q" string (plain "p" when the
 denominator is 1), never as a float, so parse(serialize(x)) reproduces x
 with exact equality. Floating values appear only inside the informational
-`measures` block, which is not used for reconstruction. Collections are
-emitted in canonical order so documents are byte-deterministic.
+`measures` block. Collections are emitted in canonical order so documents
+are byte-deterministic.
+
+A stage is fixed by its header (kind, `params`, `level`), so a reader
+rebuilds that stage and accepts the input only if it is the stage's
+document, key for key and JSON type for JSON type; `measures` is left
+out, unchecked. The reader returns the rebuilt stage.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from contextlib import suppress
 from fractions import Fraction
-from functools import wraps
+from itertools import zip_longest
 
-from .cantor import DEPTH_CAP, Params2, Stage2
-from .errors import CapacityError, ParameterError, QuasifractalError
-from .geometry import BoxCells, LatticeTable, Segments, Simplices, check_depth, check_ring, lattice_groups
-from .geometry import rational
-from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, Cells, Pieces, PieceSet
-from .spatial import CUBE_DEPTH_CAP, CUBE_WIREFRAME, TETRA_DEPTH_CAP, TETRA_GASKET
-from .spatial import Faces, SpatialVariant, Stage3
+from . import cantor, planar, spatial
+from .cantor import DEPTH_CAP, Stage2
+from .errors import CapacityError, ParameterError
+from .geometry import BoxCells, LatticeTable, Segments, check_depth, rational
+from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, PieceSet
+from .spatial import CUBE_DEPTH_CAP, CUBE_WIREFRAME, TETRA_DEPTH_CAP, TETRA_GASKET, Stage3
 
 SCHEMA_VERSION = 1
 
 _string = json.encoder.encode_basestring_ascii
 
-_KINDS = ("cantor2d", CARPET, GASKET, CUBE_WIREFRAME, TETRA_GASKET)
+# kind -> (its list of cells, the cells a cell splits into, the level cap)
+_SHAPES = {
+    "cantor2d": ("cells", 4, DEPTH_CAP),
+    CARPET: ("kept", 8, CARPET_DEPTH_CAP),
+    GASKET: ("kept", 3, GASKET_DEPTH_CAP),
+    CUBE_WIREFRAME: ("cells", 8, CUBE_DEPTH_CAP),
+    TETRA_GASKET: ("cells", 4, TETRA_DEPTH_CAP),
+}
+_KINDS = tuple(_SHAPES)
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -34,98 +46,6 @@ def format_rational(x: Fraction | int) -> str:
         return str(x)
     except ValueError as exc:  # beyond the interpreter's int-to-str digit limit
         raise CapacityError(f"rational too large to write: {exc}") from exc
-
-
-def _count(value, what: str, cap: int | None = None) -> int:
-    """A count field: a JSON integer, not a bool, a float or a string."""
-    if type(value) is not int:
-        raise ParameterError(f"{what} must be an integer, got {value!r}")
-    return check_depth(value, cap, what=what)
-
-
-class _Lattice(dict):
-    """One document's coordinates on the lattice of D = `lcm`, by their entries.
-
-    A coordinate must be a multiple of 1/D in [0, 1]. Each distinct entry
-    is read (through `_Numbers`), checked and scaled once. Only string
-    entries are kept, so an entry that is a bool or a float is read, and
-    refused, every time; an unhashable entry raises TypeError.
-    """
-
-    def __init__(self, kind: str, dim: int, numbers: "_Numbers", lcm: int):
-        super().__init__()
-        self.kind = kind
-        self.dim = dim
-        self.numbers = numbers
-        self.lcm = lcm
-
-    def __missing__(self, entry) -> int:
-        value = self.numbers.read(entry)
-        n, q = value.as_integer_ratio()
-        if self.lcm % q or not 0 <= n <= q:
-            raise ParameterError(
-                f"{self.kind} coordinate {value} is not a multiple of 1/{self.lcm} in [0, 1]"
-            )
-        scaled = n * (self.lcm // q)
-        if type(entry) is str:
-            self[entry] = scaled
-        return scaled
-
-    def point(self, data) -> tuple:
-        """Read a point from its list of dim "p/q" coordinates."""
-        if type(data) is not list or len(data) != self.dim:
-            raise ParameterError(f"expected a list of {self.dim} coordinates, got {data!r}")
-        if self.dim == 2:  # unpacked: a third of the time of a generic tuple(map(...))
-            x, y = data
-            return self[x], self[y]
-        x, y, z = data
-        return self[x], self[y], self[z]
-
-    def vertices(self, data) -> tuple:
-        """Read the dim + 1 vertices of a tetrahedron."""
-        if len(data) != self.dim + 1:
-            raise ParameterError(f"expected {self.dim + 1} vertices, got {len(data)}")
-        return tuple(map(self.point, data))
-
-    def segments(self, data) -> set:
-        """Read a list of segments, each a pair of distinct points, into rows (p, q), p < q."""
-        rows = set()
-        for a, b in data:
-            p, q = self.point(a), self.point(b)
-            if p == q:
-                raise ParameterError(f"degenerate segment at {a!r}")
-            rows.add((p, q) if p < q else (q, p))
-        return rows
-
-
-def _box_cells(points: _Lattice, data, side: Fraction) -> tuple[BoxCells, bool]:
-    """Read box cells onto the lattice, whose D is the denominator of
-    `side`, and tell whether every cell has that side."""
-    cells = [(c["address"], points.point(c["corner"]), points.numbers.read(c["side"])) for c in data]
-    rows = [(address, corner, side.numerator) for address, corner, _ in cells]
-    return BoxCells(points.lcm, rows), all(s == side for _, _, s in cells)
-
-
-def _reads_shape(read):
-    """Report a document whose shape does not fit its kind as ParameterError.
-
-    A missing key, a wrong type, a wrong length or a JSON `Infinity`
-    surfaces while the reader indexes, unpacks and converts the document;
-    the CLI maps ParameterError to exit 2.
-    """
-
-    @wraps(read)
-    def reader(doc: dict):
-        try:
-            return read(doc)
-        except QuasifractalError:
-            raise
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise ParameterError(
-                f"malformed {doc.get('kind')} document: {type(exc).__name__}: {exc}"
-            ) from exc
-
-    return reader
 
 
 def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
@@ -144,26 +64,6 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
     if measures is not None:
         doc["measures"] = measures
     return doc
-
-
-@_reads_shape
-def document_to_stage2(doc: dict) -> Stage2:
-    """Read a cantor2d document onto the lattice of its level, D = q^level for a = p/q."""
-    _check(doc, "cantor2d")
-    numbers = _Numbers()
-    params = Params2(numbers.read(doc["params"]["a"]), _count(doc["params"]["depth"], "depth"))
-    level = _count(doc["level"], "level", DEPTH_CAP)
-    side = params.a**level
-    points = _Lattice("cantor2d", 2, numbers, side.denominator)
-    cells, sides_match = _box_cells(points, doc["cells"], side)
-    if (
-        level != params.depth
-        or len(cells) != 4**level
-        or not sides_match
-        or any(len(address) != level for address, _, _ in cells.rows)
-    ):
-        raise ParameterError(f"cantor2d cells do not match level {level} and depth {params.depth}")
-    return Stage2(params, level, cells, Segments(points.lcm, points.segments(doc["segments"])))
 
 
 class Encoded:
@@ -248,83 +148,6 @@ def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
     return doc
 
 
-class _Numbers(dict):
-    """One document's rationals numbered by value: each distinct entry is
-    read once, and `values[n]` is the value numbered n.
-
-    Documents repeat few coordinates many times (257 distinct strings among
-    19 680 in gasket 7). Only string entries are kept, so a bool or a float
-    never finds an equal int's entry; an unhashable entry raises TypeError.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.values: list[Fraction] = []
-        self._by_value: dict = {}
-
-    def __missing__(self, entry) -> int:
-        value = rational(entry)
-        number = self._by_value.setdefault(value, len(self.values))
-        if number == len(self.values):
-            self.values.append(value)
-        if type(entry) is str:
-            self[entry] = number
-        return number
-
-    def read(self, entry) -> Fraction:
-        return self.values[self[entry]]
-
-
-@_reads_shape
-def document_to_pieces(doc: dict) -> PieceSet:
-    """Read a piece document onto the lattice of its level, D = 3^level for
-    the carpet and 2^(level + 1) for the gasket, whose base triangle has a
-    vertex at x = 1/2. Each distinct coordinate is read and scaled once,
-    and no point object is built."""
-    kind = doc.get("kind")
-    _check(doc, kind)
-    if kind not in (CARPET, GASKET):
-        raise ParameterError(f"not a planar piece document: kind={kind!r}")
-    carpet = kind == CARPET
-    cap, split = (CARPET_DEPTH_CAP, 8) if carpet else (GASKET_DEPTH_CAP, 3)
-    level = _count(doc["level"], "level", cap)
-    points = _Lattice(kind, 2, _Numbers(), 3**level if carpet else 2 ** (level + 1))
-    kept: list[int] = []  # lattice coordinates, x then y, point after point
-    if carpet:  # a square as `Cells` holds it: its corner and its diagonal (side, side)
-        for c in doc["kept"]:
-            kept += points.point(c["corner"])
-            kept += (points[c["side"]],) * 2
-    else:
-        for c in doc["kept"]:
-            vertices = c["vertices"]
-            if len(vertices) != 3:
-                raise ParameterError(f"expected 3 vertices, got {len(vertices)}")
-            for v in vertices:
-                kept += points.point(v)
-    counts = [2 if carpet else 3] * len(doc["kept"])  # the points that hold each cell
-    removed: list[int] = []
-    ring_counts: list[int] = []
-    births: list[int] = []
-    labels: list = []
-    for r in doc["removed"]:
-        ring = [points.point(v) for v in r["boundary"]]
-        check_ring(ring)
-        for v in ring:
-            removed += v
-        ring_counts.append(len(ring))
-        births.append(_count(r["birth_level"], "birth_level"))
-        labels.append(r["label"])
-    if (
-        len(counts) != split**level
-        or Counter(births) != Counter({b: split ** (b - 1) for b in range(1, level + 1)})
-        or (carpet and any(side != 1 for side in kept[2::4]))  # a side of 1 / 3^level
-    ):
-        raise ParameterError(f"{kind} pieces do not match level {level}")
-    lcm = points.lcm
-    cells = Cells(lcm, lattice_groups(kept, counts))
-    return PieceSet(kind, level, cells, Pieces(lcm, lattice_groups(removed, ring_counts), births, labels))
-
-
 def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
     """The spatial stage document of `stage`; its "cells", "skeleton" and
     "pieces" are `Encoded` text, written from the lattice rows."""
@@ -364,52 +187,85 @@ def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
     return doc
 
 
-@_reads_shape
-def document_to_stage3(doc: dict) -> Stage3:
-    """Read a spatial stage document onto the lattice of its level, D =
-    q^level for the cube's a = p/q and 2^level for the tetrahedron."""
-    kind = doc.get("kind")
-    _check(doc, kind)
-    if kind not in (CUBE_WIREFRAME, TETRA_GASKET):
-        raise ParameterError(f"not a spatial stage document: kind={kind!r}")
-    cube = kind == CUBE_WIREFRAME
-    numbers = _Numbers()
-    variant = SpatialVariant(kind, numbers.read(doc["params"]["a"]) if cube else None)
-    cap, split, faces = (CUBE_DEPTH_CAP, 8, 6) if cube else (TETRA_DEPTH_CAP, 4, 4)
-    level = _count(doc["level"], "level", cap)
-    points = _Lattice(kind, 3, numbers, variant.a.denominator**level if cube else 2**level)
-    if cube:
-        cells, sides_match = _box_cells(points, doc["cells"], variant.a**level)
+def document_to_stage2(doc: dict, text: str) -> Stage2:
+    """The cantor2d stage whose document is `doc`, parsed from `text`."""
+    level = _level(doc, ("cantor2d",))
+    return _rebuilt(doc, text, cantor.build(cantor.Params2(_scale(doc), level)), stage2_to_document)
+
+
+def document_to_pieces(doc: dict, text: str) -> PieceSet:
+    """The carpet or gasket piece set whose document is `doc`, parsed from `text`."""
+    level = _level(doc, (CARPET, GASKET))
+    return _rebuilt(doc, text, planar.build_planar(doc["kind"], level), pieces_to_document)
+
+
+def document_to_stage3(doc: dict, text: str) -> Stage3:
+    """The spatial stage whose document is `doc`, parsed from `text`."""
+    level, kind = _level(doc, (CUBE_WIREFRAME, TETRA_GASKET)), doc["kind"]
+    variant = spatial.SpatialVariant(kind, _scale(doc) if kind == CUBE_WIREFRAME else None)
+    return _rebuilt(doc, text, spatial.build_spatial(variant, level), stage3_to_document)
+
+
+def _level(doc: dict, kinds: tuple) -> int:
+    """The level of `doc`, a document of one of `kinds`, once its header is
+    checked and its list of cells found to hold that level's count of them."""
+    kind, level = doc.get("kind"), doc.get("level")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ParameterError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    if kind not in kinds:
+        raise ParameterError(f"expected a {' or '.join(kinds)} document, got kind {kind!r}")
+    if type(level) is not int:
+        raise ParameterError(f"level must be an integer, got {level!r}")
+    key, split, cap = _SHAPES[kind]
+    check_depth(level, cap, what=f"{kind} level")
+    if type(doc.get(key)) is not list or len(doc[key]) != split**level:
+        raise ParameterError(f"a level-{level} {kind} document lists {split**level} {key}")
+    return level
+
+
+def _scale(doc: dict) -> Fraction:
+    """The scale factor `params.a`; the rebuilt document checks how it is written."""
+    return rational(doc["params"].get("a") if type(doc.get("params")) is dict else None)
+
+
+_MEASURES = ',\n  "measures": '
+_DECODER = json.JSONDecoder()
+_ABSENT = object()
+
+
+def _rebuilt(doc: dict, text: str, built, write):
+    """`built`, if `doc` (parsed from `text`) is its document `write(built)`
+    apart from `measures`; else a ParameterError naming the first difference."""
+    canonical = dumps_document(write(built))
+    end = len(canonical) - 3  # the writer puts `measures` last, before the closing "\n}\n"
+    if text.startswith(canonical[:end]):
+        if text.startswith(_MEASURES, end):
+            with suppress(ValueError):
+                end = _DECODER.raw_decode(text, end + len(_MEASURES))[1]
+        if text[end:] == canonical[-3:]:
+            return built
+    path = _difference(json.loads(canonical), {k: v for k, v in doc.items() if k != "measures"})
+    if path is not None:
+        raise ParameterError(f"{doc['kind']} document differs from its level-{built.level} stage at {path[1:]}")
+    return built
+
+
+def _difference(expected, actual) -> str | None:
+    """The path to the first entry where `actual` is not `expected`, key for
+    key and JSON type for JSON type, such as ".kept[17].corner[0]"; else None."""
+    if type(expected) is dict is type(actual):
+        keys = [*expected, *(key for key in actual if key not in expected)]
+        steps = ((f".{key}", expected.get(key, _ABSENT), actual.get(key, _ABSENT)) for key in keys)
+    elif type(expected) is list is type(actual):
+        pairs = zip_longest(expected, actual, fillvalue=_ABSENT)
+        steps = ((f"[{i}]", *pair) for i, pair in enumerate(pairs))
     else:
-        cells = Simplices(points.lcm, [(c["address"], points.vertices(c["vertices"])) for c in doc["cells"]])
-        sides_match = True
-    skeleton = points.segments(doc["skeleton"])
-    pieces = [
-        (
-            tuple(map(points.point, f["boundary"])),
-            _count(f["birth_level"], "birth_level"),
-            numbers.read(f["area_sq"]),
-        )
-        for f in doc["pieces"]
-    ]
-    births = Counter(birth_level for _, birth_level, _ in pieces)
-    if (
-        len(cells) != split**level
-        or any(len(address) != level for address, *_ in cells.rows)
-        or not sides_match
-        or births != Counter({b: faces * split**b for b in range(level + 1)})
-    ):
-        raise ParameterError(f"{kind} cells and faces do not match level {level}")
-    skeleton, pieces = Segments(points.lcm, skeleton), Faces(points.lcm, pieces)
-    return Stage3(variant=variant, level=level, cells=cells, skeleton=skeleton, pieces=pieces)
-
-
-def _check(doc: dict, kind: str) -> None:
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ParameterError(f"unsupported schema_version {version!r}")
-    if doc.get("kind") != kind:
-        raise ParameterError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
+        return None if type(expected) is type(actual) and expected == actual else ""
+    for step, *pair in steps:
+        inner = _difference(*pair)
+        if inner is not None:
+            return step + inner
+    return None
 
 
 def dumps_document(doc: dict) -> str:
@@ -448,7 +304,7 @@ def _emit(value, newline: str) -> str:
 
 
 def loads_document(text: str) -> dict:
-    """Parse a document of a known kind; its reader checks the schema_version."""
+    """Parse a document of a known kind; its reader checks the rest."""
     # Besides JSONDecodeError (a ValueError), the decoder raises ValueError for
     # an integer literal beyond the int-to-str digit limit and RecursionError
     # for nesting beyond its depth.

@@ -260,16 +260,6 @@ def ring_edges(vertices: Sequence[Point]) -> Iterator[tuple[Point, Point]]:
     return zip(vertices, (*vertices[1:], *vertices[:1]))
 
 
-def check_ring(vertices: Sequence) -> None:
-    """Refuse a ring that cannot bound a loop: fewer than 3 vertices, or two
-    consecutive vertices equal (MalformedLoopError)."""
-    if len(vertices) < 3:
-        raise MalformedLoopError("a loop needs at least 3 vertices")
-    for i, (p, q) in enumerate(ring_edges(vertices)):
-        if p == q:
-            raise MalformedLoopError(f"consecutive duplicate vertex at position {i}")
-
-
 def ring_segments(vertices: Sequence[Point]) -> tuple[Segment, ...]:
     """The segments of a closed vertex ring."""
     return tuple(Segment(p, q) for p, q in ring_edges(vertices))
@@ -478,7 +468,11 @@ class Loop:
     def __post_init__(self):
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
-        check_ring(verts)
+        if len(verts) < 3:
+            raise MalformedLoopError("a loop needs at least 3 vertices")
+        for i, (p, q) in enumerate(ring_edges(verts)):
+            if p == q:
+                raise MalformedLoopError(f"consecutive duplicate vertex at position {i}")
 
     @property
     def orientation(self) -> int:

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import random_check_oracle
 from quasifractal import toeplitz
+from quasifractal.cantor import DEPTH_CAP
 from quasifractal.cli import (
     EXIT_CAPACITY,
     MEASURE_DEPTH_CAP,
@@ -28,6 +29,8 @@ from quasifractal.cli import (
     run,
 )
 from quasifractal.errors import ParameterError
+from quasifractal.planar import CARPET_DEPTH_CAP
+from quasifractal.spatial import CUBE_DEPTH_CAP
 
 
 def test_gen2d_writes_stage_document(tmp_path):
@@ -619,30 +622,32 @@ def test_spatial_level_above_the_cap_exits_capacity(variant, tmp_path):
 
 @pytest.mark.parametrize("value", [1.0, True])
 def test_numbers_equal_to_a_read_int_are_still_refused(value, tmp_path, capsys):
-    # the reader interns coordinate strings; an int 1 read first must not
-    # let an equal float or bool through as a cached rational
+    # a JSON number where the writer puts a "p/q" string is refused, even
+    # when it equals the rational; so is an equal float or bool
     path = tmp_path / "p.json"
     assert main(["carpet", "--depth", "0", "--out", str(path)]) == EXIT_OK
     doc = json.loads(path.read_text())
-    doc["kept"][0]["corner"] = [0, 1]
+    doc["kept"][0]["corner"] = [0, 0]
     doc["kept"][0]["side"] = 1
     path.write_text(json.dumps(doc))
-    assert main(["render", "--input", str(path), "--out", str(tmp_path / "p.svg")]) == EXIT_OK
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)
+    doc["kept"][0]["corner"] = ["0", "0"]
     doc["kept"][0]["side"] = value
     path.write_text(json.dumps(doc))
     _assert_one_validation_line(["render", "--input", str(path)], capsys)
 
 
 def test_stage_points_read_from_ints_are_not_reused_for_bools(tmp_path, capsys):
-    # the stage readers build each distinct point once; a point read from
-    # the ints [1, 0] must not let [True, 0] through as the same point
+    # the point ["1", "0"] written as the ints [1, 0] is refused, and so is
+    # [True, 0]
     path = tmp_path / "s.json"
     assert main(["gen2d", "--a", "1/3", "--depth", "0", "--out", str(path)]) == EXIT_OK
     doc = json.loads(path.read_text())
     assert doc["segments"][1][1] == doc["segments"][3][0] == ["1", "0"]
     doc["segments"][1][1] = [1, 0]
     path.write_text(json.dumps(doc))
-    assert main(["render", "--input", str(path), "--out", str(tmp_path / "s.svg")]) == EXIT_OK
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)
+    doc["segments"][1][1] = ["1", "0"]
     doc["segments"][3][0] = [True, 0]
     path.write_text(json.dumps(doc))
     _assert_one_validation_line(["render", "--input", str(path)], capsys)
@@ -654,13 +659,14 @@ def _unreduced(point):
 
 
 # Each breaks the first removed ring of a depth-1 piece document; the
-# reader refuses it with the message of the loop it cannot form.
+# reader refuses it at the path, by kind, of the first entry that differs
+# from the construction's ring.
 BAD_RINGS = {
-    "two-vertices": (lambda ring: ring[:2], "a loop needs at least 3 vertices"),
-    "repeated-vertex": (lambda ring: ring[:2] + ring[1:], "consecutive duplicate vertex at position 1"),
+    "two-vertices": (lambda ring: ring[:2], {"carpet": "[2]", "gasket": "[2]"}),
+    "repeated-vertex": (lambda ring: ring[:2] + ring[1:], {"carpet": "[2][1]", "gasket": "[2][0]"}),
     "repeated-value": (
         lambda ring: ring[:2] + [_unreduced(ring[1])] + ring[2:],
-        "consecutive duplicate vertex at position 1",
+        {"carpet": "[2][0]", "gasket": "[2][0]"},
     ),
 }
 
@@ -668,7 +674,8 @@ BAD_RINGS = {
 @pytest.mark.parametrize("bad", BAD_RINGS)
 @pytest.mark.parametrize("kind", ["carpet", "gasket"])
 def test_piece_rings_must_form_loops(kind, bad, tmp_path, capsys):
-    mutate, message = BAD_RINGS[bad]
+    mutate, paths = BAD_RINGS[bad]
+    message = f"differs from its level-1 stage at removed[0].boundary{paths[kind]}\n"
     path = tmp_path / "p.json"
     assert main([kind, "--depth", "1", "--out", str(path)]) == EXIT_OK
     doc = json.loads(path.read_text())
@@ -677,7 +684,7 @@ def test_piece_rings_must_form_loops(kind, bad, tmp_path, capsys):
     for argv in (["render", "--input", str(path)], ["index", "--pieces", str(path), "--loop", "0,0 1,0 1,1"]):
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert message in err and len(err.splitlines()) == 1
+        assert err.endswith(message) and len(err.splitlines()) == 1
 
 
 def test_repeated_calls_in_one_process_match_fresh_processes(monkeypatch, capsys):
@@ -768,6 +775,115 @@ def test_stage_documents_refuse_points_off_the_construction(mismatch, tmp_path, 
     mutate(doc)
     path.write_text(json.dumps(doc))
     _assert_one_validation_line(["render", "--input", str(path)], capsys)
+
+
+def _swap_first_two(items: list) -> None:
+    items[0], items[1] = items[1], items[0]
+
+
+# Depth-2 documents whose entries are all cells, pieces or segments of their
+# level, yet which are not the construction: argv, the edit, and the path of
+# the first entry that differs. The swapped pieces are born at levels 1 and
+# 2; read as they stand, `index` would list their labels in swapped order.
+NOT_THE_CONSTRUCTION = {
+    "carpet-kept-reversed": (["carpet"], lambda doc: doc["kept"].reverse(), "kept[0].corner[0]"),
+    "carpet-kept-duplicated": (
+        ["carpet"],
+        lambda doc: doc["kept"].__setitem__(1, doc["kept"][0]),
+        "kept[1].corner[0]",
+    ),
+    "carpet-births-swapped": (["carpet"], lambda doc: _swap_first_two(doc["removed"]), "removed[0].boundary[0][0]"),
+    "cantor2d-cell-duplicated": (
+        ["gen2d", "--a", "1/3"],
+        lambda doc: doc["cells"].__setitem__(1, doc["cells"][0]),
+        "cells[1].address",
+    ),
+    "cantor2d-segments-dropped": (
+        ["gen2d", "--a", "1/3"],
+        lambda doc: doc["segments"].__delitem__(slice(4, 7)),
+        "segments[4][0][1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NOT_THE_CONSTRUCTION)
+def test_documents_other_than_the_construction_exit_2(case, tmp_path, capsys):
+    argv, mutate, where = NOT_THE_CONSTRUCTION[case]
+    path = tmp_path / "doc.json"
+    assert main(argv + ["--depth", "2", "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    commands = [["render", "--input", str(path)]]
+    if argv == ["carpet"]:
+        commands.append(["index", "--pieces", str(path), "--loop", "0,0 1,0 1,1 0,1"])
+    for command in commands:
+        assert main(command) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.endswith(f" at {where}\n"), err
+        assert err.count("\n") == 1, err
+
+
+DOCUMENT_ARGV = {
+    "cantor2d": ["gen2d", "--a", "1/3", "--depth", "2"],
+    "carpet": ["carpet", "--depth", "2"],
+    "gasket": ["gasket", "--depth", "2"],
+    "cube": ["gen3d", "--variant", "cube", "--a", "1/3", "--depth", "1"],
+    "tetra": ["gen3d", "--variant", "tetra", "--depth", "2"],
+}
+
+# Edits a document reads through: its layout, and its `measures`, which
+# are informational and not checked. Each edit returns the new text.
+STILL_READS = {
+    "no-indentation": lambda doc: json.dumps(doc),
+    "measures-removed": lambda doc: json.dumps({k: v for k, v in doc.items() if k != "measures"}, indent=2),
+    "measures-first": lambda doc: json.dumps({"measures": doc.pop("measures"), **doc}, indent=2),
+    "kept-area-changed": lambda doc: doc["measures"].update(kept_area="1/2") or json.dumps(doc, indent=2),
+}
+
+
+@pytest.mark.parametrize("edit", STILL_READS)
+@pytest.mark.parametrize("kind", DOCUMENT_ARGV)
+def test_documents_read_whatever_their_layout_and_measures(kind, edit, tmp_path, capsys):
+    path, edited = tmp_path / "doc.json", tmp_path / "edited.json"
+    assert main(DOCUMENT_ARGV[kind] + ["--out", str(path)]) == EXIT_OK
+    edited.write_text(STILL_READS[edit](json.loads(path.read_text())) + "\n")
+    commands = [["render", "--input"]]
+    if kind in ("carpet", "gasket"):
+        commands.append(["index", "--loop", "1/13,1/17 12/13,1/17 1/2,16/17", "--pieces"])
+    for command in commands:
+        outputs = []
+        for source in (path, edited):
+            assert main(command + [str(source)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out.replace(str(source), "doc"))
+        assert outputs[0] == outputs[1]
+
+
+# One-cell documents at each kind's level cap: argv at depth 0, the edit
+# that sets the level, and the cap.
+AT_THE_CAP = {
+    "carpet": (["carpet"], lambda doc, level: doc.update(level=level), CARPET_DEPTH_CAP),
+    "cantor2d": (
+        ["gen2d", "--a", "1/2"],
+        lambda doc, level: (doc.update(level=level), doc["params"].update(depth=level)),
+        DEPTH_CAP,
+    ),
+    "cube": (["gen3d", "--variant", "cube", "--a", "1/3"], lambda doc, level: doc.update(level=level), CUBE_DEPTH_CAP),
+}
+
+
+@pytest.mark.parametrize("kind", AT_THE_CAP)
+def test_cell_count_is_checked_before_the_stage_is_built(kind, tmp_path):
+    argv, set_level, cap = AT_THE_CAP[kind]
+    path = tmp_path / "doc.json"
+    assert main(argv + ["--depth", "0", "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    for level, code in ((cap + 1, EXIT_CAPACITY), (cap, EXIT_VALIDATION)):
+        set_level(doc, level)
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["render", "--input", str(path)]) == code
+        assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(

@@ -151,7 +151,8 @@ def index_documents(tmp_path_factory):
 def test_index_reports_are_identical(name, index_documents, tmp_path):
     doc_name, rectangle, seed = INDEX_CASES[name]
     path = index_documents[doc_name]
-    holes = hole_set_oracle(document_to_pieces(loads_document(path.read_text())).removed)
+    source = path.read_text()
+    holes = hole_set_oracle(document_to_pieces(loads_document(source), source).removed)
     rng = random.Random(seed)
     reports = []
     for _ in range(3):

@@ -70,7 +70,7 @@ def _check_stage2(a, depth):
     params = {"a": str(a), "depth": depth}
     expected = stage_document_oracle("cantor2d", params, depth, cells, segments, measures=measures)
     assert text == json.dumps(expected, indent=2) + "\n"
-    assert document_to_stage2(loads_document(text)) == stage
+    assert document_to_stage2(loads_document(text), text) == stage
     assert render_svg(stage) == stage2_svg_oracle(cells, segments)
     return stage, segments
 
@@ -106,7 +106,7 @@ def _check_stage3(variant, depth):
     params = {"kind": variant.kind, **({"a": str(variant.a)} if variant.a is not None else {})}
     expected = stage_document_oracle(variant.kind, params, depth, cells, skeleton, faces, measures)
     assert text == json.dumps(expected, indent=2) + "\n"
-    assert document_to_stage3(loads_document(text)) == stage
+    assert document_to_stage3(loads_document(text), text) == stage
     assert export_obj(stage) == obj_oracle(variant.kind, depth, skeleton, faces)
     return stage, skeleton
 
