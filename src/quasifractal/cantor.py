@@ -15,6 +15,11 @@ finite exactly when a < 1/4. Note the per-stage perimeter sum counts
 every stage's full perimeters with multiplicity; because child edges
 partially overlap parent edges, the 1D measure computed by
 `geometry.union_length` is strictly smaller from level 1 on.
+
+A stage is built on the integer lattice of its level, D = q^level for
+a = p/q: its cells and segments are numpy arrays of lattice ints, int64
+while D fits int64 and Python ints (object dtype) above it, and each
+`refine` is a few array steps over the whole level.
 """
 
 from __future__ import annotations
@@ -25,9 +30,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from .errors import CapacityError
-from .geometry import BoxCells, Cell, Segment, Segments, box_edges, check_depth, common_lattice
-from .geometry import corner_children, geometric_sum, scale_factor, segment_components
+from .geometry import BOX_OUTLINE, BoxCells, Cell, Segment, Segments, box_grid, cell_outline, check_depth
+from .geometry import common_lattice, distinct_segments, geometric_sum, int_dtype, scale_factor
+from .geometry import segment_components, split_boxes
 
 DEPTH_CAP = 10
 
@@ -72,34 +80,37 @@ class Stage2:
 
 def level0(a: Union[Fraction, str, int]) -> Stage2:
     a = scale_factor(a, allow_half=True)
-    root = ("", (0, 0), 1)
-    return Stage2(Params2(a, 0), 0, BoxCells(1, [root]), Segments(1, box_edges((0, 0), 1)))
+    corners, sides = np.zeros((1, 2), dtype=np.int64), np.ones(1, dtype=np.int64)
+    edges = np.array([[(0, 0), (0, 1)], [(0, 0), (1, 0)], [(0, 1), (1, 1)], [(1, 0), (1, 1)]])  # in segment order
+    return Stage2(Params2(a, 0), 0, BoxCells(1, [""], corners, sides), Segments(1, edges))
 
 
 def refine(stage: Stage2) -> Stage2:
     """One subdivision step: each cell is replaced by its 4 corner children.
 
-    The stage moves from its lattice of D to that of D * q, where the
-    children's sides are multiples of the parents' times p. The children's
-    boundaries are added to the retained segment set (deduplicated in
-    canonical form) and the input stage is left unchanged. Children are
-    emitted parent by parent in letter order, so the cells stay in address
-    order.
+    The stage moves from its lattice of D to that of D * q (`split_boxes`),
+    as int64 arrays while D * q fits int64 and as Python ints from then on.
+    The children's boundaries join the retained segments, which stay
+    distinct and in the one segment order (`distinct_segments`), and the
+    input stage is left unchanged. Children are emitted parent by parent in
+    letter order, so the cells stay in address order.
     """
     if stage.level >= DEPTH_CAP:
         raise CapacityError(f"depth cap {DEPTH_CAP} reached at level {stage.level}")
     a = stage.params.a
     q = a.denominator
-    parents = [(address, (x * q, y * q), side * q) for address, (x, y), side in stage.cells.rows]
-    cells = corner_children(parents, a)
-    segments = {((x0 * q, y0 * q), (x1 * q, y1 * q)) for (x0, y0), (x1, y1) in stage.segments.rows}
-    for _, corner, side in cells:
-        segments.update(box_edges(corner, side))
     lcm = stage.cells.lcm * q
+    cells, segments = stage.cells, stage.segments.grid
+    # a stage built here lies in [0, D]; a hand-built one holds Python ints and keeps them
+    dtype = np.result_type(cells.corners, cells.sides, segments, int_dtype(lcm))
+    corners, sides = split_boxes(cells.corners.astype(dtype), cells.sides.astype(dtype), a)
+    edges, _ = cell_outline(box_grid(corners, sides), *BOX_OUTLINE[2])
+    segments = distinct_segments(np.concatenate((segments.astype(dtype) * q, edges)))
+    addresses = [address + letter for address in cells.addresses for letter in "0123"]
     return Stage2(
         params=Params2(a, stage.level + 1),
         level=stage.level + 1,
-        cells=BoxCells(lcm, cells),
+        cells=BoxCells(lcm, addresses, corners, sides),
         segments=Segments(lcm, segments),
     )
 

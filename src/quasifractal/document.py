@@ -15,9 +15,10 @@ out, unchecked. The reader returns the rebuilt stage.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import suppress
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from . import cantor, planar, spatial
 from .cantor import DEPTH_CAP, Stage2
@@ -58,8 +59,8 @@ def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
         "kind": "cantor2d",
         "params": {"a": format_rational(stage.params.a), "depth": stage.params.depth},
         "level": stage.level,
-        "cells": _encoded_list(_box_texts(stage.cells, 2, text)),
-        "segments": _encoded_list(_segment_texts(stage.segments, 2, text)),
+        "cells": _box_list(stage.cells, 2, text),
+        "segments": _segment_list(stage.segments, 2, text),
     }
     if measures is not None:
         doc["measures"] = measures
@@ -95,18 +96,30 @@ def _lattice_text(lcm: int) -> LatticeTable:
     return LatticeTable(lambda v: '"' + format_rational(Fraction(v, lcm)) + '"')
 
 
-def _box_texts(cells: BoxCells, dim: int, text: LatticeTable) -> list[str]:
-    template = _template({"address": _SLOT, "corner": [_SLOT] * dim, "side": _SLOT})
-    value = text.__getitem__
-    return [template % (_string(a), *map(value, corner), value(side)) for a, corner, side in cells.rows]
+def _listed(template: str, count: int, texts) -> Encoded:
+    """The top-level list of `count` rows of `template`, whose %s slots take
+    `texts` in turn, row by row: all rows are filled by one % operation."""
+    if not count:
+        return Encoded("[]")
+    return Encoded("[\n    " + ",\n    ".join([template] * count) % tuple(texts) + "\n  ]")
 
 
-def _segment_texts(segments: Segments, dim: int, text: LatticeTable) -> list[str]:
-    """The segments' rows in the one segment order, by first then second
-    endpoint: plain `sorted` on the lattice rows is the Fraction order."""
-    template = _template([[_SLOT] * dim] * 2)
-    value = text.__getitem__
-    return [template % (*map(value, p), *map(value, q)) for p, q in sorted(segments.rows)]
+def _columns(grid, text: LatticeTable) -> list[list[str]]:
+    """The texts of an (N, ...) array of lattice ints, one list per lattice value of a row."""
+    texts = text.column(grid.ravel())
+    width = math.prod(grid.shape[1:])
+    return [texts[i::width] for i in range(width)]
+
+
+def _box_list(cells: BoxCells, dim: int, text: LatticeTable) -> Encoded:
+    rows = zip(map(_string, cells.addresses), *_columns(cells.corners, text), text.column(cells.sides))
+    return _listed(_BOX_ROW[dim], len(cells), chain.from_iterable(rows))
+
+
+def _segment_list(segments: Segments, dim: int, text: LatticeTable) -> Encoded:
+    """The segments in the one segment order, by first then second endpoint,
+    which their array holds: on one lattice it is the Fraction order."""
+    return _listed(_SEGMENT_ROW[dim], len(segments), text.column(segments.grid.ravel()))
 
 
 def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
@@ -156,31 +169,23 @@ def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
     if variant.a is not None:
         params["a"] = format_rational(variant.a)
     text = _lattice_text(stage.cells.lcm)
-    value = text.__getitem__
     if variant.kind == CUBE_WIREFRAME:
-        cells = _box_texts(stage.cells, 3, text)
+        cells = _box_list(stage.cells, 3, text)
     else:
-        template = _template({"address": _SLOT, "vertices": [[_SLOT] * 3] * 4})
-        cells = [
-            template % (_string(address), *[value(c) for v in vertices for c in v])
-            for address, vertices in stage.cells.rows
-        ]
-    area = LatticeTable(lambda area_sq: '"' + format_rational(area_sq) + '"')
-    templates = LatticeTable(
-        lambda k: _template({"boundary": [[_SLOT] * 3] * k, "birth_level": _SLOT, "area_sq": _SLOT})
-    )
-    pieces = [
-        templates[len(ring)] % (*[value(c) for v in ring for c in v], birth_level, area[area_sq])
-        for ring, birth_level, area_sq in stage.pieces.rows
-    ]
+        rows = zip(map(_string, stage.cells.addresses), *_columns(stage.cells.vertices, text))
+        cells = _listed(_TETRA_ROW, len(stage.cells), chain.from_iterable(rows))
+    faces = stage.pieces
+    area = LatticeTable(lambda n: '"' + format_rational(Fraction(n, 4 * faces.lcm**4)) + '"')
+    rows = zip(*_columns(faces.rings, text), faces.births.tolist(), area.column(faces.areas))
+    pieces = _listed(_FACE_ROW[faces.rings.shape[1]], len(faces), chain.from_iterable(rows))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": variant.kind,
         "params": params,
         "level": stage.level,
-        "cells": _encoded_list(cells),
-        "skeleton": _encoded_list(_segment_texts(stage.skeleton, 3, text)),
-        "pieces": _encoded_list(pieces),
+        "cells": cells,
+        "skeleton": _segment_list(stage.skeleton, 3, text),
+        "pieces": pieces,
     }
     if measures is not None:
         doc["measures"] = measures
@@ -189,26 +194,32 @@ def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
 
 def document_to_stage2(doc: dict, text: str) -> Stage2:
     """The cantor2d stage whose document is `doc`, parsed from `text`."""
-    level = _level(doc, ("cantor2d",))
+    level = _level(doc, text, ("cantor2d",))
     return _rebuilt(doc, text, cantor.build(cantor.Params2(_scale(doc), level)), stage2_to_document)
 
 
 def document_to_pieces(doc: dict, text: str) -> PieceSet:
     """The carpet or gasket piece set whose document is `doc`, parsed from `text`."""
-    level = _level(doc, (CARPET, GASKET))
+    level = _level(doc, text, (CARPET, GASKET))
     return _rebuilt(doc, text, planar.build_planar(doc["kind"], level), pieces_to_document)
 
 
 def document_to_stage3(doc: dict, text: str) -> Stage3:
     """The spatial stage whose document is `doc`, parsed from `text`."""
-    level, kind = _level(doc, (CUBE_WIREFRAME, TETRA_GASKET)), doc["kind"]
+    level, kind = _level(doc, text, (CUBE_WIREFRAME, TETRA_GASKET)), doc["kind"]
     variant = spatial.SpatialVariant(kind, _scale(doc) if kind == CUBE_WIREFRAME else None)
     return _rebuilt(doc, text, spatial.build_spatial(variant, level), stage3_to_document)
 
 
-def _level(doc: dict, kinds: tuple) -> int:
-    """The level of `doc`, a document of one of `kinds`, once its header is
-    checked and its list of cells found to hold that level's count of them."""
+# Every cell entry of every kind takes at least this many characters of
+# JSON: the shortest is a carpet cell written as {"corner":["0","0"],"side":"1"}.
+_CELL_TEXT = 31
+
+
+def _level(doc: dict, text: str, kinds: tuple) -> int:
+    """The level of `doc`, a document of one of `kinds` parsed from `text`,
+    once its header is checked and its list of cells found to hold that
+    level's count of them, in a text long enough to write them."""
     kind, level = doc.get("kind"), doc.get("level")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParameterError(f"unsupported schema_version {doc.get('schema_version')!r}")
@@ -218,8 +229,11 @@ def _level(doc: dict, kinds: tuple) -> int:
         raise ParameterError(f"level must be an integer, got {level!r}")
     key, split, cap = _SHAPES[kind]
     check_depth(level, cap, what=f"{kind} level")
-    if type(doc.get(key)) is not list or len(doc[key]) != split**level:
-        raise ParameterError(f"a level-{level} {kind} document lists {split**level} {key}")
+    count = split**level
+    if type(doc.get(key)) is not list or len(doc[key]) != count:
+        raise ParameterError(f"a level-{level} {kind} document lists {count} {key}")
+    if len(text) < _CELL_TEXT * count:
+        raise ParameterError(f"a level-{level} {kind} document takes at least {_CELL_TEXT * count} characters")
     return level
 
 
@@ -244,7 +258,10 @@ def _rebuilt(doc: dict, text: str, built, write):
                 end = _DECODER.raw_decode(text, end + len(_MEASURES))[1]
         if text[end:] == canonical[-3:]:
             return built
-    path = _difference(json.loads(canonical), {k: v for k, v in doc.items() if k != "measures"})
+    expected, actual = json.loads(canonical), {k: v for k, v in doc.items() if k != "measures"}
+    if json.dumps(expected, sort_keys=True) == json.dumps(actual, sort_keys=True):
+        return built  # the same JSON, written another way
+    path = _difference(expected, actual)
     if path is not None:
         raise ParameterError(f"{doc['kind']} document differs from its level-{built.level} stage at {path[1:]}")
     return built
@@ -301,6 +318,13 @@ def _emit(value, newline: str) -> str:
     if isinstance(value, Encoded):
         return value.text
     return json.dumps(value)
+
+
+# The row templates of the cantor, cube and tetra lists, by dimension or ring size.
+_SEGMENT_ROW = {d: _template([[_SLOT] * d] * 2) for d in (2, 3)}
+_BOX_ROW = {d: _template({"address": _SLOT, "corner": [_SLOT] * d, "side": _SLOT}) for d in (2, 3)}
+_TETRA_ROW = _template({"address": _SLOT, "vertices": [[_SLOT] * 3] * 4})
+_FACE_ROW = {k: _template({"boundary": [[_SLOT] * 3] * k, "birth_level": _SLOT, "area_sq": _SLOT}) for k in (3, 4)}
 
 
 def loads_document(text: str) -> dict:

@@ -11,9 +11,13 @@ Batched predicates and area sums run on the integer lattice, built here
 only: coordinates scaled by D, the lcm of their denominators, held in
 int64 arrays while every product fits and in arrays of Python ints otherwise.
 Every stage holds its cells, segments, faces and pieces on its level's
-lattice in `OnLattice` views. `SegmentIndex` sorts a stage's segments,
-as one such array, into a run table of the carrier lines, whose runs
-`union_length` sums and `segment_components` joins.
+lattice in `OnLattice` views, and every construction is built there by
+array steps: `split_squares` and `split_triangles` for the carpet and
+gasket, `split_boxes` and `split_simplices` with the edge and face tables
+of `cell_outline` for the cantor, cube and tetra stages, whose segments
+`distinct_segments` sorts into the one segment order. `SegmentIndex`
+sorts a stage's segments into a run table of the carrier lines, whose
+runs `union_length` sums and `segment_components` joins.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -80,6 +84,12 @@ def lattice_dtype(magnitude: int):
     return np.int64 if magnitude < _INT64_BOUND else object
 
 
+def int_dtype(bound: int):
+    """int64 for ints known beforehand to stay within `bound` in absolute
+    value, otherwise object (Python ints): int64 arithmetic wraps silently."""
+    return np.int64 if bound < 1 << 63 else object
+
+
 def lattice_groups(ints: list[int], counts: Sequence[int]) -> dict:
     """Lay out the lattice coordinates of consecutive rings, x then y for
     each vertex and counts[i] vertices in ring i, by vertex count k: the
@@ -117,7 +127,7 @@ class LatticeTable(dict):
         return list(map(self.__getitem__, values.tolist()))
 
 
-def _group(cells) -> dict:
+def lattice_group(cells) -> dict:
     """(N, k, 2) lattice coordinates as `lattice_groups` lays out N rings of k vertices."""
     if not len(cells):
         return {}
@@ -144,16 +154,61 @@ def split_squares(squares):
     return kept.reshape(-1, 2, 2), corners + _CENTRE * diagonals
 
 
-def split_triangles(triangles):
-    """One gasket step: (N, 3, 2) triangles to the (3N, 3, 2) corner
-    children, parent by parent, and the (N, 3, 2) removed middle triangles
-    (m01, m12, m02), on the lattice refined twofold.
+def split_simplices(simplices):
+    """One half-scale step: (N, n, d) simplices to their (nN, n, d) corner
+    children, parent by parent, on the lattice refined twofold.
 
     Vertex j of child i is v_i + v_j: v_i doubled for j = i, and otherwise
     the doubled midpoint of edge ij, in `simplex_children`'s order.
     """
-    sums = triangles[:, :, None] + triangles[:, None]
-    return sums.reshape(-1, 3, 2), sums[:, (0, 1, 0), (1, 2, 2)]
+    return (simplices[:, :, None] + simplices[:, None]).reshape(-1, *simplices.shape[1:])
+
+
+def split_triangles(triangles):
+    """One gasket step: (N, 3, 2) triangles to the (3N, 3, 2) corner
+    children (`split_simplices`) and the (N, 3, 2) removed middle
+    triangles (m01, m12, m02)."""
+    children = split_simplices(triangles)
+    return children, children.reshape(-1, 3, 3, 2)[:, (0, 1, 0), (1, 2, 2)]
+
+
+def split_boxes(corners, sides, a: Fraction):
+    """One corner step for a = p/q: (N, d) corners and (N,) sides of boxes
+    to their 2^d corner children, parent by parent in letter order, on the
+    lattice refined q-fold. A child has side side * p and its corner at
+    corner * q plus the offsets {0, side * (q - p)} of `_CHILD_OFFSETS`."""
+    p, q = a.numerator, a.denominator
+    _, offsets = _BOX_OFFSETS[corners.shape[1]]
+    children = q * corners[:, None] + offsets * (sides * (q - p))[:, None, None]
+    return children.reshape(-1, corners.shape[1]), np.repeat(sides * p, len(offsets))
+
+
+def box_grid(corners, sides):
+    """The (N, 2^d, d) vertices of boxes given by corners and sides, in bit order."""
+    bits, _ = _BOX_OFFSETS[corners.shape[1]]
+    return corners[:, None] + bits * sides[:, None, None]
+
+
+def cell_outline(vertices, edges, rings) -> tuple:
+    """The edges, (N E, 2, d), and face rings, (N F, k, d), of N cells given
+    by their (N, V, d) vertices: `edges` and `rings` index the vertices of
+    one cell (`BOX_OUTLINE`, `SIMPLEX_OUTLINE`); cell by cell, in table order."""
+    d = vertices.shape[2]
+    return vertices[:, edges].reshape(-1, 2, d), vertices[:, rings].reshape(-1, rings.shape[1], d)
+
+
+def distinct_segments(pairs):
+    """Segments as (m, 2, d) endpoint pairs in either order, to the (n, 2, d)
+    array of the distinct ones, p < q, in the one segment order (by first,
+    then second endpoint): one sort of their keys and a neighbour compare."""
+    if not len(pairs):
+        return pairs
+    keys, swap = _segment_keys(pairs, *_span(pairs))
+    order = np.argsort(keys)
+    kept = order[_starts(keys[order])]
+    grid, flip = pairs[kept], swap[kept]
+    grid[flip] = grid[flip, ::-1]
+    return grid
 
 
 def lattice_subdivision(base: list, split, scale: int, depth: int) -> tuple[dict, dict, list[int]]:
@@ -170,7 +225,7 @@ def lattice_subdivision(base: list, split, scale: int, depth: int) -> tuple[dict
         removed.append(rings)
     counts = [len(rings) for rings in removed]
     removed = [rings * scale ** (depth - level) for level, rings in enumerate(removed, 1)]
-    return _group(cells), _group(np.concatenate(removed)) if removed else {}, counts
+    return lattice_group(cells), lattice_group(np.concatenate(removed)) if removed else {}, counts
 
 
 def scale_factor(a: Union[int, str, Fraction], allow_half: bool) -> Fraction:
@@ -275,21 +330,25 @@ def _picks(offset_rows) -> tuple:
 # join the vertices whose indices differ in one bit. Child letter k takes the
 # corner at the same offsets as vertex k in space, and runs SW, SE, NE, NW in
 # the plane.
-_VERTEX_PICKS = {d: _picks([[b >> i & 1 for i in range(d)] for b in range(1 << d)]) for d in (2, 3)}
-_CHILD_PICKS = {2: _picks(((0, 0), (1, 0), (1, 1), (0, 1))), 3: _VERTEX_PICKS[3]}
+_BITS = {d: [[b >> i & 1 for i in range(d)] for b in range(1 << d)] for d in (2, 3)}
+_CHILD_OFFSETS = {2: ((0, 0), (1, 0), (1, 1), (0, 1)), 3: _BITS[3]}
+_VERTEX_PICKS = {d: _picks(bits) for d, bits in _BITS.items()}
+_CHILD_PICKS = {d: _picks(offsets) for d, offsets in _CHILD_OFFSETS.items()}
+# The vertex and child corner offsets of a box, for `box_grid` and `split_boxes`.
+_BOX_OFFSETS = {d: (np.array(_BITS[d]), np.array(_CHILD_OFFSETS[d])) for d in (2, 3)}
 _EDGES = {
     d: tuple((b, b | 1 << i) for b in range(1 << d) for i in range(d) if not b >> i & 1)
     for d in (2, 3)
 }
 # Face rings, counterclockwise seen from outside: the square's one face,
 # and the cube's low and high face across x, then y, then z.
-_FACES = {
-    d: tuple(itemgetter(*ring) for ring in rings)
-    for d, rings in (
-        (2, ((0, 1, 3, 2),)),
-        (3, ((0, 4, 6, 2), (1, 3, 7, 5), (0, 1, 5, 4), (2, 6, 7, 3), (0, 2, 3, 1), (4, 5, 7, 6))),
-    )
+_FACE_RINGS = {
+    2: ((0, 1, 3, 2),),
+    3: ((0, 4, 6, 2), (1, 3, 7, 5), (0, 1, 5, 4), (2, 6, 7, 3), (0, 2, 3, 1), (4, 5, 7, 6)),
 }
+_FACES = {d: tuple(itemgetter(*ring) for ring in rings) for d, rings in _FACE_RINGS.items()}
+# The edge and face tables of a box of dimension d, for `cell_outline`.
+BOX_OUTLINE = {d: (np.array(_EDGES[d]), np.array(_FACE_RINGS[d])) for d in (2, 3)}
 
 
 def _ends(corner, length) -> list:
@@ -302,32 +361,6 @@ def box_vertices(corner, side) -> list[tuple]:
     ends = _ends(corner, side)
     return [pick(ends) for pick in _VERTEX_PICKS[len(corner)]]
 
-
-def box_edges(corner, side) -> list[tuple]:
-    """The edges of a box as vertex pairs, each in lexicographic order."""
-    verts = box_vertices(corner, side)
-    return [(verts[i], verts[j]) for i, j in _EDGES[len(corner)]]
-
-
-def box_faces(corner, side) -> list[tuple]:
-    """The vertex rings of a box's faces, each counterclockwise seen from outside."""
-    verts = box_vertices(corner, side)
-    return [pick(verts) for pick in _FACES[len(corner)]]
-
-
-def corner_children(cells: list, a: Fraction) -> list:
-    """One corner split of lattice boxes (address, corner, side), each side a
-    multiple of q for the scale factor a = p/q, on the same lattice: child k
-    of a box has side side // q * p and its corner at the offsets of
-    `_CHILD_PICKS`[k], parent by parent in letter order."""
-    p, q = a.numerator, a.denominator
-    children = []
-    for address, corner, side in cells:
-        child = side // q * p
-        ends = _ends(corner, side - child)
-        picks = _CHILD_PICKS[len(corner)]
-        children += [(address + str(k), pick(ends), child) for k, pick in enumerate(picks)]
-    return children
 
 
 @dataclass(frozen=True)
@@ -395,26 +428,21 @@ def _simplex_pattern(n: int):
 _SIMPLEX_PATTERNS = {n: _simplex_pattern(n) for n in (3, 4)}
 # Face rings of a positively oriented simplex, counterclockwise seen from
 # outside: the triangle's one face and the tetrahedron's four.
-_SIMPLEX_FACES = {
-    n: tuple(itemgetter(*ring) for ring in rings)
-    for n, rings in ((3, ((0, 1, 2),)), (4, ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))))
-}
+_SIMPLEX_FACE_RINGS = {3: ((0, 1, 2),), 4: ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))}
+_SIMPLEX_FACES = {n: tuple(itemgetter(*ring) for ring in rings) for n, rings in _SIMPLEX_FACE_RINGS.items()}
+# The edge and face tables of an n-vertex simplex, for `cell_outline`.
+SIMPLEX_OUTLINE = {n: (np.array(_SIMPLEX_PATTERNS[n][0]), np.array(_SIMPLEX_FACE_RINGS[n])) for n in (3, 4)}
 
 
-def simplex_children(vertices: Sequence[Point], middle=midpoint) -> list[tuple[Point, ...]]:
+def simplex_children(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
     """The half-scale corner copies of a triangle or tetrahedron.
 
     Child i keeps vertex i in place i and puts the midpoint of the edge to
-    vertex j in place j; each edge midpoint is computed once, by `middle`
-    (`lattice_midpoint` for lattice points whose sums are even).
+    vertex j in place j; each edge midpoint is computed once.
     """
     edges, picks = _SIMPLEX_PATTERNS[len(vertices)]
-    points = (*vertices, *[middle(vertices[i], vertices[j]) for i, j in edges])
+    points = (*vertices, *[midpoint(vertices[i], vertices[j]) for i, j in edges])
     return [pick(points) for pick in picks]
-
-
-def lattice_midpoint(p: tuple, q: tuple) -> tuple:
-    return tuple((a + b) // 2 for a, b in zip(p, q))
 
 
 def simplex_edges(vertices: Sequence) -> list[tuple]:
@@ -492,23 +520,30 @@ def signed_area(loop: Loop) -> Fraction:
     return total / 2
 
 
-def cross_sum(points: Sequence) -> tuple:
-    """The sum of the edge cross products p x q of a polygon in 3-space, in
-    the points' own arithmetic: twice its area vector."""
-    ax = ay = az = 0
-    for p, q in ring_edges(points):
-        ax += p[1] * q[2] - p[2] * q[1]
-        ay += p[2] * q[0] - p[0] * q[2]
-        az += p[0] * q[1] - p[1] * q[0]
-    return ax, ay, az
-
-
 def area_vector(points: Sequence[Point3]) -> tuple[Fraction, Fraction, Fraction]:
     """Exact area vector of a planar polygon in 3-space.
 
     Half the sum of the edge cross products: normal to the polygon, as long as its area.
     """
-    return tuple(Fraction(c) / 2 for c in cross_sum(points))
+    ax = ay = az = Fraction(0)
+    for p, q in ring_edges(points):
+        ax += p[1] * q[2] - p[2] * q[1]
+        ay += p[2] * q[0] - p[0] * q[2]
+        az += p[0] * q[1] - p[1] * q[0]
+    return ax / 2, ay / 2, az / 2
+
+
+def twice_area_squares(rings):
+    """The squared length of twice the area vector of each (N, k, 3) lattice
+    ring, |sum of p x q over its edges|^2, as int64 while k and the largest
+    coordinate bound it there, otherwise as Python ints."""
+    _, k, _ = rings.shape
+    top = _magnitude(rings)
+    rings = rings.astype(int_dtype(12 * (k * top * top) ** 2), copy=False)
+    nxt = rings[:, [*range(1, k), 0]]  # each vertex's successor on its ring
+    i, j = [1, 2, 0], [2, 0, 1]
+    cross = (rings[..., i] * nxt[..., j] - rings[..., j] * nxt[..., i]).sum(axis=1)
+    return (cross * cross).sum(axis=1)
 
 
 def lattice_windings(xs, ys, px, py):
@@ -583,25 +618,18 @@ _POINTS = {2: Point2, 3: Point3}
 
 
 class OnLattice:
-    """Objects held as rows of Python ints on the lattice of D = `lcm`.
+    """Objects held as arrays of lattice ints on the lattice of D = `lcm`.
 
-    `len` reads the rows. The objects are built from them on first use,
-    each distinct point and value once. A subclass says how a row holds an
-    object (`row(obj, f)`, f mapping each coordinate to its lattice int)
-    and how a row becomes the object again (`_object`).
+    `len` reads the arrays, and `rows`, each object as a row of Python
+    ints, is read from them on first use. The objects are built from the
+    rows on first use, each distinct point and value once. A subclass says
+    how a row holds an object (`row(obj, f)`, f mapping each coordinate to
+    its lattice int), how its arrays hold such rows (`of`) and how a row
+    becomes the object again (`_object`).
     """
 
-    def __init__(self, lcm: int, rows):
-        self.lcm = lcm
-        self.rows = rows
-
-    @classmethod
-    def of(cls, lcm: int, rows) -> "OnLattice":
-        """The view of `rows` on the lattice of D = lcm."""
-        return cls(lcm, rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
+    lcm: int
+    rows: list
 
     def __iter__(self):
         return iter(self._objects)
@@ -616,8 +644,14 @@ class OnLattice:
         return [self._object(row, point, value) for row in self.rows]
 
 
+def object_rows(rows: list, empty: tuple) -> np.ndarray:
+    """Equal-shaped nested rows of lattice ints as one array of Python ints;
+    no rows give an empty array of shape `empty`."""
+    return np.array(rows, dtype=object) if rows else np.empty(empty, dtype=object)
+
+
 class LatticeSequence(OnLattice, Sequence):
-    """Objects in order, held as a list of rows; equal to any sequence of equal objects."""
+    """Objects in order; equal to any sequence of equal objects."""
 
     def __getitem__(self, i):
         return self._objects[i]
@@ -629,13 +663,27 @@ class LatticeSequence(OnLattice, Sequence):
 
 
 class Segments(OnLattice, Set):
-    """A set of segments, held as a set of rows (p, q): lattice points, p < q.
+    """A set of segments, held as one (n, 2, d) array `grid` of lattice
+    points (p, q), p < q, each segment once, in the one segment order (by
+    first, then second endpoint; see `distinct_segments`).
 
     Set operations with other sets return plain sets of `Segment`s.
     """
 
-    def __init__(self, lcm: int, rows):
-        super().__init__(lcm, set(rows))
+    def __init__(self, lcm: int, grid):
+        self.lcm = lcm
+        self.grid = grid
+
+    @classmethod
+    def of(cls, lcm: int, rows) -> "Segments":
+        return cls(lcm, distinct_segments(object_rows(rows, (0, 2, 2))))
+
+    def __len__(self) -> int:
+        return len(self.grid)
+
+    @cached_property
+    def rows(self) -> list:
+        return [(tuple(p), tuple(q)) for p, q in self.grid.tolist()]
 
     @staticmethod
     def row(segment, f) -> tuple:
@@ -653,8 +701,8 @@ class Segments(OnLattice, Set):
 
     @cached_property
     def index(self) -> "SegmentIndex":
-        """The one `SegmentIndex` over these rows, built on first use; `SegmentIndex(self)` returns it."""
-        return SegmentIndex._over(self.lcm, list(self.rows), self.rows)
+        """The one `SegmentIndex` over these segments, built on first use; `SegmentIndex(self)` returns it."""
+        return SegmentIndex._over(self.lcm, self.grid, _magnitude(self.grid))
 
     @classmethod
     def _from_iterable(cls, segments) -> set:
@@ -662,7 +710,25 @@ class Segments(OnLattice, Set):
 
 
 class BoxCells(LatticeSequence):
-    """Box cells, held as rows (address, corner, side)."""
+    """Box cells, held as their addresses, (N, d) corners and (N,) sides."""
+
+    def __init__(self, lcm: int, addresses: list[str], corners, sides):
+        self.lcm = lcm
+        self.addresses = addresses
+        self.corners = corners
+        self.sides = sides
+
+    @classmethod
+    def of(cls, lcm: int, rows) -> "BoxCells":
+        corners = object_rows([corner for _, corner, _ in rows], (0, 2))
+        return cls(lcm, [address for address, _, _ in rows], corners, object_rows([s for _, _, s in rows], (0,)))
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    @cached_property
+    def rows(self) -> list:
+        return list(zip(self.addresses, map(tuple, self.corners.tolist()), self.sides.tolist()))
 
     @staticmethod
     def row(cell: Cell, f) -> tuple:
@@ -674,7 +740,23 @@ class BoxCells(LatticeSequence):
 
 
 class Simplices(LatticeSequence):
-    """Simplex cells, held as rows (address, vertices)."""
+    """Simplex cells, held as their addresses and (N, n, d) vertices."""
+
+    def __init__(self, lcm: int, addresses: list[str], vertices):
+        self.lcm = lcm
+        self.addresses = addresses
+        self.vertices = vertices
+
+    @classmethod
+    def of(cls, lcm: int, rows) -> "Simplices":
+        return cls(lcm, [address for address, _ in rows], object_rows([v for _, v in rows], (0, 4, 3)))
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    @cached_property
+    def rows(self) -> list:
+        return [(a, tuple(map(tuple, v))) for a, v in zip(self.addresses, self.vertices.tolist())]
 
     @staticmethod
     def row(cell: Simplex, f) -> tuple:
@@ -713,19 +795,41 @@ def common_lattice(*blocks) -> list:
     return [kind.of(lcm, block) for (kind, _), block in zip(blocks, rows)]
 
 
+def _span(grid) -> tuple[int, int]:
+    """The lowest value of an array of lattice ints, 0 or below, and the base
+    that holds every value minus it as one digit."""
+    low = int(grid.min(initial=0))
+    return low, int(grid.max(initial=0)) - low + 1
+
+
+def _point_keys(points, low: int, base: int, width: int):
+    """Each lattice point, along the last axis of `points`, as one int, its
+    digits the coordinates minus `low` in base `base`: for points whose
+    coordinates lie in [low, low + base), distinct as the points are and
+    ordered as they are, lexicographically. int64 while base^width
+    (width >= d) fits it, else Python ints."""
+    dtype = np.result_type(points, int_dtype(base**width))
+    digits = np.array([base**i for i in reversed(range(points.shape[-1]))], dtype)
+    return (points.astype(dtype, copy=False) - low) @ digits
+
+
+def _segment_keys(pairs, low: int, base: int):
+    """The key of each (m, 2, d) segment pq, the `_point_keys` of its lower
+    end, then of its upper end, as one int; and whether q is the lower end."""
+    ends = _point_keys(pairs, low, base, 2 * pairs.shape[2])
+    swap = ends[:, 1] < ends[:, 0]
+    ends.sort(axis=1)
+    return ends[:, 0] * base ** pairs.shape[2] + ends[:, 1], swap
+
+
+def _magnitude(grid: np.ndarray) -> int:
+    """The largest absolute value in an array of lattice ints (0 if empty)."""
+    return max(int(grid.max(initial=0)), -int(grid.min(initial=0)))
+
+
 def _fitted(grid: np.ndarray) -> np.ndarray:
     """An array of lattice ints as the `lattice_dtype` of its largest magnitude."""
-    return grid.astype(lattice_dtype(max(int(grid.max(initial=0)), -int(grid.min(initial=0)))), copy=False)
-
-
-def _segment_grid(rows: list) -> np.ndarray:
-    """Segment rows (p, q) of lattice ints as an (n, 2, d) `_fitted` array."""
-    d = len(rows[0][0])
-    try:
-        grid = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.int64, 2 * d * len(rows))
-    except OverflowError:  # beyond int64
-        return np.array(rows, dtype=object)
-    return _fitted(grid.reshape(-1, 2, d))
+    return grid.astype(lattice_dtype(_magnitude(grid)), copy=False)
 
 
 def _query_grid(points, d: int) -> np.ndarray:
@@ -756,7 +860,7 @@ def _line_keys(points: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _starts(rows: np.ndarray) -> np.ndarray:
     """Where each row of a sorted array differs from the one before it (always at 0)."""
     new = np.ones(len(rows), dtype=bool)
-    rows = rows.reshape(len(rows), -1)
+    rows = rows.reshape(len(rows), math.prod(rows.shape[1:]))
     np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
     return new
 
@@ -784,18 +888,20 @@ class SegmentIndex:
         if isinstance(segments, Segments):
             return segments.index
         lcm, (rows,) = lattice_rows((Segments.row, segments))
-        return cls._over(lcm, rows, set(rows))
+        grid = object_rows(rows, (0, 2, 2))
+        return cls._over(lcm, grid, _magnitude(grid))
 
     @classmethod
-    def _over(cls, lcm: int, rows: list, members: Set) -> "SegmentIndex":
-        """The index of `rows` (p, q), p < q, on the lattice of D = lcm;
-        `members` holds the same rows, for `covers`."""
+    def _over(cls, lcm: int, rows: np.ndarray, magnitude: int) -> "SegmentIndex":
+        """The index of `rows`, an (n, 2, d) array of segments (p, q), p < q,
+        on the lattice of D = lcm, held as the `lattice_dtype` of
+        `magnitude`, the largest absolute value among them."""
         self = super().__new__(cls)
-        self.lcm, self.rows, self._members = lcm, rows, members
+        self.lcm, self.rows = lcm, rows
         n = len(rows)
         if not n:
             return self
-        segments = _segment_grid(rows)
+        segments = rows.astype(lattice_dtype(magnitude), copy=False)
         p, q = segments[:, 0], segments[:, 1]
         step = q - p
         w = step // np.gcd.reduce(step, axis=1)[:, None]
@@ -844,7 +950,7 @@ class SegmentIndex:
         (point, direction) is one `_runs_at` query.
         """
         single = np.ndim(points) == 1
-        if self.rows:
+        if len(self.rows):
             k = len(self.directions)
             grid = _query_grid(points, self.directions.shape[1])
             keys, t = _line_keys(np.repeat(grid, k, axis=0), np.tile(self.directions, (len(grid), 1)))
@@ -861,18 +967,49 @@ class SegmentIndex:
             hits = np.empty((0, 2), dtype=np.int64)
         return hits[:, 1].tolist() if single else hits
 
-    def covers(self, p, q) -> bool:
-        """True iff the segment between lattice points p and q lies inside
+    def covers(self, p, q):
+        """Whether the segment between lattice points p and q lies inside
         the union of collinear indexed segments.
 
-        An indexed row, (p, q) or (q, p), is answered by membership; any
-        other segment, such as a part or a displaced copy of a row, by
-        looking up the run holding its lower end on its line, which must
-        reach its upper end."""
-        if (p, q) in self._members or (q, p) in self._members:
-            return True
-        if not self.rows:
-            return False
+        `p` and `q` are two points, or two (m, d) arrays of them: a batch
+        gets a list of bools, in order, and one pair a bool. All pairs
+        that are indexed rows, (p, q) or (q, p), are found by one sorted
+        membership test among the rows; any other segment, such as a part
+        or a displaced copy of a row, by looking up the run holding its
+        lower end on its line, which must reach its upper end."""
+        single = np.ndim(p) == 1
+        if not len(self.rows):
+            return False if single else [False] * len(p)
+        grid = _query_grid((p, q) if single else np.concatenate((p, q)), self.rows.shape[2])
+        p, q = np.split(grid, 2)
+        indexed = self._indexed(p, q)
+        answers = indexed.tolist()
+        for i in np.flatnonzero(~indexed).tolist():
+            answers[i] = self._reaches(p[i].tolist(), q[i].tolist())
+        return answers[0] if single else answers
+
+    @cached_property
+    def _keyed(self) -> tuple:
+        """The rows' keys (`_segment_keys`, on the span of the rows) in
+        sorted order, the rows in that order, and the span."""
+        low, base = _span(self.rows)
+        keys, _ = _segment_keys(self.rows, low, base)
+        order = np.argsort(keys)
+        return keys[order], self.rows[order], low, base
+
+    def _indexed(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Whether each segment pq, either way round, is an indexed row: its
+        key is searched among the rows' sorted keys, and the row found must
+        hold its ends. A pair off the rows' span may meet a row of another
+        key, which that check refuses."""
+        keys, rows, low, base = self._keyed
+        pairs = np.stack((p, q), axis=1)
+        found, _ = _segment_keys(pairs.astype(np.result_type(pairs, keys), copy=False), low, base)
+        row = rows[np.minimum(np.searchsorted(keys, found), len(keys) - 1)]
+        return (row == pairs).all(axis=(1, 2)) | (row == pairs[:, ::-1]).all(axis=(1, 2))
+
+    def _reaches(self, p: list, q: list) -> bool:
+        """Whether the run holding the lower end of pq on its line reaches its upper end."""
         if p == q:  # a point: covered when a segment passes through it
             return bool(self.ids_through(p))
         if q < p:
@@ -895,13 +1032,13 @@ def union_length(segments: Iterable[Segment]) -> Fraction:
     first segment along the line of the first such row.
     """
     index = SegmentIndex(segments)
-    if not index.rows:
+    if not len(index.rows):
         return Fraction(0)
     if any(sum(map(bool, w)) != 1 for w in index.directions.tolist()):
-        skew = next(i for i, (p, q) in enumerate(index.rows) if sum(a != b for a, b in zip(p, q)) != 1)
+        skew = np.flatnonzero((index.rows[:, 0] != index.rows[:, 1]).sum(axis=1) != 1)[0]
         run = index.run[np.flatnonzero(index.order == skew)[0]]
         line = np.flatnonzero((index.run_keys == index.run_keys[run]).all(axis=1))[0]
-        p, q = index.rows[index.order[index.run_first[line]]]
+        p, q = index.rows[index.order[index.run_first[line]]].tolist()
         shown = [[str(Fraction(v, index.lcm)) for v in point] for point in (p, q)]
         raise UnsupportedGeometryError(f"union_length requires axis-parallel segments, got {shown}")
     return Fraction(int((index.run_hi - index.run_lo).sum()), index.lcm)

@@ -12,9 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from .cantor import Stage2
 from .errors import CapacityError, UnsupportedGeometryError
-from .geometry import LatticeTable, Loop, Point2, to_lattice
+from .geometry import LatticeTable, Loop, Point2, lattice_group, to_lattice
 from .planar import CARPET, Cells, PieceSet, base_cell
 from .spatial import Stage3
 from .topology import HoleSet, index_vector
@@ -108,18 +110,20 @@ class _Canvas:
 
         self._groups(rings, rows)
 
-    def segments(self, lcm: int, rows, stroke: str, width_frac: float):
-        """Segments of lattice points, rows (p, q), one two-point polyline each."""
-        if not rows:
+    def segments(self, lcm: int, grid, stroke: str, width_frac: float):
+        """Segments of lattice points, an (n, 2, 2) array of rows (p, q), one two-point polyline each."""
+        if not len(grid):
             return
-        self._bound(lcm, [p[0] for row in rows for p in row], [p[1] for row in rows for p in row])
+        xs, ys = grid[:, :, 0], grid[:, :, 1]
+        self._bound(lcm, (int(xs.min()), int(xs.max())), (int(ys.min()), int(ys.max())))
 
         def lines(x, y, scale):
             template = (
                 '<polyline points="%s,%s %s,%s" fill="none" stroke="' + stroke
                 + '" stroke-width="' + fmt(width_frac * scale) + '" stroke-linecap="square"/>'
             )
-            return [template % (x[p[0]], y[p[1]], x[q[0]], y[q[1]]) for p, q in rows]
+            columns = x.column(xs[:, 0]), y.column(ys[:, 0]), x.column(xs[:, 1]), y.column(ys[:, 1])
+            return [template % row for row in zip(*columns)]
 
         self._lattice(lcm, lines)
 
@@ -183,10 +187,10 @@ class _Canvas:
 
 
 def _draw_stage2(canvas: _Canvas, stage: Stage2) -> None:
-    lcm = stage.cells.lcm
-    squares = [(corner, (side, side)) for _, corner, side in stage.cells.rows]  # as `Cells` holds them
-    canvas.squares(Cells.of(lcm, squares), fill=_KEPT_FILL)
-    canvas.segments(lcm, sorted(stage.segments.rows), stroke=_STROKE, width_frac=0.002)
+    cells = stage.cells
+    squares = np.stack((cells.corners, np.stack((cells.sides, cells.sides), axis=1)), axis=1)  # as `Cells` holds them
+    canvas.squares(Cells(cells.lcm, lattice_group(squares)), fill=_KEPT_FILL)
+    canvas.segments(cells.lcm, stage.segments.grid, stroke=_STROKE, width_frac=0.002)
 
 
 def _draw_pieces(canvas: _Canvas, ps: PieceSet) -> None:
@@ -239,33 +243,25 @@ def export_obj(stage: Stage3) -> str:
     Faces are intentionally not deduplicated: overlapping faces from
     different birth levels are distinct pieces.
     """
-    vertex_ids: dict = {}
-    vertices: list = []
-
-    def vid(point) -> int:
-        got = vertex_ids.get(point)
-        if got is None:
-            got = len(vertices) + 1  # OBJ indices are 1-based
-            vertex_ids[point] = got
-            vertices.append(point)
-        return got
-
-    lines = [(vid(p), vid(q)) for p, q in sorted(stage.skeleton.rows)]
-    faces = [tuple(map(vid, ring)) for ring, _, _ in stage.pieces.rows]
+    skeleton, rings = stage.skeleton.grid, stage.pieces.rings
+    points = np.concatenate((skeleton.reshape(-1, 3), rings.reshape(-1, 3))).tolist()
+    vertex_ids: dict = {}  # OBJ indices are 1-based
+    ids = [vertex_ids.setdefault(point, len(vertex_ids) + 1) for point in map(tuple, points)]
+    lines = list(zip(ids[0 : 2 * len(skeleton) : 2], ids[1 : 2 * len(skeleton) : 2]))
+    k = rings.shape[1]
+    faces = [ids[i : i + k] for i in range(2 * len(skeleton), len(ids), k)]
     out = [
         f"# quasifractal {stage.variant.kind} stage, level {stage.level}",
-        f"# vertices: {len(vertices)}",
+        f"# vertices: {len(vertex_ids)}",
         f"# lines: {len(lines)}",
         f"# faces: {len(faces)}",
     ]
     lcm = stage.skeleton.lcm
     value = LatticeTable(lambda v: fmt(v / lcm))
     try:
-        out += ["v " + " ".join(map(value.__getitem__, v)) for v in vertices]
+        out += ["v %s %s %s" % tuple(map(value.__getitem__, vertex)) for vertex in vertex_ids]
     except OverflowError as exc:
         raise CapacityError(f"coordinate beyond the float range: {exc}") from exc
-    for a, b in lines:
-        out.append(f"l {a} {b}")
-    for face in faces:
-        out.append("f " + " ".join(str(i) for i in face))
+    out += ["l %d %d" % (a, b) for a, b in lines]
+    out += ["f " + " ".join(map(str, face)) for face in faces]
     return "\n".join(out) + "\n"

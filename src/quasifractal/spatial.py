@@ -22,9 +22,10 @@ only at reporting time.
 
 A stage is built on the integer lattice of its level, D = q^depth for
 a = p/q and 2^depth for the tetrahedron: cells, skeleton edges and faces
-are rows of Python ints from the first level on, and a face's squared
-area is |sum of p x q over its edges|^2 / (4 D^4), one Fraction per
-distinct integer.
+are numpy arrays of lattice ints, int64 while D fits int64 and Python
+ints (object dtype) above it, and a face's squared area is
+|sum of p x q over its edges|^2 / (4 D^4), one Fraction per distinct
+integer.
 """
 
 from __future__ import annotations
@@ -32,15 +33,18 @@ from __future__ import annotations
 from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
+from itertools import product
 from math import sqrt
 from typing import Union
 
+import numpy as np
+
 from .errors import ParameterError
-from .geometry import BoxCells, Cell, LatticeSequence, LatticeTable, Point3, Segment, SegmentIndex
-from .geometry import Segments, Simplex, Simplices, box_edges, box_faces, check_depth, common_lattice
-from .geometry import corner_children, cross_sum, geometric_sum, lattice_midpoint, ring_edges
-from .geometry import scale_factor, segment_components, simplex_children, simplex_edges, simplex_faces
+from .geometry import BOX_OUTLINE, SIMPLEX_OUTLINE, BoxCells, Cell, LatticeSequence, LatticeTable, Point3
+from .geometry import Segment, SegmentIndex, Segments, Simplex, Simplices, box_grid, cell_outline, check_depth
+from .geometry import common_lattice, distinct_segments, geometric_sum, int_dtype, object_rows, ring_edges
+from .geometry import scale_factor, segment_components, split_boxes, split_simplices, twice_area_squares
 
 CUBE_WIREFRAME = "cube_wireframe"
 TETRA_GASKET = "tetra_gasket"
@@ -90,7 +94,29 @@ class Face3:
 
 
 class Faces(LatticeSequence):
-    """Faces, held as rows (boundary ring, birth level, area_sq)."""
+    """Faces, held as their (N, k, d) boundary rings, (N,) birth levels and
+    (N,) squared areas times 4 D^4 (for built faces, `twice_area_squares`)."""
+
+    def __init__(self, lcm: int, rings, births, areas):
+        self.lcm = lcm
+        self.rings = rings
+        self.births = births
+        self.areas = areas
+
+    @classmethod
+    def of(cls, lcm: int, rows) -> "Faces":
+        rings = object_rows([ring for ring, _, _ in rows], (0, 4, 3))
+        areas = object_rows([area_sq * 4 * lcm**4 for _, _, area_sq in rows], (0,))
+        return cls(lcm, rings, np.array([birth for _, birth, _ in rows], dtype=np.int64), areas)
+
+    def __len__(self) -> int:
+        return len(self.births)
+
+    @cached_property
+    def rows(self) -> list:
+        area_sq = LatticeTable(lambda n: Fraction(n, 4 * self.lcm**4))
+        rings = [tuple(map(tuple, ring)) for ring in self.rings.tolist()]
+        return list(zip(rings, self.births.tolist(), area_sq.column(self.areas)))
 
     @staticmethod
     def row(face: Face3, f) -> tuple:
@@ -127,61 +153,42 @@ class Stage3:
         )
 
 
-def _split_tetrahedra(cells: list) -> list:
-    return [
-        (address + str(i), child)
-        for address, vertices in cells
-        for i, child in enumerate(simplex_children(vertices, lattice_midpoint))
-    ]
-
-
-def _cube_outline(cell: tuple) -> tuple:
-    _, corner, side = cell
-    return box_edges(corner, side), box_faces(corner, side)
-
-
-def _tetra_outline(cell: tuple) -> tuple:
-    _, vertices = cell
-    return simplex_edges(vertices), simplex_faces(vertices)
-
-
 def build_spatial(variant: SpatialVariant, depth: int, workers: int = 1) -> Stage3:
     """Subdivide to the given depth with canonical (address-sorted) ordering.
 
-    The whole build runs on the lattice of the last level: a cube child's
-    side is its parent's // q * p, a tetrahedron child's vertex the
-    midpoint (u + v) // 2. Children are emitted parent by parent in letter
-    order, so the cells stay in address order. `workers` is accepted and
-    ignored.
+    Level k runs on the lattice of its own level, q^k for a = p/q
+    (`split_boxes`) and 2^k for the tetrahedron (`split_simplices`), and
+    its edges and faces are scaled to the last level's. Every array is
+    int64 while that lattice's D fits int64 and holds Python ints above
+    it. Children are emitted parent by parent in letter order, so the
+    cells stay in address order. `workers` is accepted and ignored.
     """
     cube = variant.kind == CUBE_WIREFRAME
     check_depth(depth, CUBE_DEPTH_CAP if cube else TETRA_DEPTH_CAP, what=f"{variant.kind} depth")
+    scale = variant.a.denominator if cube else 2
+    lcm = scale**depth
+    dtype = int_dtype(lcm)
     if cube:
-        lcm = variant.a.denominator**depth
-        cells: list = [("", (0, 0, 0), lcm)]
-        kind, split, outline = BoxCells, partial(corner_children, a=variant.a), _cube_outline
+        cells = (np.zeros((1, 3), dtype), np.ones(1, dtype))
     else:
-        lcm = 2**depth
-        cells = [("", tuple(tuple(c * lcm for c in v) for v in _TETRA_BASE))]
-        kind, split, outline = Simplices, _split_tetrahedra, _tetra_outline
-    area_sq = LatticeTable(lambda n: Fraction(n, 4 * lcm**4))
-    skeleton: set = set()
-    pieces: list = []
+        cells = np.array([_TETRA_BASE], dtype)
+    edges, faces = [], []
     for level in range(depth + 1):
         if level:
-            cells = split(cells)
-        for cell in cells:
-            edges, faces = outline(cell)
-            skeleton.update(edges)
-            for ring in faces:
-                ax, ay, az = cross_sum(ring)
-                pieces.append((ring, level, area_sq[ax * ax + ay * ay + az * az]))
+            cells = split_boxes(*cells, variant.a) if cube else split_simplices(cells)
+        vertices = box_grid(*cells) if cube else cells
+        level_edges, level_faces = cell_outline(vertices, *(BOX_OUTLINE[3] if cube else SIMPLEX_OUTLINE[4]))
+        edges.append(level_edges * scale ** (depth - level))
+        faces.append(level_faces * scale ** (depth - level))
+    rings = np.concatenate(faces)
+    births = np.repeat(np.arange(depth + 1), [len(level_faces) for level_faces in faces])
+    addresses = list(map("".join, product("01234567" if cube else "0123", repeat=depth)))
     return Stage3(
         variant=variant,
         level=depth,
-        cells=kind(lcm, cells),
-        skeleton=Segments(lcm, skeleton),
-        pieces=Faces(lcm, pieces),
+        cells=BoxCells(lcm, addresses, *cells) if cube else Simplices(lcm, addresses, cells),
+        skeleton=Segments(lcm, distinct_segments(np.concatenate(edges))),
+        pieces=Faces(lcm, rings, births, twice_area_squares(rings)),
     )
 
 
@@ -250,17 +257,16 @@ def boundary_incidence(stage: Stage3) -> int:
     Each edge must lie inside the union of collinear skeleton segments;
     the test is exact, on the stage's lattice, so a face displaced off the
     edge lattice is caught. The skeleton keeps one SegmentIndex, built in
-    O(n log n) on first use and shared with `connectivity3`. Every face
-    edge of a built stage is itself a skeleton row, which `covers` answers
-    by membership; any other edge costs one run-table lookup.
+    O(n log n) on first use and shared with `connectivity3`, and every
+    face edge goes to one batched `covers` call. Every face edge of a built
+    stage is itself a skeleton row, which `covers` finds by one sorted
+    membership test for all of them; any other edge costs one run-table
+    lookup.
     """
-    index = SegmentIndex(stage.skeleton)
-    violations = 0
-    for ring, _, _ in stage.pieces.rows:
-        for p, q in ring_edges(ring):
-            if not index.covers(p, q):
-                violations += 1
-    return violations
+    rings = stage.pieces.rings
+    _, k, d = rings.shape
+    ends = rings.reshape(-1, d), rings[:, [*range(1, k), 0]].reshape(-1, d)  # each vertex and its successor
+    return SegmentIndex(stage.skeleton).covers(*ends).count(False)
 
 
 def connectivity3(stage: Stage3) -> int:

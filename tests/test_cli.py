@@ -620,6 +620,26 @@ def test_spatial_level_above_the_cap_exits_capacity(variant, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_cap_level_list_of_junk_cells_is_refused_before_the_build(tmp_path, capsys):
+    # every cell entry takes at least 31 characters, so 262 144 zeros cannot
+    # be a level-6 carpet; the refusal comes before the carpet is built
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"schema_version": 1, "kind": "carpet", "level": 6, "kept": [0] * 8**6, "removed": []}))
+    start = time.perf_counter()
+    _assert_one_validation_line(["render", "--input", str(path)], capsys)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("argv", [["carpet", "--depth", "3"], ["gen2d", "--a", "1/3", "--depth", "3"]])
+def test_documents_written_another_way_read_as_written(argv, tmp_path):
+    # the same JSON with keys sorted and no indentation is the same document
+    path, svg = tmp_path / "d.json", tmp_path / "d.svg"
+    assert main(argv + ["--out", str(path), "--svg", str(svg)]) == EXIT_OK
+    path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True))
+    assert main(["render", "--input", str(path), "--out", str(tmp_path / "again.svg")]) == EXIT_OK
+    assert (tmp_path / "again.svg").read_text() == svg.read_text()
+
+
 @pytest.mark.parametrize("value", [1.0, True])
 def test_numbers_equal_to_a_read_int_are_still_refused(value, tmp_path, capsys):
     # a JSON number where the writer puts a "p/q" string is refused, even
