@@ -51,7 +51,7 @@ def format_rational(x: Fraction | int) -> str:
 
 def stage2_to_document(stage: Stage2, measures: dict | None = None) -> dict:
     """The cantor2d document of `stage`; its "cells" and "segments" are
-    `Encoded` text, written from the lattice rows with each distinct
+    `Encoded` text, written from the lattice arrays with each distinct
     coordinate formatted once."""
     text = _lattice_text(stage.cells.lcm)
     doc = {
@@ -163,7 +163,8 @@ def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
 
 def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
     """The spatial stage document of `stage`; its "cells", "skeleton" and
-    "pieces" are `Encoded` text, written from the lattice rows."""
+    "pieces" are `Encoded` text, written from the lattice arrays with each
+    distinct coordinate formatted once."""
     variant = stage.variant
     params: dict = {"kind": variant.kind}
     if variant.a is not None:

@@ -702,7 +702,7 @@ class Segments(OnLattice, Set):
     @cached_property
     def index(self) -> "SegmentIndex":
         """The one `SegmentIndex` over these segments, built on first use; `SegmentIndex(self)` returns it."""
-        return SegmentIndex._over(self.lcm, self.grid, _magnitude(self.grid))
+        return SegmentIndex._over(self.lcm, self.grid, self.grid)
 
     @classmethod
     def _from_iterable(cls, segments) -> set:
@@ -889,19 +889,19 @@ class SegmentIndex:
             return segments.index
         lcm, (rows,) = lattice_rows((Segments.row, segments))
         grid = object_rows(rows, (0, 2, 2))
-        return cls._over(lcm, grid, _magnitude(grid))
+        return cls._over(lcm, grid, distinct_segments(grid))
 
     @classmethod
-    def _over(cls, lcm: int, rows: np.ndarray, magnitude: int) -> "SegmentIndex":
+    def _over(cls, lcm: int, rows: np.ndarray, members: np.ndarray) -> "SegmentIndex":
         """The index of `rows`, an (n, 2, d) array of segments (p, q), p < q,
-        on the lattice of D = lcm, held as the `lattice_dtype` of
-        `magnitude`, the largest absolute value among them."""
+        on the lattice of D = lcm; `members` holds the same segments, each
+        once in the one segment order, for `covers`."""
         self = super().__new__(cls)
-        self.lcm, self.rows = lcm, rows
+        self.lcm, self.rows, self._members = lcm, rows, members
         n = len(rows)
         if not n:
             return self
-        segments = rows.astype(lattice_dtype(magnitude), copy=False)
+        segments = _fitted(rows)
         p, q = segments[:, 0], segments[:, 1]
         step = q - p
         w = step // np.gcd.reduce(step, axis=1)[:, None]
@@ -990,22 +990,21 @@ class SegmentIndex:
 
     @cached_property
     def _keyed(self) -> tuple:
-        """The rows' keys (`_segment_keys`, on the span of the rows) in
-        sorted order, the rows in that order, and the span."""
-        low, base = _span(self.rows)
-        keys, _ = _segment_keys(self.rows, low, base)
-        order = np.argsort(keys)
-        return keys[order], self.rows[order], low, base
+        """The keys of the members (`_segment_keys` on their span), sorted
+        as the members are, and that span."""
+        low, base = _span(self._members)
+        keys, _ = _segment_keys(self._members, low, base)
+        return keys, low, base
 
     def _indexed(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Whether each segment pq, either way round, is an indexed row: its
-        key is searched among the rows' sorted keys, and the row found must
-        hold its ends. A pair off the rows' span may meet a row of another
-        key, which that check refuses."""
-        keys, rows, low, base = self._keyed
+        key is searched among the members' sorted keys, and the member
+        found must hold its ends. A pair off the members' span may meet a
+        member of another key, which that check refuses."""
+        keys, low, base = self._keyed
         pairs = np.stack((p, q), axis=1)
         found, _ = _segment_keys(pairs.astype(np.result_type(pairs, keys), copy=False), low, base)
-        row = rows[np.minimum(np.searchsorted(keys, found), len(keys) - 1)]
+        row = self._members[np.minimum(np.searchsorted(keys, found), len(keys) - 1)]
         return (row == pairs).all(axis=(1, 2)) | (row == pairs[:, ::-1]).all(axis=(1, 2))
 
     def _reaches(self, p: list, q: list) -> bool:
