@@ -153,7 +153,7 @@ def parse_args(argv) -> RunConfig:
     if ns.command is None:
         raise UsageError("a subcommand is required (see --help)")
     options = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    if ns.config:
+    if ns.config is not None:
         for key, raw in load_config_file(ns.config).items():
             if key not in options:
                 raise ParameterError(f"unknown config key {key!r} for {ns.command}")
@@ -260,7 +260,7 @@ def _cmd_gen2d(options: dict) -> int:
     stage = cantor.build(params)
     doc = document.stage2_to_document(stage, measures=_stage2_measures(stage))
     _write(document.dumps_document(doc), options.get("out"))
-    if options.get("svg"):
+    if options.get("svg") is not None:
         _write(render.render_svg(stage), options["svg"])
     return EXIT_OK
 
@@ -269,7 +269,7 @@ def _cmd_planar(kind: str, options: dict) -> int:
     ps = planar.build_planar(kind, _require(options, "depth"))
     doc = document.pieces_to_document(ps, measures=_pieces_measures(ps))
     _write(document.dumps_document(doc), options.get("out"))
-    if options.get("svg"):
+    if options.get("svg") is not None:
         _write(render.render_svg(ps), options["svg"])
     return EXIT_OK
 
@@ -292,7 +292,7 @@ def _cmd_gen3d(options: dict) -> int:
     stage = spatial.build_spatial(variant, _require(options, "depth"))
     doc = document.stage3_to_document(stage, measures=_stage3_measures(stage))
     _write(document.dumps_document(doc), options.get("out"))
-    if options.get("obj"):
+    if options.get("obj") is not None:
         _write(render.export_obj(stage), options["obj"])
     return EXIT_OK
 
@@ -386,7 +386,7 @@ def _cmd_toeplitz(options: dict) -> int:
 
 
 def _cmd_render(options: dict) -> int:
-    loop = parse_loop(options["loop"]) if options.get("loop") else None
+    loop = parse_loop(options["loop"]) if options.get("loop") is not None else None
     doc, source = _read_document(_require(options, "input"))
     kind = doc["kind"]
     if kind in (spatial.CUBE_WIREFRAME, spatial.TETRA_GASKET):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
@@ -159,7 +158,7 @@ def split_simplices(simplices):
     children, parent by parent, on the lattice refined twofold.
 
     Vertex j of child i is v_i + v_j: v_i doubled for j = i, and otherwise
-    the doubled midpoint of edge ij, in `simplex_children`'s order.
+    the doubled midpoint of edge ij, so child i keeps vertex i in place i.
     """
     return (simplices[:, :, None] + simplices[:, None]).reshape(-1, *simplices.shape[1:])
 
@@ -284,10 +283,6 @@ class Point3(NamedTuple):
 Point = Union[Point2, Point3]
 
 
-def midpoint(p: Point, q: Point) -> Point:
-    return type(p)(*[(a + b) / 2 for a, b in zip(p, q)])
-
-
 class _Endpoints(NamedTuple):
     a: Point
     b: Point
@@ -320,20 +315,13 @@ def ring_segments(vertices: Sequence[Point]) -> tuple[Segment, ...]:
     return tuple(Segment(p, q) for p, q in ring_edges(vertices))
 
 
-def _picks(offset_rows) -> tuple:
-    """For each row of per-axis offsets (0 near side, 1 far side), a getter
-    of those coordinates from the flat list (x, x + s, y, y + s, ...)."""
-    return tuple(itemgetter(*[2 * i + o for i, o in enumerate(row)]) for row in offset_rows)
-
-
+# One table per fact, read by `Cell` and, as arrays, by the array steps.
 # Vertex b of a cell is far in coordinate i iff bit i of b is set, and edges
 # join the vertices whose indices differ in one bit. Child letter k takes the
 # corner at the same offsets as vertex k in space, and runs SW, SE, NE, NW in
 # the plane.
-_BITS = {d: [[b >> i & 1 for i in range(d)] for b in range(1 << d)] for d in (2, 3)}
+_BITS = {d: tuple(tuple(b >> i & 1 for i in range(d)) for b in range(1 << d)) for d in (2, 3)}
 _CHILD_OFFSETS = {2: ((0, 0), (1, 0), (1, 1), (0, 1)), 3: _BITS[3]}
-_VERTEX_PICKS = {d: _picks(bits) for d, bits in _BITS.items()}
-_CHILD_PICKS = {d: _picks(offsets) for d, offsets in _CHILD_OFFSETS.items()}
 # The vertex and child corner offsets of a box, for `box_grid` and `split_boxes`.
 _BOX_OFFSETS = {d: (np.array(_BITS[d]), np.array(_CHILD_OFFSETS[d])) for d in (2, 3)}
 _EDGES = {
@@ -346,21 +334,8 @@ _FACE_RINGS = {
     2: ((0, 1, 3, 2),),
     3: ((0, 4, 6, 2), (1, 3, 7, 5), (0, 1, 5, 4), (2, 6, 7, 3), (0, 2, 3, 1), (4, 5, 7, 6)),
 }
-_FACES = {d: tuple(itemgetter(*ring) for ring in rings) for d, rings in _FACE_RINGS.items()}
 # The edge and face tables of a box of dimension d, for `cell_outline`.
 BOX_OUTLINE = {d: (np.array(_EDGES[d]), np.array(_FACE_RINGS[d])) for d in (2, 3)}
-
-
-def _ends(corner, length) -> list:
-    return [v for c in corner for v in (c, c + length)]
-
-
-def box_vertices(corner, side) -> list[tuple]:
-    """The 2^d corners of a box as coordinate tuples, in bit order: bit i of
-    the index selects the far side in coordinate i."""
-    ends = _ends(corner, side)
-    return [pick(ends) for pick in _VERTEX_PICKS[len(corner)]]
-
 
 
 @dataclass(frozen=True)
@@ -368,7 +343,7 @@ class Cell:
     """An addressed corner square (Point2 corner) or cube (Point3 corner).
 
     Letter k of the address selects the corner child taken at subdivision
-    step k (see `_CHILD_PICKS`), so with scale factor a the corner
+    step k (see `_CHILD_OFFSETS`), so with scale factor a the corner
     coordinates are sums of terms (1-a) * a^k and the side is a^len(address).
     The carpet's 3 x 3 split is not a corner split, so its cells carry the
     empty address.
@@ -384,8 +359,9 @@ class Cell:
 
     def vertices(self) -> tuple[Point, ...]:
         """The 2^d corners in bit order: bit i of the index selects the far side in coordinate i."""
+        ends = [(c, c + self.side) for c in self.corner]
         point = type(self.corner)
-        return tuple(point(*v) for v in box_vertices(self.corner, self.side))
+        return tuple(point(*[end[bit] for end, bit in zip(ends, bits)]) for bits in _BITS[len(ends)])
 
     def edge_segments(self) -> tuple[Segment, ...]:
         verts = self.vertices()
@@ -394,17 +370,7 @@ class Cell:
     def faces(self) -> tuple[tuple[Point, ...], ...]:
         """The vertex rings of the faces, each counterclockwise seen from outside."""
         verts = self.vertices()
-        return tuple(pick(verts) for pick in _FACES[len(self.corner)])
-
-    def children(self, a: Fraction) -> tuple["Cell", ...]:
-        child_side = self.side * a
-        ends = _ends(self.corner, self.side - child_side)
-        point = type(self.corner)
-        address = self.address
-        return tuple(
-            Cell(address + str(k), point(*pick(ends)), child_side)
-            for k, pick in enumerate(_CHILD_PICKS[len(self.corner)])
-        )
+        return tuple(tuple(verts[i] for i in ring) for ring in _FACE_RINGS[len(self.corner)])
 
     def contains(self, other: "Cell") -> bool:
         """Exact containment of another cell's closed square or cube in this one."""
@@ -414,46 +380,14 @@ class Cell:
         )
 
 
-def _simplex_pattern(n: int):
-    """The edges of an n-vertex simplex, and for each corner child a getter
-    of its vertices from (*vertices, *edge midpoints)."""
-    edges = tuple(combinations(range(n), 2))
-    slot = {edge: n + k for k, edge in enumerate(edges)}
-    picks = tuple(
-        itemgetter(*[i if j == i else slot[min(i, j), max(i, j)] for j in range(n)]) for i in range(n)
-    )
-    return edges, picks
-
-
-_SIMPLEX_PATTERNS = {n: _simplex_pattern(n) for n in (3, 4)}
+# One table per fact for `Simplex` too: edges join every vertex pair, in
+# lexicographic order.
+_SIMPLEX_EDGES = {n: tuple(combinations(range(n), 2)) for n in (3, 4)}
 # Face rings of a positively oriented simplex, counterclockwise seen from
 # outside: the triangle's one face and the tetrahedron's four.
 _SIMPLEX_FACE_RINGS = {3: ((0, 1, 2),), 4: ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))}
-_SIMPLEX_FACES = {n: tuple(itemgetter(*ring) for ring in rings) for n, rings in _SIMPLEX_FACE_RINGS.items()}
 # The edge and face tables of an n-vertex simplex, for `cell_outline`.
-SIMPLEX_OUTLINE = {n: (np.array(_SIMPLEX_PATTERNS[n][0]), np.array(_SIMPLEX_FACE_RINGS[n])) for n in (3, 4)}
-
-
-def simplex_children(vertices: Sequence[Point]) -> list[tuple[Point, ...]]:
-    """The half-scale corner copies of a triangle or tetrahedron.
-
-    Child i keeps vertex i in place i and puts the midpoint of the edge to
-    vertex j in place j; each edge midpoint is computed once.
-    """
-    edges, picks = _SIMPLEX_PATTERNS[len(vertices)]
-    points = (*vertices, *[midpoint(vertices[i], vertices[j]) for i, j in edges])
-    return [pick(points) for pick in picks]
-
-
-def simplex_edges(vertices: Sequence) -> list[tuple]:
-    """The edges of a simplex as vertex pairs, each in lexicographic order."""
-    edges, _ = _SIMPLEX_PATTERNS[len(vertices)]
-    return [(u, v) if u < v else (v, u) for u, v in ((vertices[i], vertices[j]) for i, j in edges)]
-
-
-def simplex_faces(vertices: Sequence) -> list[tuple]:
-    """The vertex rings of a simplex's faces, each counterclockwise seen from outside."""
-    return [pick(vertices) for pick in _SIMPLEX_FACES[len(vertices)]]
+SIMPLEX_OUTLINE = {n: (np.array(_SIMPLEX_EDGES[n]), np.array(_SIMPLEX_FACE_RINGS[n])) for n in (3, 4)}
 
 
 @dataclass(frozen=True)
@@ -461,7 +395,7 @@ class Simplex:
     """An addressed triangle (Point2 vertices) or tetrahedron (Point3 vertices).
 
     Letter i of the address selects the corner child that keeps vertex i
-    (see `simplex_children`), so every descendant keeps the vertex order
+    (see `split_simplices`), so every descendant keeps the vertex order
     and the orientation of its root.
     """
 
@@ -473,18 +407,13 @@ class Simplex:
         return len(self.address)
 
     def edge_segments(self) -> tuple[Segment, ...]:
-        return tuple(Segment(u, v) for u, v in simplex_edges(self.vertices))
+        verts = self.vertices
+        return tuple(Segment(verts[i], verts[j]) for i, j in _SIMPLEX_EDGES[len(verts)])
 
     def faces(self) -> tuple[tuple[Point, ...], ...]:
         """The vertex rings of the faces, each counterclockwise seen from outside."""
-        return tuple(simplex_faces(self.vertices))
-
-    def children(self) -> tuple["Simplex", ...]:
-        address = self.address
-        return tuple(
-            Simplex(address + str(i), verts)
-            for i, verts in enumerate(simplex_children(self.vertices))
-        )
+        verts = self.vertices
+        return tuple(tuple(verts[i] for i in ring) for ring in _SIMPLEX_FACE_RINGS[len(verts)])
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
@@ -20,8 +21,9 @@ from quasifractal.errors import (
     SamplingFailureError,
     UnsupportedGeometryError,
 )
-from quasifractal.geometry import Cell, Loop, Point2, Point3, Segment, Segments, Simplex, area_vector, lattice_rows
-from quasifractal.geometry import ring_edges, signed_area, simplex_children
+from quasifractal.geometry import BoxCells, Cell, Loop, Point2, Point3, Segment, Segments, Simplex, Simplices
+from quasifractal.geometry import area_vector, common_lattice, lattice_rows, ring_edges, signed_area
+from quasifractal.geometry import split_boxes, split_simplices
 from quasifractal.planar import CARPET, AreaAccount, Piece, PieceSet, base_cell
 from quasifractal.spatial import CUBE_WIREFRAME, Face3
 from quasifractal.topology import HoleSet, centroid
@@ -136,6 +138,60 @@ def area_accounting_oracle(ps: PieceSet) -> AreaAccount:
         kept_area = sum((cross2(*cell.vertices) / 2 for cell in ps.kept), F(0))
     removed_area = sum((piece.area for piece in ps.removed), F(0))
     return AreaAccount(kept_area=kept_area, removed_area=removed_area)
+
+
+def midpoint(p, q):
+    """The exact midpoint of two points, a point of their type."""
+    return type(p)(*[(a + b) / 2 for a, b in zip(p, q)])
+
+
+# Child letter k of a box takes the near (0) or far (1) side of the parent in
+# each coordinate: SW, SE, NE, NW in the plane, and in space bit i of k for
+# coordinate i. Written out here, not read from `geometry`, so that a wrong
+# table entry there shows against this one.
+_CORNER_CHILDREN = {
+    2: ((0, 0), (1, 0), (1, 1), (0, 1)),
+    3: ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)),
+}
+
+
+def simplex_children(vertices) -> list[tuple]:
+    """The half-scale corner copies of a triangle or tetrahedron: child i
+    keeps vertex i in place i and puts the midpoint of the edge to vertex j
+    in place j; each edge midpoint is computed once."""
+    n = len(vertices)
+    mids = {(i, j): midpoint(vertices[i], vertices[j]) for i, j in combinations(range(n), 2)}
+    return [tuple(vertices[i] if i == j else mids[min(i, j), max(i, j)] for j in range(n)) for i in range(n)]
+
+
+def cell_children(cell, a=None) -> tuple:
+    """The corner children of a `Cell` for scale factor a, or of a
+    `Simplex`, in letter order, one Fraction per coordinate: a box child has
+    side a * s and its corner on the near or far side of the parent's,
+    shifted by s - a * s; a simplex child is `simplex_children`'s."""
+    if isinstance(cell, Simplex):
+        return tuple(Simplex(cell.address + str(i), v) for i, v in enumerate(simplex_children(cell.vertices)))
+    side = cell.side * a
+    shift = cell.side - side
+    ends = [(c, c + shift) for c in cell.corner]
+    point = type(cell.corner)
+    return tuple(
+        Cell(cell.address + str(k), point(*[end[o] for end, o in zip(ends, offsets)]), side)
+        for k, offsets in enumerate(_CORNER_CHILDREN[len(ends)])
+    )
+
+
+def split_cell(cell, a=None) -> list:
+    """The children of one `Cell` or `Simplex` by the array step, `split_boxes`
+    or `split_simplices`, on the lattice of the cell's denominators."""
+    if isinstance(cell, Simplex):
+        (view,) = common_lattice((Simplices, [cell]))
+        children = split_simplices(view.vertices)
+        return list(Simplices(2 * view.lcm, [cell.address + str(i) for i in range(len(children))], children))
+    (view,) = common_lattice((BoxCells, [cell]))
+    corners, sides = split_boxes(view.corners, view.sides, a)
+    addresses = [cell.address + str(k) for k in range(len(sides))]
+    return list(BoxCells(view.lcm * a.denominator, addresses, corners, sides))
 
 
 def _carpet_children(cell: Cell):
@@ -448,7 +504,7 @@ def build_stage2_oracle(a, depth: int) -> tuple[list, set]:
     cells = [Cell("", pt(0, 0), F(1))]
     segments = set(cells[0].edge_segments())
     for _ in range(depth):
-        cells = [child for cell in cells for child in cell.children(a)]
+        cells = [child for cell in cells for child in cell_children(cell, a)]
         for cell in cells:
             segments.update(cell.edge_segments())
     return cells, segments
@@ -465,7 +521,7 @@ def build_spatial_oracle(variant, depth: int) -> tuple[list, set, list]:
     skeleton = set(cells[0].edge_segments())
     faces = [face3_oracle(ring, 0) for ring in cells[0].faces()]
     for level in range(1, depth + 1):
-        cells = [child for cell in cells for child in (cell.children(variant.a) if cube else cell.children())]
+        cells = [child for cell in cells for child in cell_children(cell, variant.a)]
         for cell in cells:
             skeleton.update(cell.edge_segments())
             faces += [face3_oracle(ring, level) for ring in cell.faces()]

@@ -4,7 +4,7 @@
 import mpmath
 import pytest
 
-from helpers import F, pt, segments_of_loop, square_loop
+from helpers import F, cell_children, pt, segments_of_loop, split_cell, square_loop
 from quasifractal.cantor import (
     DEPTH_CAP,
     Cell,
@@ -102,8 +102,10 @@ def test_addresses_are_lexicographic():
 def test_children_contained_in_parent():
     a = F(2, 5)
     cell = Cell("2", pt(F(3, 5), F(3, 5)), F(2, 5))
-    for child in cell.children(a):
+    kids = cell_children(cell, a)
+    for child in kids:
         assert cell.contains(child)
+    assert split_cell(cell, a) == list(kids)
 
 
 def test_every_stage_child_contained_in_its_parent():

@@ -121,6 +121,31 @@ def test_render_refuses_a_loop_on_3d_documents(variant, loop, tmp_path, capsys):
     assert not (tmp_path / "s.obj").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen2d", "--a", "1/3", "--depth", "1", "--svg", ""],
+        ["carpet", "--depth", "1", "--svg", ""],
+        ["gasket", "--depth", "1", "--svg", ""],
+        ["carpet", "--depth", "1", "--config", "{svg_config}"],
+        ["gen3d", "--variant", "tetra", "--depth", "1", "--obj", ""],
+        ["render", "--input", "{doc}", "--loop", ""],
+        ["index", "--pieces", "{doc}", "--loop", ""],
+        ["gen2d", "--a", "1/3", "--depth", "1", "--config", ""],
+        ["gen2d", "--a", "1/3", "--depth", "1", "--out", ""],
+    ],
+)
+def test_empty_output_and_loop_paths_exit_validation(argv, tmp_path, capsys):
+    # an empty path or loop is refused like any other bad one, never skipped
+    doc, config, out = tmp_path / "carpet.json", tmp_path / "run.cfg", tmp_path / "out"
+    assert main(["carpet", "--depth", "1", "--out", str(doc)]) == EXIT_OK
+    config.write_text("svg =\n")
+    argv = [arg.format(doc=doc, svg_config=config) for arg in argv]
+    assert main(argv + ([] if "--out" in argv else ["--out", str(out)])) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+
+
 def test_exit_codes():
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE

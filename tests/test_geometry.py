@@ -8,14 +8,18 @@ import pytest
 
 from helpers import (
     F,
+    cell_children,
     convex_loop,
     cross2,
     crossing_oracle,
+    midpoint,
     on_lattice_of,
     on_segment,
     pairwise_components,
     pt,
     random_point_off_loop,
+    simplex_children,
+    split_cell,
     square_loop,
     star_loop,
     tuple_segment_components,
@@ -32,8 +36,10 @@ from quasifractal.errors import (
 )
 from quasifractal.geometry import (
     BOUNDARY,
+    BOX_OUTLINE,
     INSIDE,
     OUTSIDE,
+    SIMPLEX_OUTLINE,
     Cell,
     Loop,
     Point2,
@@ -43,12 +49,13 @@ from quasifractal.geometry import (
     Segments,
     Simplex,
     area_vector,
+    box_grid,
+    cell_outline,
     check_depth,
     common_lattice,
     geometric_sum,
     lattice_dtype,
     lattice_windings,
-    midpoint,
     point_in_polygon,
     rational,
     ring_edges,
@@ -56,7 +63,6 @@ from quasifractal.geometry import (
     scale_factor,
     segment_components,
     signed_area,
-    simplex_children,
     twice_areas,
     union_length,
     winding_numbers,
@@ -587,20 +593,40 @@ def test_cube_cell_vertices_and_edges():
         assert sum(ai != bi for ai, bi in zip(e.a, e.b)) == 1
 
 
+def assert_outline_rows(cell, grid, outline):
+    """The cell's vertices, edge segments and faces are the rows that
+    `cell_outline` reads from `grid`, the cell's vertices as a one-row
+    object array of Fractions, with the tables of `outline`."""
+    edges, rings = cell_outline(grid, *outline)
+    vertices = cell.vertices() if isinstance(cell, Cell) else cell.vertices
+    assert [tuple(v) for v in grid[0].tolist()] == list(vertices)
+    assert [Segment(*map(tuple, e)) for e in edges.tolist()] == list(cell.edge_segments())
+    assert [tuple(map(tuple, ring)) for ring in rings.tolist()] == list(cell.faces())
+
+
 @pytest.mark.parametrize("corner", [pt(F(1, 7), F(2, 7)), Point3(F(1, 7), F(2, 7), F(3, 7))])
 def test_cell_children_take_the_corners_in_letter_order(corner):
-    cell = Cell("3", corner, F(3, 7))
-    a = F(2, 5)
-    kids = cell.children(a)
-    assert [k.address for k in kids] == ["3" + str(i) for i in range(len(kids))]
-    assert all(k.side == cell.side * a and cell.contains(k) for k in kids)
-    shift = cell.side - cell.side * a
-    offsets = [tuple((k.corner[i] - corner[i]) / shift for i in range(len(corner))) for k in kids]
-    if len(kids) == 4:
-        assert offsets == [(0, 0), (1, 0), (1, 1), (0, 1)]  # SW, SE, NE, NW
-    else:
-        assert offsets == [(b & 1, b >> 1 & 1, b >> 2 & 1) for b in range(8)]
-    assert not kids[0].contains(kids[1])
+    d = len(corner)
+    rng = random.Random(d)
+    point = type(corner)
+    cells = [(Cell("3", corner, F(3, 7)), F(2, 5))]
+    for _ in range(5):
+        corner = point(*(rand_fraction(rng) for _ in range(d)))
+        cells.append((Cell("3", corner, F(rng.randint(1, 20), rng.randint(1, 20))), F(rng.randint(1, 10), 21)))
+    for cell, a in cells:
+        kids = cell_children(cell, a)
+        assert [k.address for k in kids] == ["3" + str(i) for i in range(len(kids))]
+        assert all(k.side == cell.side * a and cell.contains(k) for k in kids)
+        shift = cell.side - cell.side * a
+        offsets = [tuple((k.corner[i] - cell.corner[i]) / shift for i in range(d)) for k in kids]
+        if d == 2:
+            assert offsets == [(0, 0), (1, 0), (1, 1), (0, 1)]  # SW, SE, NE, NW
+        else:
+            assert offsets == [(b & 1, b >> 1 & 1, b >> 2 & 1) for b in range(8)]
+        assert not kids[0].contains(kids[1])
+        assert split_cell(cell, a) == list(kids)
+        corners, sides = np.array([list(cell.corner)], dtype=object), np.array([cell.side], dtype=object)
+        assert_outline_rows(cell, box_grid(corners, sides), BOX_OUTLINE[d])
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -614,6 +640,9 @@ def test_simplex_children_keep_a_vertex_and_take_edge_midpoints(n):
         for j, v in enumerate(kid):
             expected = verts[i] if i == j else point(*((p + q) / 2 for p, q in zip(verts[i], verts[j])))
             assert v == expected
+    cell = Simplex("", verts)
+    assert split_cell(cell) == [Simplex(str(i), kid) for i, kid in enumerate(kids)]
+    assert_outline_rows(cell, np.array([verts], dtype=object), SIMPLEX_OUTLINE[n])
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -628,9 +657,11 @@ def test_simplex_cell_edges_faces_and_children(n):
         assert rings == (verts,)
     else:  # face i is the one opposite vertex i
         assert [set(ring) for ring in rings] == [set(verts) - {v} for v in verts]
-    kids = cell.children()
+    assert_outline_rows(cell, np.array([verts], dtype=object), SIMPLEX_OUTLINE[n])
+    kids = cell_children(cell)
     assert [k.address for k in kids] == ["2" + str(i) for i in range(n)]
     assert [k.vertices for k in kids] == simplex_children(verts)
+    assert split_cell(cell) == list(kids)
 
 
 def test_point_in_polygon_matches_angle_sum_on_concave_loops():

@@ -3,7 +3,7 @@
 
 import pytest
 
-from helpers import F, face3_oracle, on_lattice_of, pairwise_components
+from helpers import F, cell_children, face3_oracle, on_lattice_of, pairwise_components, split_cell
 from quasifractal.errors import CapacityError, ParameterError
 from quasifractal.geometry import Point3, Segment, area_vector, segment_components
 from quasifractal.spatial import (
@@ -70,8 +70,10 @@ def test_tetra_depth2_faces_are_triangles():
 
 def test_cube_children_contained():
     cell = Cell("", Point3(F(0), F(0), F(0)), F(1))
-    for child in cell.children(F(2, 5)):
+    kids = cell_children(cell, F(2, 5))
+    for child in kids:
         assert cell.contains(child)
+    assert split_cell(cell, F(2, 5)) == list(kids)
 
 
 def test_tetra_face_area_ratio():
