@@ -611,8 +611,8 @@ def test_cell_children_take_the_corners_in_letter_order(corner):
     point = type(corner)
     cells = [(Cell("3", corner, F(3, 7)), F(2, 5))]
     for _ in range(5):
-        corner = point(*(rand_fraction(rng) for _ in range(d)))
-        cells.append((Cell("3", corner, F(rng.randint(1, 20), rng.randint(1, 20))), F(rng.randint(1, 10), 21)))
+        origin = point(*(rand_fraction(rng) for _ in range(d)))
+        cells.append((Cell("3", origin, F(rng.randint(1, 20), rng.randint(1, 20))), F(rng.randint(1, 10), 21)))
     for cell, a in cells:
         kids = cell_children(cell, a)
         assert [k.address for k in kids] == ["3" + str(i) for i in range(len(kids))]
