@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 from collections import Counter
@@ -176,6 +177,30 @@ def _check_threads(options: dict) -> None:
     threads = options.get("threads")
     if threads is not None and threads < 1:
         raise ParameterError(f"--threads must be >= 1, got {threads}")
+
+
+def _check_outputs(options: dict) -> None:
+    """Refuse an output path that cannot be written, naming its option.
+
+    Runs before any work, so a command refused on its second output path
+    leaves no file behind and prints no document.
+    """
+    for key in ("out", "svg", "obj"):
+        path = options.get(key)
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not path:
+            problem = "the path is empty"
+        elif os.path.isdir(path):
+            problem = "it is a directory"
+        elif not os.path.isdir(folder):
+            problem = f"no directory {folder!r}"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            problem = "permission denied"
+        else:
+            continue
+        raise ParameterError(f"cannot write --{key} {path!r}: {problem}")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -421,6 +446,7 @@ def run(config: RunConfig) -> int:
     if handler is None:
         raise UsageError(f"unknown command {config.command!r}")
     _check_threads(config.options)
+    _check_outputs(config.options)
     return handler(config.options)
 
 

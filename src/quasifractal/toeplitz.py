@@ -46,7 +46,7 @@ RANK_TOL = 1e-10
 RANDOM_MAX_DEGREE = 4  # band limits of random_symbol
 RANDOM_MIN_MODULUS = 0.05  # smallest circle modulus random_symbol accepts
 _MAX_SAMPLES = 1 << 22
-_SAMPLE_BLOCK = 8192  # (symbol, angle) pairs per block: bounds the samples-by-terms temporaries
+_SAMPLE_BLOCK = 8192  # (symbol, angle) pairs per block: bounds the sampler's temporaries
 _RESIDUAL_TOL = 0.01
 _TEST_POINTS = 512  # circle points of random_symbol's rejection test
 # candidates tested at a time: as many values as _symbol_values' largest block holds
@@ -185,13 +185,50 @@ def _raise_first(failures: dict[int, QuasifractalError]) -> None:
         raise failures[draw]
 
 
+def _argument_steps(coeffs: np.ndarray, exponents: np.ndarray, count: int):
+    """One round of `count` equally spaced circle samples for each row:
+    returns (min modulus, largest |argument step|) per row and the
+    (rows, count) float64 argument steps.
+
+    The circle is walked in blocks of at most _SAMPLE_BLOCK (row, angle)
+    pairs, each with one angle more than it has steps (the last block
+    wraps to angle 0). Block angles are `np.linspace`'s, fl(j * fl(2 pi /
+    count)), and every value, step and running extreme is the one the
+    whole samples-long array would give. The steps fill one float64 row
+    per symbol, the only samples-long array.
+    """
+    span = min(count, _SAMPLE_BLOCK - 1)
+    height = max(1, _SAMPLE_BLOCK // (span + 1))
+    spacing = 2.0 * np.pi / count
+    steps = np.empty((len(coeffs), count))
+    minima = np.full(len(coeffs), np.inf)
+    largest = np.zeros(len(coeffs))
+    for i in range(0, count, span):
+        stop = min(i + span, count)
+        theta = np.arange(i, stop + 1) * spacing
+        if stop == count:
+            theta[-1] = 0.0
+        for r in range(0, len(coeffs), height):
+            values = _symbol_values(coeffs[r : r + height], exponents[r : r + height], theta)
+            # the extra value is a sample of the next block, so the block minimum counts it too
+            np.minimum(minima[r : r + height], np.abs(values).min(axis=1), out=minima[r : r + height])
+            block = steps[r : r + height, i:stop]
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero value fails its row
+                ratios = values[:, 1:] / values[:, :-1]
+            np.arctan2(ratios.imag, ratios.real, out=block)  # np.angle, written in place
+            np.maximum(largest[r : r + height], np.abs(block).max(axis=1), out=largest[r : r + height])
+    return minima, largest, steps
+
+
 def _sample_argument(symbols: list[Symbol], samples: Union[int, None]):
     """Winding by argument accumulation of each symbol; returns the lists
     (windings, min moduli).
 
     Symbols with the same starting sample count and number of terms are
     sampled together, each row with its own exponents, and only the rows
-    whose increments have not settled double their count.
+    whose increments have not settled double their count. A round holds
+    one float64 per (symbol, sample), its argument steps, plus blocks of
+    _SAMPLE_BLOCK pairs (`_argument_steps`).
     """
     windings = [0] * len(symbols)
     moduli = [0.0] * len(symbols)
@@ -222,15 +259,11 @@ def _sample_argument(symbols: list[Symbol], samples: Union[int, None]):
         )
         rows, scale = np.array(rows), np.array(scale)
         while len(rows) and count <= _MAX_SAMPLES:
-            theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-            values = _symbol_values(coeffs, exponents, theta)
-            minima = np.ldexp(np.abs(values).min(axis=1), scale)
-            steps = np.roll(values, -1, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):  # a zero value fails its row below
-                steps /= values  # in place: no second samples-long temporary at the peak
-            steps = np.angle(steps)
-            settled = np.abs(steps).max(axis=1) < np.pi / 2
+            minima, largest, steps = _argument_steps(coeffs, exponents, count)
             turns = steps.sum(axis=1) / (2.0 * np.pi)
+            del steps  # before the next round holds twice as many
+            minima = np.ldexp(minima, scale)
+            settled = largest < np.pi / 2
             for row, min_modulus, done, winding in zip(rows.tolist(), minima.tolist(), settled.tolist(), turns.tolist()):
                 moduli[row] = min_modulus
                 if min_modulus <= MIN_CIRCLE_MODULUS:

@@ -146,6 +146,35 @@ def test_empty_output_and_loop_paths_exit_validation(argv, tmp_path, capsys):
     assert err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["gen2d", "--a", "1/3", "--depth", "2", "--svg", "{missing}/x.svg"], "--svg"),
+        (["gen2d", "--a", "1/3", "--depth", "2", "--svg", ""], "--svg"),
+        (["carpet", "--depth", "1", "--svg", "{dir}"], "--svg"),
+        (["gasket", "--depth", "1", "--svg", "{file}/x.svg"], "--svg"),
+        (["gasket", "--depth", "1", "--out", "{missing}/x.json", "--svg", "{dir}/ok.svg"], "--out"),
+        (["gen3d", "--variant", "tetra", "--depth", "1", "--obj", ""], "--obj"),
+        (["gen3d", "--variant", "cube", "--a", "1/3", "--depth", "1", "--obj", "{missing}/x.obj"], "--obj"),
+    ],
+)
+@pytest.mark.parametrize("to_file", [True, False])
+def test_a_refused_output_path_writes_nothing(argv, option, to_file, tmp_path, capsys):
+    # every output path is checked before any output: no document file, no
+    # document on stdout, and the one error line names the refused option
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    (tmp_path / "file").write_text("")
+    argv = [arg.format(missing=tmp_path / "missing", dir=outputs, file=tmp_path / "file") for arg in argv]
+    if to_file and "--out" not in argv:
+        argv += ["--out", str(outputs / "doc.json")]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"cannot write {option} " in captured.err, captured.err
+    assert list(outputs.iterdir()) == []
+
+
 def test_exit_codes():
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,35 @@ def test_blocked_circle_values_match_one_shot_array():
         theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         one_shot = (coeffs[None, :] * np.exp(1j * np.outer(theta, exponents))).sum(axis=1)
         assert np.array_equal(_symbol_values(coeffs, exponents, theta), one_shot)
+
+
+@pytest.mark.parametrize("count", [64, toeplitz._SAMPLE_BLOCK, toeplitz._SAMPLE_BLOCK + 1, 3 * toeplitz._SAMPLE_BLOCK + 5])
+def test_streamed_steps_and_minima_match_the_one_shot_arrays(count):
+    # bit for bit: the same values through a different array layout can take
+    # another complex-multiply or arctan2 loop and round differently
+    rng = np.random.default_rng(count)
+    for rows, terms in ((1, 3), (5, 9), (40, 1)):
+        exponents = np.sort(rng.choice(np.arange(-4, 5), size=(rows, terms)), axis=1).astype(np.int64)
+        coeffs = rng.uniform(-1, 1, size=(rows, terms)) + 1j * rng.uniform(-1, 1, size=(rows, terms))
+        v = toeplitz._symbol_values(coeffs, exponents, np.linspace(0.0, 2.0 * np.pi, count, endpoint=False))
+        one_shot = np.angle(np.roll(v, -1, axis=1) / v)
+        minima, largest, steps = toeplitz._argument_steps(coeffs, exponents, count)
+        assert steps.dtype == np.float64 and steps.shape == (rows, count)
+        assert steps.tobytes() == one_shot.tobytes()
+        assert minima.tobytes() == np.abs(v).min(axis=1).tobytes()
+        assert largest.tobytes() == np.abs(one_shot).max(axis=1).tobytes()
+
+
+def test_a_sampling_round_holds_one_float_per_sample():
+    # the steps row (8 bytes a sample) plus at most 4 MiB of blocks and small arrays
+    samples = 1 << 20
+    tracemalloc.start()
+    try:
+        assert toeplitz._sample_argument([Symbol({-2: 0.3, 0: 1, 3: 0.4})], samples)[0] == [0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * samples + (4 << 20), peak
 
 
 # Draws a symbol whose modulus dips to 5.8e-5 between random_symbol's 512
