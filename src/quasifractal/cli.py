@@ -180,11 +180,14 @@ def _check_threads(options: dict) -> None:
 
 
 def _check_outputs(options: dict) -> None:
-    """Refuse an output path that cannot be written, naming its option.
+    """Refuse an output path that cannot be written, or that names the same
+    file as an earlier output option (after `os.path.realpath`), naming its
+    option.
 
     Runs before any work, so a command refused on its second output path
     leaves no file behind and prints no document.
     """
+    taken: dict = {}
     for key in ("out", "svg", "obj"):
         path = options.get(key)
         if path is None:
@@ -198,6 +201,8 @@ def _check_outputs(options: dict) -> None:
             problem = f"no directory {folder!r}"
         elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
             problem = "permission denied"
+        elif taken.setdefault(os.path.realpath(path), key) != key:
+            problem = f"--{taken[os.path.realpath(path)]} names the same file"
         else:
             continue
         raise ParameterError(f"cannot write --{key} {path!r}: {problem}")

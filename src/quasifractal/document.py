@@ -24,7 +24,7 @@ from . import cantor, planar, spatial
 from .cantor import DEPTH_CAP, Stage2
 from .errors import CapacityError, ParameterError
 from .geometry import BoxCells, LatticeTable, Segments, check_depth, rational
-from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, PieceSet
+from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, PieceSet, arrange
 from .spatial import CUBE_DEPTH_CAP, CUBE_WIREFRAME, TETRA_DEPTH_CAP, TETRA_GASKET, Stage3
 
 SCHEMA_VERSION = 1
@@ -124,28 +124,20 @@ def _segment_list(segments: Segments, dim: int, text: LatticeTable) -> Encoded:
 
 def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
     """The piece document of `ps`. Its "kept" and "removed" lists are
-    `Encoded` text, assembled row by row from the lattice arrays with each
-    distinct coordinate formatted once, so the document is ready for
+    `Encoded` text, written from the lattice arrays with each distinct
+    coordinate formatted once, so the document is ready for
     `dumps_document` but is not plain JSON data."""
-    text = _lattice_text(ps.kept.lcm)
-
-    def vertex_columns(xs, ys) -> list:
-        return [text.column(row) for pair in zip(xs, ys) for row in pair]
-
-    def kept_rows(members, xs, ys) -> list[str]:
-        if ps.kind == CARPET:  # corner and diagonal (side, side)
-            template = _template({"corner": [_SLOT, _SLOT], "side": _SLOT})
-            columns = [text.column(xs[0]), text.column(ys[0]), text.column(xs[1])]
-        else:
-            template = _template({"vertices": [[_SLOT, _SLOT]] * 3})
-            columns = vertex_columns(xs, ys)
-        return [template % row for row in zip(*columns)]
-
+    kept = ps.kept
+    text = _lattice_text(kept.lcm)
+    if ps.kind == CARPET:
+        texts = chain.from_iterable(zip(*_columns(kept.corners, text), text.column(kept.sides)))
+    else:
+        texts = text.column(kept.vertices.ravel())
     births, labels = ps.removed.births, ps.removed.labels
 
     def removed_rows(members, xs, ys) -> list[str]:
         template = _template({"boundary": [[_SLOT, _SLOT]] * len(xs), "birth_level": _SLOT, "label": _SLOT})
-        columns = vertex_columns(xs, ys)
+        columns = [text.column(row) for pair in zip(xs, ys) for row in pair]
         columns += [[births[i] for i in members], [_string(labels[i]) for i in members]]
         return [template % row for row in zip(*columns)]
 
@@ -153,8 +145,8 @@ def pieces_to_document(ps: PieceSet, measures: dict | None = None) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": ps.kind,
         "level": ps.level,
-        "kept": _encoded_list(ps.kept.arrange(kept_rows)),
-        "removed": _encoded_list(ps.removed.arrange(removed_rows)),
+        "kept": _listed(_KEPT_ROW[ps.kind], len(kept), texts),
+        "removed": _encoded_list(arrange(ps.removed.groups, removed_rows)),
     }
     if measures is not None:
         doc["measures"] = measures
@@ -321,7 +313,11 @@ def _emit(value, newline: str) -> str:
     return json.dumps(value)
 
 
-# The row templates of the cantor, cube and tetra lists, by dimension or ring size.
+# The row templates of the cells, segments and faces lists, by kind, dimension or ring size.
+_KEPT_ROW = {
+    CARPET: _template({"corner": [_SLOT] * 2, "side": _SLOT}),
+    GASKET: _template({"vertices": [[_SLOT] * 2] * 3}),
+}
 _SEGMENT_ROW = {d: _template([[_SLOT] * d] * 2) for d in (2, 3)}
 _BOX_ROW = {d: _template({"address": _SLOT, "corner": [_SLOT] * d, "side": _SLOT}) for d in (2, 3)}
 _TETRA_ROW = _template({"address": _SLOT, "vertices": [[_SLOT] * 3] * 4})

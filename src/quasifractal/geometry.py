@@ -11,13 +11,15 @@ Batched predicates and area sums run on the integer lattice, built here
 only: coordinates scaled by D, the lcm of their denominators, held in
 int64 arrays while every product fits and in arrays of Python ints otherwise.
 Every stage holds its cells, segments, faces and pieces on its level's
-lattice in `OnLattice` views, and every construction is built there by
-array steps: `split_squares` and `split_triangles` for the carpet and
-gasket, `split_boxes` and `split_simplices` with the edge and face tables
-of `cell_outline` for the cantor, cube and tetra stages, whose segments
-`distinct_segments` sorts into the one segment order. `SegmentIndex`
-sorts a stage's segments into a run table of the carrier lines, whose
-runs `union_length` sums and `segment_components` joins.
+lattice in `OnLattice` views, squares and cubes as `BoxCells` and
+triangles and tetrahedra as `Simplices`. Every construction is built
+there by array steps: `split_squares` and `split_triangles` for the
+carpet and gasket (`lattice_subdivision`), `split_boxes` and
+`split_simplices` with the edge and face tables of `cell_outline` for the
+cantor, cube and tetra stages, whose segments `distinct_segments` sorts
+into the one segment order. `SegmentIndex` sorts a stage's segments into
+a run table of the carrier lines, whose runs `union_length` sums and
+`segment_components` joins.
 """
 
 from __future__ import annotations
@@ -138,19 +140,18 @@ def lattice_group(cells) -> dict:
 
 # The carpet keeps the eight outer thirds of a square, row by row from its
 # corner, and removes the centre, whose ring runs counterclockwise; both
-# as multiples of the square's diagonal on the lattice refined threefold.
+# as multiples of the square's side on the lattice refined threefold.
 _THIRDS = np.array([(i, j) for j in range(3) for i in range(3) if (i, j) != (1, 1)])
 _CENTRE = np.array([(1, 1), (2, 1), (2, 2), (1, 2)])
 
 
-def split_squares(squares):
-    """One carpet step: (N, 2, 2) squares, each its corner and diagonal, to
-    the (8N, 2, 2) kept thirds, parent by parent, and the (N, 4, 2) rings
-    of the removed centres, on the lattice refined threefold."""
-    corners, diagonals = 3 * squares[:, :1], squares[:, 1:]
-    thirds = corners + _THIRDS * diagonals
-    kept = np.stack((thirds, np.broadcast_to(diagonals, thirds.shape)), axis=2)
-    return kept.reshape(-1, 2, 2), corners + _CENTRE * diagonals
+def split_squares(corners, sides):
+    """One carpet step: (N, 2) corners and (N,) sides of squares to the
+    corners and sides of their 8N kept thirds, parent by parent, and the
+    (N, 4, 2) rings of the removed centres, on the lattice refined threefold."""
+    corners, steps = 3 * corners[:, None], sides[:, None, None]
+    thirds = corners + _THIRDS * steps
+    return thirds.reshape(-1, 2), np.repeat(sides, len(_THIRDS)), corners + _CENTRE * steps
 
 
 def split_simplices(simplices):
@@ -210,21 +211,22 @@ def distinct_segments(pairs):
     return grid
 
 
-def lattice_subdivision(base: list, split, scale: int, depth: int) -> tuple[dict, dict, list[int]]:
+def lattice_subdivision(base: tuple, split, scale: int, depth: int) -> tuple[list, dict, list[int]]:
     """`depth` rounds of a lattice split (`split_squares`, `split_triangles`)
-    from the level-0 cells `base`, nested lists of lattice ints; each round
-    refines the lattice `scale`-fold. Returns the last level's cells and
-    every removed ring, level by level, as `lattice_groups` lays them out on
-    the last lattice, and the number of rings each level removed."""
-    top = max(abs(v) for cell in base for p in cell for v in p) * scale**depth
-    cells = np.array(base, dtype=lattice_dtype(top))
+    from the arrays of lattice ints of the level-0 cells `base` (corners and
+    sides, or vertices); each round refines the lattice `scale`-fold.
+    Returns the last level's arrays, every removed ring, level by level, as
+    `lattice_groups` lays them out on the last lattice, and the number of
+    rings each level removed."""
+    dtype = lattice_dtype(max(map(_magnitude, base)) * scale**depth)
+    cells = [array.astype(dtype) for array in base]
     removed = []
     for _ in range(depth):
-        cells, rings = split(cells)
+        *cells, rings = split(*cells)
         removed.append(rings)
     counts = [len(rings) for rings in removed]
     removed = [rings * scale ** (depth - level) for level, rings in enumerate(removed, 1)]
-    return lattice_group(cells), lattice_group(np.concatenate(removed)) if removed else {}, counts
+    return cells, lattice_group(np.concatenate(removed)) if removed else {}, counts
 
 
 def scale_factor(a: Union[int, str, Fraction], allow_half: bool) -> Fraction:

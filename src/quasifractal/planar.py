@@ -6,7 +6,9 @@ bounded complement components of the limit set). Kept cells and removed
 pieces together partition the starting cell exactly, which is what makes
 the completed object an ordinary 2-dimensional square or triangle; the
 fractal approximation itself is the topological boundary of the removed
-interiors plus the unbounded outside.
+interiors plus the unbounded outside. A stage holds its kept cells as
+the cantor, cube and tetra stages hold theirs, squares as `BoxCells` and
+triangles as `Simplices`, and its removed pieces as `Pieces`.
 
 The gasket uses the base triangle (0,0), (1,0), (1/2,1): the statements
 being tracked are affine-invariant, and rational vertices keep every
@@ -23,8 +25,8 @@ from functools import cached_property
 from typing import Union
 
 from .errors import ParameterError
-from .geometry import Cell, LatticeSequence, Loop, Point2, Segment, Simplex, check_depth, common_lattice
-from .geometry import lattice_groups, lattice_rows, lattice_subdivision, ring_segments, signed_area
+from .geometry import BoxCells, Cell, LatticeSequence, Loop, Point2, Segment, Simplex, Simplices, check_depth
+from .geometry import common_lattice, lattice_group, lattice_groups, lattice_subdivision, ring_segments, signed_area
 from .geometry import split_squares, split_triangles, twice_areas
 
 CARPET = "carpet"
@@ -49,86 +51,45 @@ class Piece:
         return signed_area(self.boundary)
 
 
-class _Rings(LatticeSequence):
-    """Objects held by rings of lattice points, in the `lattice_groups`
-    arrays `groups` on the lattice of D = `lcm`. `len` reads the arrays;
-    the rows are read from them on first use."""
-
-    def __init__(self, lcm: int, groups: dict):
-        self.lcm = lcm
-        self.groups = groups
-
-    def __len__(self) -> int:
-        return sum(len(members) for members, _, _ in self.groups.values())
-
-    def arrange(self, rows) -> list:
-        """rows(members, xs, ys) makes one item per ring of a group; all items in ring order."""
-        if len(self.groups) == 1:
-            (group,) = self.groups.values()
-            return rows(*group)
-        ordered = [None] * len(self)
-        for members, xs, ys in self.groups.values():
-            for i, item in zip(members, rows(members, xs, ys)):
-                ordered[i] = item
-        return ordered
-
-    @staticmethod
-    def _groups(rings) -> dict:
-        """The `lattice_groups` layout of rings of lattice points."""
-        return lattice_groups([c for ring in rings for p in ring for c in p], [len(ring) for ring in rings])
-
-    def _rings(self) -> list:
-        """Each ring as a tuple of lattice points, in ring order."""
-
-        def rings(members, xs, ys) -> list:
-            return list(zip(*[zip(x.tolist(), y.tolist()) for x, y in zip(xs, ys)]))
-
-        return self.arrange(rings)
+def arrange(groups: dict, rows) -> list:
+    """rows(members, xs, ys) makes one item per ring of a `lattice_groups`
+    group; all items in ring order."""
+    if len(groups) == 1:
+        (group,) = groups.values()
+        return rows(*group)
+    ordered = [None] * sum(len(members) for members, _, _ in groups.values())
+    for members, xs, ys in groups.values():
+        for i, item in zip(members, rows(members, xs, ys)):
+            ordered[i] = item
+    return ordered
 
 
-class Cells(_Rings):
-    """Kept cells, held as rings: a square by its corner and its diagonal
-    (side, side), a triangle by its vertices."""
-
-    @classmethod
-    def of(cls, lcm: int, rows) -> "Cells":
-        return cls(lcm, cls._groups(rows))
-
-    @cached_property
-    def rows(self) -> list:
-        return self._rings()
-
-    @staticmethod
-    def row(cell: PlanarCell, f) -> tuple:
-        if isinstance(cell, Cell):
-            corner, side = tuple(map(f, cell.corner)), f(cell.side)
-            return corner, (side, side)
-        return tuple(tuple(map(f, v)) for v in cell.vertices)
-
-    def _object(self, row, point, value) -> PlanarCell:
-        if len(row) == 2:  # a square's corner and diagonal
-            corner, (side, _) = row
-            return Cell("", point[corner], value[side])
-        return Simplex("", tuple(map(point.__getitem__, row)))
-
-
-class Pieces(_Rings):
-    """Removed pieces, held as rows (boundary ring, birth level, label);
-    the rings live in `groups`, the birth levels and labels in their lists."""
+class Pieces(LatticeSequence):
+    """Removed pieces, held as rows (boundary ring, birth level, label): the
+    rings in the `lattice_groups` arrays `groups` on the lattice of D =
+    `lcm`, the birth levels and labels in their lists."""
 
     def __init__(self, lcm: int, groups: dict, births: list[int], labels: list[str]):
-        super().__init__(lcm, groups)
+        self.lcm = lcm
+        self.groups = groups
         self.births = births
         self.labels = labels
 
     @classmethod
     def of(cls, lcm: int, rows) -> "Pieces":
-        groups = cls._groups([ring for ring, _, _ in rows])
+        rings = [ring for ring, _, _ in rows]
+        groups = lattice_groups([c for ring in rings for p in ring for c in p], [len(ring) for ring in rings])
         return cls(lcm, groups, [b for _, b, _ in rows], [label for _, _, label in rows])
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
     @cached_property
     def rows(self) -> list:
-        return list(zip(self._rings(), self.births, self.labels))
+        def rings(members, xs, ys) -> list:
+            return list(zip(*[zip(x.tolist(), y.tolist()) for x, y in zip(xs, ys)]))
+
+        return list(zip(arrange(self.groups, rings), self.births, self.labels))
 
     @staticmethod
     def row(piece: Piece, f) -> tuple:
@@ -139,13 +100,19 @@ class Pieces(_Rings):
         return Piece(Loop(tuple(map(point.__getitem__, ring))), birth_level, label)
 
 
+def _kept_view(kind: str) -> type:
+    """The view of a stage's kept cells: squares as `BoxCells`, triangles as `Simplices`."""
+    return BoxCells if kind == CARPET else Simplices
+
+
 @dataclass
 class PieceSet:
     """Stage snapshot: kept cells at `level`, removed pieces of levels <= level.
 
-    Both are views on one integer lattice, `Cells` and `Pieces`. Given
-    lists of cell and piece objects instead, the constructor puts them on
-    the lattice of their denominators.
+    Both are views on one integer lattice: the kept cells `BoxCells` for the
+    carpet and `Simplices` for the gasket, with empty addresses, the removed
+    pieces `Pieces`. Given lists of cell and piece objects instead, the
+    constructor puts them on the lattice of their denominators.
     """
 
     kind: str
@@ -154,7 +121,7 @@ class PieceSet:
     removed: Sequence[Piece]
 
     def __post_init__(self):
-        self.kept, self.removed = common_lattice((Cells, self.kept), (Pieces, self.removed))
+        self.kept, self.removed = common_lattice((_kept_view(self.kind), self.kept), (Pieces, self.removed))
 
 
 def base_cell(kind: str) -> PlanarCell:
@@ -184,15 +151,18 @@ def build_planar(kind: str, depth: int, workers: int = 1) -> PieceSet:
     `workers` is accepted and ignored: the construction is sequential.
     """
     base = base_cell(kind)
-    cap = CARPET_DEPTH_CAP if kind == CARPET else GASKET_DEPTH_CAP
+    view = _kept_view(kind)
+    (cells,) = common_lattice((view, [base]))
+    if kind == CARPET:
+        cap, split, scale, arrays = CARPET_DEPTH_CAP, split_squares, 3, (cells.corners, cells.sides)
+    else:
+        cap, split, scale, arrays = GASKET_DEPTH_CAP, split_triangles, 2, (cells.vertices,)
     check_depth(depth, cap, what=f"{kind} depth")
-    lcm, (cells,) = lattice_rows((Cells.row, [base]))
-    split, scale = (split_squares, 3) if kind == CARPET else (split_triangles, 2)
-    kept, removed, counts = lattice_subdivision(cells, split, scale, depth)
+    kept, removed, counts = lattice_subdivision(arrays, split, scale, depth)
     births = [level for level, count in enumerate(counts, 1) for _ in range(count)]
     labels = [f"{level}:{i}" for level, count in enumerate(counts, 1) for i in range(count)]
-    lcm *= scale**depth
-    return PieceSet(kind, depth, Cells(lcm, kept), Pieces(lcm, removed, births, labels))
+    lcm = cells.lcm * scale**depth
+    return PieceSet(kind, depth, view(lcm, [""] * len(kept[0]), *kept), Pieces(lcm, removed, births, labels))
 
 
 @dataclass(frozen=True)
@@ -212,16 +182,16 @@ def area_accounting(ps: PieceSet) -> AreaAccount:
     2 * D^2.
     """
 
-    def shoelace_sum(block) -> Fraction:
-        twice = sum(sum(twice_areas(xs, ys).tolist()) for _, xs, ys in block.groups.values())
-        return Fraction(twice, 2 * block.lcm**2)
+    def shoelace_sum(lcm: int, groups: dict) -> Fraction:
+        twice = sum(sum(twice_areas(xs, ys).tolist()) for _, xs, ys in groups.values())
+        return Fraction(twice, 2 * lcm**2)
 
+    kept = ps.kept
     if ps.kind == CARPET:
-        sides = [s for _, xs, _ in ps.kept.groups.values() for s in xs[1].tolist()]
-        kept_area = Fraction(sum(s * s for s in sides), ps.kept.lcm**2)
+        kept_area = Fraction(sum(s * s for s in kept.sides.tolist()), kept.lcm**2)
     else:
-        kept_area = shoelace_sum(ps.kept)
-    return AreaAccount(kept_area=kept_area, removed_area=shoelace_sum(ps.removed))
+        kept_area = shoelace_sum(kept.lcm, lattice_group(kept.vertices))
+    return AreaAccount(kept_area=kept_area, removed_area=shoelace_sum(ps.removed.lcm, ps.removed.groups))
 
 
 def boundary_of_rest(ps: PieceSet) -> set[Segment]:

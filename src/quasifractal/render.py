@@ -16,8 +16,8 @@ import numpy as np
 
 from .cantor import Stage2
 from .errors import CapacityError, UnsupportedGeometryError
-from .geometry import LatticeTable, Loop, Point2, lattice_group, to_lattice
-from .planar import CARPET, Cells, PieceSet, base_cell
+from .geometry import BoxCells, LatticeTable, Loop, Point2, lattice_group, to_lattice
+from .planar import CARPET, PieceSet, arrange, base_cell
 from .spatial import Stage3
 from .topology import HoleSet, index_vector
 
@@ -54,10 +54,10 @@ class _Canvas:
     bounds, and a formatter `(fy, scale) -> str` that writes the element
     once `emit` knows the y flip `fy` and the stroke scale. Callers pass
     point tuples: a generator would be consumed twice. Blocks on the
-    integer lattice (the `groups` arrays of `planar.Cells` and
-    `planar.Pieces`, the rows of stage segments, loop labels) record the
-    corners of their integer bounding box and write one line per item,
-    with one `fmt` per distinct value and per distinct flipped y.
+    integer lattice (`BoxCells` squares, `lattice_groups` rings, the rows
+    of stage segments, loop labels) record the corners of their integer
+    bounding box and write one line per item, with one `fmt` per distinct
+    value and per distinct flipped y.
     """
 
     def __init__(self):
@@ -80,35 +80,34 @@ class _Canvas:
 
         self._elements.append(element)
 
-    def _groups(self, block, rows) -> None:
-        """Write a `planar` block: rows(members, xs, ys, x, y) makes a group's lines."""
-        if len(block):
-            self._lattice(block.lcm, lambda x, y, scale: block.arrange(lambda *group: rows(*group, x, y)))
-
-    def squares(self, cells, fill: str):
-        """Square cells, each held by its corner and its diagonal (side, side)."""
+    def squares(self, cells: BoxCells, fill: str):
+        """Square cells, each a rect from its corner and side."""
+        if not len(cells):
+            return
         template = '<rect x="%s" y="%s" width="%s" height="%s" fill="' + fill + '"/>'
-        for _, xs, ys in cells.groups.values():
-            far_x, far_y = xs[0] + xs[1], ys[0] + ys[1]
-            self._bound(cells.lcm, (int(xs[0].min()), int(far_x.max())), (int(ys[0].min()), int(far_y.max())))
+        xs, ys, sides = cells.corners[:, 0], cells.corners[:, 1], cells.sides
+        tops = ys + sides
+        self._bound(cells.lcm, (int(xs.min()), int((xs + sides).max())), (int(ys.min()), int(tops.max())))
 
-        def rows(members, xs, ys, x, y):
-            sides = x.column(xs[1])
-            return [template % row for row in zip(x.column(xs[0]), y.column(ys[0] + ys[1]), sides, sides)]
+        def lines(x, y, scale):
+            side = x.column(sides)
+            return [template % row for row in zip(x.column(xs), y.column(tops), side, side)]
 
-        self._groups(cells, rows)
+        self._lattice(cells.lcm, lines)
 
-    def polygons(self, rings, fills: list[str]):
-        """Triangles or piece rings, with a fill per ring."""
-        for _, xs, ys in rings.groups.values():
-            self._bound(rings.lcm, (int(xs.min()), int(xs.max())), (int(ys.min()), int(ys.max())))
+    def polygons(self, lcm: int, groups: dict, fills: list[str]):
+        """Rings of lattice points, in the `lattice_groups` layout, with a fill per ring."""
+        if not groups:
+            return
+        for _, xs, ys in groups.values():
+            self._bound(lcm, (int(xs.min()), int(xs.max())), (int(ys.min()), int(ys.max())))
 
         def rows(members, xs, ys, x, y):
             template = '<path d="M ' + " L ".join(["%s %s"] * len(xs)) + ' Z" fill="%s"/>'
             columns = [text for row in zip(xs, ys) for text in (x.column(row[0]), y.column(row[1]))]
             return [template % row for row in zip(*columns, [fills[i] for i in members])]
 
-        self._groups(rings, rows)
+        self._lattice(lcm, lambda x, y, scale: arrange(groups, lambda *group: rows(*group, x, y)))
 
     def segments(self, lcm: int, grid, stroke: str, width_frac: float):
         """Segments of lattice points, an (n, 2, 2) array of rows (p, q), one two-point polyline each."""
@@ -187,18 +186,17 @@ class _Canvas:
 
 
 def _draw_stage2(canvas: _Canvas, stage: Stage2) -> None:
-    cells = stage.cells
-    squares = np.stack((cells.corners, np.stack((cells.sides, cells.sides), axis=1)), axis=1)  # as `Cells` holds them
-    canvas.squares(Cells(cells.lcm, lattice_group(squares)), fill=_KEPT_FILL)
-    canvas.segments(cells.lcm, stage.segments.grid, stroke=_STROKE, width_frac=0.002)
+    canvas.squares(stage.cells, fill=_KEPT_FILL)
+    canvas.segments(stage.cells.lcm, stage.segments.grid, stroke=_STROKE, width_frac=0.002)
 
 
 def _draw_pieces(canvas: _Canvas, ps: PieceSet) -> None:
+    kept, removed = ps.kept, ps.removed
     if ps.kind == CARPET:
-        canvas.squares(ps.kept, fill=_KEPT_FILL)
+        canvas.squares(kept, fill=_KEPT_FILL)
     else:
-        canvas.polygons(ps.kept, [_KEPT_FILL] * len(ps.kept))
-    canvas.polygons(ps.removed, [_level_color(birth) for birth in ps.removed.births])
+        canvas.polygons(kept.lcm, lattice_group(kept.vertices), [_KEPT_FILL] * len(kept))
+    canvas.polygons(removed.lcm, removed.groups, [_level_color(birth) for birth in removed.births])
     (outer,) = base_cell(ps.kind).faces()
     canvas.polyline(outer + (outer[0],), stroke=_STROKE, width_frac=0.002)
 

@@ -49,7 +49,7 @@ _MAX_SAMPLES = 1 << 22
 _SAMPLE_BLOCK = 8192  # (symbol, angle) pairs per block: bounds the sampler's temporaries
 _RESIDUAL_TOL = 0.01
 _TEST_POINTS = 512  # circle points of random_symbol's rejection test
-# candidates tested at a time: as many values as _symbol_values' largest block holds
+# candidates tested at a time: as many values as one block of _argument_steps holds
 _TEST_ROWS = _SAMPLE_BLOCK * (2 * RANDOM_MAX_DEGREE + 1) // _TEST_POINTS
 
 
@@ -149,23 +149,12 @@ def _symbol_values(coeffs: np.ndarray, exponents: np.ndarray, theta: np.ndarray)
     """s(e^{i theta}) at every angle for each row of `coeffs` and `exponents`.
 
     Rows are the leading axes of the two (..., terms) arrays; the result
-    has shape (..., angles). At most _SAMPLE_BLOCK (row, angle) pairs are
-    evaluated at a time, straight into the result. Each pair's exp and sum
-    involve that pair only, so the blocks give the same bits as one
-    samples-by-terms array at a bounded memory cost.
+    has shape (..., angles). One call holds a (..., angles, terms) array,
+    so callers hand it at most _SAMPLE_BLOCK (row, angle) pairs at a time
+    (`_argument_steps`).
     """
-    shape = coeffs.shape[:-1] + theta.shape
-    coeffs = coeffs.reshape(-1, coeffs.shape[-1])
-    exponents = exponents.reshape(coeffs.shape)
-    values = np.empty((len(coeffs), len(theta)), dtype=np.complex128)
-    rows = max(1, _SAMPLE_BLOCK // len(theta))
-    span = min(len(theta), _SAMPLE_BLOCK)
-    for r in range(0, len(coeffs), rows):
-        for i in range(0, len(theta), span):
-            angles = theta[None, i : i + span, None] * exponents[r : r + rows, None, :]
-            terms = coeffs[r : r + rows, None, :] * np.exp(1j * angles)
-            values[r : r + rows, i : i + span] = terms.sum(axis=2)
-    return values.reshape(shape)
+    angles = theta[:, None] * exponents[..., None, :]
+    return (coeffs[..., None, :] * np.exp(1j * angles)).sum(axis=-1)
 
 
 def _batch(s: Union[Symbol, Sequence[Symbol]]) -> list[Symbol]:

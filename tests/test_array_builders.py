@@ -1,20 +1,26 @@
-"""The array builders of cantor, cube and tetra stages against the Fraction builders.
+"""The array builders of every stage against the Fraction builders.
 
 A stage is built as numpy arrays on the lattice of its level, D = q^depth
-(2^depth for the tetrahedron): int64 while D fits int64 and Python ints
-(object dtype) above it. Each stage's arrays are compared, entry for
-entry, with the construction done one `Fraction` object at a time
-(`helpers.build_stage2_oracle`, `helpers.build_spatial_oracle`) and put on
-the same lattice: the cells in address order, the segments (each once,
-p < q, in the one segment order) and the faces with their birth levels and
-squared areas, the areas over 4 D^4.
+(2^depth for the tetrahedron, 3^depth for the carpet, 2^(depth + 1) for
+the gasket): int64 while D fits int64 and Python ints (object dtype)
+above it. Each stage's arrays are compared, entry for entry, with the
+construction done one `Fraction` object at a time
+(`helpers.build_stage2_oracle`, `helpers.build_spatial_oracle`,
+`helpers.build_planar_oracle`) and put on the same lattice: the cells in
+address order, the segments (each once, p < q, in the one segment order)
+and the faces with their birth levels and squared areas, the areas over
+4 D^4.
 """
+
+import random
 
 import numpy as np
 import pytest
 
-from helpers import F, build_spatial_oracle, build_stage2_oracle
+from helpers import F, _carpet_children, build_planar_oracle, build_spatial_oracle, build_stage2_oracle, pt
 from quasifractal.cantor import Params2, build
+from quasifractal.geometry import BoxCells, Cell, Simplices, common_lattice, split_squares
+from quasifractal.planar import CARPET, GASKET, build_planar
 from quasifractal.spatial import CUBE_WIREFRAME, TETRA_GASKET, SpatialVariant, build_spatial
 
 DECK_SCALES = ["1/5", "1/4", "1/3", "2/5", "3/7", "1/2"]
@@ -27,6 +33,7 @@ SPATIAL = [
     (CUBE_WIREFRAME, "997/1999", 3),
     *[(TETRA_GASKET, None, depth) for depth in range(5)],
 ]
+PLANAR = [*[(CARPET, depth) for depth in range(5)], *[(GASKET, depth) for depth in range(8)]]
 
 
 def _on_lattice(values, lcm: int) -> list:
@@ -86,3 +93,40 @@ def test_spatial_arrays_match_the_fraction_builder(kind, a, depth):
     assert pieces.births.tolist() == [face.birth_level for face in faces]
     assert pieces.areas.tolist() == _on_lattice([face.area_sq for face in faces], 4 * lcm**4)
 
+
+
+@pytest.mark.parametrize("kind, depth", PLANAR, ids=str)
+def test_planar_kept_arrays_match_the_fraction_builder(kind, depth):
+    kept = build_planar(kind, depth).kept
+    cells, _ = build_planar_oracle(kind, depth)
+    lcm = 3**depth if kind == CARPET else 2 ** (depth + 1)
+    assert kept.lcm == lcm and kept.addresses == [""] * len(cells)
+    assert list(kept) == cells
+    if kind == CARPET:
+        assert type(kept) is BoxCells
+        _assert_lattice_dtype(lcm, kept.corners, kept.sides)
+        assert kept.corners.tolist() == _on_lattice([list(cell.corner) for cell in cells], lcm)
+        assert kept.sides.tolist() == _on_lattice([cell.side for cell in cells], lcm)
+    else:
+        assert type(kept) is Simplices
+        _assert_lattice_dtype(lcm, kept.vertices)
+        assert kept.vertices.tolist() == _on_lattice([[list(v) for v in cell.vertices] for cell in cells], lcm)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_carpet_step_matches_the_fraction_children(dtype):
+    """One `split_squares` step on seeded squares of mixed denominators,
+    their lattice ints past int64 for object arrays, against `_carpet_children`."""
+    rng = random.Random(23)
+    shift = 0 if dtype is np.int64 else 2**70
+    squares = [
+        Cell("", pt(F(rng.randint(-50, 50) + shift, q), F(rng.randint(-50, 50), q)), F(rng.randint(1, 40), q))
+        for q in (1, 2, 3, 5, 9, 14)
+    ]
+    (view,) = common_lattice((BoxCells, squares))
+    corners, sides, rings = split_squares(view.corners.astype(dtype), view.sides.astype(dtype))
+    assert corners.dtype == sides.dtype == rings.dtype == dtype
+    children = [_carpet_children(square) for square in squares]
+    lcm = 3 * view.lcm
+    assert list(BoxCells(lcm, [""] * len(sides), corners, sides)) == [cell for kept, _ in children for cell in kept]
+    assert rings.tolist() == _on_lattice([[list(v) for v in loop.vertices] for _, (loop,) in children], lcm)

@@ -175,6 +175,27 @@ def test_a_refused_output_path_writes_nothing(argv, option, to_file, tmp_path, c
     assert list(outputs.iterdir()) == []
 
 
+@pytest.mark.parametrize("alias", ["same.x", "./same.x", "sub/../same.x"])
+@pytest.mark.parametrize(
+    "argv, first, second",
+    [
+        (["gen2d", "--a", "1/3", "--depth", "1"], "--out", "--svg"),
+        (["carpet", "--depth", "1"], "--svg", "--out"),
+        (["gen3d", "--variant", "tetra", "--depth", "1"], "--out", "--obj"),
+    ],
+)
+def test_two_output_options_naming_one_file_are_refused(argv, first, second, alias, tmp_path, monkeypatch, capsys):
+    # two outputs on one file would leave only the last one written: the
+    # command is refused before any work, and the error names both options
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main([*argv, first, "same.x", second, alias]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured.err
+    assert "names the same file" in captured.err and first in captured.err and second in captured.err, captured.err
+    assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+
+
 def test_exit_codes():
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import F, area_accounting_oracle, build_planar_oracle, on_lattice_of, pt
 from quasifractal.errors import CapacityError, ParameterError
-from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, common_lattice, signed_area
+from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, common_lattice, lattice_group, signed_area
 from quasifractal.planar import (
     CARPET,
     GASKET,
@@ -300,8 +300,8 @@ def test_area_accounting_on_both_sides_of_the_int64_bound(above):
         for i, turn in enumerate(turns)
     ]
     triangles = [Simplex("", tuple(_far_ring(rng, 3, turn, above))) for turn in turns]
-    # a square is held by its corner and its diagonal (side, side): twice
-    # the side on the lattice of D = 2 is just below 2^29, or 2^29
+    # twice the side of a square on the lattice of D = 2 is just below
+    # 2^29, or 2^29
     squares = [Cell("", pt(F(1, 2), F(-1, 2)), F((2**29 - 1) // 2 + above, 2)) for _ in turns]
     (pieces,) = common_lattice((Pieces, removed))
     lcm, groups = pieces.lcm, pieces.groups
@@ -309,6 +309,10 @@ def test_area_accounting_on_both_sides_of_the_int64_bound(above):
     assert all(xs.dtype == (object if above else np.int64) for _, xs, _ in groups.values())
     for ps in (PieceSet(CARPET, 1, squares, removed), PieceSet(GASKET, 1, triangles, removed)):
         assert ps.kept.lcm == ps.removed.lcm == 2
-        for block in (ps.kept, ps.removed):
-            assert all(xs.dtype == (object if above else np.int64) for _, xs, _ in block.groups.values())
+        # hand-built kept views hold Python ints; the gasket's shoelace lays them out by `lattice_group`
+        kept = (ps.kept.corners, ps.kept.sides) if ps.kind == CARPET else (ps.kept.vertices,)
+        assert all(array.dtype == object for array in kept)
+        if ps.kind == GASKET:
+            assert all(xs.dtype == (object if above else np.int64) for _, xs, _ in lattice_group(*kept).values())
+        assert all(xs.dtype == (object if above else np.int64) for _, xs, _ in ps.removed.groups.values())
         assert area_accounting(ps) == area_accounting_oracle(ps)
