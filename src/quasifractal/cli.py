@@ -216,7 +216,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _read_document(path: str) -> tuple[dict, str]:
-    """A document parsed, and its text, which its reader compares as well."""
+    """A document's header, or the whole document (see `document.loads_document`), and its text."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -418,19 +418,27 @@ def _cmd_toeplitz(options: dict) -> int:
 def _cmd_render(options: dict) -> int:
     loop = parse_loop(options["loop"]) if options.get("loop") is not None else None
     doc, source = _read_document(_require(options, "input"))
+    if loop is not None and doc["kind"] in (spatial.CUBE_WIREFRAME, spatial.TETRA_GASKET):
+        doc = document.whole_document(doc, source)  # broken JSON is refused first, and its kind is the last one
+    try:
+        text = _rendered(doc, source, loop)
+    except document.KindError as exc:  # the text sets its kind again after the header
+        text = _rendered(exc.doc, source, loop)
+    _write(text, options.get("out"))
+    return EXIT_OK
+
+
+def _rendered(doc: dict, source: str, loop: Loop | None) -> str:
     kind = doc["kind"]
     if kind in (spatial.CUBE_WIREFRAME, spatial.TETRA_GASKET):
         if loop is not None:
             raise ParameterError(f"--loop overlays 2D documents only, not {kind}")
-        text = render.export_obj(document.document_to_stage3(doc, source))
-    elif kind == "cantor2d":
-        text = render.render_svg(document.document_to_stage2(doc, source), loop=loop)
-    else:
-        ps = document.document_to_pieces(doc, source)
-        holes = topology.HoleSet.from_pieces(ps.removed) if loop is not None else None
-        text = render.render_svg(ps, loop=loop, holes=holes)
-    _write(text, options.get("out"))
-    return EXIT_OK
+        return render.export_obj(document.document_to_stage3(doc, source))
+    if kind == "cantor2d":
+        return render.render_svg(document.document_to_stage2(doc, source), loop=loop)
+    ps = document.document_to_pieces(doc, source)
+    holes = topology.HoleSet.from_pieces(ps.removed) if loop is not None else None
+    return render.render_svg(ps, loop=loop, holes=holes)
 
 
 _HANDLERS = {

@@ -10,6 +10,13 @@ A stage is fixed by its header (kind, `params`, `level`), so a reader
 rebuilds that stage and accepts the input only if it is the stage's
 document, key for key and JSON type for JSON type; `measures` is left
 out, unchecked. The reader returns the rebuilt stage.
+
+A document is accepted by its text: `loads_document` parses the header
+alone when the text is laid out as the writer lays it out, and the reader
+accepts the text if it is, byte for byte, the rebuilt stage's document
+plus any `measures` block. Only a text it does not accept this way is
+parsed whole, and then refused or accepted as before, with the same
+message, on the stage already built.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from itertools import chain, zip_longest
 
 from . import cantor, planar, spatial
 from .cantor import DEPTH_CAP, Stage2
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, QuasifractalError
 from .geometry import BoxCells, LatticeTable, Segments, check_depth, rational
 from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, PieceSet, arrange
 from .spatial import CUBE_DEPTH_CAP, CUBE_WIREFRAME, TETRA_DEPTH_CAP, TETRA_GASKET, Stage3
@@ -186,22 +193,41 @@ def stage3_to_document(stage: Stage3, measures: dict | None = None) -> dict:
 
 
 def document_to_stage2(doc: dict, text: str) -> Stage2:
-    """The cantor2d stage whose document is `doc`, parsed from `text`."""
-    level = _level(doc, text, ("cantor2d",))
-    return _rebuilt(doc, text, cantor.build(cantor.Params2(_scale(doc), level)), stage2_to_document)
+    """The cantor2d stage whose document `text` is; `doc` is `loads_document(text)`."""
+    return _rebuilt(doc, text, ("cantor2d",), _build_stage2, stage2_to_document)
 
 
 def document_to_pieces(doc: dict, text: str) -> PieceSet:
-    """The carpet or gasket piece set whose document is `doc`, parsed from `text`."""
-    level = _level(doc, text, (CARPET, GASKET))
-    return _rebuilt(doc, text, planar.build_planar(doc["kind"], level), pieces_to_document)
+    """The carpet or gasket piece set whose document `text` is; `doc` is `loads_document(text)`."""
+    return _rebuilt(doc, text, (CARPET, GASKET), _build_pieces, pieces_to_document)
 
 
 def document_to_stage3(doc: dict, text: str) -> Stage3:
-    """The spatial stage whose document is `doc`, parsed from `text`."""
-    level, kind = _level(doc, text, (CUBE_WIREFRAME, TETRA_GASKET)), doc["kind"]
+    """The spatial stage whose document `text` is; `doc` is `loads_document(text)`."""
+    return _rebuilt(doc, text, (CUBE_WIREFRAME, TETRA_GASKET), _build_stage3, stage3_to_document)
+
+
+def _build_stage2(doc: dict, level: int) -> Stage2:
+    return cantor.build(cantor.Params2(_scale(doc), level))
+
+
+def _build_pieces(doc: dict, level: int) -> PieceSet:
+    return planar.build_planar(doc["kind"], level)
+
+
+def _build_stage3(doc: dict, level: int) -> Stage3:
+    kind = doc["kind"]
     variant = spatial.SpatialVariant(kind, _scale(doc) if kind == CUBE_WIREFRAME else None)
-    return _rebuilt(doc, text, spatial.build_spatial(variant, level), stage3_to_document)
+    return spatial.build_spatial(variant, level)
+
+
+class KindError(ParameterError):
+    """A document of a kind its reader does not take. `doc` is the whole
+    parsed document, for a caller that picks the reader by kind."""
+
+    def __init__(self, message: str, doc: dict):
+        super().__init__(message)
+        self.doc = doc
 
 
 # Every cell entry of every kind takes at least this many characters of
@@ -212,18 +238,19 @@ _CELL_TEXT = 31
 def _level(doc: dict, text: str, kinds: tuple) -> int:
     """The level of `doc`, a document of one of `kinds` parsed from `text`,
     once its header is checked and its list of cells found to hold that
-    level's count of them, in a text long enough to write them."""
+    level's count of them (unless `doc` is a `_Header`, which lacks the
+    list), in a text long enough to write them."""
     kind, level = doc.get("kind"), doc.get("level")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParameterError(f"unsupported schema_version {doc.get('schema_version')!r}")
     if kind not in kinds:
-        raise ParameterError(f"expected a {' or '.join(kinds)} document, got kind {kind!r}")
+        raise KindError(f"expected a {' or '.join(kinds)} document, got kind {kind!r}", doc)
     if type(level) is not int:
         raise ParameterError(f"level must be an integer, got {level!r}")
     key, split, cap = _SHAPES[kind]
     check_depth(level, cap, what=f"{kind} level")
     count = split**level
-    if type(doc.get(key)) is not list or len(doc[key]) != count:
+    if type(doc) is not _Header and (type(doc.get(key)) is not list or len(doc[key]) != count):
         raise ParameterError(f"a level-{level} {kind} document lists {count} {key}")
     if len(text) < _CELL_TEXT * count:
         raise ParameterError(f"a level-{level} {kind} document takes at least {_CELL_TEXT * count} characters")
@@ -240,16 +267,37 @@ _DECODER = json.JSONDecoder()
 _ABSENT = object()
 
 
-def _rebuilt(doc: dict, text: str, built, write):
-    """`built`, if `doc` (parsed from `text`) is its document `write(built)`
-    apart from `measures`; else a ParameterError naming the first difference."""
-    canonical = dumps_document(write(built))
-    end = len(canonical) - 3  # the writer puts `measures` last, before the closing "\n}\n"
-    if text.startswith(canonical[:end]):
-        if text.startswith(_MEASURES, end):
-            with suppress(ValueError):
-                end = _DECODER.raw_decode(text, end + len(_MEASURES))[1]
-        if text[end:] == canonical[-3:]:
+def _rebuilt(doc: dict, text: str, kinds: tuple, build, write):
+    """The stage `build(doc, level)` if `text` is its document `write(stage)`
+    apart from `measures`; else a ParameterError naming the first difference.
+
+    For a `_Header` the stage is built from the header and accepted if the
+    text is its document, byte for byte, plus any `measures` block.
+    Otherwise the whole text is parsed and checked as a parsed document is,
+    in the same order; the stage already built, or the header's refusal,
+    stands for the build unless the whole document names another stage (a
+    header key set again after the cells).
+    """
+    header, built, refusal = doc, None, None
+    if type(doc) is _Header:
+        try:
+            built = build(doc, _level(doc, text, kinds))
+        except QuasifractalError as exc:
+            refusal = exc
+        else:
+            canonical = dumps_document(write(built))
+            if _accepted(text, canonical):
+                return built
+        doc = _parsed(text)
+        if _stage_key(doc) != _stage_key(header):  # a header key set again after the cells
+            built = refusal = None
+    level = _level(doc, text, kinds)
+    if refusal is not None:
+        raise refusal
+    if built is None:
+        built = build(doc, level)
+        canonical = dumps_document(write(built))
+        if _accepted(text, canonical):
             return built
     expected, actual = json.loads(canonical), {k: v for k, v in doc.items() if k != "measures"}
     if json.dumps(expected, sort_keys=True) == json.dumps(actual, sort_keys=True):
@@ -258,6 +306,25 @@ def _rebuilt(doc: dict, text: str, built, write):
     if path is not None:
         raise ParameterError(f"{doc['kind']} document differs from its level-{built.level} stage at {path[1:]}")
     return built
+
+
+def _stage_key(doc: dict) -> str:
+    """The header values that fix the stage of `doc`, JSON type for JSON type."""
+    return json.dumps([doc.get("kind"), doc.get("params"), doc.get("level")])
+
+
+def _accepted(text: str, canonical: str) -> bool:
+    """Whether `text` is `canonical` plus any `measures` block, which the
+    writer puts last, before the closing "\n}\n"."""
+    end = len(canonical) - 3
+    if not text.startswith(canonical[:end]):
+        return False
+    if text.startswith(_MEASURES, end):
+        # the decoder raises ValueError for an integer literal beyond the
+        # int-to-str digit limit and RecursionError for nesting beyond its depth
+        with suppress(ValueError, RecursionError):
+            end = _DECODER.raw_decode(text, end + len(_MEASURES))[1]
+    return text[end:] == canonical[-3:]
 
 
 def _difference(expected, actual) -> str | None:
@@ -292,6 +359,8 @@ def _emit(value, newline: str) -> str:
     """One JSON value; `newline` is a line break plus the indent of the line it starts on."""
     if isinstance(value, str):
         return _string(value)
+    if type(value) is int:  # not a bool, which json writes as true or false
+        return int.__repr__(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -305,6 +374,8 @@ def _emit(value, newline: str) -> str:
         inner = newline + "  "
         if all(isinstance(item, str) for item in value):
             items = map(_string, value)
+        elif all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
         else:
             items = [_emit(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -324,8 +395,51 @@ _TETRA_ROW = _template({"address": _SLOT, "vertices": [[_SLOT] * 3] * 4})
 _FACE_ROW = {k: _template({"boundary": [[_SLOT] * 3] * k, "birth_level": _SLOT, "area_sq": _SLOT}) for k in (3, 4)}
 
 
+class _Header(dict):
+    """The header of a document in the writer's layout: its keys before the list of cells."""
+
+
 def loads_document(text: str) -> dict:
-    """Parse a document of a known kind; its reader checks the rest."""
+    """A document of a known kind; its reader checks the rest.
+
+    A text laid out as the writer lays it out yields its header alone, a
+    `_Header` parsed from the text before the list of cells; its reader
+    parses the rest only if it refuses the text. Any other text is parsed
+    whole.
+    """
+    doc = _header(text)
+    return _parsed(text) if doc is None else doc
+
+
+def whole_document(doc: dict, text: str) -> dict:
+    """The whole parsed document `text`, of which `doc` is `loads_document(text)`."""
+    return _parsed(text) if type(doc) is _Header else doc
+
+
+_LEVEL = '\n  "level": '
+
+
+def _header(text: str) -> _Header | None:
+    """The header of `text`: the JSON object before the line of its level
+    ends, if that line ends with a comma and the list of cells follows. A
+    written header holds no list."""
+    start = text.find(_LEVEL)
+    end = text.find(",\n", start)
+    if start < 0 or end < 0 or text.find("[", 0, end) >= 0:
+        return None
+    try:
+        doc = json.loads(text[:end] + "\n}")
+    except (ValueError, RecursionError):
+        return None
+    if type(doc) is not dict or doc.get("kind") not in _KINDS:
+        return None
+    if not text.startswith(f'\n  "{_SHAPES[doc["kind"]][0]}": ', end + 1):
+        return None
+    return _Header(doc)
+
+
+def _parsed(text: str) -> dict:
+    """The whole parsed document `text`, of a known kind."""
     # Besides JSONDecodeError (a ValueError), the decoder raises ValueError for
     # an integer literal beyond the int-to-str digit limit and RecursionError
     # for nesting beyond its depth.

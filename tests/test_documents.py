@@ -1,7 +1,9 @@
 """JSON round-trips plus SVG/OBJ well-formedness checks."""
 
+import contextlib
 import json
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -21,6 +23,7 @@ from helpers import (
     square_loop,
     svg_oracle,
 )
+from quasifractal import cantor, document, planar, spatial
 from quasifractal.cantor import Params2, build
 from quasifractal.cli import EXIT_VALIDATION, _pieces_measures, main
 from quasifractal.document import (
@@ -129,7 +132,7 @@ def _far_document(kind: str, above: bool) -> dict:
     def point(x, y, denominator):
         return [str(F(x, denominator)), str(F(y, denominator))]
 
-    if kind == CARPET:  # D = 3; corners with their diagonals (k = 2), a square ring (k = 4)
+    if kind == CARPET:  # D = 3; the square ring (k = 4) is what reaches the int64 bound
         m2, m4 = 2**28 - 1 + above, 2**27 - 1 + above
         kept = [{"corner": point(m2 - 3 * i, -i, 3), "side": "1/3"} for i in range(8)]
         ring = [point(0, 0, 3), point(m4, 0, 3), point(m4, m4, 3), point(0, m4, 3)]
@@ -212,11 +215,11 @@ def test_piece_views_build_each_point_once():
 @pytest.mark.parametrize("kind", ["cantor2d", CUBE_WIREFRAME, TETRA_GASKET])
 def test_unhashable_coordinates_in_stage_documents_exit_2(kind, tmp_path, capsys):
     if kind == "cantor2d":
-        doc = loads_document(dumps_document(stage2_to_document(build(Params2(F(1, 3), 1)))))
+        doc = json.loads(dumps_document(stage2_to_document(build(Params2(F(1, 3), 1)))))
         doc["segments"][1][0][1] = ["1/3"]
     else:
         a = F(1, 3) if kind == CUBE_WIREFRAME else None
-        doc = loads_document(dumps_document(stage3_to_document(build_spatial(SpatialVariant(kind, a), 1))))
+        doc = json.loads(dumps_document(stage3_to_document(build_spatial(SpatialVariant(kind, a), 1))))
         doc["skeleton"][1][0][1] = ["1/3"]
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
@@ -259,7 +262,7 @@ def test_dumps_document_refuses_keys_that_are_not_strings():
 
 def test_documents_never_carry_float_coordinates():
     stage = build(Params2(F(1, 3), 2))
-    doc = loads_document(dumps_document(stage2_to_document(stage)))
+    doc = json.loads(dumps_document(stage2_to_document(stage)))
 
     def scan(node):
         if isinstance(node, dict):
@@ -287,6 +290,155 @@ def test_loads_document_rejects_junk():
     doc["schema_version"] = 1
     with pytest.raises(ParameterError):
         _read(document_to_pieces, dumps_document(doc))
+
+
+def _pieces_text(kind: str, level: int) -> str:
+    """The piece document the CLI writes, `measures` block included."""
+    ps = build_planar(kind, level)
+    return dumps_document(pieces_to_document(ps, _pieces_measures(ps)))
+
+
+def _closed(text: str, members: str) -> str:
+    """`text` with `members` written before its closing brace."""
+    return text[:-3] + members + "\n}\n"
+
+
+def _json_refusal(text: str) -> str:
+    """The refusal of a text that the JSON decoder does not take."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return f"invalid JSON document: {exc}"
+    raise AssertionError("the decoder takes the text")
+
+
+LOOP = "1/7,1/7 6/7,1/7 6/7,6/7 1/7,6/7"
+CARPET1 = _pieces_text(CARPET, 1)
+CUBE1 = dumps_document(stage3_to_document(build_spatial(SpatialVariant(CUBE_WIREFRAME, F(1, 3)), 1)))
+MEASURES = ',\n  "measures": '
+# A level-2 carpet document with one kept cell dropped and a `measures`
+# block that keeps it long enough for 64 cells.
+SHORT_OF_A_CELL = json.loads(_pieces_text(CARPET, 2))
+SHORT_OF_A_CELL["kept"].pop()
+SHORT_OF_A_CELL["measures"] = {"note": "x" * 2000}
+
+# (name, text, argv after the document's path, exit code, refusal or None)
+REFUSALS = [
+    ("invalid JSON after the header", CARPET1[:600], ["render"], 2, _json_refusal(CARPET1[:600])),
+    ("invalid JSON, 3D with a loop", CUBE1[:2000], ["render", "--loop", LOOP], 2, _json_refusal(CUBE1[:2000])),
+    ("kind again", _closed(CARPET1, ',\n  "kind": "gasket"'), ["render"], 2, "a level-1 gasket document lists 3 kept"),
+    # the whole document names another stage than its header: that stage is built too
+    (
+        "kind again at level 0",
+        _closed(_pieces_text(CARPET, 0), ',\n  "kind": "gasket"'),
+        ["render"],
+        2,
+        "gasket document differs from its level-0 stage at kept[0].vertices",
+    ),
+    (
+        "level again",
+        _closed(CARPET1, ',\n  "level": 2'),
+        ["index", "--loop", LOOP],
+        2,
+        "a level-2 carpet document lists 64 kept",
+    ),
+    ("same level again", _closed(CARPET1, ',\n  "level": 1'), ["render"], 0, None),
+    (
+        "kind of another reader again",
+        _closed(CARPET1, ',\n  "kind": "cube_wireframe"'),
+        ["render"],
+        2,
+        "a level-1 cube_wireframe document lists 8 cells",
+    ),
+    (
+        "kind of another reader again, index",
+        _closed(CARPET1, ',\n  "kind": "cube_wireframe"'),
+        ["index", "--loop", LOOP],
+        2,
+        "expected a carpet or gasket document, got kind 'cube_wireframe'",
+    ),
+    (
+        "measures deeper than the decoder allows",
+        _closed(CARPET1, MEASURES + "[" * 100_000 + "]" * 100_000),
+        ["render"],
+        2,
+        _json_refusal("[" * 100_000 + "]" * 100_000),
+    ),
+    (
+        "integer in measures beyond the digit limit",
+        _closed(CARPET1, MEASURES + "1" + "0" * 5000),
+        ["render"],
+        2,
+        _json_refusal("1" + "0" * 5000),
+    ),
+    (
+        "wrong cell count in a long text",
+        dumps_document(SHORT_OF_A_CELL),
+        ["render"],
+        2,
+        "a level-2 carpet document lists 64 kept",
+    ),
+    ("compact re-dump", json.dumps(json.loads(CARPET1)), ["index", "--loop", LOOP], 0, None),
+]
+
+
+@pytest.mark.parametrize("name, text, argv, code, refusal", REFUSALS, ids=[case[0] for case in REFUSALS])
+def test_documents_read_by_their_header_keep_every_refusal(name, text, argv, code, refusal, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    command, *rest = argv
+    flag = "--input" if command == "render" else "--pieces"
+    assert main([command, flag, str(path), *rest, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if refusal is None else f"validation error: {refusal}\n")
+
+
+def test_loads_document_parses_the_header_of_a_written_document():
+    doc = loads_document(CARPET1)
+    assert doc == {"schema_version": 1, "kind": CARPET, "level": 1}
+    assert loads_document(json.dumps(json.loads(CARPET1))) == json.loads(CARPET1)
+
+
+def _counting_builders(monkeypatch) -> list:
+    """The builder calls the readers make from now on, by builder."""
+    calls = []
+    for module, name in ((cantor, "build"), (planar, "build_planar"), (spatial, "build_spatial")):
+        builder = getattr(module, name)
+
+        def counted(*args, builder=builder, **kwargs):
+            calls.append(builder.__name__)
+            return builder(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_document_is_built_at_most_once(monkeypatch):
+    calls = _counting_builders(monkeypatch)
+    accepted = [CARPET1, _closed(CARPET1, ',\n  "level": 1'), json.dumps(json.loads(CARPET1))]
+    for name, text in [("accepted", text) for text in accepted] + [case[:2] for case in REFUSALS]:
+        calls.clear()
+        reader = document_to_stage3 if text.startswith(CUBE1[:80]) else document_to_pieces
+        with contextlib.suppress(ParameterError):
+            reader(loads_document(text), text)
+        assert len(calls) <= (2 if name == "kind again at level 0" else 1), (name, calls)
+    # a stage's text is accepted without parsing it whole
+    calls.clear()
+    monkeypatch.setattr(document, "_parsed", None)
+    assert _read(document_to_pieces, CARPET1) == build_planar(CARPET, 1)
+    assert calls == ["build_planar"]
+
+
+@pytest.mark.parametrize("kind, level", [(CARPET, 5), (GASKET, 8)])
+def test_reading_a_document_peaks_below_six_times_its_text(kind, level):
+    text = _pieces_text(kind, level)
+    tracemalloc.start()
+    try:
+        _read(document_to_pieces, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text), (peak, len(text))
 
 
 def test_svg_cantor_stage_well_formed():

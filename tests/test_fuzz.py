@@ -57,7 +57,7 @@ def _seed_documents() -> list[dict]:
         ):
             written.append(document.stage3_to_document(spatial.build_spatial(variant, depth)))
     # a document's lists are written ahead (document.Encoded): read its bytes back
-    return [document.loads_document(document.dumps_document(doc)) for doc in written]
+    return [json.loads(document.dumps_document(doc)) for doc in written]
 
 
 SEEDS = _seed_documents()
