@@ -45,7 +45,10 @@ EXIT_CAPACITY = 3
 EXIT_NUMERICAL = 4
 
 MEASURE_DEPTH_CAP = 1000
-TRUNCATE_CAP = 1024  # an n x n section costs O(n^2) memory and O(n^3) SVD time
+# An n x n section costs O(n^2) memory and O(n^3) SVD time. The SVD runs on one
+# BLAS thread, for bits that do not depend on the thread count: at this cap that
+# takes about 1.5 times as long as on two threads.
+TRUNCATE_CAP = 1024
 RANDOM_CHECK_CAP = 10_000
 SYMBOL_BAND_CAP = 256  # root finding on the band polynomial costs O(band^3) time
 

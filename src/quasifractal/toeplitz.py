@@ -22,9 +22,12 @@ rank deficiency of monomial sections rather than computing it.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import ctypes
 import functools
 import math
 import random
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -289,11 +292,66 @@ def winding_by_argument(s: Union[Symbol, Sequence[Symbol]], samples: Union[int, 
     return windings[0] if isinstance(s, Symbol) else np.array(windings, dtype=np.int64)
 
 
-def _eigvals(stack: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each matrix of the stack; NaN for a matrix on which
-    LAPACK does not converge (the halves of a failing stack are retried)."""
+# OpenBLAS's (get, set) thread-count entry points, as numpy's wheels name them
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),  # numpy >= 2
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),  # numpy 1.2x
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_PINNED = threading.Lock()  # the count is process-wide: one pinned block at a time
+
+
+@functools.cache
+def blas_threads():
+    """The (name, get, set) thread-count functions of the OpenBLAS that
+    numpy's LAPACK calls run on, or None on a BLAS without them (MKL,
+    Accelerate)."""
     try:
-        return np.linalg.eigvals(stack)
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREADS:
+        try:
+            get, set_ = getattr(library, get_name), getattr(library, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get_name, get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then put the process's count back.
+
+    A LAPACK result can change in its last bits with the thread count, and
+    for a truncation below n of about 300 a second thread is slower, not
+    faster.
+    The count is process-wide, so threads that pin it take turns. Without
+    OpenBLAS this changes nothing.
+    """
+    threads = blas_threads()
+    if threads is None:
+        yield
+        return
+    _, get, set_ = threads
+    with _PINNED:
+        previous = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(previous)
+
+
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of the stack, on one BLAS thread; NaN for a
+    matrix on which LAPACK does not converge (the halves of a failing stack
+    are retried)."""
+    try:
+        with _one_blas_thread():
+            return np.linalg.eigvals(stack)
     except np.linalg.LinAlgError:
         if len(stack) == 1:
             return np.full(stack.shape[:-1], np.nan, dtype=np.complex128)
@@ -452,7 +510,9 @@ class ToeplitzTruncation:
     Entry (j, k) is c_{j-k}. Every square truncation has finite-matrix
     index 0; what the section does expose is the rank deficiency of
     monomial symbols (rank N - k for z^k), reported via the singular
-    values at tolerance 1e-10.
+    values at tolerance 1e-10. The singular values are the single-thread
+    LAPACK result whatever the process's BLAS thread count, where numpy
+    runs on OpenBLAS (`truncate`).
     """
 
     n: int
@@ -463,6 +523,13 @@ class ToeplitzTruncation:
 
 
 def truncate(s: Symbol, n: int) -> ToeplitzTruncation:
+    """The n x n section of the Toeplitz matrix of s and its singular values.
+
+    The SVD runs on one OpenBLAS thread (`_one_blas_thread`), so its bits
+    do not depend on the process's thread count. One thread is faster for
+    n up to about 300 and slower from about 384; at n = 1024 the SVD takes
+    about 1.5 times as long as on two threads.
+    """
     width = s.m + s.p + 1
     if n < width:
         raise ParameterError(f"truncation size {n} is below the band width {width}")
@@ -471,7 +538,8 @@ def truncate(s: Symbol, n: int) -> ToeplitzTruncation:
         band[exponent + n - 1] = c
     # row j of the section is band[j + n - 1], band[j + n - 2], ..., band[j]
     matrix = np.lib.stride_tricks.sliding_window_view(band[::-1], n)[::-1]
-    singular_values = np.linalg.svd(matrix, compute_uv=False)
+    with _one_blas_thread():
+        singular_values = np.linalg.svd(matrix, compute_uv=False)
     return ToeplitzTruncation(
         n=n,
         band=(s.m, s.p),

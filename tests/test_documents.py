@@ -441,6 +441,19 @@ def test_reading_a_document_peaks_below_six_times_its_text(kind, level):
     assert peak < 6 * len(text), (peak, len(text))
 
 
+@pytest.mark.parametrize("kind, level", [(CARPET, 5), (GASKET, 8)])
+def test_writing_a_document_peaks_below_three_times_its_text(kind, level):
+    ps = build_planar(kind, level)
+    measures = _pieces_measures(ps)
+    tracemalloc.start()
+    try:
+        text = dumps_document(pieces_to_document(ps, measures))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text), (peak, len(text))
+
+
 def test_svg_cantor_stage_well_formed():
     stage = build(Params2(F(1, 4), 1))
     svg = render_svg(stage)

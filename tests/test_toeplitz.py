@@ -1,7 +1,12 @@
 """Symbols, dual winding computations, index reports, truncations."""
 
+import cmath
+import contextlib
+import io
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -230,6 +235,95 @@ def test_truncate_section_equals_the_fancy_indexed_band(n):
 def test_truncate_size_floor():
     with pytest.raises(ParameterError):
         truncate(Symbol({-2: 1, 2: 1}), 4)
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's (get, set) thread-count functions; the process's count is put back after the test."""
+    threads = toeplitz.blas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count entry points")
+    _, get, set_ = threads
+    start = get()
+    yield get, set_
+    set_(start)
+
+
+def _rooted_symbol(rng: random.Random) -> Symbol:
+    """z^-m times a polynomial whose roots lie at radius 0.2-0.6 or 1.6-3, off the circle."""
+    m, p = rng.randint(0, 8), rng.randint(1, 8)
+    roots = [
+        cmath.rect(rng.uniform(0.2, 0.6) if rng.random() < 0.5 else rng.uniform(1.6, 3.0), rng.uniform(0, 2 * math.pi))
+        for _ in range(m + p)
+    ]
+    poly = np.poly(np.array(roots))  # highest degree first
+    return Symbol({p - i: complex(c) for i, c in enumerate(poly)})
+
+
+@pytest.mark.parametrize("n", [32, 128, 224, 256])
+def test_truncation_bits_do_not_depend_on_the_blas_thread_count(blas_threads, n):
+    get, set_ = blas_threads
+    rng = random.Random(n)
+    symbols = [_rooted_symbol(rng) for _ in range(6)]
+    runs = []
+    for count in (2, 1):
+        set_(count)
+        sections = [truncate(s, n) for s in symbols]
+        runs.append([(t.smallest_singular_value.hex(), t.numerical_rank) for t in sections])
+        assert get() == count
+    assert runs[0] == runs[1]
+
+
+def test_the_blas_thread_count_is_put_back_after_a_failure(blas_threads, monkeypatch):
+    get, set_ = blas_threads
+    set_(2)
+    with pytest.raises(ParameterError):
+        truncate(Symbol({-2: 1, 2: 1}), 4)
+    assert get() == 2
+
+    def svd_on_one_thread(matrix, compute_uv):
+        assert get() == 1
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd_on_one_thread)
+    with pytest.raises(np.linalg.LinAlgError):
+        truncate(Symbol({0: 1}), 4)
+    assert get() == 2
+
+
+def test_threads_that_pin_the_count_take_turns(blas_threads):
+    get, set_ = blas_threads
+    set_(2)
+    symbol = _rooted_symbol(random.Random(7))
+    expected = truncate(symbol, 128).smallest_singular_value
+    values = []
+
+    def work():
+        for _ in range(20):
+            values.append(truncate(symbol, 128).smallest_singular_value)
+
+    workers = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert values == [expected] * 80
+    assert get() == 2
+
+
+def test_the_thread_pin_resolves_where_numpy_runs_on_openblas():
+    shown = io.StringIO()
+    with contextlib.redirect_stdout(shown):
+        np.show_config()
+    if "openblas" not in shown.getvalue().lower():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert toeplitz.blas_threads() is not None
 
 
 def test_index_report_shape():
