@@ -28,13 +28,14 @@ import math
 from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 import numpy as np
 
 from .errors import CapacityError
 from .geometry import BOX_OUTLINE, BoxCells, Cell, Segment, Segments, box_grid, cell_outline, check_depth
-from .geometry import common_lattice, distinct_segments, geometric_sum, int_dtype, scale_factor
+from .geometry import common_lattice, distinct_segments, geometric_sum, lattice_levels, scale_factor
 from .geometry import segment_components, split_boxes
 
 DEPTH_CAP = 10
@@ -88,8 +89,8 @@ def level0(a: Union[Fraction, str, int]) -> Stage2:
 def refine(stage: Stage2) -> Stage2:
     """One subdivision step: each cell is replaced by its 4 corner children.
 
-    The stage moves from its lattice of D to that of D * q (`split_boxes`),
-    as int64 arrays while D * q fits int64 and as Python ints from then on.
+    The stage moves from its lattice of D to that of D * q (`lattice_levels`),
+    int64 while D * q fits int64 and the stage's arrays are, else Python ints.
     The children's boundaries join the retained segments, which stay
     distinct and in the one segment order (`distinct_segments`), and the
     input stage is left unchanged. Children are emitted parent by parent in
@@ -99,20 +100,13 @@ def refine(stage: Stage2) -> Stage2:
         raise CapacityError(f"depth cap {DEPTH_CAP} reached at level {stage.level}")
     a = stage.params.a
     q = a.denominator
-    lcm = stage.cells.lcm * q
     cells, segments = stage.cells, stage.segments.grid
-    # a stage built here lies in [0, D]; a hand-built one holds Python ints and keeps them
-    dtype = np.result_type(cells.corners, cells.sides, segments, int_dtype(lcm))
-    corners, sides = split_boxes(cells.corners.astype(dtype), cells.sides.astype(dtype), a)
+    *_, (corners, sides) = lattice_levels(cells.lcm, (cells.corners, cells.sides), partial(split_boxes, a=a), q, 1)
     edges, _ = cell_outline(box_grid(corners, sides), *BOX_OUTLINE[2])
-    segments = distinct_segments(np.concatenate((segments.astype(dtype) * q, edges)))
+    segments = distinct_segments(np.concatenate((segments.astype(np.result_type(segments, corners)) * q, edges)))
+    lcm, level = cells.lcm * q, stage.level + 1
     addresses = [address + letter for address in cells.addresses for letter in "0123"]
-    return Stage2(
-        params=Params2(a, stage.level + 1),
-        level=stage.level + 1,
-        cells=BoxCells(lcm, addresses, corners, sides),
-        segments=Segments(lcm, segments),
-    )
+    return Stage2(Params2(a, level), level, BoxCells(lcm, addresses, corners, sides), Segments(lcm, segments))
 
 
 def build(params: Params2, workers: int = 1) -> Stage2:

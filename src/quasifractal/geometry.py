@@ -13,11 +13,11 @@ int64 arrays while every product fits and in arrays of Python ints otherwise.
 Every stage holds its cells, segments, faces and pieces on its level's
 lattice in `OnLattice` views, squares and cubes as `BoxCells` and
 triangles and tetrahedra as `Simplices`. Every construction is built
-there by array steps: `split_squares` and `split_triangles` for the
-carpet and gasket (`lattice_subdivision`), `split_boxes` and
-`split_simplices` with the edge and face tables of `cell_outline` for the
-cantor, cube and tetra stages, whose segments `distinct_segments` sorts
-into the one segment order. `SegmentIndex` sorts a stage's segments into
+there by the one level loop `lattice_levels` over a split (`split_boxes`,
+`split_simplices`, `split_squares`, `split_triangles`); `cell_outline`
+gives each level's edges and faces, `on_last_lattice` scales the levels'
+arrays onto the last lattice, and `distinct_segments` sorts segments into
+the one segment order. `SegmentIndex` sorts a stage's segments into
 a run table of the carrier lines, whose runs `union_length` sums and
 `segment_components` joins.
 """
@@ -29,7 +29,7 @@ from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
@@ -211,22 +211,24 @@ def distinct_segments(pairs):
     return grid
 
 
-def lattice_subdivision(base: tuple, split, scale: int, depth: int) -> tuple[list, dict, list[int]]:
-    """`depth` rounds of a lattice split (`split_squares`, `split_triangles`)
-    from the arrays of lattice ints of the level-0 cells `base` (corners and
-    sides, or vertices); each round refines the lattice `scale`-fold.
-    Returns the last level's arrays, every removed ring, level by level, as
-    `lattice_groups` lays them out on the last lattice, and the number of
-    rings each level removed."""
-    dtype = lattice_dtype(max(map(_magnitude, base)) * scale**depth)
-    cells = [array.astype(dtype) for array in base]
-    removed = []
+def lattice_levels(lcm: int, base: tuple, split, scale: int, depth: int) -> Iterator[tuple]:
+    """The arrays of levels 0 to `depth`: level 0 is `base`, the level-0
+    cells (corners and sides, or vertices) on the lattice of D = `lcm`, and
+    level k + 1 is `split` of level k's cells, its first len(base) arrays,
+    then any arrays the split adds (removed rings), on a `scale`-fold finer
+    lattice. int64 while the last D fits and `base` is int64, else Python ints."""
+    dtype = np.result_type(*base, int_dtype(lcm * scale**depth))
+    level = tuple(array.astype(dtype, copy=False) for array in base)
+    yield level
     for _ in range(depth):
-        *cells, rings = split(*cells)
-        removed.append(rings)
-    counts = [len(rings) for rings in removed]
-    removed = [rings * scale ** (depth - level) for level, rings in enumerate(removed, 1)]
-    return cells, lattice_group(np.concatenate(removed)) if removed else {}, counts
+        level = split(*level[: len(base)])
+        yield level
+
+
+def on_last_lattice(arrays: list, scale: int):
+    """The arrays of consecutive levels of a `scale`-fold refinement, each
+    scaled onto the lattice of the last, as one array."""
+    return np.concatenate([array * scale ** (len(arrays) - i) for i, array in enumerate(arrays, 1)])
 
 
 def scale_factor(a: Union[int, str, Fraction], allow_half: bool) -> Fraction:
@@ -641,9 +643,9 @@ class Segments(OnLattice, Set):
 
 
 class BoxCells(LatticeSequence):
-    """Box cells, held as their addresses, (N, d) corners and (N,) sides."""
+    """Box cells, held as their addresses (`()`: all empty), (N, d) corners and (N,) sides."""
 
-    def __init__(self, lcm: int, addresses: list[str], corners, sides):
+    def __init__(self, lcm: int, addresses: Sequence[str], corners, sides):
         self.lcm = lcm
         self.addresses = addresses
         self.corners = corners
@@ -655,11 +657,11 @@ class BoxCells(LatticeSequence):
         return cls(lcm, [address for address, _, _ in rows], corners, object_rows([s for _, _, s in rows], (0,)))
 
     def __len__(self) -> int:
-        return len(self.addresses)
+        return len(self.sides)
 
     @cached_property
     def rows(self) -> list:
-        return list(zip(self.addresses, map(tuple, self.corners.tolist()), self.sides.tolist()))
+        return list(zip(self.addresses or repeat(""), map(tuple, self.corners.tolist()), self.sides.tolist()))
 
     @staticmethod
     def row(cell: Cell, f) -> tuple:
@@ -671,9 +673,9 @@ class BoxCells(LatticeSequence):
 
 
 class Simplices(LatticeSequence):
-    """Simplex cells, held as their addresses and (N, n, d) vertices."""
+    """Simplex cells, held as their addresses (`()`: all empty) and (N, n, d) vertices."""
 
-    def __init__(self, lcm: int, addresses: list[str], vertices):
+    def __init__(self, lcm: int, addresses: Sequence[str], vertices):
         self.lcm = lcm
         self.addresses = addresses
         self.vertices = vertices
@@ -683,11 +685,11 @@ class Simplices(LatticeSequence):
         return cls(lcm, [address for address, _ in rows], object_rows([v for _, v in rows], (0, 4, 3)))
 
     def __len__(self) -> int:
-        return len(self.addresses)
+        return len(self.vertices)
 
     @cached_property
     def rows(self) -> list:
-        return [(a, tuple(map(tuple, v))) for a, v in zip(self.addresses, self.vertices.tolist())]
+        return [(a, tuple(map(tuple, v))) for a, v in zip(self.addresses or repeat(""), self.vertices.tolist())]
 
     @staticmethod
     def row(cell: Simplex, f) -> tuple:

@@ -6,9 +6,9 @@ bounded complement components of the limit set). Kept cells and removed
 pieces together partition the starting cell exactly, which is what makes
 the completed object an ordinary 2-dimensional square or triangle; the
 fractal approximation itself is the topological boundary of the removed
-interiors plus the unbounded outside. A stage holds its kept cells as
-the cantor, cube and tetra stages hold theirs, squares as `BoxCells` and
-triangles as `Simplices`, and its removed pieces as `Pieces`.
+interiors plus the unbounded outside. A stage holds its kept cells,
+without addresses, as `BoxCells` (squares) or `Simplices` (triangles) and
+its removed pieces as `Pieces`, built by the level loop `lattice_levels`.
 
 The gasket uses the base triangle (0,0), (1,0), (1/2,1): the statements
 being tracked are affine-invariant, and rational vertices keep every
@@ -24,10 +24,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
+import numpy as np
+
 from .errors import ParameterError
 from .geometry import BoxCells, Cell, LatticeSequence, Loop, Point2, Segment, Simplex, Simplices, check_depth
-from .geometry import common_lattice, lattice_group, lattice_groups, lattice_subdivision, ring_segments, signed_area
-from .geometry import split_squares, split_triangles, twice_areas
+from .geometry import common_lattice, lattice_group, lattice_groups, lattice_levels, on_last_lattice, ring_segments
+from .geometry import signed_area, split_squares, split_triangles, twice_areas
 
 CARPET = "carpet"
 GASKET = "gasket"
@@ -110,7 +112,7 @@ class PieceSet:
     """Stage snapshot: kept cells at `level`, removed pieces of levels <= level.
 
     Both are views on one integer lattice: the kept cells `BoxCells` for the
-    carpet and `Simplices` for the gasket, with empty addresses, the removed
+    carpet and `Simplices` for the gasket, without addresses, the removed
     pieces `Pieces`. Given lists of cell and piece objects instead, the
     constructor puts them on the lattice of their denominators.
     """
@@ -147,22 +149,25 @@ def build_planar(kind: str, depth: int, workers: int = 1) -> PieceSet:
     Gasket: each triangle splits at edge midpoints and the middle triangle
     is removed. Removed pieces keep their birth level and CCW boundary.
     The stage is built on the lattice of its level, D = 3^depth for the
-    carpet and 2^(depth + 1) for the gasket, children parent by parent.
+    carpet and 2^(depth + 1) for the gasket, by `lattice_levels`.
     `workers` is accepted and ignored: the construction is sequential.
     """
-    base = base_cell(kind)
     view = _kept_view(kind)
-    (cells,) = common_lattice((view, [base]))
+    (cells,) = common_lattice((view, [base_cell(kind)]))
     if kind == CARPET:
         cap, split, scale, arrays = CARPET_DEPTH_CAP, split_squares, 3, (cells.corners, cells.sides)
     else:
         cap, split, scale, arrays = GASKET_DEPTH_CAP, split_triangles, 2, (cells.vertices,)
     check_depth(depth, cap, what=f"{kind} depth")
-    kept, removed, counts = lattice_subdivision(arrays, split, scale, depth)
-    births = [level for level, count in enumerate(counts, 1) for _ in range(count)]
-    labels = [f"{level}:{i}" for level, count in enumerate(counts, 1) for i in range(count)]
+    rings = []
+    for level in lattice_levels(cells.lcm, [array.astype(np.int64) for array in arrays], split, scale, depth):
+        kept = level[: len(arrays)]
+        rings += level[len(arrays) :]
+    births = [k for k, level_rings in enumerate(rings, 1) for _ in range(len(level_rings))]
+    labels = [f"{k}:{i}" for k, level_rings in enumerate(rings, 1) for i in range(len(level_rings))]
     lcm = cells.lcm * scale**depth
-    return PieceSet(kind, depth, view(lcm, [""] * len(kept[0]), *kept), Pieces(lcm, removed, births, labels))
+    removed = lattice_group(on_last_lattice(rings, scale)) if rings else {}
+    return PieceSet(kind, depth, view(lcm, (), *kept), Pieces(lcm, removed, births, labels))
 
 
 @dataclass(frozen=True)

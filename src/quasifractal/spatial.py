@@ -20,10 +20,10 @@ incidence property `boundary_incidence` verifies. Triangle areas involve
 square roots, so faces store their exact squared area and take the root
 only at reporting time.
 
-A stage is built on the integer lattice of its level, D = q^depth for
-a = p/q and 2^depth for the tetrahedron: cells, skeleton edges and faces
-are numpy arrays of lattice ints, int64 while D fits int64 and Python
-ints (object dtype) above it, and a face's squared area is
+A stage is built on the integer lattice of its level (`lattice_levels`),
+D = q^depth for a = p/q and 2^depth for the tetrahedron: cells, skeleton
+edges and faces are numpy arrays of lattice ints, int64 while D fits
+int64 and Python ints (object dtype) above it, and a face's squared area is
 |sum of p x q over its edges|^2 / (4 D^4), one Fraction per distinct
 integer.
 """
@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from math import sqrt
 from typing import Union
@@ -43,8 +43,8 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import BOX_OUTLINE, SIMPLEX_OUTLINE, BoxCells, Cell, LatticeSequence, LatticeTable, Point3
 from .geometry import Segment, SegmentIndex, Segments, Simplex, Simplices, box_grid, cell_outline, check_depth
-from .geometry import common_lattice, distinct_segments, geometric_sum, int_dtype, object_rows, ring_edges
-from .geometry import scale_factor, segment_components, split_boxes, split_simplices, twice_area_squares
+from .geometry import common_lattice, distinct_segments, geometric_sum, lattice_levels, object_rows, on_last_lattice
+from .geometry import ring_edges, scale_factor, segment_components, split_boxes, split_simplices, twice_area_squares
 
 CUBE_WIREFRAME = "cube_wireframe"
 TETRA_GASKET = "tetra_gasket"
@@ -156,7 +156,7 @@ class Stage3:
 def build_spatial(variant: SpatialVariant, depth: int, workers: int = 1) -> Stage3:
     """Subdivide to the given depth with canonical (address-sorted) ordering.
 
-    Level k runs on the lattice of its own level, q^k for a = p/q
+    Level k runs on its own lattice in `lattice_levels`, q^k for a = p/q
     (`split_boxes`) and 2^k for the tetrahedron (`split_simplices`), and
     its edges and faces are scaled to the last level's. Every array is
     int64 while that lattice's D fits int64 and holds Python ints above
@@ -165,29 +165,26 @@ def build_spatial(variant: SpatialVariant, depth: int, workers: int = 1) -> Stag
     """
     cube = variant.kind == CUBE_WIREFRAME
     check_depth(depth, CUBE_DEPTH_CAP if cube else TETRA_DEPTH_CAP, what=f"{variant.kind} depth")
-    scale = variant.a.denominator if cube else 2
-    lcm = scale**depth
-    dtype = int_dtype(lcm)
     if cube:
-        cells = (np.zeros((1, 3), dtype), np.ones(1, dtype))
+        scale, split, outline = variant.a.denominator, partial(split_boxes, a=variant.a), BOX_OUTLINE[3]
+        base = (np.zeros((1, 3), np.int64), np.ones(1, np.int64))
     else:
-        cells = np.array([_TETRA_BASE], dtype)
+        scale, split, outline = 2, lambda simplices: (split_simplices(simplices),), SIMPLEX_OUTLINE[4]
+        base = (np.array([_TETRA_BASE], np.int64),)
     edges, faces = [], []
-    for level in range(depth + 1):
-        if level:
-            cells = split_boxes(*cells, variant.a) if cube else split_simplices(cells)
-        vertices = box_grid(*cells) if cube else cells
-        level_edges, level_faces = cell_outline(vertices, *(BOX_OUTLINE[3] if cube else SIMPLEX_OUTLINE[4]))
-        edges.append(level_edges * scale ** (depth - level))
-        faces.append(level_faces * scale ** (depth - level))
-    rings = np.concatenate(faces)
+    for cells in lattice_levels(1, base, split, scale, depth):
+        level_edges, level_faces = cell_outline(box_grid(*cells) if cube else cells[0], *outline)
+        edges.append(level_edges)
+        faces.append(level_faces)
+    rings = on_last_lattice(faces, scale)
     births = np.repeat(np.arange(depth + 1), [len(level_faces) for level_faces in faces])
     addresses = list(map("".join, product("01234567" if cube else "0123", repeat=depth)))
+    lcm = scale**depth
     return Stage3(
         variant=variant,
         level=depth,
-        cells=BoxCells(lcm, addresses, *cells) if cube else Simplices(lcm, addresses, cells),
-        skeleton=Segments(lcm, distinct_segments(np.concatenate(edges))),
+        cells=BoxCells(lcm, addresses, *cells) if cube else Simplices(lcm, addresses, *cells),
+        skeleton=Segments(lcm, distinct_segments(on_last_lattice(edges, scale))),
         pieces=Faces(lcm, rings, births, twice_area_squares(rings)),
     )
 

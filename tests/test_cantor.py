@@ -139,6 +139,18 @@ def test_depth_cap():
         refine(refine(stage))
 
 
+def test_refine_of_a_hand_built_stage_past_int64():
+    """A hand-built cell with corner (2^61, 0) and side 2^61 at a = 1/2: on
+    the refined lattice its far edge reaches 2^63, past int64, so its
+    children and segments must stay Python ints to match the Fraction ones."""
+    a = F(1, 2)
+    cell = Cell("", pt(2**61, 0), F(2**61))
+    stage = refine(Stage2(Params2(a, 0), 0, [cell], set(cell.edge_segments())))
+    children = cell_children(cell, a)
+    assert list(stage.cells) == list(children)
+    assert list(stage.segments) == sorted({s for c in (cell, *children) for s in c.edge_segments()})
+
+
 def test_parallel_build_is_identical():
     params = Params2(F(2, 5), 3)
     assert build(params, workers=4) == build(params)
