@@ -29,7 +29,7 @@ from collections.abc import Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, repeat
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
@@ -91,27 +91,6 @@ def int_dtype(bound: int):
     return np.int64 if bound < 1 << 63 else object
 
 
-def lattice_groups(ints: list[int], counts: Sequence[int]) -> dict:
-    """Lay out the lattice coordinates of consecutive rings, x then y for
-    each vertex and counts[i] vertices in ring i, by vertex count k: the
-    positions of the rings with k vertices and their coordinates as two
-    (k, count) arrays, row i holding vertex i of every ring. The
-    `lattice_dtype` of k times the largest value leaves room for the
-    k-fold vertex sums of a centroid test."""
-    laid_out = {}
-    for k in dict.fromkeys(counts):
-        members = range(len(counts))
-        values = ints
-        if counts.count(k) < len(counts):  # mixed vertex counts: gather this group's rings
-            members = [i for i, count in enumerate(counts) if count == k]
-            starts = list(accumulate((2 * count for count in counts), initial=0))
-            values = [v for i in members for v in ints[starts[i] : starts[i + 1]]]
-        grid = np.array(values, dtype=lattice_dtype(k * max(max(values), -min(values))))
-        xs, ys = grid.reshape(len(members), k, 2).transpose(2, 1, 0)
-        laid_out[k] = (members, xs, ys)
-    return laid_out
-
-
 class LatticeTable(dict):
     """f(v) for each distinct lattice int v, computed at its first lookup."""
 
@@ -129,7 +108,11 @@ class LatticeTable(dict):
 
 
 def lattice_group(cells) -> dict:
-    """(N, k, 2) lattice coordinates as `lattice_groups` lays out N rings of k vertices."""
+    """N rings of k vertices, (N, k, 2) lattice coordinates, laid out as a
+    group: {k: (positions range(N), xs, ys)}, xs and ys two (k, N) arrays,
+    row i holding vertex i of every ring. The `lattice_dtype` of k times
+    the largest value leaves room for the k-fold vertex sums of a centroid
+    test."""
     if not len(cells):
         return {}
     count, k, _ = cells.shape
@@ -483,7 +466,7 @@ def lattice_windings(xs, ys, px, py):
     """Exact winding numbers of rings about points, on the lattice.
 
     xs and ys hold the k vertices of a ring in order: lists of ints for
-    one ring, or the rows of a `lattice_groups` group for one ring per
+    one ring, or the rows of a `lattice_group` group for one ring per
     column. px and py broadcast against them. Returns the winding numbers
     as int64 and a mask of the points on their ring. Each edge a -> b
     counts the crossing of the rightward ray from p (+1 upward, -1
@@ -503,7 +486,7 @@ def lattice_windings(xs, ys, px, py):
 
 
 def twice_areas(xs, ys):
-    """Twice the signed area of each ring of a `lattice_groups` group: the lattice shoelace."""
+    """Twice the signed area of each ring of a `lattice_group` group: the lattice shoelace."""
     return sum(xs[a] * ys[b] - xs[b] * ys[a] for a, b in ring_edges(range(len(xs))))
 
 

@@ -8,7 +8,8 @@ the completed object an ordinary 2-dimensional square or triangle; the
 fractal approximation itself is the topological boundary of the removed
 interiors plus the unbounded outside. A stage holds its kept cells,
 without addresses, as `BoxCells` (squares) or `Simplices` (triangles) and
-its removed pieces as `Pieces`, built by the level loop `lattice_levels`.
+its removed pieces as `Pieces`, built by the level loop `lattice_levels`
+from the facts of its variant, stated once in `_VARIANTS`.
 
 The gasket uses the base triangle (0,0), (1,0), (1/2,1): the statements
 being tracked are affine-invariant, and rational vertices keep every
@@ -27,9 +28,9 @@ from typing import Union
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import BoxCells, Cell, LatticeSequence, Loop, Point2, Segment, Simplex, Simplices, check_depth
-from .geometry import common_lattice, lattice_group, lattice_groups, lattice_levels, on_last_lattice, ring_segments
-from .geometry import signed_area, split_squares, split_triangles, twice_areas
+from .geometry import BoxCells, Cell, LatticeSequence, Loop, Segment, Simplex, Simplices, check_depth, common_lattice
+from .geometry import lattice_group, lattice_levels, on_last_lattice, ring_segments, signed_area
+from .geometry import split_squares, split_triangles, twice_areas
 
 CARPET = "carpet"
 GASKET = "gasket"
@@ -54,8 +55,8 @@ class Piece:
 
 
 def arrange(groups: dict, rows) -> list:
-    """rows(members, xs, ys) makes one item per ring of a `lattice_groups`
-    group; all items in ring order."""
+    """rows(members, xs, ys) makes one item per ring of a `lattice_group`
+    group; all items of all groups in ring order."""
     if len(groups) == 1:
         (group,) = groups.values()
         return rows(*group)
@@ -68,8 +69,9 @@ def arrange(groups: dict, rows) -> list:
 
 class Pieces(LatticeSequence):
     """Removed pieces, held as rows (boundary ring, birth level, label): the
-    rings in the `lattice_groups` arrays `groups` on the lattice of D =
-    `lcm`, the birth levels and labels in their lists."""
+    rings on the lattice of D = `lcm` in `groups`, one `lattice_group` per
+    vertex count whose positions are its rings' places in the rows, the
+    birth levels and labels in their lists."""
 
     def __init__(self, lcm: int, groups: dict, births: list[int], labels: list[str]):
         self.lcm = lcm
@@ -80,7 +82,11 @@ class Pieces(LatticeSequence):
     @classmethod
     def of(cls, lcm: int, rows) -> "Pieces":
         rings = [ring for ring, _, _ in rows]
-        groups = lattice_groups([c for ring in rings for p in ring for c in p], [len(ring) for ring in rings])
+        groups = {}
+        for k in dict.fromkeys(map(len, rings)):  # one `lattice_group` per vertex count
+            members = [i for i, ring in enumerate(rings) if len(ring) == k]
+            _, xs, ys = lattice_group(np.array([rings[i] for i in members], dtype=object))[k]
+            groups[k] = members, xs, ys
         return cls(lcm, groups, [b for _, b, _ in rows], [label for _, _, label in rows])
 
     def __len__(self) -> int:
@@ -102,9 +108,29 @@ class Pieces(LatticeSequence):
         return Piece(Loop(tuple(map(point.__getitem__, ring))), birth_level, label)
 
 
-def _kept_view(kind: str) -> type:
-    """The view of a stage's kept cells: squares as `BoxCells`, triangles as `Simplices`."""
-    return BoxCells if kind == CARPET else Simplices
+def _read_only(*rows) -> tuple:
+    """Nested rows of ints as read-only int64 arrays: every depth-0 stage holds them."""
+    arrays = tuple(np.array(row, np.int64) for row in rows)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+# kind -> (the view of its kept cells, its level-0 cell as that view's arrays
+# and their D, the split of one step onto the scale-fold finer lattice, the
+# scale, the children a cell keeps in it, the depth cap). The carpet starts
+# from the unit square, the gasket from (0,0), (1,0), (1/2,1) on D = 2.
+_VARIANTS = {
+    CARPET: (BoxCells, _read_only([(0, 0)], [1]), 1, split_squares, 3, 8, CARPET_DEPTH_CAP),
+    GASKET: (Simplices, _read_only([[(0, 0), (2, 0), (1, 2)]]), 2, split_triangles, 2, 3, GASKET_DEPTH_CAP),
+}
+
+
+def _variant(kind: str) -> tuple:
+    try:
+        return _VARIANTS[kind]
+    except KeyError:
+        raise ParameterError(f"unknown planar variant {kind!r} (expected carpet or gasket)") from None
 
 
 @dataclass
@@ -123,23 +149,13 @@ class PieceSet:
     removed: Sequence[Piece]
 
     def __post_init__(self):
-        self.kept, self.removed = common_lattice((_kept_view(self.kind), self.kept), (Pieces, self.removed))
+        self.kept, self.removed = common_lattice((_variant(self.kind)[0], self.kept), (Pieces, self.removed))
 
 
 def base_cell(kind: str) -> PlanarCell:
     """The level-0 cell. Documents store no cell address, so cells keep the empty one."""
-    if kind == CARPET:
-        return Cell("", Point2(Fraction(0), Fraction(0)), Fraction(1))
-    if kind == GASKET:
-        return Simplex(
-            "",
-            (
-                Point2(Fraction(0), Fraction(0)),
-                Point2(Fraction(1), Fraction(0)),
-                Point2(Fraction(1, 2), Fraction(1)),
-            ),
-        )
-    raise ParameterError(f"unknown planar variant {kind!r} (expected carpet or gasket)")
+    view, base, lcm, *_ = _variant(kind)
+    return view(lcm, (), *base)[0]
 
 
 def build_planar(kind: str, depth: int, workers: int = 1) -> PieceSet:
@@ -148,24 +164,20 @@ def build_planar(kind: str, depth: int, workers: int = 1) -> PieceSet:
     Carpet: each square splits 3x3 and the center square is removed.
     Gasket: each triangle splits at edge midpoints and the middle triangle
     is removed. Removed pieces keep their birth level and CCW boundary.
-    The stage is built on the lattice of its level, D = 3^depth for the
-    carpet and 2^(depth + 1) for the gasket, by `lattice_levels`.
-    `workers` is accepted and ignored: the construction is sequential.
+    The stage is built from the variant's level-0 arrays on the lattice of
+    its level, D = 3^depth for the carpet and 2^(depth + 1) for the gasket,
+    by `lattice_levels`. `workers` is accepted and ignored: the
+    construction is sequential.
     """
-    view = _kept_view(kind)
-    (cells,) = common_lattice((view, [base_cell(kind)]))
-    if kind == CARPET:
-        cap, split, scale, arrays = CARPET_DEPTH_CAP, split_squares, 3, (cells.corners, cells.sides)
-    else:
-        cap, split, scale, arrays = GASKET_DEPTH_CAP, split_triangles, 2, (cells.vertices,)
+    view, base, lcm, split, scale, _, cap = _variant(kind)
     check_depth(depth, cap, what=f"{kind} depth")
     rings = []
-    for level in lattice_levels(cells.lcm, [array.astype(np.int64) for array in arrays], split, scale, depth):
-        kept = level[: len(arrays)]
-        rings += level[len(arrays) :]
+    for level in lattice_levels(lcm, base, split, scale, depth):
+        kept = level[: len(base)]
+        rings += level[len(base) :]
     births = [k for k, level_rings in enumerate(rings, 1) for _ in range(len(level_rings))]
     labels = [f"{k}:{i}" for k, level_rings in enumerate(rings, 1) for i in range(len(level_rings))]
-    lcm = cells.lcm * scale**depth
+    lcm *= scale**depth
     removed = lattice_group(on_last_lattice(rings, scale)) if rings else {}
     return PieceSet(kind, depth, view(lcm, (), *kept), Pieces(lcm, removed, births, labels))
 
@@ -213,9 +225,7 @@ def boundary_of_rest(ps: PieceSet) -> set[Segment]:
 
 
 def similarity_dimension(kind: str) -> float:
-    """Standard self-similarity dimension: log 8/log 3 (carpet), log 3/log 2 (gasket)."""
-    if kind == CARPET:
-        return math.log(8.0) / math.log(3.0)
-    if kind == GASKET:
-        return math.log(3.0) / math.log(2.0)
-    raise ParameterError(f"unknown planar variant {kind!r} (expected carpet or gasket)")
+    """Standard self-similarity dimension, log children / log scale: log
+    8/log 3 (carpet), log 3/log 2 (gasket)."""
+    *_, scale, children, _ = _variant(kind)
+    return math.log(children) / math.log(scale)

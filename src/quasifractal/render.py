@@ -54,7 +54,7 @@ class _Canvas:
     bounds, and a formatter `(fy, scale) -> str` that writes the element
     once `emit` knows the y flip `fy` and the stroke scale. Callers pass
     point tuples: a generator would be consumed twice. Blocks on the
-    integer lattice (`BoxCells` squares, `lattice_groups` rings, the rows
+    integer lattice (`BoxCells` squares, `lattice_group` rings, the rows
     of stage segments, loop labels) record the corners of their integer
     bounding box and write one line per item, with one `fmt` per distinct
     value and per distinct flipped y.
@@ -96,7 +96,7 @@ class _Canvas:
         self._lattice(cells.lcm, lines)
 
     def polygons(self, lcm: int, groups: dict, fills: list[str]):
-        """Rings of lattice points, in the `lattice_groups` layout, with a fill per ring."""
+        """Rings of lattice points, as groups in the `lattice_group` layout, with a fill per ring."""
         if not groups:
             return
         for _, xs, ys in groups.values():

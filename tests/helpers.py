@@ -24,7 +24,7 @@ from quasifractal.errors import (
 from quasifractal.geometry import BoxCells, Cell, Loop, Point2, Point3, Segment, Segments, Simplex, Simplices
 from quasifractal.geometry import area_vector, common_lattice, lattice_rows, ring_edges, signed_area
 from quasifractal.geometry import split_boxes, split_simplices
-from quasifractal.planar import CARPET, AreaAccount, Piece, PieceSet, base_cell
+from quasifractal.planar import CARPET, AreaAccount, Piece, PieceSet
 from quasifractal.spatial import CUBE_WIREFRAME, Face3
 from quasifractal.topology import HoleSet, centroid
 
@@ -211,11 +211,18 @@ def _gasket_children(cell: Simplex):
     return [Simplex("", verts) for verts in corners], removed
 
 
+def base_cell_oracle(kind: str):
+    """The level-0 cell: the unit square, or the triangle (0,0), (1,0), (1/2,1)."""
+    if kind == CARPET:
+        return Cell("", pt(0, 0), F(1))
+    return Simplex("", (pt(0, 0), pt(1, 0), pt(F(1, 2), 1)))
+
+
 def build_planar_oracle(kind: str, depth: int) -> tuple[list, list]:
     """`planar.build_planar` as one `Fraction` object per coordinate: the
     kept cells and removed pieces, subdivided cell by cell."""
     subdivide = _carpet_children if kind == CARPET else _gasket_children
-    kept: list = [base_cell(kind)]
+    kept: list = [base_cell_oracle(kind)]
     removed: list[Piece] = []
     for level in range(1, depth + 1):
         parents, kept = kept, []
@@ -284,7 +291,7 @@ def svg_oracle(kind: str, kept, removed, loop=None, entries=(), reps=()) -> str:
     def fmt(value) -> str:
         return f"{float(value):.12g}"
 
-    (outer,) = base_cell(kind).faces()
+    (outer,) = base_cell_oracle(kind).faces()
     closed = loop.vertices + loop.vertices[:1] if loop is not None else ()
     points = [*outer, *closed, *reps]
     for cell in kept:

@@ -100,6 +100,28 @@ def test_render_svg_and_obj(tmp_path):
     assert obj.read_text().startswith("# quasifractal tetra_gasket")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen2d", "--a", "1/3", "--depth", "2", "--svg", "out"],
+        ["carpet", "--depth", "2", "--svg", "out"],
+        ["gasket", "--depth", "3", "--svg", "out"],
+        ["gen3d", "--variant", "cube", "--a", "1/3", "--depth", "1", "--obj", "out"],
+        ["gen3d", "--variant", "tetra", "--depth", "2", "--obj", "out"],
+    ],
+    ids=["gen2d", "carpet", "gasket", "cube", "tetra"],
+)
+def test_builders_never_put_objects_on_a_lattice(argv, tmp_path, monkeypatch):
+    # every builder starts from level-0 arrays: none reads coordinates back from objects
+    def refuse(*blocks):
+        raise AssertionError("a builder took the object path")
+
+    monkeypatch.setattr("quasifractal.geometry.lattice_rows", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "doc.json"]) == EXIT_OK
+    assert (tmp_path / "out").stat().st_size > 0
+
+
 def test_render_overlay(tmp_path):
     doc = tmp_path / "c.json"
     out = tmp_path / "c.svg"

@@ -15,6 +15,7 @@ from quasifractal.planar import (
     Pieces,
     PieceSet,
     area_accounting,
+    base_cell,
     boundary_of_rest,
     build_planar,
     similarity_dimension,
@@ -181,6 +182,13 @@ def test_build_matches_the_object_oracle(kind, depth):
     assert list(ps.removed) == removed
     assert ps.removed.births == [piece.birth_level for piece in removed]
     assert PieceSet(kind, depth, kept, removed) == ps
+    # hand-built pieces are laid out as built ones are
+    (hand,) = common_lattice((Pieces, removed))
+    assert hand.groups.keys() == ps.removed.groups.keys()
+    for (members, xs, ys), (built_members, built_xs, built_ys) in zip(hand.groups.values(), ps.removed.groups.values()):
+        assert list(members) == list(built_members)
+        assert (xs.dtype, ys.dtype) == (built_xs.dtype, built_ys.dtype)
+        assert np.array_equal(xs, built_xs) and np.array_equal(ys, built_ys)
 
 
 def test_piece_sets_compare_their_lattice_arrays():
@@ -198,6 +206,21 @@ def test_piece_sets_compare_their_lattice_arrays():
 def test_parallel_build_is_identical():
     assert build_planar(CARPET, 3, workers=4) == build_planar(CARPET, 3)
     assert build_planar(GASKET, 5, workers=4) == build_planar(GASKET, 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind: PieceSet(kind, 0, [], []),
+        base_cell,
+        lambda kind: build_planar(kind, 0),
+        similarity_dimension,
+    ],
+    ids=["PieceSet", "base_cell", "build_planar", "similarity_dimension"],
+)
+def test_an_unknown_planar_kind_is_refused_everywhere_alike(call):
+    with pytest.raises(ParameterError, match=r"^unknown planar variant 'pentagon' \(expected carpet or gasket\)$"):
+        call("pentagon")
 
 
 def test_similarity_dimensions():
