@@ -65,9 +65,8 @@ class Stage2:
     levels 0..level, including the unit-square boundary; `cells` is in
     lexicographic address order. Both are views on one integer lattice
     (`BoxCells` and `Segments`), D = q^level for a = p/q, and build their
-    `Cell` and `Segment` objects only when asked. Given a list of cells
-    and a set of segments instead, the constructor puts them on the lattice
-    of their denominators.
+    `Cell` and `Segment` objects only when asked. The constructor takes
+    only such views, built from arrays; anything else is a ParameterError.
     """
 
     params: Params2

@@ -31,18 +31,18 @@ from . import cantor, planar, spatial
 from .cantor import DEPTH_CAP, Stage2
 from .errors import CapacityError, ParameterError, QuasifractalError
 from .geometry import BoxCells, LatticeTable, Segments, check_depth, rational
-from .planar import CARPET, CARPET_DEPTH_CAP, GASKET, GASKET_DEPTH_CAP, PieceSet, arrange
+from .planar import CARPET, GASKET, PieceSet, arrange
 from .spatial import CUBE_DEPTH_CAP, CUBE_WIREFRAME, TETRA_DEPTH_CAP, TETRA_GASKET, Stage3
 
 SCHEMA_VERSION = 1
 
 _string = json.encoder.encode_basestring_ascii
 
-# kind -> (its list of cells, the cells a cell splits into, the level cap)
+# kind -> (its list of cells, the cells a cell splits into, the level cap);
+# the carpet's and gasket's read from their variant table.
 _SHAPES = {
     "cantor2d": ("cells", 4, DEPTH_CAP),
-    CARPET: ("kept", 8, CARPET_DEPTH_CAP),
-    GASKET: ("kept", 3, GASKET_DEPTH_CAP),
+    **{kind: ("kept", children, cap) for kind, (*_, children, cap) in planar._VARIANTS.items()},
     CUBE_WIREFRAME: ("cells", 8, CUBE_DEPTH_CAP),
     TETRA_GASKET: ("cells", 4, TETRA_DEPTH_CAP),
 }

@@ -536,12 +536,11 @@ _POINTS = {2: Point2, 3: Point3}
 class OnLattice:
     """Objects held as arrays of lattice ints on the lattice of D = `lcm`.
 
-    `len` reads the arrays, and `rows`, each object as a row of Python
-    ints, is read from them on first use. The objects are built from the
-    rows on first use, each distinct point and value once. A subclass says
-    how a row holds an object (`row(obj, f)`, f mapping each coordinate to
-    its lattice int), how its arrays hold such rows (`of`) and how a row
-    becomes the object again (`_object`).
+    A view is built from its arrays only. `len` reads them, and `rows`,
+    each object as a row of Python ints, is read from them on first use.
+    The objects are built from the rows on first use, each distinct point
+    and value once; a subclass says how a row becomes its object
+    (`_object`).
     """
 
     lcm: int
@@ -558,12 +557,6 @@ class OnLattice:
         value = LatticeTable(lambda v: Fraction(v, self.lcm))
         point = LatticeTable(lambda p: _POINTS[len(p)](*map(value.__getitem__, p)))
         return [self._object(row, point, value) for row in self.rows]
-
-
-def object_rows(rows: list, empty: tuple) -> np.ndarray:
-    """Equal-shaped nested rows of lattice ints as one array of Python ints;
-    no rows give an empty array of shape `empty`."""
-    return np.array(rows, dtype=object) if rows else np.empty(empty, dtype=object)
 
 
 class LatticeSequence(OnLattice, Sequence):
@@ -590,20 +583,12 @@ class Segments(OnLattice, Set):
         self.lcm = lcm
         self.grid = grid
 
-    @classmethod
-    def of(cls, lcm: int, rows) -> "Segments":
-        return cls(lcm, distinct_segments(object_rows(rows, (0, 2, 2))))
-
     def __len__(self) -> int:
         return len(self.grid)
 
     @cached_property
     def rows(self) -> list:
         return [(tuple(p), tuple(q)) for p, q in self.grid.tolist()]
-
-    @staticmethod
-    def row(segment, f) -> tuple:
-        return tuple(map(f, segment[0])), tuple(map(f, segment[1]))
 
     def _object(self, row, point, value) -> Segment:
         return Segment(point[row[0]], point[row[1]])
@@ -618,7 +603,7 @@ class Segments(OnLattice, Set):
     @cached_property
     def index(self) -> "SegmentIndex":
         """The one `SegmentIndex` over these segments, built on first use; `SegmentIndex(self)` returns it."""
-        return SegmentIndex._over(self.lcm, self.grid, self.grid)
+        return SegmentIndex._over(self.lcm, self.grid)
 
     @classmethod
     def _from_iterable(cls, segments) -> set:
@@ -634,21 +619,12 @@ class BoxCells(LatticeSequence):
         self.corners = corners
         self.sides = sides
 
-    @classmethod
-    def of(cls, lcm: int, rows) -> "BoxCells":
-        corners = object_rows([corner for _, corner, _ in rows], (0, 2))
-        return cls(lcm, [address for address, _, _ in rows], corners, object_rows([s for _, _, s in rows], (0,)))
-
     def __len__(self) -> int:
         return len(self.sides)
 
     @cached_property
     def rows(self) -> list:
         return list(zip(self.addresses or repeat(""), map(tuple, self.corners.tolist()), self.sides.tolist()))
-
-    @staticmethod
-    def row(cell: Cell, f) -> tuple:
-        return cell.address, tuple(map(f, cell.corner)), f(cell.side)
 
     def _object(self, row, point, value) -> Cell:
         address, corner, side = row
@@ -663,10 +639,6 @@ class Simplices(LatticeSequence):
         self.addresses = addresses
         self.vertices = vertices
 
-    @classmethod
-    def of(cls, lcm: int, rows) -> "Simplices":
-        return cls(lcm, [address for address, _ in rows], object_rows([v for _, v in rows], (0, 4, 3)))
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -674,41 +646,19 @@ class Simplices(LatticeSequence):
     def rows(self) -> list:
         return [(a, tuple(map(tuple, v))) for a, v in zip(self.addresses or repeat(""), self.vertices.tolist())]
 
-    @staticmethod
-    def row(cell: Simplex, f) -> tuple:
-        return cell.address, tuple(tuple(map(f, v)) for v in cell.vertices)
-
     def _object(self, row, point, value) -> Simplex:
         address, vertices = row
         return Simplex(address, tuple(map(point.__getitem__, vertices)))
 
 
-def lattice_rows(*blocks) -> tuple[int, list[list]]:
-    """Put (row, objects) blocks on one lattice: D, the lcm of the
-    denominators of every coordinate, and for each block the list of
-    row(obj, f) of its objects, f mapping each coordinate to its lattice
-    int. A first pass of `row` collects the coordinates for `to_lattice`,
-    and a second, in the same order, takes their ints."""
-    blocks = [(row, list(objects)) for row, objects in blocks]
-    values: list = []
-    for row, objects in blocks:
-        for obj in objects:
-            row(obj, values.append)
-    lcm, ints = to_lattice(values)
-    scaled = iter(ints)
-    return lcm, [[row(obj, lambda _: next(scaled)) for obj in objects] for row, objects in blocks]
-
-
 def common_lattice(*blocks) -> list:
-    """Views on one lattice of (view type, content) blocks: the contents
-    themselves when they are views of those types on one D already,
-    otherwise their objects put on the lattice of all their denominators
-    (`kind.of`)."""
+    """The contents of (view type, content) blocks, once they are checked
+    to be views of those types on one lattice; anything else is one
+    ParameterError, whatever the input."""
     contents = [content for _, content in blocks]
-    if all(type(content) is kind for kind, content in blocks) and len({c.lcm for c in contents}) == 1:
-        return contents
-    lcm, rows = lattice_rows(*[(kind.row, content) for kind, content in blocks])
-    return [kind.of(lcm, block) for (kind, _), block in zip(blocks, rows)]
+    if any(type(content) is not kind for kind, content in blocks) or len({c.lcm for c in contents}) > 1:
+        raise ParameterError("expected views of the documented types on one lattice")
+    return contents
 
 
 def _span(grid) -> tuple[int, int]:
@@ -784,14 +734,14 @@ def _starts(rows: np.ndarray) -> np.ndarray:
 class SegmentIndex:
     """Carrier-line run table over a fixed set of segments, on their lattice.
 
-    The segments (a `Segments` view, or any segments put on the lattice of
-    their denominators, D = `lcm`) are one (n, 2, d) array, sorted once by
-    (line key, lo, hi) and cut into runs: maximal chains of overlapping or
-    touching segments of one line. A run starts where its lo exceeds the
-    running maximum of the his before it on its line, compared as
-    line * 2n + dense rank, which cannot overflow. A view keeps the one
-    index built over it (`Segments.index`), which `SegmentIndex(view)`
-    returns.
+    The segments, a `Segments` view on the lattice of D = `lcm`, are one
+    (n, 2, d) array, sorted once by (line key, lo, hi) and cut into runs:
+    maximal chains of overlapping or touching segments of one line. A run
+    starts where its lo exceeds the running maximum of the his before it
+    on its line, compared as line * 2n + dense rank, which cannot
+    overflow. A view keeps the one index built over it (`Segments.index`),
+    which `SegmentIndex(view)` returns; anything but a `Segments` view is
+    a ParameterError.
 
     In sorted order, `segments`, `lo`, `hi` and `run` hold each segment's
     endpoints, parameters and run, and `order` its row; run r is sorted
@@ -800,20 +750,16 @@ class SegmentIndex:
     is a point off the lattice.
     """
 
-    def __new__(cls, segments: Iterable[Segment]) -> "SegmentIndex":
-        if isinstance(segments, Segments):
-            return segments.index
-        lcm, (rows,) = lattice_rows((Segments.row, segments))
-        grid = object_rows(rows, (0, 2, 2))
-        return cls._over(lcm, grid, distinct_segments(grid))
+    def __new__(cls, segments: Segments) -> "SegmentIndex":
+        (segments,) = common_lattice((Segments, segments))
+        return segments.index
 
     @classmethod
-    def _over(cls, lcm: int, rows: np.ndarray, members: np.ndarray) -> "SegmentIndex":
-        """The index of `rows`, an (n, 2, d) array of segments (p, q), p < q,
-        on the lattice of D = lcm; `members` holds the same segments, each
-        once in the one segment order, for `covers`."""
+    def _over(cls, lcm: int, rows: np.ndarray) -> "SegmentIndex":
+        """The index of `rows`, an (n, 2, d) array of distinct segments
+        (p, q), p < q, in the one segment order, on the lattice of D = lcm."""
         self = super().__new__(cls)
-        self.lcm, self.rows, self._members = lcm, rows, members
+        self.lcm, self.rows = lcm, rows
         n = len(rows)
         if not n:
             return self
@@ -906,21 +852,21 @@ class SegmentIndex:
 
     @cached_property
     def _keyed(self) -> tuple:
-        """The keys of the members (`_segment_keys` on their span), sorted
-        as the members are, and that span."""
-        low, base = _span(self._members)
-        keys, _ = _segment_keys(self._members, low, base)
+        """The keys of the rows (`_segment_keys` on their span), sorted as
+        the rows are, and that span."""
+        low, base = _span(self.rows)
+        keys, _ = _segment_keys(self.rows, low, base)
         return keys, low, base
 
     def _indexed(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Whether each segment pq, either way round, is an indexed row: its
-        key is searched among the members' sorted keys, and the member
-        found must hold its ends. A pair off the members' span may meet a
-        member of another key, which that check refuses."""
+        key is searched among the rows' sorted keys, and the row found
+        must hold its ends. A pair off the rows' span may meet a row of
+        another key, which that check refuses."""
         keys, low, base = self._keyed
         pairs = np.stack((p, q), axis=1)
         found, _ = _segment_keys(pairs.astype(np.result_type(pairs, keys), copy=False), low, base)
-        row = self._members[np.minimum(np.searchsorted(keys, found), len(keys) - 1)]
+        row = self.rows[np.minimum(np.searchsorted(keys, found), len(keys) - 1)]
         return (row == pairs).all(axis=(1, 2)) | (row == pairs[:, ::-1]).all(axis=(1, 2))
 
     def _reaches(self, p: list, q: list) -> bool:
@@ -939,12 +885,13 @@ class SegmentIndex:
         return bool(run >= 0 and self.run_hi[run] >= t[1])
 
 
-def union_length(segments: Iterable[Segment]) -> Fraction:
+def union_length(segments: Segments) -> Fraction:
     """Exact 1-dimensional measure of a union of axis-parallel segments.
 
-    The sum of the run extents of their `SegmentIndex`, divided by D once.
-    Raises UnsupportedGeometryError for any other segment, showing the
-    first segment along the line of the first such row.
+    The sum of the run extents of the `SegmentIndex` of a `Segments` view,
+    divided by D once. Raises UnsupportedGeometryError for any other
+    segment, showing the first segment along the line of the first such
+    row, and ParameterError for anything but a `Segments` view.
     """
     index = SegmentIndex(segments)
     if not len(index.rows):
@@ -966,15 +913,25 @@ def _joins(at: np.ndarray, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return runs[:-1][join], runs[1:][join]
 
 
-def segment_components(segments: Iterable[Segment]) -> int:
-    """Number of connected components of a segment union.
+def join_runs(a: np.ndarray, b: np.ndarray, runs: int) -> int:
+    """The number of components of the graph on `runs` runs whose edges are
+    the run pairs (a[i], b[i])."""
+    uf = UnionFind(runs)
+    for x, y in zip(a.tolist(), b.tolist()):
+        uf.union(x, y)
+    return uf.components
+
+
+def segment_components(segments: Segments) -> int:
+    """Number of connected components of the segment union of a `Segments`
+    view (anything else is a ParameterError).
 
     Two segments are joined when an endpoint of one lies on the other
     (exact test). For the subdivision skeletons built here, every contact
     between segments includes such an endpoint incidence, so this equals
     topological connectivity of the union.
 
-    Union-find joins the runs of their `SegmentIndex`, each connected:
+    `join_runs` joins the runs of their `SegmentIndex`, each connected:
     collinear segments meet at an endpoint exactly when their intervals
     intersect. The endpoints, sorted by (point, run), chain the runs ending
     at each point. Where segments of every direction end at p, every run
@@ -999,7 +956,4 @@ def segment_components(segments: Iterable[Segment]) -> int:
         run_of_row[index.order] = index.run
         more_a, more_b = _joins(hits[:, 0], run_of_row[hits[:, 1]])
         a, b = np.concatenate((a, more_a)), np.concatenate((b, more_b))
-    uf = UnionFind(len(index.run_lo))
-    for x, y in zip(a.tolist(), b.tolist()):
-        uf.union(x, y)
-    return uf.components
+    return join_runs(a, b, len(index.run_lo))

@@ -81,6 +81,8 @@ class Pieces(LatticeSequence):
 
     @classmethod
     def of(cls, lcm: int, rows) -> "Pieces":
+        """Pieces from rows (ring of lattice points, birth level, label) on
+        the lattice of D = lcm, the rings laid out by vertex count."""
         rings = [ring for ring, _, _ in rows]
         groups = {}
         for k in dict.fromkeys(map(len, rings)):  # one `lattice_group` per vertex count
@@ -98,10 +100,6 @@ class Pieces(LatticeSequence):
             return list(zip(*[zip(x.tolist(), y.tolist()) for x, y in zip(xs, ys)]))
 
         return list(zip(arrange(self.groups, rings), self.births, self.labels))
-
-    @staticmethod
-    def row(piece: Piece, f) -> tuple:
-        return tuple(tuple(map(f, v)) for v in piece.boundary.vertices), piece.birth_level, piece.label
 
     def _object(self, row, point, value) -> Piece:
         ring, birth_level, label = row
@@ -139,8 +137,8 @@ class PieceSet:
 
     Both are views on one integer lattice: the kept cells `BoxCells` for the
     carpet and `Simplices` for the gasket, without addresses, the removed
-    pieces `Pieces`. Given lists of cell and piece objects instead, the
-    constructor puts them on the lattice of their denominators.
+    pieces `Pieces`. The constructor takes only such views, built from
+    arrays; anything else is a ParameterError.
     """
 
     kind: str

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import BOX_OUTLINE, SIMPLEX_OUTLINE, BoxCells, Cell, LatticeSequence, LatticeTable, Point3
 from .geometry import Segment, SegmentIndex, Segments, Simplex, Simplices, box_grid, cell_outline, check_depth
-from .geometry import common_lattice, distinct_segments, geometric_sum, lattice_levels, object_rows, on_last_lattice
+from .geometry import common_lattice, distinct_segments, geometric_sum, lattice_levels, on_last_lattice
 from .geometry import ring_edges, scale_factor, segment_components, split_boxes, split_simplices, twice_area_squares
 
 CUBE_WIREFRAME = "cube_wireframe"
@@ -103,12 +103,6 @@ class Faces(LatticeSequence):
         self.births = births
         self.areas = areas
 
-    @classmethod
-    def of(cls, lcm: int, rows) -> "Faces":
-        rings = object_rows([ring for ring, _, _ in rows], (0, 4, 3))
-        areas = object_rows([area_sq * 4 * lcm**4 for _, _, area_sq in rows], (0,))
-        return cls(lcm, rings, np.array([birth for _, birth, _ in rows], dtype=np.int64), areas)
-
     def __len__(self) -> int:
         return len(self.births)
 
@@ -117,10 +111,6 @@ class Faces(LatticeSequence):
         area_sq = LatticeTable(lambda n: Fraction(n, 4 * self.lcm**4))
         rings = [tuple(map(tuple, ring)) for ring in self.rings.tolist()]
         return list(zip(rings, self.births.tolist(), area_sq.column(self.areas)))
-
-    @staticmethod
-    def row(face: Face3, f) -> tuple:
-        return tuple(tuple(map(f, v)) for v in face.boundary), face.birth_level, face.area_sq
 
     def _object(self, row, point, value) -> Face3:
         ring, birth_level, area_sq = row
@@ -135,9 +125,9 @@ class Stage3:
     """Cells at `level`, plus skeleton edges and face pieces of levels 0..level.
 
     The three are views on one integer lattice (`BoxCells` or `Simplices`,
-    `Segments` and `Faces`) and build their objects only when asked. Given
-    lists and a set of objects instead, the constructor puts them on the
-    lattice of their denominators.
+    `Segments` and `Faces`) and build their objects only when asked. The
+    constructor takes only such views, built from arrays; anything else is
+    a ParameterError.
     """
 
     variant: SpatialVariant

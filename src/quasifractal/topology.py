@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import MalformedLoopError, ParameterError
 from .geometry import Loop, Point2, area_vector, common_lattice, lattice_windings, twice_areas
@@ -53,15 +53,14 @@ class HoleSet:
         return len(self.representatives)
 
     @classmethod
-    def from_pieces(cls, pieces: Iterable) -> "HoleSet":
+    def from_pieces(cls, pieces: Pieces) -> "HoleSet":
         """Build hole representatives from removed pieces: their centroids.
 
-        `pieces` is a piece set's `Pieces`, read as its lattice arrays, or
-        any iterable of `Piece`s, put on the lattice of their denominators
-        first. The checks of `point_in_polygon` run on the integer lattice,
-        by vertex count k: vertices scaled by k * D (D the lcm of all
-        denominators) put each centroid on the lattice, and one walk over
-        the k ring edges tests every ring of that count. For
+        `pieces` is a `Pieces` view, read as its lattice arrays; anything
+        else is a ParameterError. The checks of `point_in_polygon` run on
+        the integer lattice, by vertex count k: vertices scaled by k * D
+        put each centroid on the lattice, and one walk over the k ring
+        edges tests every ring of that count. For
         the first bad piece in order, a zero-area ring raises
         MalformedLoopError, and a centroid on the ring or outside it
         ParameterError.

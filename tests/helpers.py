@@ -22,10 +22,10 @@ from quasifractal.errors import (
     UnsupportedGeometryError,
 )
 from quasifractal.geometry import BoxCells, Cell, Loop, Point2, Point3, Segment, Segments, Simplex, Simplices
-from quasifractal.geometry import area_vector, common_lattice, lattice_rows, ring_edges, signed_area
-from quasifractal.geometry import split_boxes, split_simplices
-from quasifractal.planar import CARPET, AreaAccount, Piece, PieceSet
-from quasifractal.spatial import CUBE_WIREFRAME, Face3
+from quasifractal.geometry import area_vector, ring_edges, signed_area, to_lattice
+from quasifractal.geometry import distinct_segments, split_boxes, split_simplices
+from quasifractal.planar import CARPET, AreaAccount, Piece, Pieces, PieceSet
+from quasifractal.spatial import CUBE_WIREFRAME, Face3, Faces, Stage3
 from quasifractal.topology import HoleSet, centroid
 
 F = Fraction
@@ -95,6 +95,37 @@ def on_segment(p, a, b) -> bool:
                 return False
     dot = sum(ri * di for ri, di in zip(r, d))
     return 0 <= dot <= sum(di * di for di in d)
+
+
+def lattice_ints(values, lcm: int) -> list:
+    """Fractions (nested in lists or tuples) times D, as Python ints."""
+    if isinstance(values, (list, tuple)):
+        return [lattice_ints(v, lcm) for v in values]
+    scaled = values * lcm
+    assert scaled.denominator == 1
+    return int(scaled)
+
+
+def segments_on_lattice(segments, lcm: int) -> Segments:
+    """Fraction segments times D = lcm (`lattice_ints`) as a `Segments`
+    view, each segment once."""
+    rows = lattice_ints([list(map(list, s)) for s in segments], lcm)
+    return Segments(lcm, distinct_segments(np.array(rows, dtype=object).reshape(len(rows), 2, -1)))
+
+
+def planar_views(squares, triangles, removed) -> tuple:
+    """Hand-made squares, triangles and pieces as `BoxCells`, `Simplices`
+    and `Pieces` on the lattice of all their denominators (`to_lattice`),
+    their points times D as Python ints."""
+    rings = [list(piece.boundary.vertices) for piece in removed]
+    corners, sides = [list(cell.corner) for cell in squares], [cell.side for cell in squares]
+    vertices = [list(cell.vertices) for cell in triangles]
+    lcm, _ = to_lattice([c for ring in rings + vertices + [corners] for p in ring for c in p] + sides)
+    pieces = Pieces.of(lcm, [(ring, p.birth_level, p.label) for ring, p in zip(lattice_ints(rings, lcm), removed)])
+    cells = BoxCells(lcm, (), *(np.array(lattice_ints(v, lcm), dtype=object) for v in (corners, sides)))
+    simplices = Simplices(lcm, (), np.array(lattice_ints(vertices, lcm), dtype=object))
+    assert (list(cells), list(simplices), list(pieces)) == (squares, triangles, removed)
+    return cells, simplices, pieces
 
 
 def on_lattice_of(index, *points) -> list[tuple]:
@@ -183,15 +214,16 @@ def cell_children(cell, a=None) -> tuple:
 
 def split_cell(cell, a=None) -> list:
     """The children of one `Cell` or `Simplex` by the array step, `split_boxes`
-    or `split_simplices`, on the lattice of the cell's denominators."""
+    or `split_simplices`, on the lattice of the cell's denominators
+    (`to_lattice`), as Python ints."""
     if isinstance(cell, Simplex):
-        (view,) = common_lattice((Simplices, [cell]))
-        children = split_simplices(view.vertices)
-        return list(Simplices(2 * view.lcm, [cell.address + str(i) for i in range(len(children))], children))
-    (view,) = common_lattice((BoxCells, [cell]))
-    corners, sides = split_boxes(view.corners, view.sides, a)
+        lcm, ints = to_lattice([c for v in cell.vertices for c in v])
+        children = split_simplices(np.array(ints, dtype=object).reshape(1, len(cell.vertices), -1))
+        return list(Simplices(2 * lcm, [cell.address + str(i) for i in range(len(children))], children))
+    lcm, (*corner, side) = to_lattice([*cell.corner, cell.side])
+    corners, sides = split_boxes(np.array([corner], dtype=object), np.array([side], dtype=object), a)
     addresses = [cell.address + str(k) for k in range(len(sides))]
-    return list(BoxCells(view.lcm * a.denominator, addresses, corners, sides))
+    return list(BoxCells(lcm * a.denominator, addresses, corners, sides))
 
 
 def _carpet_children(cell: Cell):
@@ -499,6 +531,36 @@ def segments_of_loop(loop: Loop):
 # ------------------------------------------------- skeleton stage oracles
 
 
+def stage3_on_lattice(stage: Stage3, lcm: int, skeleton=None, faces=()) -> Stage3:
+    """`stage` on the finer lattice of D = lcm, its arrays scaled up, with
+    `skeleton`, Fraction segments, in place of its own when given
+    (`segments_on_lattice`), and `faces`, `Face3`s of Fraction points,
+    after its pieces, their points times D (`lattice_ints`)."""
+    k, rest = divmod(lcm, stage.cells.lcm)
+    assert rest == 0
+    cells, pieces = stage.cells, stage.pieces
+    if isinstance(cells, BoxCells):
+        cells = BoxCells(lcm, cells.addresses, cells.corners * k, cells.sides * k)
+    else:
+        cells = Simplices(lcm, cells.addresses, cells.vertices * k)
+    skeleton = Segments(lcm, stage.skeleton.grid * k) if skeleton is None else segments_on_lattice(skeleton, lcm)
+    rings = np.array(lattice_ints([list(f.boundary) for f in faces], lcm), dtype=object)
+    rings = rings.reshape(-1, *pieces.rings.shape[1:])
+    areas = [int(f.area_sq * 4 * lcm**4) for f in faces]
+    return Stage3(
+        stage.variant,
+        stage.level,
+        cells,
+        skeleton,
+        Faces(
+            lcm,
+            np.concatenate((pieces.rings.astype(object) * k, rings)),
+            np.append(pieces.births, [f.birth_level for f in faces]).astype(np.int64),
+            np.append(pieces.areas.astype(object) * k**4, areas),
+        ),
+    )
+
+
 def face3_oracle(boundary, birth_level: int) -> Face3:
     """A face of Fraction points with its squared area from `area_vector`."""
     ax, ay, az = area_vector(boundary)
@@ -791,14 +853,16 @@ class _Line(NamedTuple):
 
 class TupleSegmentIndex:
     """`geometry.SegmentIndex` as a dict of `_Line`s, over the same rows in
-    the same order: a `Segments` view's own rows, or any segments put on
-    the lattice of their denominators."""
+    the same order: a `Segments` view's own rows, or any segments scaled
+    onto the lattice of their denominators (`to_lattice`)."""
 
     def __init__(self, segments):
         if isinstance(segments, Segments):
             self.lcm, self.rows = segments.lcm, list(segments.rows)
         else:
-            self.lcm, (self.rows,) = lattice_rows((Segments.row, segments))
+            segments = list(segments)
+            self.lcm, _ = to_lattice([c for segment in segments for point in segment for c in point])
+            self.rows = [tuple(tuple(lattice_ints(list(p), self.lcm)) for p in s) for s in segments]
         self._members = set(self.rows)
         lines: dict = {}
         for idx, (p, q) in enumerate(self.rows):

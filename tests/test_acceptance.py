@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 
 from helpers import F, convex_loop, crossing_oracle, face3_oracle, query_loop, random_point_off_loop, square_loop
-from helpers import winding_oracle
+from helpers import stage3_on_lattice, winding_oracle
 from quasifractal.cantor import Params2, build, connectivity, hausdorff_dimension, perimeter_series
 from quasifractal.cli import EXIT_OK, main
 from quasifractal.geometry import Loop, Point2, Point3
@@ -18,7 +18,6 @@ from quasifractal.planar import CARPET, GASKET, area_accounting, build_planar
 from quasifractal.spatial import (
     CUBE_WIREFRAME,
     SpatialVariant,
-    Stage3,
     TETRA_GASKET,
     boundary_incidence,
     build_spatial,
@@ -122,13 +121,8 @@ def test_criterion_6_loop_piece_incidence():
         stage = build_spatial(cube, 1)
         shift = Point3(F(1, 7), F(1, 7), F(1, 7))
         displaced = face3_oracle(tuple(v + shift for v in stage.pieces[0].boundary), 1)
-        broken = Stage3(
-            variant=stage.variant,
-            level=stage.level,
-            cells=stage.cells,
-            skeleton=stage.skeleton,
-            pieces=[*stage.pieces, displaced],
-        )
+        broken = stage3_on_lattice(stage, 21, faces=[displaced])  # D = 3 * 7
+        assert broken.pieces[-1] == displaced
         assert boundary_incidence(broken) == 4
 
 

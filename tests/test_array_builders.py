@@ -17,9 +17,10 @@ import random
 import numpy as np
 import pytest
 
-from helpers import F, _carpet_children, build_planar_oracle, build_spatial_oracle, build_stage2_oracle, pt
+from helpers import F, _carpet_children, build_planar_oracle, build_spatial_oracle, build_stage2_oracle, lattice_ints
+from helpers import pt
 from quasifractal.cantor import Params2, build
-from quasifractal.geometry import BoxCells, Cell, Simplices, common_lattice, split_squares
+from quasifractal.geometry import BoxCells, Cell, Simplices, split_squares, to_lattice
 from quasifractal.planar import CARPET, GASKET, build_planar
 from quasifractal.spatial import CUBE_WIREFRAME, TETRA_GASKET, SpatialVariant, build_spatial
 
@@ -36,15 +37,6 @@ SPATIAL = [
 PLANAR = [*[(CARPET, depth) for depth in range(5)], *[(GASKET, depth) for depth in range(8)]]
 
 
-def _on_lattice(values, lcm: int) -> list:
-    """Fractions (nested in lists or tuples) times D, as Python ints."""
-    if isinstance(values, (list, tuple)):
-        return [_on_lattice(v, lcm) for v in values]
-    scaled = values * lcm
-    assert scaled.denominator == 1
-    return int(scaled)
-
-
 def _assert_lattice_dtype(lcm: int, *arrays):
     expected = np.int64 if lcm < 2**63 else object
     assert all(array.dtype == expected for array in arrays)
@@ -52,7 +44,7 @@ def _assert_lattice_dtype(lcm: int, *arrays):
 
 def _assert_segments(segments, oracle):
     grid = segments.grid
-    expected = sorted(_on_lattice([list(s.a), list(s.b)], segments.lcm) for s in oracle)
+    expected = sorted(lattice_ints([list(s.a), list(s.b)], segments.lcm) for s in oracle)
     assert grid.shape == (len(oracle), 2, len(next(iter(oracle)).a))
     assert grid.tolist() == expected
 
@@ -66,8 +58,8 @@ def test_cantor_arrays_match_the_fraction_builder(a, depth):
     assert stage.cells.lcm == stage.segments.lcm == lcm
     _assert_lattice_dtype(lcm, stage.cells.corners, stage.cells.sides, stage.segments.grid)
     assert stage.cells.addresses == [cell.address for cell in cells]
-    assert stage.cells.corners.tolist() == _on_lattice([list(cell.corner) for cell in cells], lcm)
-    assert stage.cells.sides.tolist() == _on_lattice([cell.side for cell in cells], lcm)
+    assert stage.cells.corners.tolist() == lattice_ints([list(cell.corner) for cell in cells], lcm)
+    assert stage.cells.sides.tolist() == lattice_ints([cell.side for cell in cells], lcm)
     _assert_segments(stage.segments, segments)
 
 
@@ -81,17 +73,17 @@ def test_spatial_arrays_match_the_fraction_builder(kind, a, depth):
     assert stage.cells.addresses == [cell.address for cell in cells]
     if kind == CUBE_WIREFRAME:
         _assert_lattice_dtype(lcm, stage.cells.corners, stage.cells.sides)
-        assert stage.cells.corners.tolist() == _on_lattice([list(cell.corner) for cell in cells], lcm)
-        assert stage.cells.sides.tolist() == _on_lattice([cell.side for cell in cells], lcm)
+        assert stage.cells.corners.tolist() == lattice_ints([list(cell.corner) for cell in cells], lcm)
+        assert stage.cells.sides.tolist() == lattice_ints([cell.side for cell in cells], lcm)
     else:
         _assert_lattice_dtype(lcm, stage.cells.vertices)
-        assert stage.cells.vertices.tolist() == _on_lattice([[list(v) for v in cell.vertices] for cell in cells], lcm)
+        assert stage.cells.vertices.tolist() == lattice_ints([[list(v) for v in cell.vertices] for cell in cells], lcm)
     _assert_lattice_dtype(lcm, stage.skeleton.grid, stage.pieces.rings)
     _assert_segments(stage.skeleton, skeleton)
     pieces = stage.pieces
-    assert pieces.rings.tolist() == _on_lattice([[list(v) for v in face.boundary] for face in faces], lcm)
+    assert pieces.rings.tolist() == lattice_ints([[list(v) for v in face.boundary] for face in faces], lcm)
     assert pieces.births.tolist() == [face.birth_level for face in faces]
-    assert pieces.areas.tolist() == _on_lattice([face.area_sq for face in faces], 4 * lcm**4)
+    assert pieces.areas.tolist() == lattice_ints([face.area_sq for face in faces], 4 * lcm**4)
 
 
 
@@ -105,12 +97,12 @@ def test_planar_kept_arrays_match_the_fraction_builder(kind, depth):
     if kind == CARPET:
         assert type(kept) is BoxCells
         _assert_lattice_dtype(lcm, kept.corners, kept.sides)
-        assert kept.corners.tolist() == _on_lattice([list(cell.corner) for cell in cells], lcm)
-        assert kept.sides.tolist() == _on_lattice([cell.side for cell in cells], lcm)
+        assert kept.corners.tolist() == lattice_ints([list(cell.corner) for cell in cells], lcm)
+        assert kept.sides.tolist() == lattice_ints([cell.side for cell in cells], lcm)
     else:
         assert type(kept) is Simplices
         _assert_lattice_dtype(lcm, kept.vertices)
-        assert kept.vertices.tolist() == _on_lattice([[list(v) for v in cell.vertices] for cell in cells], lcm)
+        assert kept.vertices.tolist() == lattice_ints([[list(v) for v in cell.vertices] for cell in cells], lcm)
 
 
 def _geometric(base: int, depth: int) -> int:
@@ -161,10 +153,11 @@ def test_carpet_step_matches_the_fraction_children(dtype):
         Cell("", pt(F(rng.randint(-50, 50) + shift, q), F(rng.randint(-50, 50), q)), F(rng.randint(1, 40), q))
         for q in (1, 2, 3, 5, 9, 14)
     ]
-    (view,) = common_lattice((BoxCells, squares))
-    corners, sides, rings = split_squares(view.corners.astype(dtype), view.sides.astype(dtype))
+    lcm, ints = to_lattice([c for square in squares for c in (*square.corner, square.side)])
+    rows = np.array(ints, dtype=object).reshape(-1, 3)  # corner x, corner y, side
+    corners, sides, rings = split_squares(rows[:, :2].astype(dtype), rows[:, 2].astype(dtype))
     assert corners.dtype == sides.dtype == rings.dtype == dtype
     children = [_carpet_children(square) for square in squares]
-    lcm = 3 * view.lcm
+    lcm *= 3
     assert list(BoxCells(lcm, [""] * len(sides), corners, sides)) == [cell for kept, _ in children for cell in kept]
-    assert rings.tolist() == _on_lattice([[list(v) for v in loop.vertices] for _, (loop,) in children], lcm)
+    assert rings.tolist() == lattice_ints([[list(v) for v in loop.vertices] for _, (loop,) in children], lcm)

@@ -2,9 +2,10 @@
 
 
 import mpmath
+import numpy as np
 import pytest
 
-from helpers import F, cell_children, pt, segments_of_loop, split_cell, square_loop
+from helpers import F, cell_children, pt, split_cell
 from quasifractal.cantor import (
     DEPTH_CAP,
     Cell,
@@ -19,7 +20,7 @@ from quasifractal.cantor import (
     singular_cover,
 )
 from quasifractal.errors import CapacityError, ParameterError
-from quasifractal.geometry import segment_components, union_length
+from quasifractal.geometry import BoxCells, Segments, distinct_segments, segment_components, union_length
 
 
 def test_params_validation():
@@ -133,7 +134,8 @@ def test_depth_cap():
     with pytest.raises(CapacityError):
         build(Params2(F(1, 3), DEPTH_CAP + 1))
     # a hand-built cell-less stage, so the check is reached without building
-    stage = Stage2(Params2(F(1, 3), DEPTH_CAP - 1), DEPTH_CAP - 1, [], set())
+    cells = BoxCells(1, [], np.empty((0, 2), np.int64), np.empty(0, np.int64))
+    stage = Stage2(Params2(F(1, 3), DEPTH_CAP - 1), DEPTH_CAP - 1, cells, Segments(1, np.empty((0, 2, 2), np.int64)))
     assert refine(stage).level == DEPTH_CAP
     with pytest.raises(CapacityError):
         refine(refine(stage))
@@ -143,9 +145,13 @@ def test_refine_of_a_hand_built_stage_past_int64():
     """A hand-built cell with corner (2^61, 0) and side 2^61 at a = 1/2: on
     the refined lattice its far edge reaches 2^63, past int64, so its
     children and segments must stay Python ints to match the Fraction ones."""
-    a = F(1, 2)
-    cell = Cell("", pt(2**61, 0), F(2**61))
-    stage = refine(Stage2(Params2(a, 0), 0, [cell], set(cell.edge_segments())))
+    a, s = F(1, 2), 2**61
+    cells = BoxCells(1, [""], np.array([[s, 0]], dtype=object), np.array([s], dtype=object))
+    edges = [[(s, 0), (s, s)], [(s, 0), (2 * s, 0)], [(s, s), (2 * s, s)], [(2 * s, 0), (2 * s, s)]]
+    edges = np.array(edges, dtype=object)  # in segment order
+    cell = cells[0]
+    assert cell == Cell("", pt(2**61, 0), F(2**61)) and list(Segments(1, edges)) == sorted(cell.edge_segments())
+    stage = refine(Stage2(Params2(a, 0), 0, cells, Segments(1, edges)))
     children = cell_children(cell, a)
     assert list(stage.cells) == list(children)
     assert list(stage.segments) == sorted({s for c in (cell, *children) for s in c.edge_segments()})
@@ -264,5 +270,7 @@ def test_connectivity_one_component():
 
 
 def test_connectivity_negative_control():
-    segs = segments_of_loop(square_loop(0, 0, 1)) + segments_of_loop(square_loop(3, 3, 1))
+    # the unit squares at (0, 0) and (3, 3), ring by ring, on D = 1
+    rings = np.array([[(0, 0), (1, 0), (1, 1), (0, 1)], [(3, 3), (4, 3), (4, 4), (3, 4)]])
+    segs = Segments(1, distinct_segments(np.stack((rings, np.roll(rings, -1, axis=1)), axis=2).reshape(-1, 2, 2)))
     assert segment_components(segs) == 2

@@ -112,11 +112,13 @@ def test_render_svg_and_obj(tmp_path):
     ids=["gen2d", "carpet", "gasket", "cube", "tetra"],
 )
 def test_builders_never_put_objects_on_a_lattice(argv, tmp_path, monkeypatch):
-    # every builder starts from level-0 arrays: none reads coordinates back from objects
-    def refuse(*blocks):
-        raise AssertionError("a builder took the object path")
+    # every builder starts from level-0 arrays: none reads coordinates back
+    # from objects, which only `to_lattice` puts on a lattice
+    def refuse(values):
+        raise AssertionError("a builder put objects on a lattice")
 
-    monkeypatch.setattr("quasifractal.geometry.lattice_rows", refuse)
+    monkeypatch.setattr("quasifractal.geometry.to_lattice", refuse)
+    monkeypatch.setattr("quasifractal.render.to_lattice", refuse)
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "doc.json"]) == EXIT_OK
     assert (tmp_path / "out").stat().st_size > 0
@@ -1021,9 +1023,9 @@ def test_skeleton_request_takes_one_carrier_line_pass(argv, count, monkeypatch, 
     builds, lookups, batches = [], [], []
     over, runs_at, ids_through = SegmentIndex._over.__func__, SegmentIndex._runs_at, SegmentIndex.ids_through
 
-    def counted_over(cls, lcm, rows, members):
+    def counted_over(cls, lcm, rows):
         builds.append(len(rows))
-        return over(cls, lcm, rows, members)
+        return over(cls, lcm, rows)
 
     monkeypatch.setattr(SegmentIndex, "_over", classmethod(counted_over))
     monkeypatch.setattr(SegmentIndex, "_runs_at", lambda *args: lookups.append(1) or runs_at(*args))

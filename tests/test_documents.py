@@ -18,6 +18,7 @@ from helpers import (
     hole_set_oracle,
     pieces_document_oracle,
     pieces_from_document_oracle,
+    planar_views,
     pt,
     query_loop,
     square_loop,
@@ -40,7 +41,7 @@ from quasifractal.document import (
 )
 from quasifractal.errors import CapacityError, ParameterError, UnsupportedGeometryError
 from quasifractal.geometry import lattice_group, rational
-from quasifractal.planar import CARPET, GASKET, Piece, PieceSet, build_planar
+from quasifractal.planar import CARPET, GASKET, Piece, Pieces, PieceSet, build_planar
 from quasifractal.render import export_obj, render_svg
 from quasifractal.spatial import (
     CUBE_WIREFRAME,
@@ -151,7 +152,9 @@ def test_piece_documents_on_both_sides_of_the_int64_bound(kind, above, tmp_path,
     # reader refuses, so the kernels take a piece set built by hand
     doc = _far_document(kind, above)
     kept, removed = pieces_from_document_oracle(doc)
-    ps = PieceSet(kind, 1, kept, removed)
+    squares, triangles, pieces = planar_views(*((kept, []) if kind == CARPET else ([], kept)), removed)
+    ps = PieceSet(kind, 1, squares if kind == CARPET else triangles, pieces)
+    assert ps.kept.lcm == (3 if kind == CARPET else 2)
     assert list(ps.kept) == kept and list(ps.removed) == removed
     # hand-built kept views hold Python ints; the gasket's kernels lay them out by `lattice_group`
     kept_arrays = (ps.kept.corners, ps.kept.sides) if kind == CARPET else (ps.kept.vertices,)
@@ -203,13 +206,34 @@ def test_piece_views_build_each_point_once():
     read = _read(document_to_pieces, dumps_document(pieces_to_document(built)))
     assert read == built
     removed = [Piece(square_loop(F(i, 4), F(1, 4), F(1, 4)), 1, f"1:{i}") for i in range(2)]
-    pieces = PieceSet(CARPET, 1, [], removed).removed
+    pieces = Pieces.of(4, [([(i, 1), (i + 1, 1), (i + 1, 2), (i, 2)], 1, f"1:{i}") for i in range(2)])
+    assert list(pieces) == removed
     for points in (
         [p for cell in built.kept for p in cell.vertices],
         [p for cell in read.kept for p in cell.vertices],
         [p for piece in pieces for p in piece.boundary.vertices],
     ):
         assert len({id(p) for p in points}) == len(set(points)) < len(points)
+
+
+_STAGES = {
+    "cantor2d": lambda level: build(Params2(F(1, 3), level)),
+    CARPET: lambda level: build_planar(CARPET, level),
+    GASKET: lambda level: build_planar(GASKET, level),
+    CUBE_WIREFRAME: lambda level: build_spatial(SpatialVariant(CUBE_WIREFRAME, F(1, 3)), level),
+    TETRA_GASKET: lambda level: build_spatial(SpatialVariant(TETRA_GASKET), level),
+}
+
+
+@pytest.mark.parametrize("kind", _STAGES)
+def test_document_shapes_are_the_builders_counts_and_caps(kind):
+    # the reader's cell count and level cap per kind are the builder's own
+    key, split, cap = document._SHAPES[kind]
+    for level in range(3):
+        assert len(getattr(_STAGES[kind](level), key)) == split**level
+    with pytest.raises(CapacityError):
+        _STAGES[kind](cap + 1)
+    assert set(_STAGES) == set(document._SHAPES)
 
 
 @pytest.mark.parametrize("kind", ["cantor2d", CUBE_WIREFRAME, TETRA_GASKET])

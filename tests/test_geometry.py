@@ -1,7 +1,7 @@
 """Exact predicates and measures on rational points, segments, and loops."""
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from helpers import (
     pairwise_components,
     pt,
     random_point_off_loop,
+    segments_on_lattice,
     simplex_children,
     split_cell,
     square_loop,
@@ -52,7 +53,6 @@ from quasifractal.geometry import (
     box_grid,
     cell_outline,
     check_depth,
-    common_lattice,
     geometric_sum,
     lattice_dtype,
     lattice_windings,
@@ -63,12 +63,19 @@ from quasifractal.geometry import (
     scale_factor,
     segment_components,
     signed_area,
+    to_lattice,
     twice_areas,
     union_length,
     winding_numbers,
 )
-from quasifractal.planar import Piece, Pieces
+from quasifractal.planar import Pieces
 from quasifractal.topology import centroid, winding_number
+
+
+def _view(segments) -> Segments:
+    """Fraction segments on the lattice of their denominators (`to_lattice`)."""
+    lcm, _ = to_lattice([c for segment in segments for point in segment for c in point])
+    return segments_on_lattice(segments, lcm)
 
 
 def rand_fraction(rng):
@@ -219,24 +226,19 @@ def test_point_and_segment_reprs():
 
 
 def test_union_length_overlapping_collinear():
-    segments = {
-        Segment(pt(0, 0), pt(1, 0)),
-        Segment(pt(F(1, 2), 0), pt(F(3, 2), 0)),
-    }
+    # (0, 0)-(1, 0) and (1/2, 0)-(3/2, 0) on D = 2
+    segments = Segments(2, np.array([[(0, 0), (2, 0)], [(1, 0), (3, 0)]]))
     assert union_length(segments) == F(3, 2)
 
 
 def test_union_length_disjoint_carriers():
-    segments = {
-        Segment(pt(0, 0), pt(1, 0)),
-        Segment(pt(0, 0), pt(0, 1)),
-    }
+    segments = Segments(1, np.array([[(0, 0), (0, 1)], [(0, 0), (1, 0)]]))
     assert union_length(segments) == 2
 
 
 def test_union_length_rejects_diagonals():
     with pytest.raises(UnsupportedGeometryError):
-        union_length({Segment(pt(0, 0), pt(1, 1))})
+        union_length(Segments(1, np.array([[(0, 0), (1, 1)]])))
 
 
 def test_union_length_stage1_cantor_boundaries():
@@ -267,7 +269,7 @@ def test_union_length_never_exceeds_plain_sum():
         plain = sum(
             abs(s.b.x - s.a.x) + abs(s.b.y - s.a.y) for s in segments
         )
-        union = union_length(segments)
+        union = union_length(_view(list(segments)))
         assert union <= plain
         assert union == union_length_oracle(segments)
         overlapping = _has_overlap(segments)
@@ -298,28 +300,24 @@ def test_segment_components_two_disjoint_squares():
     from helpers import segments_of_loop
 
     segs = segments_of_loop(square_loop(0, 0, 1)) + segments_of_loop(square_loop(5, 5, 1))
-    assert segment_components(segs) == 2
+    assert segment_components(_view(segs)) == 2
 
 
 def test_segment_components_touching_squares():
     from helpers import segments_of_loop
 
     segs = segments_of_loop(square_loop(0, 0, 1)) + segments_of_loop(square_loop(1, 0, 1))
-    assert segment_components(segs) == 1
+    assert segment_components(_view(segs)) == 1
 
 
 def test_segment_components_t_junction():
     # vertical segment whose endpoint hits the interior of a horizontal one
-    segs = [
-        Segment(pt(0, 0), pt(2, 0)),
-        Segment(pt(1, 0), pt(1, 1)),
-        Segment(pt(5, 5), pt(6, 5)),
-    ]
+    segs = Segments(1, np.array([[(0, 0), (2, 0)], [(1, 0), (1, 1)], [(5, 5), (6, 5)]]))
     assert segment_components(segs) == 2
 
 
 def test_segment_components_empty():
-    assert segment_components([]) == 0
+    assert segment_components(Segments(1, np.empty((0, 2, 2), np.int64))) == 0
 
 
 def test_segment_components_matches_pairwise_oracle():
@@ -338,7 +336,8 @@ def test_segment_components_matches_pairwise_oracle():
             if seg not in seen:
                 seen.add(seg)
                 segments.append(seg)
-        assert segment_components(segments) == pairwise_components(segments)
+        view = _view(segments)
+        assert segment_components(view) == pairwise_components(list(view))
 
 
 # the six edge directions of the tetra gasket
@@ -378,9 +377,9 @@ def test_segment_components_matches_pairwise_oracle_on_tetra_directions():
     rng = random.Random(303)
     seen = set()
     for _ in range(150):
-        segments = _tetra_direction_segments(rng)
-        expected = pairwise_components(segments)
-        assert segment_components(segments) == expected
+        view = _view(_tetra_direction_segments(rng))
+        expected = pairwise_components(list(view))
+        assert segment_components(view) == expected
         seen.add(expected)
     assert {1, 2, 3} <= seen  # connected and disconnected sets both occur
 
@@ -390,9 +389,10 @@ def test_segment_components_diagonal_t_junction():
     diagonal = Segment(Point3(F(0), F(1), F(0)), Point3(F(1), F(0), F(0)))
     stem = Segment(Point3(F(1, 2), F(1, 2), F(0)), Point3(F(1, 2), F(1, 2), F(1)))
     near = Segment(Point3(F(1, 2), F(1, 2) + F(1, 1000), F(0)), Point3(F(1, 2), F(1), F(0)))
-    assert segment_components([diagonal, stem]) == 1
-    assert segment_components([diagonal, near]) == 2
-    assert segment_components([diagonal, stem, near]) == pairwise_components([diagonal, stem, near]) == 2
+    assert segment_components(_view([diagonal, stem])) == 1
+    assert segment_components(_view([diagonal, near])) == 2
+    view = _view([diagonal, stem, near])
+    assert segment_components(view) == pairwise_components(list(view)) == 2
 
 
 def _brute_ids_through(segments, p):
@@ -417,8 +417,8 @@ def _brute_covers(segments, p, q):
 def test_segment_index_queries_match_brute_force():
     rng = random.Random(404)
     for _ in range(60):
-        segments = _tetra_direction_segments(rng)
-        index = SegmentIndex(segments)
+        view = _view(_tetra_direction_segments(rng))
+        segments, index = list(view), SegmentIndex(view)
         points = {e for s in segments for e in (s.a, s.b)}
         points |= {Point3(*(F(rng.randint(0, 8), 4) for _ in range(3))) for _ in range(10)}
         for p in points:
@@ -456,8 +456,8 @@ def test_segment_index_membership_path_matches_brute_force(monkeypatch):
     monkeypatch.setattr(SegmentIndex, "_over", classmethod(lambda *args: builds.append(1) or over(*args)))
     monkeypatch.setattr(SegmentIndex, "_runs_at", lambda *args: lookups.append(1) or runs_at(*args))
     for _ in range(40):
-        segments = _tetra_direction_segments(rng)
-        (view,) = common_lattice((Segments, segments))
+        segments = _tetra_direction_segments(rng)  # as generated, so the queries drawn stay the same
+        view = _view(segments)
         built = len(builds)
         index = SegmentIndex(view)
         assert SegmentIndex(view) is index and len(builds) == built + 1
@@ -469,8 +469,8 @@ def test_segment_index_membership_path_matches_brute_force(monkeypatch):
         for p, q in _covers_queries(segments, rng):
             lp, lq = on_lattice_of(index, p, q)
             assert index.covers(lp, lq) == index.covers(lq, lp) == _brute_covers(segments, p, q), (p, q)
-        own = SegmentIndex(segments)
-        assert own is not index and own is not SegmentIndex(segments)
+        own = SegmentIndex(_view(segments))  # each view keeps its own index
+        assert own is not index and own is not SegmentIndex(_view(segments))
         for p, q in _covers_queries(segments, rng):
             lp, lq = on_lattice_of(own, p, q)
             assert own.covers(lp, lq) == _brute_covers(segments, p, q), (p, q)
@@ -517,21 +517,21 @@ def test_array_kernel_matches_the_tuple_kernel(dim, offset):
     rng = random.Random(1800 + 10 * dim + bool(offset))
     components, skew = set(), 0
     for _ in range(50):
-        segments = _mixed_segments(rng, dim, offset)
-        index = SegmentIndex(segments)
+        view = _view(_mixed_segments(rng, dim, offset))
+        segments, index = list(view), SegmentIndex(view)
         assert (index.run_lo.dtype == object) == bool(offset)
         expected = pairwise_components(segments)
-        assert segment_components(segments) == tuple_segment_components(segments) == expected
+        assert segment_components(view) == tuple_segment_components(segments) == expected
         components.add(expected)
         try:
             length = tuple_union_length(segments)
         except UnsupportedGeometryError as exc:
             skew += 1
             with pytest.raises(UnsupportedGeometryError) as raised:
-                union_length(segments)
+                union_length(view)
             assert str(raised.value) == str(exc)
         else:
-            assert union_length(segments) == length == union_length_oracle(segments)
+            assert union_length(view) == length == union_length_oracle(segments)
         points = sorted({e for s in segments for e in (s.a, s.b)} | {midpoint(s.a, s.b) for s in segments})
         points += [_along(rng.choice(points), [rng.randint(-4, 4) for _ in range(dim)], F(1, 8)) for _ in range(8)]
         hits = index.ids_through(on_lattice_of(index, *points))
@@ -552,6 +552,59 @@ def test_segment_components_matches_pairwise_oracle_on_cantor_stages(a, depth):
 
     segments = build(Params2(a, depth)).segments
     assert segment_components(segments) == pairwise_components(segments) == 1
+
+
+def _refusals() -> dict:
+    """Per view input, calls that give it a list of objects, a view of the
+    wrong type and, where it takes several, two views on different lattices."""
+    from quasifractal.cantor import Params2, Stage2, build
+    from quasifractal.planar import CARPET, GASKET, PieceSet, build_planar
+    from quasifractal.spatial import CUBE_WIREFRAME, TETRA_GASKET, SpatialVariant, Stage3, build_spatial
+    from quasifractal.topology import HoleSet
+
+    stage, finer = build(Params2(F(1, 3), 1)), build(Params2(F(1, 3), 2))
+    cube = SpatialVariant(CUBE_WIREFRAME, F(1, 3))
+    solid, solid2 = build_spatial(cube, 1), build_spatial(cube, 2)
+    carpet, carpet2 = build_planar(CARPET, 1), build_planar(CARPET, 2)
+    segments = stage.segments
+    return {
+        "Stage2": [
+            lambda: Stage2(stage.params, 1, list(stage.cells), set(segments)),
+            lambda: Stage2(stage.params, 1, segments, stage.cells),
+            lambda: Stage2(stage.params, 1, stage.cells, finer.segments),
+        ],
+        "Stage3": [
+            lambda: Stage3(cube, 1, list(solid.cells), set(solid.skeleton), list(solid.pieces)),
+            lambda: Stage3(SpatialVariant(TETRA_GASKET), 1, solid.cells, solid.skeleton, solid.pieces),
+            lambda: Stage3(cube, 1, solid.cells, solid2.skeleton, solid.pieces),
+        ],
+        "PieceSet": [
+            lambda: PieceSet(CARPET, 1, list(carpet.kept), list(carpet.removed)),
+            lambda: PieceSet(GASKET, 1, carpet.kept, carpet.removed),
+            lambda: PieceSet(CARPET, 1, carpet.kept, carpet2.removed),
+        ],
+        "SegmentIndex": [lambda: SegmentIndex(list(segments)), lambda: SegmentIndex(stage.cells)],
+        "union_length": [
+            lambda: union_length([1, 2]),
+            lambda: union_length(list(segments)),
+            lambda: union_length(solid.pieces),
+        ],
+        "segment_components": [lambda: segment_components(set(segments)), lambda: segment_components(stage.cells)],
+        "HoleSet.from_pieces": [
+            lambda: HoleSet.from_pieces(list(carpet.removed)),
+            lambda: HoleSet.from_pieces(carpet.kept),
+        ],
+    }
+
+
+def test_view_inputs_refuse_anything_but_views_on_one_lattice():
+    for name, calls in _refusals().items():
+        messages = set()
+        for call in calls:
+            with pytest.raises(ParameterError) as raised:
+                call()
+            messages.add(str(raised.value))
+        assert len(messages) == 1, (name, messages)
 
 
 def test_check_depth():
@@ -790,7 +843,10 @@ def test_lattice_ring_walk_and_shoelace_match_the_oracles_at_the_int64_bound(abo
         shift = (2**29 - 1) // k + above - max(c for v in ccw.vertices for c in v)
         moved = tuple(Point2(v.x + shift, v.y + shift) for v in ccw.vertices)
         loops += [Loop(moved), Loop(moved[::-1])]
-    (pieces,) = common_lattice((Pieces, [Piece(loop, 1, str(i)) for i, loop in enumerate(loops)]))
+    lcm, ints = to_lattice([c for loop in loops for v in loop.vertices for c in v])
+    points = zip(ints[0::2], ints[1::2])
+    rings = [tuple(islice(points, len(loop.vertices))) for loop in loops]
+    pieces = Pieces.of(lcm, [(ring, 1, str(i)) for i, ring in enumerate(rings)])
     lcm, groups = pieces.lcm, pieces.groups
     assert lcm == 1 and len(groups) >= 4
     checked = on = 0

@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from helpers import F, area_accounting_oracle, build_planar_oracle, on_lattice_of, pt
+from helpers import F, area_accounting_oracle, build_planar_oracle, on_lattice_of, planar_views, pt
+from helpers import segments_on_lattice
 from quasifractal.errors import CapacityError, ParameterError
-from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, common_lattice, lattice_group, signed_area
+from quasifractal.geometry import Cell, Loop, SegmentIndex, Simplex, Simplices, lattice_group, signed_area
 from quasifractal.planar import (
     CARPET,
     GASKET,
@@ -140,12 +141,10 @@ def test_removed_boundaries_lie_in_kept_boundaries_at_birth(kind):
     # the planar version of "piece boundaries are loops in the fractal"
     for depth in (1, 2, 3):
         ps = build_planar(kind, depth)
-        index_at = {
-            level: SegmentIndex(
-                seg for cell in build_planar(kind, level).kept for seg in cell.edge_segments()
-            )
-            for level in {p.birth_level for p in ps.removed}
-        }
+        index_at = {}
+        for level in {p.birth_level for p in ps.removed}:
+            kept = build_planar(kind, level).kept
+            index_at[level] = SegmentIndex(segments_on_lattice([s for c in kept for s in c.edge_segments()], kept.lcm))
         for piece in ps.removed:
             index = index_at[piece.birth_level]
             verts = piece.boundary.vertices
@@ -181,9 +180,8 @@ def test_build_matches_the_object_oracle(kind, depth):
     assert list(ps.kept) == kept
     assert list(ps.removed) == removed
     assert ps.removed.births == [piece.birth_level for piece in removed]
-    assert PieceSet(kind, depth, kept, removed) == ps
     # hand-built pieces are laid out as built ones are
-    (hand,) = common_lattice((Pieces, removed))
+    hand = Pieces.of(ps.removed.lcm, ps.removed.rows)
     assert hand.groups.keys() == ps.removed.groups.keys()
     for (members, xs, ys), (built_members, built_xs, built_ys) in zip(hand.groups.values(), ps.removed.groups.values()):
         assert list(members) == list(built_members)
@@ -193,11 +191,12 @@ def test_build_matches_the_object_oracle(kind, depth):
 
 def test_piece_sets_compare_their_lattice_arrays():
     ps = build_planar(GASKET, 2)
-    kept, removed = list(ps.kept), list(ps.removed)
-    assert PieceSet(GASKET, 2, kept, removed) == ps
-    assert PieceSet(GASKET, 2, kept[::-1], removed) != ps
-    assert PieceSet(GASKET, 2, kept, removed[1:]) != ps
-    relabelled = [Piece(p.boundary, p.birth_level, p.label + "'") for p in removed]
+    kept, removed, lcm = ps.kept, ps.removed, ps.kept.lcm
+    assert PieceSet(GASKET, 2, Simplices(lcm, (), kept.vertices.copy()), Pieces.of(lcm, removed.rows)) == ps
+    assert PieceSet(GASKET, 2, Simplices(lcm, (), kept.vertices[::-1]), removed) != ps
+    assert PieceSet(GASKET, 2, kept, Pieces.of(lcm, removed.rows[1:])) != ps
+    relabelled = Pieces.of(lcm, [(ring, birth, label + "'") for ring, birth, label in removed.rows])
+    assert [p.label for p in relabelled] == [p.label + "'" for p in removed]
     assert PieceSet(GASKET, 2, kept, relabelled) != ps
     assert PieceSet(GASKET, 1, kept, removed) != ps
     assert build_planar(CARPET, 0) != build_planar(GASKET, 0)
@@ -234,8 +233,9 @@ def test_similarity_dimensions():
 
 def test_kept_area_is_the_shoelace_area_of_the_kept_cells():
     gasket = build_planar(GASKET, 5)
-    clockwise = [Simplex("", cell.vertices[::-1]) for cell in gasket.kept]
-    for ps in (build_planar(CARPET, 3), gasket, PieceSet(GASKET, 5, clockwise, [])):
+    clockwise = Simplices(gasket.kept.lcm, (), gasket.kept.vertices[:, ::-1])
+    assert list(clockwise) == [Simplex("", cell.vertices[::-1]) for cell in gasket.kept]
+    for ps in (build_planar(CARPET, 3), gasket, PieceSet(GASKET, 5, clockwise, Pieces.of(clockwise.lcm, []))):
         shoelace = sum(signed_area(Loop(*cell.faces())) for cell in ps.kept)
         assert area_accounting(ps).kept_area == shoelace
     assert shoelace < 0
@@ -278,10 +278,12 @@ def test_area_accounting_matches_the_oracle_on_mixed_denominators(seed):
         for _ in range(rng.randint(1, 12))
     ]
     triangles = [Simplex("", tuple(_random_ring(rng, 3, turn))) for turn in orientations]
+    cells, simplices, pieces = planar_views(squares, triangles, removed)
+    no_pieces = Pieces.of(1, [])
     for ps in (
-        PieceSet(CARPET, 2, squares, removed),
-        PieceSet(GASKET, 2, triangles, removed),
-        PieceSet(GASKET, 0, [], []),
+        PieceSet(CARPET, 2, cells, pieces),
+        PieceSet(GASKET, 2, simplices, pieces),
+        PieceSet(GASKET, 0, Simplices(1, (), np.empty((0, 3, 2), dtype=object)), no_pieces),
     ):
         assert area_accounting(ps) == area_accounting_oracle(ps)
     assert {piece.boundary.orientation for piece in removed} == {-1, 1}
@@ -326,11 +328,11 @@ def test_area_accounting_on_both_sides_of_the_int64_bound(above):
     # twice the side of a square on the lattice of D = 2 is just below
     # 2^29, or 2^29
     squares = [Cell("", pt(F(1, 2), F(-1, 2)), F((2**29 - 1) // 2 + above, 2)) for _ in turns]
-    (pieces,) = common_lattice((Pieces, removed))
+    cells, simplices, pieces = planar_views(squares, triangles, removed)
     lcm, groups = pieces.lcm, pieces.groups
     assert lcm == 2 and sorted(groups) == list(range(3, 9))
     assert all(xs.dtype == (object if above else np.int64) for _, xs, _ in groups.values())
-    for ps in (PieceSet(CARPET, 1, squares, removed), PieceSet(GASKET, 1, triangles, removed)):
+    for ps in (PieceSet(CARPET, 1, cells, pieces), PieceSet(GASKET, 1, simplices, pieces)):
         assert ps.kept.lcm == ps.removed.lcm == 2
         # hand-built kept views hold Python ints; the gasket's shoelace lays them out by `lattice_group`
         kept = (ps.kept.corners, ps.kept.sides) if ps.kind == CARPET else (ps.kept.vertices,)

@@ -25,6 +25,7 @@ from helpers import (
     obj_oracle,
     pairwise_components,
     stage2_svg_oracle,
+    stage3_on_lattice,
     stage_document_oracle,
     tuple_segment_components,
     tuple_union_length,
@@ -47,7 +48,6 @@ from quasifractal.spatial import (
     CUBE_WIREFRAME,
     TETRA_GASKET,
     SpatialVariant,
-    Stage3,
     boundary_incidence,
     build_spatial,
     connectivity3,
@@ -140,18 +140,9 @@ def test_incidence_matches_the_oracle_on_displaced_faces(kind):
     _, skeleton, faces = build_spatial_oracle(variant, 2)
     shifts = [Point3(F(1, 7), F(0), F(0)), Point3(F(0), F(1, 9), F(0)), Point3(F(0), F(0), F(-1, 4))]
     moved = [face3_oracle(tuple(v + s for v in f.boundary), 2) for f, s in zip(faces[::37], shifts * 9)]
-    broken = Stage3(variant, stage.level, stage.cells, stage.skeleton, [*stage.pieces, *moved])
-    assert broken.pieces.lcm % stage.pieces.lcm == 0
+    broken = stage3_on_lattice(stage, 252, faces=moved)  # D = lcm(9 or 4, 7, 9, 4)
+    assert broken.pieces.lcm % stage.pieces.lcm == 0 and list(broken.pieces)[len(faces) :] == moved
     assert boundary_incidence(broken) == incidence_oracle(skeleton, faces + moved) > 0
-
-
-def test_hand_built_stages_go_on_the_lattice_of_their_denominators():
-    stage = build(Params2(F(1, 3), 2))
-    cells, segments = build_stage2_oracle(F(1, 3), 2)
-    again = type(stage)(stage.params, stage.level, cells, segments)
-    assert again == stage and again.cells.lcm == again.segments.lcm == 9
-    assert again.segments.rows == stage.segments.rows
-    assert union_length(segments) == union_length(stage.segments) == Fraction(union_length_oracle(segments))
 
 
 # The deck's scale factors at the depths the skeleton workload builds, and

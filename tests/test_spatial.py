@@ -3,15 +3,15 @@
 
 import pytest
 
-from helpers import F, cell_children, face3_oracle, on_lattice_of, pairwise_components, split_cell
+from helpers import F, cell_children, face3_oracle, on_lattice_of, pairwise_components, segments_on_lattice
+from helpers import split_cell, stage3_on_lattice
 from quasifractal.errors import CapacityError, ParameterError
-from quasifractal.geometry import Point3, Segment, area_vector, segment_components
+from quasifractal.geometry import Point3, Segment, SegmentIndex, area_vector, segment_components
 from quasifractal.spatial import (
     CUBE_WIREFRAME,
     TETRA_GASKET,
     Cell,
     SpatialVariant,
-    Stage3,
     boundary_incidence,
     build_spatial,
     connectivity3,
@@ -134,34 +134,20 @@ def test_boundary_incidence_detects_displaced_face():
     stage = build_spatial(CUBE_THIRD, 1)
     shift = Point3(F(1, 7), F(1, 7), F(1, 7))
     displaced = face3_oracle(tuple(v + shift for v in stage.pieces[0].boundary), 1)
-    broken = Stage3(
-        variant=stage.variant,
-        level=stage.level,
-        cells=stage.cells,
-        skeleton=stage.skeleton,
-        pieces=[*stage.pieces, displaced],
-    )
+    broken = stage3_on_lattice(stage, 21, faces=[displaced])  # D = 3 * 7
+    assert broken.pieces[-1] == displaced
     assert boundary_incidence(broken) == 4
 
     tetra_stage = build_spatial(TETRA, 1)
     displaced3 = face3_oracle(tuple(v + shift for v in tetra_stage.pieces[0].boundary), 1)
-    broken3 = Stage3(
-        variant=tetra_stage.variant,
-        level=tetra_stage.level,
-        cells=tetra_stage.cells,
-        skeleton=tetra_stage.skeleton,
-        pieces=[*tetra_stage.pieces, displaced3],
-    )
+    broken3 = stage3_on_lattice(tetra_stage, 14, faces=[displaced3])  # D = 2 * 7
+    assert broken3.pieces[-1] == displaced3
     assert boundary_incidence(broken3) == 3
 
 
 def test_level2_face_boundaries_lie_in_level2_cell_edges():
     stage = build_spatial(CUBE_THIRD, 2)
-    from quasifractal.geometry import SegmentIndex
-
-    level2_edges = SegmentIndex(
-        seg for cell in stage.cells for seg in cell.edge_segments()
-    )
+    level2_edges = SegmentIndex(segments_on_lattice([seg for cell in stage.cells for seg in cell.edge_segments()], 9))
     for face in stage.pieces:
         if face.birth_level != 2:
             continue
@@ -180,7 +166,7 @@ def test_connectivity_negative_control():
     cube = Cell("", Point3(F(0), F(0), F(0)), F(1))
     far = Cell("", Point3(F(3), F(0), F(0)), F(1))
     segs = list(cube.edge_segments()) + list(far.edge_segments())
-    assert segment_components(segs) == 2
+    assert segment_components(segments_on_lattice(segs, 1)) == 2
 
 
 def test_connectivity_negative_controls_match_pairwise_oracle():
@@ -188,15 +174,16 @@ def test_connectivity_negative_controls_match_pairwise_oracle():
     skeleton = build_spatial(TETRA, 1).skeleton
     offset = Point3(F(1, 7), F(1, 11), F(1, 13))
     moved = {Segment(s.a + offset, s.b + offset) for s in skeleton}
-    segs = list(skeleton | moved)
-    assert segment_components(segs) == pairwise_components(segs) == 2
+    view = segments_on_lattice(skeleton | moved, 2 * 7 * 11 * 13)
+    assert segment_components(view) == pairwise_components(list(view)) == 2
     # a cube skeleton whose three edges at the origin stop halfway
     cube = Cell("", Point3(F(0), F(0), F(0)), F(1))
     origin = cube.corner
     segs = [s for s in cube.edge_segments() if s.a != origin]
     segs += [Segment(origin, Point3(*(c / 2 for c in s.b))) for s in cube.edge_segments() if s.a == origin]
     assert len(segs) == 12
-    assert segment_components(segs) == pairwise_components(segs) == 2
+    view = segments_on_lattice(segs, 2)
+    assert segment_components(view) == pairwise_components(list(view)) == 2
 
 
 @pytest.mark.parametrize("variant, depth", [(CUBE_THIRD, 1), (TETRA, 2)])
@@ -212,7 +199,7 @@ def test_boundary_incidence_accepts_an_edge_covered_by_two_collinear_pieces():
     split = (stage.skeleton - {whole}) | {Segment(whole.a, half), Segment(half, whole.b)}
 
     def with_skeleton(skeleton):
-        return Stage3(stage.variant, stage.level, stage.cells, skeleton, stage.pieces)
+        return stage3_on_lattice(stage, 2, skeleton)
 
     assert whole not in split
     assert boundary_incidence(with_skeleton(split)) == 0

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from helpers import F, convex_loop, hole_set_oracle, pt, random_point_off_loop, square_loop, winding_oracle
+from helpers import F, convex_loop, hole_set_oracle, lattice_ints, pt, random_point_off_loop, square_loop
+from helpers import winding_oracle
 from quasifractal.errors import IndeterminateWindingError, MalformedLoopError, ParameterError
-from quasifractal.geometry import INSIDE, Loop, Point2, point_in_polygon, signed_area
-from quasifractal.planar import CARPET, GASKET, Piece, build_planar
+from quasifractal.geometry import INSIDE, Loop, Point2, point_in_polygon, signed_area, to_lattice
+from quasifractal.planar import CARPET, GASKET, Pieces, build_planar
 from quasifractal.spatial import CUBE_WIREFRAME, SpatialVariant, TETRA_GASKET, build_spatial
 from quasifractal.topology import (
     HoleSet,
@@ -262,6 +263,13 @@ HAND_MADE = {
 }
 
 
+def _pieces(rings) -> Pieces:
+    """Rings as pieces of birth level 1, labelled 1:i, on the lattice of
+    their denominators (`to_lattice`), as Python ints."""
+    lcm, _ = to_lattice([c for ring in rings for p in ring.vertices for c in p])
+    return Pieces.of(lcm, [(lattice_ints(list(ring.vertices), lcm), 1, f"1:{i}") for i, ring in enumerate(rings)])
+
+
 def _outcome(build, pieces):
     try:
         return build(pieces)
@@ -271,10 +279,9 @@ def _outcome(build, pieces):
 
 @pytest.mark.parametrize("name", HAND_MADE)
 def test_from_pieces_matches_the_oracle_on_hand_made_sets(name):
-    pieces = [Piece(ring, 1, f"1:{i}") for i, ring in enumerate(HAND_MADE[name])]
-    expected = _outcome(hole_set_oracle, pieces)
-    assert _outcome(HoleSet.from_pieces, pieces) == expected
-    assert _outcome(HoleSet.from_pieces, iter(pieces)) == expected
+    pieces = _pieces(HAND_MADE[name])
+    assert [p.boundary for p in pieces] == HAND_MADE[name]
+    assert _outcome(HoleSet.from_pieces, pieces) == _outcome(hole_set_oracle, list(pieces))
 
 
 @pytest.mark.parametrize("kind, depth", [(CARPET, 3), (GASKET, 5)])
@@ -294,9 +301,9 @@ def test_from_pieces_on_both_sides_of_the_int64_bound(magnitude):
         _ring((0, 0), (m, 1), (m - 1, 1)),  # long and thin: twice its area is 1
         _ring((-m, 0), (0, 0), (m, 0)),  # flat
     ]
-    pieces = [Piece(ring, 1, f"1:{i}") for i, ring in enumerate(rings)]
-    assert _outcome(HoleSet.from_pieces, pieces) == _outcome(hole_set_oracle, pieces)
-    assert HoleSet.from_pieces(pieces[:4]) == hole_set_oracle(pieces[:4])
+    pieces = _pieces(rings)
+    assert _outcome(HoleSet.from_pieces, pieces) == _outcome(hole_set_oracle, list(pieces))
+    assert HoleSet.from_pieces(_pieces(rings[:4])) == hole_set_oracle(list(pieces)[:4])
 
 
 def test_from_pieces_scales_the_guard_by_the_vertex_count():
@@ -307,5 +314,5 @@ def test_from_pieces_scales_the_guard_by_the_vertex_count():
     notch += [*[(x, 9) for x in range(2, 11)], (10, 10), (0, 10)]
     for shrink in range(1, 40):
         s = (2**29 - 1) // 10 - shrink * 1234567
-        pieces = [Piece(TRIANGLE, 1, "1:0"), Piece(_ring(*[(x * s, y * s) for x, y in notch]), 1, "1:1")]
-        assert _outcome(HoleSet.from_pieces, pieces) == _outcome(hole_set_oracle, pieces)
+        pieces = _pieces([TRIANGLE, _ring(*[(x * s, y * s) for x, y in notch])])
+        assert _outcome(HoleSet.from_pieces, pieces) == _outcome(hole_set_oracle, list(pieces))
