@@ -29,6 +29,7 @@ import math
 import random
 import threading
 from collections import defaultdict
+from itertools import accumulate, chain
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -148,16 +149,46 @@ def orientation_flip(s: Symbol) -> Symbol:
     return Symbol({-k: c for k, c in s.coefficients.items()})
 
 
-def _symbol_values(coeffs: np.ndarray, exponents: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """s(e^{i theta}) at every angle for each row of `coeffs` and `exponents`.
+def _row_values(
+    coeffs: np.ndarray, exponents: np.ndarray, theta: np.ndarray, table: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """s(e^{i theta}) at every angle for one row of (1, terms) coefficients
+    and exponents, written into and returned as `out`, (1, angles).
 
-    Rows are the leading axes of the two (..., terms) arrays; the result
-    has shape (..., angles). One call holds a (..., angles, terms) array,
-    so callers hand it at most _SAMPLE_BLOCK (row, angle) pairs at a time
+    e^{ik theta} is computed for the row's own exponents, with no gather,
+    into `table`, an (angles, terms) complex buffer that the caller keeps
+    from block to block.
+    """
+    np.multiply(1j, theta[:, None] * exponents[0], out=table)
+    np.exp(table, out=table)
+    np.multiply(coeffs[:, None, :], table, out=table[None])
+    return np.add.reduce(table[None], axis=-1, out=out)
+
+
+def _symbol_values(parts: list[tuple[np.ndarray, np.ndarray]], theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """s(e^{i theta}) at every angle for each row of the parts, rows laid end
+    to end, written into and returned as `out`, (rows, angles).
+
+    A part is a pair of (rows, terms) coefficient and exponent arrays, and
+    each row sums its own terms. e^{ik theta} is computed once for each
+    exponent in the sorted union of the rows' exponents, and each part
+    gathers its columns into one (rows, angles, terms) array, so every row
+    takes the products and the sum that `_row_values` would. Callers hand
+    it at most _SAMPLE_BLOCK (row, angle) pairs at a time
     (`_argument_steps`).
     """
-    angles = theta[:, None] * exponents[..., None, :]
-    return (coeffs[..., None, :] * np.exp(1j * angles)).sum(axis=-1)
+    # np.unique's inverse keeps the shape of a 1-D input in every numpy version
+    ks, columns = np.unique(np.concatenate([e.ravel() for _, e in parts]), return_inverse=True)
+    table = np.exp(1j * (theta[:, None] * ks))
+    angles = np.arange(len(theta))[:, None]
+    row = used = 0
+    for coeffs, exponents in parts:
+        rows, terms = exponents.shape
+        picked = table[angles, columns[used : used + rows * terms].reshape(rows, 1, terms)]
+        np.multiply(coeffs[:, None, :], picked, out=picked)
+        np.add.reduce(picked, axis=-1, out=out[row : row + rows])
+        row, used = row + rows, used + rows * terms
+    return out
 
 
 def _batch(s: Union[Symbol, Sequence[Symbol]]) -> list[Symbol]:
@@ -177,55 +208,78 @@ def _raise_first(failures: dict[int, QuasifractalError]) -> None:
         raise failures[draw]
 
 
-def _argument_steps(coeffs: np.ndarray, exponents: np.ndarray, count: int):
-    """One round of `count` equally spaced circle samples for each row:
-    returns (min modulus, largest |argument step|) per row and the
+def _argument_steps(parts: list[tuple[np.ndarray, np.ndarray]], count: int):
+    """One round of `count` equally spaced circle samples for each row of
+    the parts (as in `_symbol_values`): yields, for each chunk of rows in
+    order, (min modulus, largest |argument step|) per row and the chunk's
     (rows, count) float64 argument steps.
 
-    The circle is walked in blocks of at most _SAMPLE_BLOCK (row, angle)
-    pairs, each with one angle more than it has steps (the last block
-    wraps to angle 0). Block angles are `np.linspace`'s, fl(j * fl(2 pi /
-    count)), and every value, step and running extreme is the one the
-    whole samples-long array would give. The steps fill one float64 row
-    per symbol, the only samples-long array.
+    A chunk has _SAMPLE_BLOCK // (span + 1) rows, and its circle is walked
+    in blocks of span + 1 angles, each with one angle more than it has
+    steps (the last block wraps to angle 0). Block angles are
+    `np.linspace`'s, fl(j * fl(2 pi / count)), and every value, step and
+    running extreme is the one the whole samples-long array would give.
+    The chunk's steps are the only samples-long array; a caller drops them
+    before it asks for the next chunk.
     """
     span = min(count, _SAMPLE_BLOCK - 1)
     height = max(1, _SAMPLE_BLOCK // (span + 1))
     spacing = 2.0 * np.pi / count
-    steps = np.empty((len(coeffs), count))
-    minima = np.full(len(coeffs), np.inf)
-    largest = np.zeros(len(coeffs))
-    for i in range(0, count, span):
-        stop = min(i + span, count)
-        theta = np.arange(i, stop + 1) * spacing
-        if stop == count:
-            theta[-1] = 0.0
-        for r in range(0, len(coeffs), height):
-            values = _symbol_values(coeffs[r : r + height], exponents[r : r + height], theta)
+    offsets = list(accumulate((len(c) for c, _ in parts), initial=0))
+    for r in range(0, offsets[-1], height):
+        chunk = [
+            (c[max(r - o, 0) : r + height - o], e[max(r - o, 0) : r + height - o])
+            for (c, e), o in zip(parts, offsets)
+            if o < r + height and r < o + len(c)
+        ]
+        rows = min(height, offsets[-1] - r)
+        steps = np.empty((rows, count))
+        minima = np.full(rows, np.inf)
+        largest = np.zeros(rows)
+        # one set of block buffers for the chunk: a fresh set per block would be
+        # handed back to the system and faulted in again, block after block
+        values = np.empty((rows, span + 1), dtype=np.complex128)
+        ratios = np.empty((rows, span), dtype=np.complex128)
+        moduli = np.empty((rows, span + 1))
+        if rows == 1:
+            ((coeffs, exponents),) = chunk
+            table = np.empty((span + 1, exponents.shape[1]), dtype=np.complex128)
+        for i in range(0, count, span):
+            stop = min(i + span, count)
+            theta = np.arange(i, stop + 1) * spacing
+            if stop == count:
+                theta[-1] = 0.0
+            n = stop - i  # a chunk of more than one row has one block, with all span steps
+            block = steps[:, i:stop]
+            if rows == 1:
+                _row_values(coeffs, exponents, theta, table[: n + 1], values[:, : n + 1])
+            else:
+                _symbol_values(chunk, theta, values)
             # the extra value is a sample of the next block, so the block minimum counts it too
-            np.minimum(minima[r : r + height], np.abs(values).min(axis=1), out=minima[r : r + height])
-            block = steps[r : r + height, i:stop]
+            np.minimum(minima, np.abs(values[:, : n + 1], out=moduli[:, : n + 1]).min(axis=1), out=minima)
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero value fails its row
-                ratios = values[:, 1:] / values[:, :-1]
-            np.arctan2(ratios.imag, ratios.real, out=block)  # np.angle, written in place
-            np.maximum(largest[r : r + height], np.abs(block).max(axis=1), out=largest[r : r + height])
-    return minima, largest, steps
+                np.divide(values[:, 1 : n + 1], values[:, :n], out=ratios[:, :n])
+            np.arctan2(ratios[:, :n].imag, ratios[:, :n].real, out=block)  # np.angle, written in place
+            np.maximum(largest, np.abs(block, out=moduli[:, :n]).max(axis=1), out=largest)
+        yield minima, largest, steps
+        del steps  # before the next chunk holds its own
 
 
 def _sample_argument(symbols: list[Symbol], samples: Union[int, None]):
     """Winding by argument accumulation of each symbol; returns the lists
     (windings, min moduli).
 
-    Symbols with the same starting sample count and number of terms are
-    sampled together, each row with its own exponents, and only the rows
-    whose increments have not settled double their count. A round holds
-    one float64 per (symbol, sample), its argument steps, plus blocks of
-    _SAMPLE_BLOCK pairs (`_argument_steps`).
+    Symbols with the same starting sample count are sampled together, in
+    parts of one number of terms, each row with its own exponents and its
+    own sum; only the rows whose increments have not settled double their
+    count. A round holds the argument steps of one chunk of rows at a time,
+    one float64 per (row, sample), plus one set of block buffers of about
+    _SAMPLE_BLOCK (row, angle) pairs (`_argument_steps`).
     """
-    windings = [0] * len(symbols)
-    moduli = [0.0] * len(symbols)
+    windings = np.zeros(len(symbols), dtype=np.int64)
+    moduli = np.zeros(len(symbols))
     failures: dict[int, QuasifractalError] = {}
-    groups: dict[tuple[int, int], list[int]] = defaultdict(list)
+    groups: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
     for row, s in enumerate(symbols):
         min_required = 8 * (s.m + s.p + 1)
         start = max(64, min_required) if samples is None else samples
@@ -236,48 +290,59 @@ def _sample_argument(symbols: list[Symbol], samples: Union[int, None]):
         elif start > _MAX_SAMPLES:
             failures[row] = CapacityError(f"{start} circle samples exceed the ceiling of {_MAX_SAMPLES}")
         else:
-            groups[start, len(s.coefficients)].append(row)
-    for (count, _), rows in groups.items():
-        # Sample s / 2^e, whose largest coefficient modulus lies in [1/2, 1), so
-        # that a huge finite coefficient overflows neither the values nor their
-        # neighbour ratios. A power of two scales exactly: an ordinary symbol
-        # gives the same bits, and the minimum is unscaled before its test.
-        terms = [symbols[row].coefficients for row in rows]
-        scale = [math.frexp(max(abs(c) for c in t.values()))[1] for t in terms]
-        exponents = np.array([list(t) for t in terms], dtype=np.int64)
-        coeffs = np.array(
-            [[complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in t.values()] for t, e in zip(terms, scale)],
-            dtype=np.complex128,
-        )
-        rows, scale = np.array(rows), np.array(scale)
+            groups[start][len(s.coefficients)].append(row)
+    for count, by_terms in groups.items():
+        rows, scale, parts = [], [], []
+        for width, members in by_terms.items():
+            terms = [symbols[row].coefficients for row in members]
+            size = len(members) * width
+            exponents = np.fromiter(chain.from_iterable(terms), np.int64, size).reshape(-1, width)
+            coeffs = np.fromiter(chain.from_iterable(t.values() for t in terms), np.complex128, size).reshape(-1, width)
+            # Sample s / 2^e, whose largest coefficient modulus lies in [1/2, 1), so
+            # that a huge finite coefficient overflows neither the values nor their
+            # neighbour ratios. A power of two scales exactly: an ordinary symbol
+            # gives the same bits, and the minimum is unscaled before its test.
+            e = np.frexp(np.abs(coeffs).max(axis=1))[1]
+            np.ldexp(coeffs.real, -e[:, None], out=coeffs.real)
+            np.ldexp(coeffs.imag, -e[:, None], out=coeffs.imag)
+            rows += members
+            scale.append(e)
+            parts.append((coeffs, exponents))
+        rows, scale = np.array(rows), np.concatenate(scale)
         while len(rows) and count <= _MAX_SAMPLES:
-            minima, largest, steps = _argument_steps(coeffs, exponents, count)
-            turns = steps.sum(axis=1) / (2.0 * np.pi)
-            del steps  # before the next round holds twice as many
+            minima, largest, turns = np.empty((3, len(rows)))
+            at = 0
+            for low, high, steps in _argument_steps(parts, count):
+                chunk = slice(at, at + len(steps))
+                minima[chunk], largest[chunk] = low, high
+                np.divide(steps.sum(axis=1), 2.0 * np.pi, out=turns[chunk])
+                at += len(steps)
+                del steps  # before the next chunk holds its own
             minima = np.ldexp(minima, scale)
-            settled = largest < np.pi / 2
-            for row, min_modulus, done, winding in zip(rows.tolist(), minima.tolist(), settled.tolist(), turns.tolist()):
-                moduli[row] = min_modulus
-                if min_modulus <= MIN_CIRCLE_MODULUS:
-                    failures[row] = NotFredholmError(
-                        f"symbol modulus {min_modulus:.3e} on the circle is below "
-                        f"{MIN_CIRCLE_MODULUS:.0e}; the operator is not Fredholm"
-                    )
-                elif done:
-                    nearest = round(winding)
-                    if abs(winding - nearest) >= _RESIDUAL_TOL:
-                        failures[row] = SamplingFailureError(
-                            f"argument sum residual {abs(winding - nearest):.3g} too large"
-                        )
-                    else:
-                        windings[row] = nearest
-            unsettled = ~settled & (minima > MIN_CIRCLE_MODULUS)
-            rows, scale, exponents, coeffs = rows[unsettled], scale[unsettled], exponents[unsettled], coeffs[unsettled]
+            moduli[rows] = minima
+            vanishing = minima <= MIN_CIRCLE_MODULUS
+            settled = (largest < np.pi / 2) & ~vanishing
+            nearest = np.rint(turns)
+            residual = np.abs(turns - nearest)
+            wide = settled & (residual >= _RESIDUAL_TOL)
+            windings[rows[settled & ~wide]] = nearest[settled & ~wide]
+            for row, min_modulus in zip(rows[vanishing].tolist(), minima[vanishing].tolist()):
+                failures[row] = NotFredholmError(
+                    f"symbol modulus {min_modulus:.3e} on the circle is below "
+                    f"{MIN_CIRCLE_MODULUS:.0e}; the operator is not Fredholm"
+                )
+            for row, off in zip(rows[wide].tolist(), residual[wide].tolist()):
+                failures[row] = SamplingFailureError(f"argument sum residual {off:.3g} too large")
+            unsettled = ~settled & ~vanishing
+            rows, scale = rows[unsettled], scale[unsettled]
+            offsets = accumulate((len(c) for c, _ in parts), initial=0)
+            kept = [unsettled[o : o + len(c)] for (c, _), o in zip(parts, offsets)]
+            parts = [(c[k], e[k]) for (c, e), k in zip(parts, kept) if k.any()]
             count *= 2
         for row in rows.tolist():
             failures[row] = SamplingFailureError("argument increments did not settle below pi/2")
     _raise_first(failures)
-    return windings, moduli
+    return windings.tolist(), moduli.tolist()
 
 
 def winding_by_argument(s: Union[Symbol, Sequence[Symbol]], samples: Union[int, None] = None):
@@ -377,16 +442,24 @@ def winding_by_roots(s: Union[Symbol, Sequence[Symbol]]):
     symbols = _batch(s)
     windings = [0] * len(symbols)
     failures: dict[int, QuasifractalError] = {}
-    groups: dict[int, list[tuple[int, list, int]]] = defaultdict(list)
+    groups: dict[int, list[int]] = defaultdict(list)
     for row, symbol in enumerate(symbols):
-        m = symbol.m
-        degree = m + symbol.p
-        coeffs = [symbol.coefficients.get(k - m, 0) for k in range(degree, -1, -1)]
-        nonzero = [i for i, c in enumerate(coeffs) if c != 0]
-        zeros = degree - nonzero[-1]  # roots at 0, inside the disk
-        groups[nonzero[-1] - nonzero[0] + 1].append((row, coeffs[nonzero[0] : nonzero[-1] + 1], zeros - m))
+        c = symbol.coefficients  # nonzero, in exponent order
+        groups[next(reversed(c)) - next(iter(c)) + 1].append(row)
     for size, members in groups.items():
-        poly = np.array([coeffs for _, coeffs, _ in members], dtype=np.complex128)
+        # Each row is q(z) / z^(m + lowest exponent), highest power first: c_k
+        # sits in column (highest exponent - k). The roots at 0 divided out lie
+        # inside the disk, so the winding is the roots inside plus m + lowest
+        # exponent, less m.
+        terms = [symbols[row].coefficients for row in members]
+        counts = np.fromiter(map(len, terms), np.int64, len(terms))
+        exponents = np.fromiter(chain.from_iterable(terms), np.int64, int(counts.sum()))
+        values = np.fromiter(chain.from_iterable(t.values() for t in terms), np.complex128, len(exponents))
+        last = np.cumsum(counts) - 1
+        lowest, highest = exponents[last - counts + 1], exponents[last]
+        owner = np.repeat(np.arange(len(terms)), counts)
+        poly = np.zeros((len(terms), size), dtype=np.complex128)
+        poly[owner, highest[owner] - exponents] = values
         companion = np.zeros((len(members), size - 1, size - 1), dtype=np.complex128)
         if size > 1:
             companion[:, 1:, :-1] = np.eye(size - 2)
@@ -399,8 +472,8 @@ def winding_by_roots(s: Union[Symbol, Sequence[Symbol]]):
         moduli = np.abs(roots)
         on_circle = (np.abs(moduli - 1.0) < ROOT_CIRCLE_TOL).any(axis=1)
         inside = (moduli < 1.0).sum(axis=1)
-        for (row, _, offset), ok, converged, near, count in zip(
-            members, finite, ~np.isnan(moduli).any(axis=1), on_circle, inside.tolist()
+        for row, offset, ok, converged, near, count in zip(
+            members, lowest.tolist(), finite, ~np.isnan(moduli).any(axis=1), on_circle, inside.tolist()
         ):
             if not ok:  # np.roots' error for a matrix with an inf or nan
                 failures[row] = NumericalError("root finding failed: Array must not contain infs or NaNs")
@@ -483,23 +556,33 @@ def random_symbol(rng: random.Random, count: Union[int, None] = None):
     """
     wanted = 1 if count is None else count
     accepted: list[Symbol] = []
+    exponents = range(-RANDOM_MAX_DEGREE, RANDOM_MAX_DEGREE + 1)
+    # one sum and one product buffer, reused by every test block of every round
+    sums = np.empty((min(wanted, _TEST_ROWS), _TEST_POINTS), dtype=np.complex128)
+    products = np.empty_like(sums)
     while len(accepted) < wanted:
-        drawn = []
-        for _ in range(wanted - len(accepted)):
+        # column k + RANDOM_MAX_DEGREE holds c_k, zero outside the drawn band
+        padded = np.zeros((wanted - len(accepted), 2 * RANDOM_MAX_DEGREE + 1), dtype=np.complex128)
+        for row in padded:
             m = rng.randint(0, RANDOM_MAX_DEGREE)
             p = rng.randint(0, RANDOM_MAX_DEGREE)
-            drawn.append({k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(-m, p + 1)})
-        padded = np.zeros((len(drawn), 2 * RANDOM_MAX_DEGREE + 1), dtype=np.complex128)
-        for row, coefficients in zip(padded, drawn):
-            row[[k + RANDOM_MAX_DEGREE for k in coefficients]] = list(coefficients.values())
-        keep = np.empty(len(drawn), dtype=bool)
-        for r in range(0, len(drawn), _TEST_ROWS):
+            row[RANDOM_MAX_DEGREE - m : RANDOM_MAX_DEGREE + p + 1] = [
+                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(m + p + 1)
+            ]
+        keep = np.empty(len(padded), dtype=bool)
+        for r in range(0, len(padded), _TEST_ROWS):
+            block = padded[r : r + _TEST_ROWS]
+            total, product = sums[: len(block)], products[: len(block)]
             # Term by term as Symbol.__call__ sums: a zero term changes no modulus.
-            values = 0
-            for column, power in zip(padded[r : r + _TEST_ROWS].T, _test_powers()):
-                values = values + column[:, None] * power
-            keep[r : r + _TEST_ROWS] = np.abs(values).min(axis=1) >= RANDOM_MIN_MODULUS
-        accepted += [Symbol(c) for c, ok in zip(drawn, keep.tolist()) if ok]
+            terms = zip(block.T, _test_powers())
+            column, power = next(terms)
+            np.multiply(column[:, None], power, out=total)
+            for column, power in terms:
+                np.multiply(column[:, None], power, out=product)
+                total += product
+            keep[r : r + _TEST_ROWS] = np.abs(total).min(axis=1) >= RANDOM_MIN_MODULUS
+        # Symbol drops the zero columns, as it drops a zero coefficient of a drawn band
+        accepted += [Symbol(dict(zip(exponents, padded[row].tolist()))) for row in np.flatnonzero(keep).tolist()]
     return accepted[0] if count is None else accepted
 
 

@@ -342,7 +342,8 @@ def test_blocked_circle_values_match_one_shot_array():
     for samples in (64, _SAMPLE_BLOCK, 3 * _SAMPLE_BLOCK + 5):
         theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
         one_shot = (coeffs[None, :] * np.exp(1j * np.outer(theta, exponents))).sum(axis=1)
-        assert np.array_equal(_symbol_values(coeffs, exponents, theta), one_shot)
+        values = _symbol_values([(coeffs[None], exponents[None])], theta, np.empty((1, samples), dtype=complex))
+        assert np.array_equal(values[0], one_shot)
 
 
 @pytest.mark.parametrize("count", [64, toeplitz._SAMPLE_BLOCK, toeplitz._SAMPLE_BLOCK + 1, 3 * toeplitz._SAMPLE_BLOCK + 5])
@@ -353,9 +354,11 @@ def test_streamed_steps_and_minima_match_the_one_shot_arrays(count):
     for rows, terms in ((1, 3), (5, 9), (40, 1)):
         exponents = np.sort(rng.choice(np.arange(-4, 5), size=(rows, terms)), axis=1).astype(np.int64)
         coeffs = rng.uniform(-1, 1, size=(rows, terms)) + 1j * rng.uniform(-1, 1, size=(rows, terms))
-        v = toeplitz._symbol_values(coeffs, exponents, np.linspace(0.0, 2.0 * np.pi, count, endpoint=False))
+        theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        v = toeplitz._symbol_values([(coeffs, exponents)], theta, np.empty((rows, count), dtype=complex))
         one_shot = np.angle(np.roll(v, -1, axis=1) / v)
-        minima, largest, steps = toeplitz._argument_steps(coeffs, exponents, count)
+        chunks = zip(*toeplitz._argument_steps([(coeffs, exponents)], count))
+        minima, largest, steps = (np.concatenate(parts) for parts in chunks)
         assert steps.dtype == np.float64 and steps.shape == (rows, count)
         assert steps.tobytes() == one_shot.tobytes()
         assert minima.tobytes() == np.abs(v).min(axis=1).tobytes()
@@ -409,6 +412,42 @@ def test_single_draws_are_batches_of_one():
         assert (report.winding_arg, report.min_modulus_on_circle) == (winding, modulus)
 
 
+def test_a_mixed_batch_samples_every_row_as_it_would_alone(monkeypatch):
+    # one round takes rows of every term count and exponent set; each row's
+    # values, steps and sum must keep the bits of a batch of one
+    rng = np.random.default_rng(17)
+    symbols, leads = [], []
+    for terms in range(1, 18):
+        exponents = range(-(terms // 2), terms - terms // 2)
+        leads.append(exponents[terms // 3])
+        symbols.append(
+            Symbol({k: complex(*rng.uniform(-1, 1, 2)) + (2 * terms if k == leads[-1] else 0) for k in exponents})
+        )
+    symbols += [
+        Symbol({-8: 0.3 - 0.1j, 8: 1j}),  # sparse and wide: a start count of its own
+        Symbol({0: 2, 5: 0.5 - 0.5j}),
+        Symbol({0: 1.5e308, 1: -1e307j}),  # sampled as s / 2^1024
+        Symbol({0: -(1 - 1e-4) * cmath.exp(1j), 1: 1}),  # a root 1e-4 inside the circle, off every sample
+    ]
+    leads += [8, 0, 0, 1]
+    order = list(range(len(symbols)))
+    random.Random(17).shuffle(order)
+    symbols, leads = [symbols[i] for i in order], [leads[i] for i in order]
+    counts = []
+    steps = toeplitz._argument_steps
+
+    def recording(parts, count):
+        counts.append(count)
+        return steps(parts, count)
+
+    monkeypatch.setattr(toeplitz, "_argument_steps", recording)
+    windings, moduli = toeplitz._sample_argument(symbols, None)
+    assert max(counts) > toeplitz._SAMPLE_BLOCK  # the near root doubles past one block
+    alone = [toeplitz._sample_argument([s], None) for s in symbols]
+    assert windings == [w for (w,), _ in alone] == leads
+    assert [m.hex() for m in moduli] == [m.hex() for _, (m,) in alone]
+
+
 def test_batches_raise_the_error_of_the_first_failing_symbol():
     good, vanishing, constant = Symbol({1: 1}), Symbol({0: -1, 1: 1}), Symbol({0: 3})
     with pytest.raises(NotFredholmError) as raised:
@@ -416,6 +455,10 @@ def test_batches_raise_the_error_of_the_first_failing_symbol():
     assert raised.value.draw == 2
     with pytest.raises(ParameterError) as raised:
         winding_by_argument([good, Symbol({-2: 1, 3: 1}), vanishing], samples=16)
+    assert raised.value.draw == 1
+    # row 1 starts at 136 samples and fails after row 2, which starts at 64
+    with pytest.raises(NotFredholmError) as raised:
+        winding_by_argument([good, Symbol({-8: -1, 8: 1}), vanishing, good])
     assert raised.value.draw == 1
     with pytest.raises(NotFredholmError) as raised:
         winding_by_roots([constant, good, Symbol({-1: 1, 0: 4, 1: 1}), vanishing])
